@@ -69,7 +69,6 @@ from .gamma import (
     DeskConfig,
     GammaParams,
     GammaVertex,
-    NeighborOrdering,
     Profile,
     adjacency_from_labels,
     decode_label,

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import ArgumentError, ArtifactError
+from .errors import ArgumentError, ArtifactError, CodecError
 from .gamma import (
     DeskConfig,
     Profile,
@@ -24,7 +24,7 @@ from .gamma import (
 )
 from .graphs import Graph, dump_edge_list, format_edge_list, load_edge_list
 from .harness import FamilySpec, size_report, universality_sweep
-from .embedder import EmbeddingResult, embed, verify_induced
+from .embedder import EmbedCertificate, EmbeddingResult, embed, verify_induced
 from .lps import LpsParams, build_lps_graph, certify_expander
 from .thin import DecomposeStrategy, layout_thin, thin_decompose
 
@@ -190,13 +190,7 @@ def _embedding_payload(result: EmbeddingResult, params, h: Graph, args) -> dict:
         payload.pop("gamma")
     payload["input_vertices"] = h.vertex_count
     payload["input_edges"] = h.edge_count
-    desk = params.desk
-    payload["params"] = {
-        "delta": params.delta,
-        "n": params.n,
-        "rm_pq": list(desk.rm_pq),
-        "rz_pq": list(desk.rz_pq),
-    }
+    payload["params"] = {"delta": params.delta, "n": params.n, **params.desk.to_json()}
     return payload
 
 
@@ -217,33 +211,27 @@ def _cmd_verify(args) -> tuple[int, dict]:
     h = load_edge_list(args.input)
     meta = doc["params"]
     params = make_gamma_params(
-        meta["delta"], meta["n"], Profile.DESK,
-        DeskConfig(rm_pq=tuple(meta["rm_pq"]), rz_pq=tuple(meta["rz_pq"])))
+        meta["delta"], meta["n"], Profile.DESK, DeskConfig.from_json(meta))
+    if params.digest() != doc["params_digest"]:
+        raise CodecError(
+            "embedding parameters do not match their recorded digest",
+            recorded=doc["params_digest"], rebuilt=params.digest())
     labels = doc["gamma"]
     if len(labels) != h.vertex_count:
         raise ArgumentError(
             f"embedding has {len(labels)} labels for {h.vertex_count} vertices")
-    gamma = tuple(decode_label(lab, params) for lab in labels)
-    violations = []
-    pairs = 0
-    from .gamma import gamma_adjacent_witness
-    for a in range(h.vertex_count):
-        for b in range(a + 1, h.vertex_count):
-            pairs += 1
-            expected = h.has_edge(a, b)
-            got, witness = gamma_adjacent_witness(gamma[a], gamma[b], params)
-            if got != expected:
-                violations.append({
-                    "pair": [a, b], "expected": expected, "got": got,
-                    "witness": list(witness) if witness else None,
-                })
+    result = EmbeddingResult(
+        gamma=tuple(decode_label(lab, params) for lab in labels),
+        certificate=EmbedCertificate(), homs=None,
+        params_digest=doc["params_digest"])
+    report = verify_induced(h, result, params)
     payload = {
         "schema": "induniv/verify-v1",
-        "pairs_checked": pairs,
-        "violations": violations,
-        "ok": not violations,
+        "pairs_checked": report.pairs_checked,
+        "violations": list(report.violations),
+        "ok": report.ok,
     }
-    return (0 if not violations else 2), payload
+    return (0 if report.ok else 2), payload
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
@@ -299,10 +287,7 @@ _WORKER_PARAMS = {}
 def _worker_params(delta, n, desk_json):
     key = (delta, n, desk_json)
     if key not in _WORKER_PARAMS:
-        desk = json.loads(desk_json)
-        cfg = DeskConfig(
-            rm_pq=tuple(desk["rm_pq"]), rz_pq=tuple(desk["rz_pq"]),
-            walk_budget=desk["walk_budget"])
+        cfg = DeskConfig.from_json(json.loads(desk_json))
         _WORKER_PARAMS[key] = make_gamma_params(delta, n, Profile.DESK, cfg)
     return _WORKER_PARAMS[key]
 

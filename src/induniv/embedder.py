@@ -104,7 +104,7 @@ class EmbedCertificate:
 class EmbeddingResult:
     gamma: tuple[GammaVertex, ...]
     certificate: EmbedCertificate
-    homs: HomomorphismSet
+    homs: HomomorphismSet | None  # None when rebuilt from decoded labels
     params_digest: str
 
     def to_json(self, params: GammaParams) -> dict:
@@ -343,12 +343,12 @@ def build_label_sets(
     assignment: tuple[int, ...],
     params: GammaParams,
 ) -> tuple[int, ...]:
-    rho = params.rho
+    rm_pow = params.rm_pow
     masks = []
     for v in range(part.vertex_count):
         mask = 0
         for w in part.neighbors(v):
-            r = rho.rank(assignment[v], assignment[w])
+            r = rm_pow.rank(assignment[v], assignment[w])
             if r is None:
                 raise IntegrityError(
                     f"image of neighbor {w} is not a power neighbor of the "
@@ -392,7 +392,7 @@ def check_edge_witnesses(
     out = []
     dec = result.homs.decomposition
     gamma = result.gamma
-    rho = params.rho
+    rm_pow = params.rm_pow
     for (u, v), (pi, pj) in sorted(dec.multiplicity.items()):
         got, _ = gamma_adjacent_witness(gamma[u], gamma[v], params)
         if not got:
@@ -400,14 +400,14 @@ def check_edge_witnesses(
             continue
         j, i = sorted((pi + 1, pj + 1))
         gu, gv = gamma[u], gamma[v]
-        if not (params.rm_pow.contains(gu.x(j), gv.x(j))
-                and params.rm_pow.contains(gu.x(i), gv.x(i))):
+        if not (rm_pow.contains(gu.x(j), gv.x(j))
+                and rm_pow.contains(gu.x(i), gv.x(i))):
             out.append(f"edge ({u}, {v}): coordinates not close at its parts ({j}, {i})")
             continue
         xu, mask_u, su = gu.blocks[i - 2]
         xv, mask_v, sv = gv.blocks[i - 2]
-        ruv = rho.rank(xu, xv)
-        rvu = rho.rank(xv, xu)
+        ruv = rm_pow.rank(xu, xv)
+        rvu = rm_pow.rank(xv, xu)
         if ruv is None or rvu is None or not ((mask_u >> ruv) & 1 and (mask_v >> rvu) & 1):
             out.append(f"edge ({u}, {v}): subset membership missing at part {i}")
         elif not params.rz_pow.contains(su, sv):

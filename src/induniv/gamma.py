@@ -6,9 +6,12 @@ coordinates live in a large expander R_m, u coordinates in a small expander
 R_z, and X_i is a subset of neighbor ranks in the 4-th power of R_m. Two
 vertices are adjacent iff some pair of coordinates j < i has both x-pairs
 close in R_m (within distance 4), mutually listed neighbor ranks at i, and
-close u-coordinates in R_z. The graph itself is never materialized: with
-paper-scale constants even one subset coordinate is astronomically wide, so
-everything is served by (params, oracle, codec).
+close u-coordinates in R_z. Closeness and ranks both come from the one
+radius-4 metric, ``graphs.PowerNeighborhoods`` (re-exported here with
+``shared_power_neighborhoods``): the rank of y seen from x is y's position in
+x's sorted distance-<=4 neighborhood. The graph itself is never
+materialized: with paper-scale constants even one subset coordinate is
+astronomically wide, so everything is served by (params, oracle, codec).
 
 Two profiles: PAPER keeps the literal constants (d = 734 and friends) and is
 formula-only, refusing to build graphs; DESK builds real certified expanders
@@ -21,13 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
-
-import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ArgumentError,
@@ -36,7 +35,7 @@ from .errors import (
     ExhaustedSearchError,
     InfeasibleBuildError,
 )
-from .graphs import Graph
+from .graphs import RADIUS, Graph, PowerNeighborhoods, shared_power_neighborhoods
 from .lps import (
     ExpanderCertificate,
     LpsParams,
@@ -54,145 +53,6 @@ PAPER_Z = 160 * PAPER_D**5
 class Profile(Enum):
     PAPER = "paper"
     DESK = "desk"
-
-
-# -- distance-at-most-4 neighborhoods -----------------------------------------
-
-
-class PowerNeighborhoods:
-    """Sorted distance-<=k neighborhoods, materialized or lazily cached.
-
-    Materialization uses boolean sparse matrix powers and is chosen when the
-    estimated total size fits the budget; otherwise per-vertex balls are
-    computed by BFS on demand and memoized.
-    """
-
-    def __init__(self, g: Graph, k: int = 4, materialize_limit: int = 2 * 10**7):
-        self.graph = g
-        self.k = k
-        n = g.vertex_count
-        d = g.max_degree()
-        est_ball = min(n, _ball_size_bound(d, k))
-        self._rows: list[np.ndarray] | None = None
-        self._cache: dict[int, np.ndarray] = {}
-        if n * est_ball <= materialize_limit:
-            self._rows = self._materialize()
-
-    def _materialize(self) -> list[np.ndarray]:
-        g = self.graph
-        n = g.vertex_count
-        if n == 0:
-            return []
-        if n < 512:
-            return [
-                np.array(sorted(g.ball(v, self.k) - {v}), dtype=np.int64)
-                for v in range(n)
-            ]
-        rows, cols = [], []
-        for u, v in g.edges():
-            rows += [u, v]
-            cols += [v, u]
-        a = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
-        acc = a.copy()
-        p = a.copy()
-        for _ in range(self.k - 1):
-            p = p @ a
-            p.data.fill(1)
-            acc = acc + p
-        acc.data.fill(1)
-        acc.setdiag(0)
-        acc.eliminate_zeros()
-        acc.sort_indices()
-        acc = acc.tocsr()
-        indptr, indices = acc.indptr, acc.indices.astype(np.int64)
-        return [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
-
-    def row(self, v: int) -> np.ndarray:
-        if self._rows is not None:
-            return self._rows[v]
-        r = self._cache.get(v)
-        if r is None:
-            r = np.array(
-                sorted(self.graph.ball(v, self.k) - {v}), dtype=np.int64)
-            self._cache[v] = r
-        return r
-
-    def contains(self, v: int, w: int) -> bool:
-        """True iff 0 < dist(v, w) <= k, i.e. {v, w} is a power-graph edge."""
-        if v == w:
-            return False
-        row = self.row(v)
-        i = int(np.searchsorted(row, w))
-        return i < len(row) and int(row[i]) == w
-
-    def rank(self, v: int, w: int) -> int | None:
-        """Position of w in the sorted neighborhood of v, None if absent."""
-        row = self.row(v)
-        i = int(np.searchsorted(row, w))
-        if i < len(row) and int(row[i]) == w:
-            return i
-        return None
-
-    def count(self, v: int) -> int:
-        return len(self.row(v))
-
-
-def _ball_size_bound(d: int, k: int) -> int:
-    if d <= 0:
-        return 1
-    total = 1
-    layer = d
-    for _ in range(k):
-        total += layer
-        layer *= max(d - 1, 1)
-    return total
-
-
-_POW_CACHE: dict[tuple[Graph, int], PowerNeighborhoods] = {}
-
-
-def shared_power_neighborhoods(g: Graph, k: int = 4) -> PowerNeighborhoods:
-    """Memoized neighborhoods; graphs are immutable so sharing is safe."""
-    key = (g, k)
-    pow_nbhd = _POW_CACHE.get(key)
-    if pow_nbhd is None:
-        pow_nbhd = PowerNeighborhoods(g, k)
-        if len(_POW_CACHE) > 8:
-            _POW_CACHE.clear()
-        _POW_CACHE[key] = pow_nbhd
-    return pow_nbhd
-
-
-class NeighborOrdering:
-    """Deterministic per-vertex ordering of power-graph neighbors.
-
-    The rank of w seen from v is w's index in v's ascending neighbor list;
-    ranks occupy an initial segment of the subset universe.
-    """
-
-    def __init__(self, pow_nbhd: PowerNeighborhoods):
-        self._pow = pow_nbhd
-
-    def rank(self, v: int, w: int) -> int | None:
-        return self._pow.rank(v, w)
-
-    def neighborhood(self, v: int) -> np.ndarray:
-        return self._pow.row(v)
-
-    def domain_size(self, v: int) -> int:
-        return self._pow.count(v)
-
-    def label_set(self, v: int, targets: Iterable[int]) -> int:
-        """Bitmask of the ranks of the given power-graph neighbors of v."""
-        mask = 0
-        for w in targets:
-            r = self.rank(v, w)
-            if r is None:
-                raise ArgumentError(
-                    f"{w} is not a power-graph neighbor of {v}")
-            mask |= 1 << r
-        return mask
 
 
 # -- parameters ----------------------------------------------------------------
@@ -225,6 +85,16 @@ class DeskConfig:
             "retry_budget_scale": list(self.retry_budget_scale),
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "DeskConfig":
+        """Inverse of ``to_json``; absent fields take their defaults and
+        keys that are not fields are ignored."""
+        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+        for name in ("rm_pq", "rz_pq", "retry_budget_scale"):
+            if name in kwargs:
+                kwargs[name] = tuple(kwargs[name])
+        return cls(**kwargs)
+
 
 @dataclass(frozen=True, eq=False)
 class GammaParams:
@@ -242,7 +112,6 @@ class GammaParams:
     r_z: Graph | None
     rm_pow: PowerNeighborhoods | None
     rz_pow: PowerNeighborhoods | None
-    rho: NeighborOrdering | None
     desk: DeskConfig | None
     certificates: dict[str, ExpanderCertificate] = field(default_factory=dict)
 
@@ -377,8 +246,8 @@ def make_gamma_params(
             f"expander degrees differ: r_m is {d}-regular, "
             f"r_z is {rz_graph.degree(0)}-regular")
 
-    rm_pow = shared_power_neighborhoods(rm_graph, 4)
-    rz_pow = rm_pow if rz_graph is rm_graph else shared_power_neighborhoods(rz_graph, 4)
+    rm_pow = shared_power_neighborhoods(rm_graph, RADIUS)
+    rz_pow = rm_pow if rz_graph is rm_graph else shared_power_neighborhoods(rz_graph, RADIUS)
     return GammaParams(
         delta=delta,
         n=n,
@@ -392,7 +261,6 @@ def make_gamma_params(
         r_z=rz_graph,
         rm_pow=rm_pow,
         rz_pow=rz_pow,
-        rho=NeighborOrdering(rm_pow),
         desk=cfg,
         certificates=certs,
     )
@@ -440,7 +308,6 @@ def _paper_params(delta: int, n: int) -> GammaParams:
         r_z=None,
         rm_pow=None,
         rz_pow=None,
-        rho=None,
         desk=None,
     )
 
@@ -504,7 +371,7 @@ def gamma_adjacent_witness(
     """
     validate_vertex(a, params)
     validate_vertex(b, params)
-    rm_pow, rz_pow, rho = params.rm_pow, params.rz_pow, params.rho
+    rm_pow, rz_pow = params.rm_pow, params.rz_pow
     close = [rm_pow.contains(a.x(i), b.x(i)) for i in range(1, params.delta + 1)]
     first_close = None
     for i in range(1, params.delta + 1):
@@ -515,8 +382,8 @@ def gamma_adjacent_witness(
         ):
             xa, mask_a, ua = a.blocks[i - 2]
             xb, mask_b, ub = b.blocks[i - 2]
-            ra = rho.rank(xa, xb)
-            rb = rho.rank(xb, xa)
+            ra = rm_pow.rank(xa, xb)
+            rb = rm_pow.rank(xb, xa)
             if (
                 ra is not None
                 and rb is not None

@@ -12,9 +12,13 @@ from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ArgumentError
 
 INF = math.inf
+RADIUS = 4  # "close" in the product-graph oracle and in walk separation
+_BLOCK = 32  # consecutive vertices whose power rows are built together
 
 
 class Graph:
@@ -24,7 +28,7 @@ class Graph:
     threads. Self-loops are rejected; duplicate edges are collapsed.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "_adj")
+    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -45,6 +49,7 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edge_count", len(seen))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(nb)) for nb in adj))
+        object.__setattr__(self, "_hash", hash((vertex_count, self._adj)))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
@@ -94,7 +99,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self._adj))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -142,11 +147,6 @@ class Graph:
                     queue.append(w)
         return INF
 
-    def ball(self, v: int, radius: int) -> frozenset[int]:
-        """Closed ball: all vertices within the given distance, v included."""
-        dist = self.bfs_distances(v, cutoff=radius)
-        return frozenset(i for i, d in enumerate(dist) if d >= 0)
-
     def is_connected(self) -> bool:
         if self.vertex_count <= 1:
             return True
@@ -189,19 +189,6 @@ class Graph:
                         return False
         return True
 
-    def power(self, k: int) -> "Graph":
-        """The k-th power: same vertices, edges between distinct vertices at
-        distance at most k."""
-        if k < 1:
-            raise ArgumentError(f"power exponent must be >= 1, got {k}")
-        if k == 1:
-            return Graph(self.vertex_count, self.edges())
-        edges = []
-        for u in range(self.vertex_count):
-            dist = self.bfs_distances(u, cutoff=k)
-            edges.extend((u, w) for w, d in enumerate(dist) if d > 0 and u < w)
-        return Graph(self.vertex_count, edges)
-
     def girth(self) -> int | float:
         """Length of the shortest cycle; inf for forests.
 
@@ -239,6 +226,93 @@ class Graph:
             for t in touched:
                 dist[t] = -1
         return best
+
+
+# -- the radius-k power metric ----------------------------------------------
+
+
+class PowerNeighborhoods:
+    """Sorted distance-<=k neighborhoods, the vertex itself left out.
+
+    The first query about a vertex builds the rows of its whole block of
+    ``_BLOCK`` consecutive ids by frontier expansion over a padded neighbor
+    table, vectorised across the block. A block's rows are int64 views into
+    one buffer and stay in ``_cache``, so memory follows the blocks touched,
+    not the graph size.
+    """
+
+    def __init__(self, g: Graph, k: int = RADIUS):
+        if k < 1:
+            raise ArgumentError(f"power radius must be >= 1, got {k}")
+        self.graph = g
+        self.k = k
+        n = g.vertex_count
+        # row n is a sentinel; padding entries point at it
+        table = np.full((n + 1, max(g.max_degree(), 1)), n, dtype=np.int32)
+        for v, nb in enumerate(g._adj):
+            table[v, :len(nb)] = nb
+        self._table = table
+        self._cache: dict[int, np.ndarray] = {}
+
+    def _fill(self, v: int) -> np.ndarray:
+        n = self.graph.vertex_count
+        if not 0 <= v < n:
+            raise ArgumentError(f"vertex id {v!r} out of range [0, {n})")
+        start = v - v % _BLOCK
+        src = np.arange(start, min(start + _BLOCK, n), dtype=np.int32)
+        reached = src[:, None]
+        for _ in range(self.k):
+            grown = np.concatenate(
+                [reached, self._table[reached].reshape(len(src), -1)], axis=1)
+            grown.sort(axis=1)
+            grown[:, 1:][grown[:, 1:] == grown[:, :-1]] = n
+            grown.sort(axis=1)
+            reached = grown[:, :int((grown < n).sum(axis=1).max())]
+        keep = (reached < n) & (reached != src[:, None])
+        buf = reached[keep].astype(np.int64)
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        begin = 0
+        for u, end in zip(range(start, start + len(src)), ends):
+            self._cache[u] = buf[begin:end]
+            begin = end
+        return self._cache[v]
+
+    def row(self, v: int) -> np.ndarray:
+        r = self._cache.get(v)
+        return self._fill(v) if r is None else r
+
+    def contains(self, v: int, w: int) -> bool:
+        """True iff 0 < dist(v, w) <= k, i.e. {v, w} is a power-graph edge."""
+        row = self._cache.get(v)
+        if row is None:
+            row = self._fill(v)
+        i = int(row.searchsorted(w))
+        return i < len(row) and int(row[i]) == w
+
+    def rank(self, v: int, w: int) -> int | None:
+        """Position of w in the sorted neighborhood of v, None if absent."""
+        row = self._cache.get(v)
+        if row is None:
+            row = self._fill(v)
+        i = int(row.searchsorted(w))
+        if i < len(row) and int(row[i]) == w:
+            return i
+        return None
+
+
+_POW_CACHE: dict[tuple[Graph, int], PowerNeighborhoods] = {}
+
+
+def shared_power_neighborhoods(g: Graph, k: int = RADIUS) -> PowerNeighborhoods:
+    """Memoized neighborhoods; graphs are immutable so sharing is safe."""
+    key = (g, k)
+    pow_nbhd = _POW_CACHE.get(key)
+    if pow_nbhd is None:
+        pow_nbhd = PowerNeighborhoods(g, k)
+        if len(_POW_CACHE) > 8:
+            _POW_CACHE.clear()
+        _POW_CACHE[key] = pow_nbhd
+    return pow_nbhd
 
 
 # -- vertex sequences ------------------------------------------------------

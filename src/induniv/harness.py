@@ -27,7 +27,7 @@ from .gamma import (
     gamma_vertex_count,
     make_gamma_params,
 )
-from .graphs import Graph
+from .graphs import RADIUS, Graph
 from .embedder import RetryPolicy, embed, verify_induced
 from .thin import (
     DecomposeStrategy,
@@ -320,7 +320,7 @@ def random_walk_instance(
                 continue
             witness_ok = [
                 t2 for t2 in range(0, limit + 1)
-                if host.distance(t, t2) > wp.avoid_radius
+                if host.distance(t, t2) > RADIUS
             ]
             if not witness_ok:
                 continue
@@ -455,8 +455,8 @@ def random_close_gamma_pair(
     for (xa, mask_a, ua) in a.blocks:
         row = params.rm_pow.row(xa)
         xb = int(rng.choice(row))
-        ra = params.rho.rank(xa, xb)
-        rb = params.rho.rank(xb, xa)
+        ra = params.rm_pow.rank(xa, xb)
+        rb = params.rm_pow.rank(xb, xa)
         mask_b = rng.getrandbits(params.subset_bits) | (1 << rb)
         mask_a |= 1 << ra
         ub = int(rng.choice(params.rz_pow.row(ua)))
@@ -515,7 +515,7 @@ def _fuzz_embedder(rng: random.Random, rounds: int, params: GammaParams) -> Fuzz
         mutated = list(result.gamma)
         target = None
         for bi, (x, mask, uu) in enumerate(mutated[u].blocks):
-            r = params.rho.rank(x, mutated[v].blocks[bi][0])
+            r = params.rm_pow.rank(x, mutated[v].blocks[bi][0])
             if r is not None and (mask >> r) & 1:
                 target = (bi, r)
                 break

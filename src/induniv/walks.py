@@ -5,7 +5,7 @@ host graph F subject to three properties:
 
   * usage   -- no vertex is used more than ``usage_cap`` times;
   * separation -- for every index t and scheduled earlier index t' the images
-    f(t), f(t') are distinct and more than ``avoid_radius`` apart in F;
+    f(t), f(t') are distinct and more than ``RADIUS`` = 4 apart in F;
   * blocks  -- every window (f(kq), ..., f(kq + min(2q, n-kq) - 1)) is a path,
     so the whole sequence is a walk that is locally self-avoiding.
 
@@ -13,6 +13,9 @@ The schedule may only constrain an index against indices at least one full
 block behind it, which is what makes the block-by-block construction sound.
 The builder is a deterministic depth-first search with backtracking; its
 output is always re-verified before being returned, never assumed correct.
+Builder and checker decide "within distance 4" through the host's shared
+radius-4 metric (``graphs.shared_power_neighborhoods``), the same one the
+product-graph oracle uses.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArgumentError, BudgetError, IntegrityError, WalkStuckError
-from .graphs import Graph
+from .graphs import RADIUS, Graph, shared_power_neighborhoods
 
 
 def step_for(ell: int) -> int:
@@ -44,7 +47,6 @@ class WalkParams:
     step: int
     usage_cap: int
     sigma_cap: int
-    avoid_radius: int = 4
 
     def __post_init__(self):
         if self.ell < 1:
@@ -55,19 +57,17 @@ class WalkParams:
             raise ArgumentError("usage_cap must be >= 1")
         if self.sigma_cap < 0:
             raise ArgumentError("sigma_cap must be >= 0")
-        if self.avoid_radius < 1:
-            raise ArgumentError("avoid_radius must be >= 1")
 
     @classmethod
     def for_graph(cls, f: Graph, n: int, usage_cap: int | None = None,
-                  sigma_cap: int | None = None, avoid_radius: int = 4) -> "WalkParams":
+                  sigma_cap: int | None = None) -> "WalkParams":
         ell = f.vertex_count
         if usage_cap is None:
             usage_cap = max(1, 40 * math.ceil(n / ell)) if n else 1
         if sigma_cap is None:
             sigma_cap = max(1, ell // 40)
         return cls(ell=ell, step=step_for(ell), usage_cap=usage_cap,
-                   sigma_cap=sigma_cap, avoid_radius=avoid_radius)
+                   sigma_cap=sigma_cap)
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,6 @@ class WalkReport:
         return [v for v in self.violations if v.kind == kind]
 
 
-class BallCache:
-    """Closed balls of fixed radius, computed on demand and memoized."""
-
-    def __init__(self, g: Graph, radius: int):
-        self.g = g
-        self.radius = radius
-        self._cache: dict[int, frozenset[int]] = {}
-
-    def ball(self, v: int) -> frozenset[int]:
-        b = self._cache.get(v)
-        if b is None:
-            b = self.g.ball(v, self.radius)
-            self._cache[v] = b
-        return b
-
-
 def build_walk_map(
     f_graph: Graph,
     schedule: ConstraintSchedule,
@@ -192,7 +176,7 @@ def build_walk_map(
 
     q = params.step
     cap = params.usage_cap
-    balls = BallCache(f_graph, params.avoid_radius)
+    close = shared_power_neighborhoods(f_graph, RADIUS).contains
     adj = [f_graph.neighbors(v) for v in range(params.ell)]
     n_pad = ((n + q - 1) // q) * q
 
@@ -206,10 +190,7 @@ def build_walk_map(
                 raise ArgumentError(f"extra_avoid[{t}] must name earlier indices, got {tg}")
             late[t] = tg
 
-    # forbidden unions are cached by (index, scheduled images): backtracking
-    # can rewind past a scheduled target, so the images are part of the key.
     sigma_sorted = {t: tuple(sorted(schedule.at(t))) for t in schedule.sigma}
-    forbidden: dict[tuple, frozenset[int]] = {}
     values: list[int] = []
     usage = [0] * params.ell
     iters: list = []
@@ -228,18 +209,9 @@ def build_walk_map(
             if values[t2] == w:
                 return False
         if t < n:
-            targets = sigma_sorted.get(t)
-            if targets:
-                images = tuple(values[t2] for t2 in targets)
-                key = (t, images)
-                fb = forbidden.get(key)
-                if fb is None:
-                    fb = frozenset().union(*(balls.ball(x) for x in images))
-                    forbidden[key] = fb
-                if w in fb:
-                    return False
-            for t2 in late.get(t, ()):
-                if w in balls.ball(values[t2]):
+            for t2 in sigma_sorted.get(t, ()) + late.get(t, ()):
+                x = values[t2]
+                if x == w or close(x, w):
                     return False
         return True
 
@@ -291,11 +263,13 @@ def verify_walk_map(
     params: WalkParams,
     wm: WalkMap,
 ) -> WalkReport:
-    """Independent recheck of the usage, separation and block properties.
+    """Recheck of the usage, separation and block properties from the map.
 
-    Recomputes the usage histogram, BFS distances for every scheduled pair,
-    and path-ness of every block window from scratch.
+    Recomputes the usage histogram, radius-4 closeness of every scheduled
+    pair (through the shared metric, which the tests hold to BFS), and
+    path-ness of every block window from scratch.
     """
+    close = shared_power_neighborhoods(f_graph, RADIUS).contains
     vals = wm.values
     n = len(vals)
     out: list[WalkViolation] = []
@@ -315,11 +289,11 @@ def verify_walk_map(
                 out.append(WalkViolation(
                     "separation", (t, t2), f"indices {t},{t2} share image {a}"))
                 continue
-            d = _bfs_distance_cutoff(f_graph, a, b, params.avoid_radius)
-            if d is not None:
+            if close(a, b):
                 out.append(WalkViolation(
                     "separation", (t, t2),
-                    f"images of {t},{t2} are at distance {d} <= {params.avoid_radius}"))
+                    f"images of {t},{t2} are at distance {f_graph.distance(a, b)} "
+                    f"<= {RADIUS}"))
 
     q = params.step
     k = 0
@@ -339,12 +313,6 @@ def verify_walk_map(
                     break
         k += 1
     return WalkReport(violations=tuple(out))
-
-
-def _bfs_distance_cutoff(g: Graph, a: int, b: int, cutoff: int) -> int | None:
-    """Distance between a and b if it is <= cutoff, else None."""
-    dist = g.bfs_distances(a, cutoff=cutoff)
-    return dist[b] if dist[b] >= 0 else None
 
 
 # -- expanding vertices -------------------------------------------------------

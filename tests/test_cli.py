@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from induniv.cli import run
-from induniv.gamma import GammaVertex, decode_label, encode_label, make_gamma_params
+from induniv.cli import _worker_params, run
+from induniv.gamma import (
+    DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params)
 from induniv.graphs import cycle_graph, dump_edge_list, parse_edge_list
 
 
@@ -137,3 +138,38 @@ def test_output_file(capsys, tmp_path):
     code = run(["size-report", "--delta", "2", "--n-list", "100", "--output", out])
     assert code == 0
     assert json.load(open(out))["rows"]
+
+
+def test_verify_rejects_tampered_digest(capsys, c6_file, tmp_path, rm_desk):
+    emb = str(tmp_path / "emb.json")
+    invoke(capsys, ["embed", "--input", c6_file, "--delta", "2",
+                    "--emit-labels", "--output", emb])
+    doc = json.load(open(emb))
+    doc["params_digest"] = "0" * 16
+    bad = str(tmp_path / "bad.json")
+    json.dump(doc, open(bad, "w"))
+
+    assert run(["verify", "--embedding", bad, "--input", c6_file]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["recorded"] == "0" * 16
+
+
+def test_verify_accepts_params_without_desk_fields(capsys, c6_file, tmp_path, rm_desk):
+    emb = str(tmp_path / "emb.json")
+    invoke(capsys, ["embed", "--input", c6_file, "--delta", "2",
+                    "--emit-labels", "--output", emb])
+    doc = json.load(open(emb))
+    doc["params"] = {k: doc["params"][k] for k in ("delta", "n", "rm_pq", "rz_pq")}
+    old = str(tmp_path / "old.json")
+    json.dump(doc, open(old, "w"))
+
+    code, vdoc = invoke(capsys, ["verify", "--embedding", old, "--input", c6_file])
+    assert code == 0 and vdoc["ok"] and vdoc["pairs_checked"] == 15
+
+
+def test_worker_params_keep_every_desk_field(rm_desk):
+    cfg = DeskConfig(walk_budget=123_456, usage_cap_factor=30, sigma_cap=12,
+                     conflict_gap=5, eigen_tolerance=2e-4,
+                     retry_budget_scale=(1, 2))
+    assert DeskConfig.from_json(cfg.to_json()) == cfg
+    assert _worker_params(2, 5, json.dumps(cfg.to_json())).desk == cfg

@@ -170,11 +170,11 @@ def test_label_sets_cover_neighbors(desk_params2):
     result = embed(h, 2, desk_params2)
     part = result.homs.decomposition.parts[1]
     masks = result.homs.label_sets[2]
-    rho = desk_params2.rho
+    rm_pow = desk_params2.rm_pow
     f2 = result.homs.coord[1]
     for v in range(8):
         for w in part.neighbors(v):
-            r = rho.rank(f2[v], f2[w])
+            r = rm_pow.rank(f2[v], f2[w])
             assert r is not None and (masks[v] >> r) & 1
 
 
@@ -209,8 +209,8 @@ def test_verify_induced_detects_shield_tamper(desk_params2):
         x0, m0, u0 = g0.blocks[0]
         x4, m4, u4 = g4.blocks[0]
         if p.rm_pow.contains(x0, x4):
-            r04 = p.rho.rank(x0, x4)
-            r40 = p.rho.rank(x4, x0)
+            r04 = p.rm_pow.rank(x0, x4)
+            r40 = p.rm_pow.rank(x4, x0)
             near = int(p.rz_pow.row(u4)[0])
             bad0 = GammaVertex(x1=g0.x1, blocks=((x0, m0 | (1 << r04), near),))
             bad4 = GammaVertex(x1=g4.x1, blocks=((x4, m4 | (1 << r40), u4),))

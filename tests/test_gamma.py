@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from induniv.errors import ArgumentError, CertificationError, CodecError, InfeasibleBuildError
@@ -21,26 +22,30 @@ from induniv.gamma import (
     make_gamma_params,
     validate_vertex,
 )
-from induniv.graphs import Graph, cycle_graph, path_graph
+from induniv import graphs
+from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
 from induniv.harness import random_close_gamma_pair, random_gamma_vertex
-from oracles import oracle_power
+from oracles import oracle_distances, oracle_power
 
 
 # -- power neighborhoods ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("g", [cycle_graph(12), path_graph(9),
-                               Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)])])
+                               Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)]),
+                               circulant_graph(70, [1, 5])])
 def test_power_neighborhoods_match_oracle(g):
-    pw = PowerNeighborhoods(g, 4)
-    expected = oracle_power(g, 4)
-    for u in range(g.vertex_count):
-        for v in range(g.vertex_count):
-            if u == v:
-                assert not pw.contains(u, v)
-            else:
-                e = (min(u, v), max(u, v))
-                assert pw.contains(u, v) == (e in expected)
+    # the circulant spans three row blocks
+    for k in range(1, 5):
+        pw = PowerNeighborhoods(g, k)
+        expected = oracle_power(g, k)
+        for u in range(g.vertex_count):
+            for v in range(g.vertex_count):
+                if u == v:
+                    assert not pw.contains(u, v)
+                else:
+                    e = (min(u, v), max(u, v))
+                    assert pw.contains(u, v) == (e in expected)
 
 
 def test_power_neighborhood_ranks_are_positions():
@@ -52,12 +57,16 @@ def test_power_neighborhood_ranks_are_positions():
     assert pw.rank(0, 6) is None  # antipodal vertex is 6 away
 
 
-def test_materialized_and_lazy_agree(rm_desk):
-    dense = PowerNeighborhoods(rm_desk, 4)
-    lazy = PowerNeighborhoods(rm_desk, 4, materialize_limit=0)
-    assert lazy._rows is None and dense._rows is not None
-    for v in (0, 17, 4095):
-        assert list(dense.row(v)) == list(lazy.row(v))
+def test_rows_match_bfs_oracle(rm_desk):
+    pw = PowerNeighborhoods(rm_desk, 4)
+    ell = rm_desk.vertex_count
+    block = graphs._BLOCK
+    picks = random.Random(5).sample(range(ell), 12)
+    for v in picks + [0, ell - 1, block - 1, block, 3 * block - 1, 3 * block]:
+        dist = oracle_distances(rm_desk, v)
+        row = pw.row(v)
+        assert row.dtype == np.int64
+        assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
 
 
 # -- parameters -------------------------------------------------------------------

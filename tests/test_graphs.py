@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from induniv.errors import ArgumentError
 from induniv.graphs import (
     Graph,
+    PowerNeighborhoods,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -55,37 +56,41 @@ def test_adjacency_symmetric_and_sorted(g):
             assert v in g.neighbors(w)
 
 
+def _power_edges(g: Graph, k: int) -> set[tuple[int, int]]:
+    pw = PowerNeighborhoods(g, k)
+    return {(u, int(w)) for u in range(g.vertex_count) for w in pw.row(u) if u < w}
+
+
 def test_power_identity_on_path():
     p5 = path_graph(5)
-    assert p5.power(1) == p5
+    assert _power_edges(p5, 1) == set(p5.edges())
 
 
 def test_power_c6_squared_degrees():
     # expected degrees computed by the all-pairs BFS oracle
     g = cycle_graph(6)
-    expected = oracle_power(g, 2)
-    sq = g.power(2)
-    assert set(sq.edges()) == expected
-    assert all(sq.degree(v) == 4 for v in range(6))
+    pw = PowerNeighborhoods(g, 2)
+    assert _power_edges(g, 2) == oracle_power(g, 2)
+    assert all(len(pw.row(v)) == 4 for v in range(6))
 
 
 def test_power_c5_fourth_is_complete():
-    assert cycle_graph(5).power(4) == complete_graph(5)
+    assert _power_edges(cycle_graph(5), 4) == set(complete_graph(5).edges())
 
 
 def test_power_requires_positive_exponent():
     with pytest.raises(ArgumentError):
-        path_graph(3).power(0)
+        PowerNeighborhoods(path_graph(3), 0)
 
 
 @given(random_graphs(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_power_membership_matches_distance(g, k):
-    pk = g.power(k)
+    pk = PowerNeighborhoods(g, k)
     for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
+        for v in range(g.vertex_count):
             d = g.distance(u, v)
-            assert pk.has_edge(u, v) == (0 < d <= k)
+            assert pk.contains(u, v) == (0 < d <= k)
 
 
 def test_distance_examples():

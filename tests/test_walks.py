@@ -198,6 +198,15 @@ def test_extra_avoid_constraints_hold():
         g, ConstraintSchedule.empty(20), wp, extra_avoid={9: {0}, 15: {9}})
     assert g.distance(wm.values[9], wm.values[0]) >= 5
     assert g.distance(wm.values[15], wm.values[9]) >= 5
+    # a 6-cycle with a tail: unconstrained, the walk circles back within
+    # distance 3 of vertex 0 at index 9; the constraint sends it down the tail
+    lolli = Graph(40, [(i, (i + 1) % 6) for i in range(6)]
+                  + [(i, i + 1) for i in range(5, 39)])
+    free = build_walk_map(lolli, ConstraintSchedule.empty(20), _params_for(lolli, 20))
+    assert lolli.distance(free.values[9], free.values[0]) < 5
+    wm = build_walk_map(lolli, ConstraintSchedule.empty(20), _params_for(lolli, 20),
+                        extra_avoid={9: {0}})
+    assert lolli.distance(wm.values[9], wm.values[0]) >= 5
 
 
 def test_extra_avoid_validation():
@@ -233,15 +242,18 @@ def test_verifier_catches_separation_fault():
     sched = ConstraintSchedule.from_sets(12, {11: {0}})
     wm = build_walk_map(g, sched, wp, search_budget=500_000)
     assert verify_walk_map(g, sched, wp, wm).ok
-    # move the constrained image into the ball of its target, keeping the
-    # walk structurally intact at the clique end
-    values = list(wm.values)
-    values[11] = values[0]
-    bad = WalkMap(values=tuple(values), schedule=sched, usage=wm.usage)
-    report = verify_walk_map(g, sched, wp, bad)
-    separation = report.of_kind("separation")
-    assert len(separation) == 1
-    assert separation[0].where == (11, 0)
+    # move the constrained image onto its target, then next to it, keeping
+    # the walk structurally intact at the clique end
+    for moved, detail in ((wm.values[0], "share image"), (g.neighbors(wm.values[0])[0],
+                                                          "at distance 1 <= 4")):
+        values = list(wm.values)
+        values[11] = moved
+        bad = WalkMap(values=tuple(values), schedule=sched, usage=wm.usage)
+        report = verify_walk_map(g, sched, wp, bad)
+        separation = report.of_kind("separation")
+        assert len(separation) == 1
+        assert separation[0].where == (11, 0)
+        assert detail in separation[0].detail
 
 
 def test_verifier_catches_block_fault():
