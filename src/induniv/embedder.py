@@ -213,20 +213,19 @@ def build_fi(
     schedule: ConstraintSchedule,
     params: GammaParams,
     budget: int | None = None,
-    h: Graph | None = None,
-    coord_maps: list[tuple[int, ...]] | None = None,
-) -> tuple[int, ...]:
-    """Coordinate map for part i, verified against all its properties."""
+    *,
+    h: Graph,
+    coord_maps: list[tuple[int, ...]],
+) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+    """Coordinate map for part i and its conflict sets, both verified."""
     assignment = _run_walk(part, layout, params, schedule, budget=budget,
                            stage=f"f{i}")
-    violations = _check_coord_map(part, layout, assignment, params)
-    if coord_maps is not None and h is not None:
-        violations += _check_anchor_distinct(coord_maps[0], assignment)
-        violations += _check_window_distinct(layout, assignment)
-        conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params)
-        violations += _check_conflict_bound(conflicts, layout, params)
-    _require_clean(f"f{i}", violations)
-    return assignment
+    conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params)
+    _require_clean(f"f{i}", _check_coord_map(part, layout, assignment, params)
+                   + _check_anchor_distinct(coord_maps[0], assignment)
+                   + _check_window_distinct(layout, assignment)
+                   + _check_conflict_bound(conflicts, layout, params))
+    return assignment, conflicts
 
 
 def compute_bad_sets(
@@ -479,13 +478,12 @@ def _attempt(
     for i in range(2, params.delta + 1):
         part, layout = dec.parts[i - 1], layouts[i - 1]
         schedule = compute_sigma_i(i, h, coord, layout, params)
-        fi = build_fi(i, part, layout, schedule, params, budget,
-                      h=h, coord_maps=coord)
+        fi, conflicts = build_fi(i, part, layout, schedule, params, budget,
+                                 h=h, coord_maps=coord)
         coord.append(fi)
         stage_log.append(
             f"f{i}: homomorphism, well-distribution, anchor-distinct, "
             "window-distinct, conflict-bound")
-        conflicts = compute_bad_sets(i, h, coord, layout, params)
         conflicts_all[i] = conflicts
         shield[i] = build_ri(i, part, layout, conflicts, params, budget)
         stage_log.append(f"r{i}: homomorphism, conflict-shielded")

@@ -246,8 +246,6 @@ def make_gamma_params(
             f"expander degrees differ: r_m is {d}-regular, "
             f"r_z is {rz_graph.degree(0)}-regular")
 
-    rm_pow = shared_power_neighborhoods(rm_graph, RADIUS)
-    rz_pow = rm_pow if rz_graph is rm_graph else shared_power_neighborhoods(rz_graph, RADIUS)
     return GammaParams(
         delta=delta,
         n=n,
@@ -259,8 +257,8 @@ def make_gamma_params(
         ell_z=rz_graph.vertex_count,
         r_m=rm_graph,
         r_z=rz_graph,
-        rm_pow=rm_pow,
-        rz_pow=rz_pow,
+        rm_pow=shared_power_neighborhoods(rm_graph, RADIUS),
+        rz_pow=shared_power_neighborhoods(rz_graph, RADIUS),
         desk=cfg,
         certificates=certs,
     )

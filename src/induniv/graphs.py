@@ -24,11 +24,14 @@ _BLOCK = 32  # consecutive vertices whose power rows are built together
 class Graph:
     """Simple undirected graph with canonical sorted adjacency lists.
 
-    Instances are immutable after construction and safe to share across
-    threads. Self-loops are rejected; duplicate edges are collapsed.
+    Instances are immutable after construction. Connectivity and the radius-k
+    metrics (``shared_power_neighborhoods``) are memoised on first use; as pure
+    functions of the adjacency they keep sharing across threads safe, a race
+    at worst computing one twice. A graph pickles as its vertex count and
+    edges. Self-loops are rejected; duplicate edges are collapsed.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash")
+    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metrics")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -50,9 +53,14 @@ class Graph:
         object.__setattr__(self, "edge_count", len(seen))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(nb)) for nb in adj))
         object.__setattr__(self, "_hash", hash((vertex_count, self._adj)))
+        object.__setattr__(self, "_connected", None)
+        object.__setattr__(self, "_metrics", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.vertex_count, list(self.edges())))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -148,10 +156,10 @@ class Graph:
         return INF
 
     def is_connected(self) -> bool:
-        if self.vertex_count <= 1:
-            return True
-        dist = self.bfs_distances(0)
-        return all(d >= 0 for d in dist)
+        if self._connected is None:
+            connected = self.vertex_count <= 1 or min(self.bfs_distances(0)) >= 0
+            object.__setattr__(self, "_connected", connected)
+        return self._connected
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self.vertex_count
@@ -300,18 +308,12 @@ class PowerNeighborhoods:
         return None
 
 
-_POW_CACHE: dict[tuple[Graph, int], PowerNeighborhoods] = {}
-
-
 def shared_power_neighborhoods(g: Graph, k: int = RADIUS) -> PowerNeighborhoods:
-    """Memoized neighborhoods; graphs are immutable so sharing is safe."""
-    key = (g, k)
-    pow_nbhd = _POW_CACHE.get(key)
+    """The radius-k metric of g, built on first use and held by g itself, so
+    it lives exactly as long as the graph and is never rebuilt while it does."""
+    pow_nbhd = g._metrics.get(k)
     if pow_nbhd is None:
-        pow_nbhd = PowerNeighborhoods(g, k)
-        if len(_POW_CACHE) > 8:
-            _POW_CACHE.clear()
-        _POW_CACHE[key] = pow_nbhd
+        pow_nbhd = g._metrics.setdefault(k, PowerNeighborhoods(g, k))
     return pow_nbhd
 
 

@@ -43,7 +43,6 @@ def _component_kind(g, comp: list[int]) -> str:
     Returns 'path_aug' (augmentation of a path: a caterpillar),
     'cycle_aug' (augmentation of a cycle: cycle plus depth-1 leaves),
     'few_branch' (at most two degree-3 vertices) or 'not_thin'.
-    ``g`` only needs a ``neighbors(v)`` method.
     """
     comp_set = set(comp)
     degs = {v: sum(1 for w in g.neighbors(v) if w in comp_set) for v in comp}
@@ -297,16 +296,104 @@ def _bipartite_matchings(nv: int, oriented: list[tuple[int, int, int]], k: int) 
     return layers
 
 
-class _AdjView:
-    """neighbors() facade over a plain adjacency-set dict."""
+class _SearchPart:
+    """One part of the decomposition search, which decides whether an edge
+    may join it without re-reading the component it lands in.
 
-    __slots__ = ("adj",)
+    By ``_component_kind``, a component of maximum degree 3 is thin when it
+    has at most two branch vertices (degree 3), or is a tree in which no
+    vertex has more than two non-leaf neighbours (a caterpillar), or is
+    unicyclic and every non-leaf vertex has exactly two non-leaf neighbours
+    (a cycle with leaves). So each vertex keeps its count of non-leaf
+    neighbours, and each component root its edge count and how many of its
+    vertices break each rule, in a union-find forest with no path
+    compression. An insertion changes only its two ends and, when an end
+    stops being a leaf, that end's neighbours. Insertions are undone in
+    reverse order.
+    """
 
-    def __init__(self, adj: dict[int, set[int]]):
-        self.adj = adj
+    __slots__ = ("adj", "inner", "parent", "size", "counts", "undo")
 
-    def neighbors(self, v: int):
-        return self.adj.get(v, ())
+    def __init__(self, n: int):
+        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.inner = [0] * n  # neighbours of degree 2 or more
+        self.parent = list(range(n))
+        self.size = [1] * n
+        # per root: edges, branch vertices, caterpillar faults, cycle faults
+        self.counts = [(0, 0, 0, 0)] * n
+        self.undo: list[tuple[int, int, int, tuple[int, int, int, int]]] = []
+
+    def _root(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def _faults(self, touched) -> tuple[int, int, int]:
+        """Branch vertices, caterpillar faults and cycle faults among touched."""
+        adj, inner = self.adj, self.inner
+        branch = tree = cycle = 0
+        for x in touched:
+            deg, k = len(adj[x]), inner[x]
+            branch += deg >= 3
+            tree += k > 2
+            cycle += deg >= 2 and k != 2
+        return branch, tree, cycle
+
+    def _link(self, u: int, v: int, step: int) -> None:
+        """Count edge uv in the non-leaf tallies, given the degrees without
+        it; step 1 when it is inserted, -1 when it is removed."""
+        adj, inner = self.adj, self.inner
+        du, dv = len(adj[u]), len(adj[v])
+        inner[u] += step * (dv >= 1)
+        inner[v] += step * (du >= 1)
+        for x, d in ((u, du), (v, dv)):
+            if d == 1:  # x is a leaf without uv and not with it
+                for w in adj[x] - {u, v}:
+                    inner[w] += step
+
+    def add(self, u: int, v: int) -> bool:
+        """Insert edge uv; True when its component is still thin."""
+        adj = self.adj
+        r, other = self._root(u), self._root(v)
+        if r != other and self.size[r] < self.size[other]:
+            r, other = other, r
+        old = self.counts[r]
+        self.undo.append((u, v, other, old))
+        edges, branch, tree, cycle = old
+        edges += 1
+        if other != r:
+            self.parent[other] = r
+            self.size[r] += self.size[other]
+            e2, b2, t2, c2 = self.counts[other]
+            edges, branch, tree, cycle = edges + e2, branch + b2, tree + t2, cycle + c2
+        touched = {u, v}
+        for x in (u, v):
+            if len(adj[x]) == 1:  # x stops being a leaf
+                touched |= adj[x]
+        b, t, c = self._faults(touched)
+        self._link(u, v, 1)
+        adj[u].add(v)
+        adj[v].add(u)
+        b2, t2, c2 = self._faults(touched)
+        branch, tree, cycle = branch + b2 - b, tree + t2 - t, cycle + c2 - c
+        self.counts[r] = (edges, branch, tree, cycle)
+        if len(adj[u]) > 3 or len(adj[v]) > 3:
+            return False
+        size = self.size[r]
+        return (branch <= 2 or (edges == size - 1 and tree == 0)
+                or (edges == size and cycle == 0))
+
+    def pop(self) -> None:
+        """Undo the last insertion."""
+        u, v, other, old = self.undo.pop()
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        self._link(u, v, -1)
+        r = self._root(u)
+        if other != r:
+            self.parent[other] = other
+            self.size[r] -= self.size[other]
+        self.counts[r] = old
 
 
 def _bfs_edge_order(h: Graph) -> list[tuple[int, int]]:
@@ -340,47 +427,25 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
     Thinness is hereditary under edge deletion, so a partial part that is
     already non-thin can never become thin again; pruning on it is exact.
     Adding an edge only touches the component it lands in, so only that
-    component is re-classified. Edges are assigned in breadth-first
-    traversal order (roots by descending degree): consecutive decisions
-    share vertices, so a doomed branch is contradicted within a few levels
-    instead of deep in the tree.
+    component is re-classified, from counts kept per component
+    (``_SearchPart``). Edges are assigned in breadth-first traversal order
+    (roots by descending degree): consecutive decisions share vertices, so a
+    doomed branch is contradicted within a few levels instead of deep in the
+    tree.
     """
     edges = _bfs_edge_order(h)
     pairs = list(combinations(range(delta), 2))
-    part_adj: list[dict[int, set[int]]] = [{} for _ in range(delta)]
     n = h.vertex_count
+    parts = [_SearchPart(n) for _ in range(delta)]
     assignment: list[tuple[int, int]] = []
     spent = 0
-
-    def add(i: int, u: int, v: int) -> None:
-        part_adj[i].setdefault(u, set()).add(v)
-        part_adj[i].setdefault(v, set()).add(u)
-
-    def remove(i: int, u: int, v: int) -> None:
-        part_adj[i][u].discard(v)
-        part_adj[i][v].discard(u)
-
-    def part_ok(i: int, u: int) -> bool:
-        adj = part_adj[i]
-        comp = [u]
-        seen = {u}
-        k = 0
-        while k < len(comp):
-            x = comp[k]
-            k += 1
-            if len(adj.get(x, ())) > 3:
-                return False
-            for w in adj.get(x, ()):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        return _component_kind(_AdjView(adj), comp) != "not_thin"
 
     def rec(pos: int) -> bool:
         nonlocal spent
         if pos == len(edges):
             return True
         u, v = edges[pos]
+        refused: set[int] = set()  # parts that cannot take uv at this node
         for i, j in pairs:
             spent += 1
             if spent > budget:
@@ -389,13 +454,22 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
                     assigned=[[*edge, *pq] for edge, pq in zip(edges, assignment)],
                     budget=budget,
                 )
-            add(i, u, v)
-            add(j, u, v)
+            if i in refused or j in refused:
+                continue
+            if not parts[i].add(u, v):
+                parts[i].pop()
+                refused.add(i)
+                continue
+            if not parts[j].add(u, v):
+                parts[j].pop()
+                parts[i].pop()
+                refused.add(j)
+                continue
             assignment.append((i, j))
-            if part_ok(i, u) and part_ok(j, u) and rec(pos + 1):
+            if rec(pos + 1):
                 return True
-            remove(i, u, v)
-            remove(j, u, v)
+            parts[i].pop()
+            parts[j].pop()
             assignment.pop()
         return False
 
@@ -403,11 +477,11 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
         raise DecompositionError(
             "no thin decomposition found by exhaustive search",
             assigned=[], budget=budget)
-    parts = tuple(
-        Graph(n, ((u, v) for u, nbrs in part_adj[i].items() for v in nbrs if u < v))
-        for i in range(delta))
     multiplicity = {e: pq for e, pq in zip(edges, assignment)}
-    return ThinDecomposition(parts=parts, multiplicity=multiplicity)
+    return ThinDecomposition(
+        parts=tuple(Graph(n, ((u, v) for u in range(n) for v in part.adj[u] if u < v))
+                    for part in parts),
+        multiplicity=multiplicity)
 
 
 # -- layouts into the 4-th power of a path ------------------------------------
@@ -563,11 +637,20 @@ def _order_cycle_aug(g: Graph, comp: list[int]) -> list[int]:
 
 
 def _order_search(g: Graph, comp: list[int], budget: int) -> list[int]:
-    """Exhaustive left-to-right placement with stretch-4 pruning."""
+    """Exhaustive left-to-right placement with stretch-4 pruning.
+
+    Every unplaced neighbor of the vertex in slot j is due by slot j + 4. A
+    partial order is cut as soon as k of its unplaced vertices are due within
+    fewer than k free slots, and when the due vertices fill the next slots
+    exactly, only one of them may take the next slot. Both cuts drop only
+    branches that hold no layout, so the search returns the order a plain
+    depth-first search in vertex order would, without walking its dead ends.
+    """
     comp_sorted = sorted(comp)
     comp_set = set(comp_sorted)
+    nbrs = {v: [w for w in g.neighbors(v) if w in comp_set] for v in comp_sorted}
     nv = len(comp_sorted)
-    pos: dict[int, int] = {}
+    placed: set[int] = set()
     order: list[int] = []
     spent = 0
 
@@ -576,30 +659,31 @@ def _order_search(g: Graph, comp: list[int], budget: int) -> list[int]:
         t = len(order)
         if t == nv:
             return True
-        # a placed vertex 4 slots back with an unplaced neighbor is hopeless
-        if t >= 5:
-            v_old = order[t - 5]
-            if any(w in comp_set and w not in pos for w in g.neighbors(v_old)):
+        # earlier slots have no unplaced neighbor left, or an ancestor was cut
+        due: dict[int, int] = {}
+        for j in range(max(0, t - 5), t):
+            for w in nbrs[order[j]]:
+                if w not in placed and w not in due:
+                    due[w] = j + 4
+        limit = None  # the last slot of the first full run of due slots
+        for k, d in enumerate(sorted(due.values())):
+            if d < t + k:
                 return False
+            if d == t + k and limit is None:
+                limit = d
         for v in comp_sorted:
-            if v in pos:
-                continue
-            if any(
-                w in pos and t - pos[w] > 4
-                for w in g.neighbors(v)
-                if w in comp_set
-            ):
+            if v in placed or (limit is not None and due.get(v, limit + 1) > limit):
                 continue
             spent += 1
             if spent > budget:
                 raise LayoutError(
                     "layout search budget exhausted",
                     component=comp_sorted, budget=budget)
-            pos[v] = t
+            placed.add(v)
             order.append(v)
             if rec():
                 return True
-            del pos[v]
+            placed.discard(v)
             order.pop()
         return False
 

@@ -15,7 +15,8 @@ The builder is a deterministic depth-first search with backtracking; its
 output is always re-verified before being returned, never assumed correct.
 Builder and checker decide "within distance 4" through the host's shared
 radius-4 metric (``graphs.shared_power_neighborhoods``), the same one the
-product-graph oracle uses.
+product-graph oracle uses. The host memoises that metric and its connectivity,
+so a call costs what its own walk costs, never a pass over the host.
 """
 
 from __future__ import annotations
@@ -177,7 +178,6 @@ def build_walk_map(
     q = params.step
     cap = params.usage_cap
     close = shared_power_neighborhoods(f_graph, RADIUS).contains
-    adj = [f_graph.neighbors(v) for v in range(params.ell)]
     n_pad = ((n + q - 1) // q) * q
 
     late: dict[int, tuple[int, ...]] = {}
@@ -192,17 +192,17 @@ def build_walk_map(
 
     sigma_sorted = {t: tuple(sorted(schedule.at(t))) for t in schedule.sigma}
     values: list[int] = []
-    usage = [0] * params.ell
+    usage: dict[int, int] = {}  # only the vertices the walk has used
     iters: list = []
     spent = 0
 
     def candidates(t: int):
         if t == 0:
             return iter(range(params.ell))
-        return iter(adj[values[t - 1]])
+        return iter(f_graph.neighbors(values[t - 1]))
 
     def admissible(t: int, w: int) -> bool:
-        if usage[w] >= cap:
+        if usage.get(w, 0) >= cap:
             return False
         window_start = max(0, (t // q - 1) * q)
         for t2 in range(window_start, t):
@@ -228,11 +228,11 @@ def build_walk_map(
                     state=tuple(values),
                     budget=search_budget,
                     scheduled_targets=len(sigma_sorted.get(t, ())),
-                    at_cap=sum(1 for u in usage if u >= cap),
+                    at_cap=sum(1 for u in usage.values() if u >= cap),
                 )
             if admissible(t, w):
                 values.append(w)
-                usage[w] += 1
+                usage[w] = usage.get(w, 0) + 1
                 if len(values) < n_pad:
                     iters.append(candidates(len(values)))
                 placed = True

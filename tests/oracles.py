@@ -210,6 +210,65 @@ def oracle_is_thin(g: Graph) -> bool:
     return True
 
 
+def oracle_first_layout(g: Graph, comp: list[int]) -> list[int] | None:
+    """The first stretch-4 order of comp found by a depth-first search that
+    tries the unplaced vertices in increasing order at every slot, takes a
+    vertex only if its placed neighbours sit within 4 slots, and gives up on
+    a prefix once the vertex 5 slots back still has an unplaced neighbour."""
+    comp_sorted = sorted(comp)
+    comp_set = set(comp)
+    pos: dict[int, int] = {}
+    order: list[int] = []
+
+    def rec() -> bool:
+        t = len(order)
+        if t == len(comp_sorted):
+            return True
+        if t >= 5 and any(w in comp_set and w not in pos for w in g.neighbors(order[t - 5])):
+            return False
+        for v in comp_sorted:
+            if v in pos or any(w in pos and t - pos[w] > 4 for w in g.neighbors(v)):
+                continue
+            pos[v] = t
+            order.append(v)
+            if rec():
+                return True
+            del pos[v]
+            order.pop()
+        return False
+
+    return order if rec() else None
+
+
+def oracle_first_decomposition(
+    h: Graph, delta: int, edge_order: list[tuple[int, int]]
+) -> dict[tuple[int, int], tuple[int, int]] | None:
+    """The first edge -> (part, part) map found by a depth-first search that
+    places the edges in edge_order, tries the part pairs in lexicographic
+    order and rebuilds both parts to test them with ``oracle_is_thin``."""
+    pairs = list(itertools.combinations(range(delta), 2))
+    parts: list[set[tuple[int, int]]] = [set() for _ in range(delta)]
+    chosen: list[tuple[int, int]] = []
+
+    def rec(k: int) -> bool:
+        if k == len(edge_order):
+            return True
+        e = edge_order[k]
+        for i, j in pairs:
+            parts[i].add(e)
+            parts[j].add(e)
+            chosen.append((i, j))
+            if (oracle_is_thin(Graph(h.vertex_count, parts[i]))
+                    and oracle_is_thin(Graph(h.vertex_count, parts[j])) and rec(k + 1)):
+                return True
+            parts[i].discard(e)
+            parts[j].discard(e)
+            chosen.pop()
+        return False
+
+    return dict(zip(edge_order, chosen)) if rec(0) else None
+
+
 # -- families ---------------------------------------------------------------------
 
 

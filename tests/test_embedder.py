@@ -35,6 +35,21 @@ def test_single_edge_delta_two(desk_params2):
     assert witness == (1, 2)
 
 
+def test_conflict_sets_computed_once_per_coordinate(monkeypatch, desk_params3):
+    from induniv import embedder
+
+    calls = []
+    bad_sets = embedder.compute_bad_sets
+    monkeypatch.setattr(embedder, "compute_bad_sets",
+                        lambda i, *rest: calls.append(i) or bad_sets(i, *rest))
+    h = cycle_graph(12)
+    result = embed(h, 3, desk_params3)
+    assert calls == [2, 3]
+    assert result.homs.conflicts == {
+        i: bad_sets(i, h, list(result.homs.coord), result.homs.layouts[i - 1],
+                    desk_params3) for i in (2, 3)}
+
+
 def test_cycle_delta_two(desk_params2):
     c8 = cycle_graph(8)
     result = embed(c8, 2, desk_params2)

@@ -20,6 +20,7 @@ from induniv.gamma import (
     gamma_adjacent_witness,
     gamma_vertex_count,
     make_gamma_params,
+    shared_power_neighborhoods,
     validate_vertex,
 )
 from induniv import graphs
@@ -67,6 +68,15 @@ def test_rows_match_bfs_oracle(rm_desk):
         row = pw.row(v)
         assert row.dtype == np.int64
         assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
+
+
+def test_metric_lives_as_long_as_its_graph(desk_params2):
+    p = desk_params2
+    others = [circulant_graph(40 + i, [1, 3]) for i in range(10)]
+    metrics = [shared_power_neighborhoods(g) for g in others]
+    assert all(shared_power_neighborhoods(g) is m for g, m in zip(others, metrics))
+    assert shared_power_neighborhoods(p.r_m) is p.rm_pow
+    assert shared_power_neighborhoods(p.r_z) is p.rz_pow
 
 
 # -- parameters -------------------------------------------------------------------

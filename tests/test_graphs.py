@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from induniv.errors import ArgumentError
 from induniv.graphs import (
     Graph,
     PowerNeighborhoods,
+    circulant_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -16,7 +20,9 @@ from induniv.graphs import (
     is_walk,
     parse_edge_list,
     path_graph,
+    shared_power_neighborhoods,
 )
+from induniv.lps import cached_lps_graph
 from oracles import oracle_distances, oracle_girth, oracle_power
 
 INF = math.inf
@@ -154,6 +160,39 @@ def test_connected_components():
     assert g.connected_components() == [[0, 1, 2], [3, 4, 5]]
     assert not g.is_connected()
     assert cycle_graph(4).is_connected()
+
+
+@pytest.mark.parametrize("make", [lambda: cycle_graph(5), lambda: cached_lps_graph(5, 29)],
+                         ids=["cycle", "lps"])
+def test_pickle_round_trip(make):
+    g = make()
+    assert g.is_connected()  # set a memo first: the pickle must not carry it
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g)
+    assert list(copy.edges()) == list(g.edges())
+    assert copy.is_connected()
+
+
+def test_memos_agree_across_threads():
+    g = circulant_graph(200, [1, 7])
+    seen = []
+
+    def work():
+        seen.append((g.is_connected(), shared_power_neighborhoods(g)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 and all(connected for connected, _ in seen)
+    assert len({id(metric) for _, metric in seen}) == 1
 
 
 def test_edge_list_round_trip():

@@ -16,13 +16,17 @@ from induniv.harness import FamilySpec, enumerate_family
 from induniv.thin import (
     DecomposeStrategy,
     ThinDecomposition,
+    _bfs_edge_order,
+    _component_kind,
+    _order_search,
+    _SearchPart,
     is_thin,
     layout_thin,
     thin_decompose,
     validate_decomposition,
     validate_layout,
 )
-from oracles import oracle_is_thin
+from oracles import oracle_first_decomposition, oracle_first_layout, oracle_is_thin
 
 
 # -- recognition ---------------------------------------------------------------
@@ -178,6 +182,68 @@ def test_decompose_every_subcubic_class_up_to_six():
         for h in enumerate_family(FamilySpec(n, 3)):
             dec = thin_decompose(h, 3)
             assert validate_decomposition(h, dec).ok
+
+
+def _random_subcubic(rng: random.Random, n: int, keep: float) -> Graph:
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+    return Graph(n, [e for e in sorted(edges) if rng.random() < keep])
+
+
+def test_search_part_verdicts_match_thinness_oracle():
+    # insert random edges into one part as the search does: a refused edge
+    # is taken out again, and kept edges are sometimes taken out later, so
+    # the verdicts also test that removals restore every count
+    rng = random.Random(3)
+    # a spider whose legs end in cherries: its last edge makes a tree with a
+    # vertex of three non-leaf neighbours
+    spider = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8)]
+    part = _SearchPart(9)
+    assert [part.add(u, v) for u, v in spider] == [True] * 7 + [False]
+    for _ in range(40):
+        n = rng.randrange(4, 12)
+        part = _SearchPart(n)
+        present: list[tuple[int, int]] = []
+        for _ in range(60):
+            if present and rng.random() < 0.3:
+                part.pop()
+                present.pop()
+                continue
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) in present:
+                continue
+            present.append((u, v))
+            ok = part.add(u, v)
+            assert ok == oracle_is_thin(Graph(n, present)), present
+            if not ok:
+                part.pop()
+                present.pop()
+
+
+def test_decomposition_is_the_plain_search_result():
+    # the incremental checks and the refused-part memo only make the search
+    # cheaper: it returns what the plain search over the same order returns
+    rng = random.Random(5)
+    graphs = [complete_graph(4), circulant_graph(8, (1, 4)), circulant_graph(10, (1, 5))]
+    graphs += [_random_subcubic(rng, rng.randrange(5, 11), 1.0) for _ in range(25)]
+    for h in graphs:
+        want = oracle_first_decomposition(h, 3, _bfs_edge_order(h))
+        assert thin_decompose(h, 3).multiplicity == want, sorted(h.edges())
+
+
+def test_layout_search_is_the_plain_search_result():
+    # the deadline cuts drop only orders with no layout, so the first order
+    # found is the one the plain depth-first search finds
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(400):
+        g = _random_subcubic(rng, rng.randrange(5, 15), 0.8)
+        for comp in g.connected_components():
+            if _component_kind(g, comp) == "few_branch" and len(comp) > 4:
+                assert _order_search(g, comp, 10**6) == oracle_first_layout(g, comp)
+                checked += 1
+    assert checked > 50
 
 
 # -- layouts ---------------------------------------------------------------------

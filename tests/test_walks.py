@@ -158,6 +158,48 @@ def test_builder_requires_connected_host():
         build_walk_map(g, ConstraintSchedule.empty(4), _params_for(g, 4))
 
 
+def _count_bfs(monkeypatch):
+    calls = []
+    bfs = Graph.bfs_distances
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return bfs(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "bfs_distances", counted)
+    return calls
+
+
+def test_builder_checks_host_connectivity_once(monkeypatch):
+    g = cycle_graph(31)
+    calls = _count_bfs(monkeypatch)
+    for n in (12, 20):
+        wm = build_walk_map(g, ConstraintSchedule.empty(n), _params_for(g, n))
+        assert len(wm.values) == n
+    assert len(calls) <= 1
+
+
+def test_disconnected_host_rejected_from_the_memo(monkeypatch):
+    g = disjoint_union(cycle_graph(6), cycle_graph(7))
+    calls = _count_bfs(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ArgumentError, match="connected"):
+            build_walk_map(g, ConstraintSchedule.empty(4), _params_for(g, 4))
+    assert len(calls) == 1
+
+
+def test_builder_work_follows_the_walk_not_the_host(monkeypatch, rm_desk):
+    # one neighbour list per placed or retried index, none per host vertex
+    n = 30
+    calls = []
+    neighbors = Graph.neighbors
+    monkeypatch.setattr(
+        Graph, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
+    wp = WalkParams.for_graph(rm_desk, n)
+    build_walk_map(rm_desk, ConstraintSchedule.empty(n), wp)
+    assert len(calls) < 4 * n < rm_desk.vertex_count
+
+
 def test_builder_stuck_on_infeasible_separation():
     # an index 4 steps after its target can never be 5 away
     g = cycle_graph(40)
