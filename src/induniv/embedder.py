@@ -15,14 +15,18 @@ coordinate map is constrained so that
 Remaining conflict pairs are neutralized by a shield map into the small
 expander, built with the conflict pairs as separation constraints. The
 assembled embedding is certified: every property is re-verified from its
-definition, and the final induced check compares adjacency of every vertex
-pair against the oracle. Nothing is accepted on the strength of the
-construction alone.
+definition, and the final induced check decides oracle adjacency for every
+vertex pair and compares it with the input. The pair checks read closeness
+from batched close-pair sets (``PowerNeighborhoods.close_pairs``) instead of
+visiting all pairs. Nothing is accepted on the strength of the construction
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     ArgumentError,
@@ -39,6 +43,7 @@ from .gamma import (
     Profile,
     encode_label,
     gamma_adjacent_witness,
+    validate_vertex,
 )
 from .graphs import Graph
 from .thin import (
@@ -128,6 +133,33 @@ class InducedReport:
         return not self.violations
 
 
+class CloseSets:
+    """Close pairs a < b of coordinate maps, as sorted keys a * n + b.
+
+    A map's pairs come from one ``PowerNeighborhoods.close_pairs`` call, the
+    first time they are asked for; one embedding attempt shares an instance
+    between its schedules and conflict sets, so each map is scanned once.
+    """
+
+    def __init__(self, rm_pow, n: int):
+        self.rm_pow = rm_pow
+        self.n = n
+        self._keys: dict[tuple[int, ...], np.ndarray] = {}
+
+    def of(self, coord_map) -> np.ndarray:
+        coord_map = tuple(coord_map)
+        keys = self._keys.get(coord_map)
+        if keys is None:
+            a, b, _ = self.rm_pow.close_pairs(coord_map)
+            keys = self._keys[coord_map] = a[a < b] * self.n + b[a < b]
+        return keys
+
+    def union(self, coord_maps) -> np.ndarray:
+        """Keys of the pairs close in at least one of the maps."""
+        return np.unique(np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [self.of(cm) for cm in coord_maps]))
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Budget escalation; optionally larger parameter sets for later rounds."""
@@ -164,6 +196,7 @@ def compute_sigma_i(
     coord_maps: list[tuple[int, ...]],
     layout: PathPowerLayout,
     params: GammaParams,
+    close: CloseSets | None = None,
 ) -> ConstraintSchedule:
     """Constraint schedule for coordinate map i from the earlier maps.
 
@@ -171,38 +204,34 @@ def compute_sigma_i(
     positions whose anchor image coincides with t's, plus earlier non-
     neighbors whose image in some previous coordinate map is within distance
     4 of t's. Keeping the new image away from both maintains the anchor-
-    distinctness and conflict-set properties.
+    distinctness and conflict-set properties. The candidate pairs are the
+    anchor collisions and the close pairs of the earlier maps (read from
+    ``close`` when given); no other pair can enter a schedule.
     """
     if i < 2:
         raise ArgumentError("constraint schedules start at the second coordinate")
     n = h.vertex_count
-    order = layout.order()
     q = params.q_m
-    rm_pow = params.rm_pow
-    anchor = coord_maps[0]
     cap = params.sigma_cap_for(n)
+    close = close or CloseSets(params.rm_pow, n)
+    keys = close.union(coord_maps)
+    keys = np.concatenate([keys[~_member(_pair_keys(h.edges(), n), keys)],
+                           _pair_keys(_collisions(coord_maps[0]), n)])
+    phi = np.asarray(layout.phi, dtype=np.int64)
+    ta, tb = phi[keys // n], phi[keys % n]
+    a_due = tb <= (ta // q - 1) * q - 1
+    b_due = ta <= (tb // q - 1) * q - 1
+    t = np.concatenate([ta[a_due], tb[b_due]])
+    t2 = np.concatenate([tb[a_due], ta[b_due]])
+    order = np.argsort(t, kind="stable")
     sets: dict[int, set[int]] = {}
-    for t in range(n):
-        t0 = (t // q - 1) * q - 1
-        if t0 < 0:
-            continue
-        ht = order[t]
-        entries: set[int] = set()
-        for t2 in range(0, t0 + 1):
-            h2 = order[t2]
-            if anchor[ht] == anchor[h2]:
-                entries.add(t2)
-                continue
-            if not h.has_edge(ht, h2) and any(
-                rm_pow.contains(cm[ht], cm[h2]) for cm in coord_maps
-            ):
-                entries.add(t2)
-        if len(entries) > cap:
+    for at, earlier in zip(t[order].tolist(), t2[order].tolist()):
+        sets.setdefault(at, set()).add(earlier)
+    for at in sorted(sets):
+        if len(sets[at]) > cap:
             raise ScheduleOverflowError(
-                f"sigma({t}) for coordinate {i} has {len(entries)} entries, cap {cap}",
-                position=t, size=len(entries), cap=cap)
-        if entries:
-            sets[t] = entries
+                f"sigma({at}) for coordinate {i} has {len(sets[at])} entries, cap {cap}",
+                position=at, size=len(sets[at]), cap=cap)
     return ConstraintSchedule.from_sets(n, sets)
 
 
@@ -216,11 +245,12 @@ def build_fi(
     *,
     h: Graph,
     coord_maps: list[tuple[int, ...]],
+    close: CloseSets | None = None,
 ) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
     """Coordinate map for part i and its conflict sets, both verified."""
     assignment = _run_walk(part, layout, params, schedule, budget=budget,
                            stage=f"f{i}")
-    conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params)
+    conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params, close)
     _require_clean(f"f{i}", _check_coord_map(part, layout, assignment, params)
                    + _check_anchor_distinct(coord_maps[0], assignment)
                    + _check_window_distinct(layout, assignment)
@@ -234,29 +264,27 @@ def compute_bad_sets(
     coord_maps: list[tuple[int, ...]],
     layout: PathPowerLayout,
     params: GammaParams,
+    close: CloseSets | None = None,
 ) -> dict[int, frozenset[int]]:
     """Exact conflict sets for coordinate i, straight from the definition.
 
     h' conflicts with h when they are non-adjacent, more than 4 apart in the
     layout, and their images collide (lie within distance 4) both in map i
-    and in some earlier map. Symmetric by construction.
+    and in some earlier map. Symmetric by construction. Only pairs close in
+    map i and in an earlier map can conflict, so only those are tested.
     """
-    maps = coord_maps[: i - 1]
-    last = coord_maps[i - 1]
-    rm_pow = params.rm_pow
     n = h.vertex_count
+    close = close or CloseSets(params.rm_pow, n)
+    keys = close.of(coord_maps[i - 1])
+    keys = keys[_member(close.union(coord_maps[: i - 1]), keys)]
+    keys = keys[~_member(_pair_keys(h.edges(), n), keys)]
+    phi = np.asarray(layout.phi, dtype=np.int64)
+    a, b = keys // n, keys % n
+    far = np.abs(phi[a] - phi[b]) > 4
     out: dict[int, set[int]] = {v: set() for v in range(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if h.has_edge(a, b):
-                continue
-            if abs(layout.phi[a] - layout.phi[b]) <= 4:
-                continue
-            if not rm_pow.contains(last[a], last[b]):
-                continue
-            if any(rm_pow.contains(cm[a], cm[b]) for cm in maps):
-                out[a].add(b)
-                out[b].add(a)
+    for u, v in zip(a[far].tolist(), b[far].tolist()):
+        out[u].add(v)
+        out[v].add(u)
     return {v: frozenset(s) for v, s in out.items()}
 
 
@@ -358,28 +386,55 @@ def build_label_sets(
 
 
 def verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams) -> InducedReport:
-    """Full quadratic check: oracle adjacency iff input adjacency.
+    """Exact check of every pair: oracle adjacency iff input adjacency.
 
     Every violating pair is reported with its direction and, for spurious
     edges, the witnessing coordinate pair.
+
+    The oracle calls a and b adjacent iff for some j < i their x-pairs are
+    close at j and at i, each x_i lists the other's rank in its subset, and
+    the u-pair at i is close. ``close_pairs`` returns every pair close at a
+    coordinate, with both ranks, from the same rows that ``contains`` and
+    ``rank`` read. So a pair close at i and at some j < i is decided by the
+    mask and shield tests with the smallest such j and i, which is the
+    oracle's witness, and every other pair is non-adjacent by definition.
+    Nothing is sampled: all n(n-1)/2 pairs are decided and compared with h.
     """
     n = h.vertex_count
     gamma = result.gamma
+    if len(gamma) != n:
+        raise ArgumentError(f"embedding has {len(gamma)} labels for {n} vertices")
+    for v in gamma:
+        validate_vertex(v, params)
+    rz_pow = params.rz_pow
+    adjacent: dict[tuple[int, int], tuple[int, int]] = {}
+    earlier: list[np.ndarray] = []  # close keys of coordinates 1..i-1
+    for i in range(1, params.delta + 1):
+        keys, rank_ab, rank_ba = _close_ranked(params.rm_pow, [v.x(i) for v in gamma], n)
+        first = np.zeros(len(keys), dtype=np.int64)  # smallest earlier close j, or 0
+        for j in range(i - 1, 0, -1):
+            first[_member(earlier[j - 1], keys)] = j
+        cand = np.flatnonzero(first)
+        for key, ra, rb, j in zip(keys[cand].tolist(), rank_ab[cand].tolist(),
+                                  rank_ba[cand].tolist(), first[cand].tolist()):
+            pa, pb = divmod(key, n)
+            if (pa, pb) in adjacent:
+                continue
+            _, mask_a, ua = gamma[pa].blocks[i - 2]
+            _, mask_b, ub = gamma[pb].blocks[i - 2]
+            if (mask_a >> ra) & 1 and (mask_b >> rb) & 1 and rz_pow.contains(ua, ub):
+                adjacent[(pa, pb)] = (j, i)
+        earlier.append(keys)
     violations = []
-    pairs = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            pairs += 1
-            expected = h.has_edge(a, b)
-            got, witness = gamma_adjacent_witness(gamma[a], gamma[b], params)
-            if got != expected:
-                violations.append({
-                    "pair": [a, b],
-                    "expected": expected,
-                    "got": got,
-                    "witness": list(witness) if witness else None,
-                })
-    return InducedReport(pairs_checked=pairs, violations=tuple(violations))
+    for pair in sorted(set(adjacent).symmetric_difference(h.edges())):
+        got = pair in adjacent
+        violations.append({
+            "pair": list(pair),
+            "expected": not got,
+            "got": got,
+            "witness": list(adjacent[pair]) if got else None,
+        })
+    return InducedReport(pairs_checked=n * (n - 1) // 2, violations=tuple(violations))
 
 
 def check_edge_witnesses(
@@ -388,6 +443,10 @@ def check_edge_witnesses(
     """Each input edge must be witnessed by the two parts that contain it:
     both coordinate pairs close, mutual subset membership and a close shield
     pair at the larger part index."""
+    if result.homs is None:
+        raise ArgumentError(
+            "the edge-witness check needs the decomposition, and a result "
+            "rebuilt from labels has none")
     out = []
     dec = result.homs.decomposition
     gamma = result.gamma
@@ -421,7 +480,11 @@ def embed(
     retry: RetryPolicy | None = None,
     strategy: DecomposeStrategy = DecomposeStrategy.AUTO,
 ) -> EmbeddingResult:
-    """Full pipeline with verification gates and bounded retry escalation."""
+    """Full pipeline with verification gates and bounded retry escalation.
+
+    A round that fails with a stuck walk is retried at the next budget scale;
+    any other failure moves on to the next fallback parameter set.
+    """
     if params.profile == Profile.PAPER:
         raise InfeasibleBuildError(
             "paper-profile parameters are formula-only; embedding needs desk parameters")
@@ -455,6 +518,10 @@ def embed(
                     "params_digest": p.digest(),
                     "error": exc.to_json(),
                 })
+                # the walks are deterministic and their budget binds only when
+                # a walk runs out of it, so only a stuck walk gains from more
+                if not isinstance(exc, WalkStuckError):
+                    break
     raise EmbeddingFailureError("all embedding rounds failed", trail=trail)
 
 
@@ -475,11 +542,12 @@ def _attempt(
     shield: dict[int, tuple[int, ...]] = {}
     label_sets: dict[int, tuple[int, ...]] = {}
     conflicts_all: dict[int, dict[int, frozenset[int]]] = {}
+    close = CloseSets(params.rm_pow, h.vertex_count)
     for i in range(2, params.delta + 1):
         part, layout = dec.parts[i - 1], layouts[i - 1]
-        schedule = compute_sigma_i(i, h, coord, layout, params)
+        schedule = compute_sigma_i(i, h, coord, layout, params, close)
         fi, conflicts = build_fi(i, part, layout, schedule, params, budget,
-                                 h=h, coord_maps=coord)
+                                 h=h, coord_maps=coord, close=close)
         coord.append(fi)
         stage_log.append(
             f"f{i}: homomorphism, well-distribution, anchor-distinct, "
@@ -585,29 +653,50 @@ def _check_shield_map(part: Graph, assignment: tuple[int, ...], params: GammaPar
 def _check_anchor_distinct(
     anchor: tuple[int, ...], assignment: tuple[int, ...]
 ) -> list[str]:
-    out = []
-    n = len(anchor)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if anchor[a] == anchor[b] and assignment[a] == assignment[b]:
-                out.append(
-                    f"vertices {a}, {b} share both the anchor image and this image")
-    return out
+    return [f"vertices {a}, {b} share both the anchor image and this image"
+            for a, b in _collisions(list(zip(anchor, assignment)))]
 
 
 def _check_window_distinct(
     layout: PathPowerLayout, assignment: tuple[int, ...]
 ) -> list[str]:
-    out = []
-    n = len(assignment)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(layout.phi[a] - layout.phi[b]) <= LOCAL_WINDOW \
-                    and assignment[a] == assignment[b]:
-                out.append(
-                    f"vertices {a}, {b} sit within {LOCAL_WINDOW} layout slots "
-                    f"but share image {assignment[a]}")
-    return out
+    phi = layout.phi
+    return [f"vertices {a}, {b} sit within {LOCAL_WINDOW} layout slots "
+            f"but share image {assignment[a]}" for a, b in _collisions(assignment)
+            if abs(phi[a] - phi[b]) <= LOCAL_WINDOW]
+
+
+def _close_ranked(rm_pow, xs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted keys a * n + b of the pairs a < b whose images are close, with
+    the rank of b's image seen from a's and of a's seen from b's. The ordered
+    pairs are dropped on return, so one coordinate's are held at a time."""
+    a, b, r = rm_pow.close_pairs(xs)
+    keys = a * n + b
+    fwd = a < b
+    return keys[fwd], r[fwd], r[keys.searchsorted(b[fwd] * n + a[fwd])]
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that occur in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = sorted_keys.searchsorted(keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
+def _pair_keys(pairs, n: int) -> np.ndarray:
+    return np.fromiter((a * n + b for a, b in pairs), dtype=np.int64)
+
+
+def _collisions(values) -> list[tuple[int, int]]:
+    """Pairs a < b of positions holding equal values, sorted."""
+    if len(set(values)) == len(values):
+        return []
+    groups: dict = {}
+    for v, value in enumerate(values):
+        groups.setdefault(value, []).append(v)
+    return sorted((a, b) for members in groups.values()
+                  for k, a in enumerate(members) for b in members[k + 1:])
 
 
 def _check_conflict_bound(

@@ -19,6 +19,7 @@ from .errors import ArgumentError
 INF = math.inf
 RADIUS = 4  # "close" in the product-graph oracle and in walk separation
 _BLOCK = 32  # consecutive vertices whose power rows are built together
+_PAIR_CHUNK = 1 << 16  # pair queries answered by one searchsorted in close_pairs
 
 
 class Graph:
@@ -306,6 +307,45 @@ class PowerNeighborhoods:
         if i < len(row) and int(row[i]) == w:
             return i
         return None
+
+    def close_pairs(self, xs: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ordered pair of list positions whose images are close.
+
+        Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
+        with 0 < dist(xs[a], xs[b]) <= k, the rank r of xs[b] in the row of
+        xs[a] (what ``rank`` returns). A chunk of positions a is answered at
+        a time: the chunk's rows, offset by owner, form one sorted key array
+        that a single ``searchsorted`` probes for every (a, xs[b]), and only
+        the hits are kept. The chunk size is fixed, so transient memory is
+        O(_PAIR_CHUNK + close pairs + row lengths) and no len(xs)^2 array is
+        ever built.
+        """
+        n = self.graph.vertex_count
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+        size = len(xs)
+        if size and not (0 <= xs.min() and xs.max() < n):
+            bad = int(xs[(xs < 0) | (xs >= n)][0])
+            raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
+        rows = [self.row(v) for v in xs.tolist()]
+        by_image = xs.argsort(kind="stable")
+        sorted_xs = xs[by_image]  # sorted queries keep the searches local
+        found = [(np.zeros(0, dtype=np.int64),) * 3]
+        step = max(1, _PAIR_CHUNK // max(size, 1))
+        for lo in range(0, size, step):
+            chunk = rows[lo:lo + step]
+            lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+            owners = np.arange(len(chunk), dtype=np.int64) * n
+            keys = np.concatenate(chunk) + owners.repeat(lengths)
+            if not len(keys):
+                continue
+            queries = (owners[:, None] + sorted_xs).reshape(-1)
+            pos = keys.searchsorted(queries)
+            hit = np.flatnonzero(keys[np.minimum(pos, len(keys) - 1)] == queries)
+            a, b = hit // size, by_image[hit % size]
+            order = (a * size + b).argsort()
+            a, b = a[order], b[order]
+            found.append((a + lo, b, pos[hit[order]] - (lengths.cumsum() - lengths)[a]))
+        return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def shared_power_neighborhoods(g: Graph, k: int = RADIUS) -> PowerNeighborhoods:

@@ -193,7 +193,7 @@ def universality_sweep(
     """Embed every family member; success means a clean induced re-check.
 
     Failures are data, not exceptions. Results are cached per
-    (spec, parameter digest) because the quadratic verification dominates.
+    (spec, parameter digest) because re-embedding a family is what dominates.
     """
     if params.profile != Profile.DESK:
         raise ArgumentError("universality sweeps need desk parameters")

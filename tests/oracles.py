@@ -14,7 +14,12 @@ from collections import deque
 import networkx as nx
 import numpy as np
 
+from induniv.embedder import LOCAL_WINDOW, EmbeddingResult, InducedReport
+from induniv.errors import ArgumentError, ScheduleOverflowError
+from induniv.gamma import GammaParams, gamma_adjacent_witness
 from induniv.graphs import Graph
+from induniv.thin import PathPowerLayout
+from induniv.walks import ConstraintSchedule
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -267,6 +272,148 @@ def oracle_first_decomposition(
         return False
 
     return dict(zip(edge_order, chosen)) if rec(0) else None
+
+
+
+# -- quadratic pair checks ---------------------------------------------------------
+#
+# The embedder's pair checks as they were before they read closeness from
+# ``PowerNeighborhoods.close_pairs``: every pair visited, closeness asked one
+# scalar query at a time. Kept as the references the batched checks must
+# reproduce exactly (reports with witnesses and order, conflict sets,
+# schedules, error payloads).
+
+def oracle_sigma_i(
+    i: int,
+    h: Graph,
+    coord_maps: list[tuple[int, ...]],
+    layout: PathPowerLayout,
+    params: GammaParams,
+) -> ConstraintSchedule:
+    """Constraint schedule for coordinate map i from the earlier maps.
+
+    For each position t (with t0 one full block before t's block): earlier
+    positions whose anchor image coincides with t's, plus earlier non-
+    neighbors whose image in some previous coordinate map is within distance
+    4 of t's. Keeping the new image away from both maintains the anchor-
+    distinctness and conflict-set properties.
+    """
+    if i < 2:
+        raise ArgumentError("constraint schedules start at the second coordinate")
+    n = h.vertex_count
+    order = layout.order()
+    q = params.q_m
+    rm_pow = params.rm_pow
+    anchor = coord_maps[0]
+    cap = params.sigma_cap_for(n)
+    sets: dict[int, set[int]] = {}
+    for t in range(n):
+        t0 = (t // q - 1) * q - 1
+        if t0 < 0:
+            continue
+        ht = order[t]
+        entries: set[int] = set()
+        for t2 in range(0, t0 + 1):
+            h2 = order[t2]
+            if anchor[ht] == anchor[h2]:
+                entries.add(t2)
+                continue
+            if not h.has_edge(ht, h2) and any(
+                rm_pow.contains(cm[ht], cm[h2]) for cm in coord_maps
+            ):
+                entries.add(t2)
+        if len(entries) > cap:
+            raise ScheduleOverflowError(
+                f"sigma({t}) for coordinate {i} has {len(entries)} entries, cap {cap}",
+                position=t, size=len(entries), cap=cap)
+        if entries:
+            sets[t] = entries
+    return ConstraintSchedule.from_sets(n, sets)
+
+
+def oracle_bad_sets(
+    i: int,
+    h: Graph,
+    coord_maps: list[tuple[int, ...]],
+    layout: PathPowerLayout,
+    params: GammaParams,
+) -> dict[int, frozenset[int]]:
+    """Exact conflict sets for coordinate i, straight from the definition.
+
+    h' conflicts with h when they are non-adjacent, more than 4 apart in the
+    layout, and their images collide (lie within distance 4) both in map i
+    and in some earlier map. Symmetric by construction.
+    """
+    maps = coord_maps[: i - 1]
+    last = coord_maps[i - 1]
+    rm_pow = params.rm_pow
+    n = h.vertex_count
+    out: dict[int, set[int]] = {v: set() for v in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if h.has_edge(a, b):
+                continue
+            if abs(layout.phi[a] - layout.phi[b]) <= 4:
+                continue
+            if not rm_pow.contains(last[a], last[b]):
+                continue
+            if any(rm_pow.contains(cm[a], cm[b]) for cm in maps):
+                out[a].add(b)
+                out[b].add(a)
+    return {v: frozenset(s) for v, s in out.items()}
+
+
+def oracle_verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams) -> InducedReport:
+    """Full quadratic check: oracle adjacency iff input adjacency.
+
+    Every violating pair is reported with its direction and, for spurious
+    edges, the witnessing coordinate pair.
+    """
+    n = h.vertex_count
+    gamma = result.gamma
+    violations = []
+    pairs = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            pairs += 1
+            expected = h.has_edge(a, b)
+            got, witness = gamma_adjacent_witness(gamma[a], gamma[b], params)
+            if got != expected:
+                violations.append({
+                    "pair": [a, b],
+                    "expected": expected,
+                    "got": got,
+                    "witness": list(witness) if witness else None,
+                })
+    return InducedReport(pairs_checked=pairs, violations=tuple(violations))
+
+
+def oracle_anchor_distinct(
+    anchor: tuple[int, ...], assignment: tuple[int, ...]
+) -> list[str]:
+    out = []
+    n = len(anchor)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if anchor[a] == anchor[b] and assignment[a] == assignment[b]:
+                out.append(
+                    f"vertices {a}, {b} share both the anchor image and this image")
+    return out
+
+
+def oracle_window_distinct(
+    layout: PathPowerLayout, assignment: tuple[int, ...]
+) -> list[str]:
+    out = []
+    n = len(assignment)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if abs(layout.phi[a] - layout.phi[b]) <= LOCAL_WINDOW \
+                    and assignment[a] == assignment[b]:
+                out.append(
+                    f"vertices {a}, {b} sit within {LOCAL_WINDOW} layout slots "
+                    f"but share image {assignment[a]}")
+    return out
 
 
 # -- families ---------------------------------------------------------------------

@@ -255,3 +255,40 @@ def test_every_graph_on_five_vertices(desk_params3):
     for g in enumerate_family(FamilySpec(5, 3)):
         result = embed(g, 3, desk_params3)
         assert verify_induced(g, result, desk_params3).ok
+
+
+def _from_labels(gamma):
+    from induniv.embedder import EmbedCertificate
+
+    return EmbeddingResult(gamma=tuple(gamma), certificate=EmbedCertificate(),
+                           homs=None, params_digest="")
+
+
+def test_verify_induced_rejects_a_label_count_mismatch(desk_params2):
+    c6 = cycle_graph(6)
+    result = embed(c6, 2, desk_params2)
+    # six labels of C6 against the five vertices of P5, and five against C6
+    with pytest.raises(ArgumentError):
+        verify_induced(path_graph(5), result, desk_params2)
+    with pytest.raises(ArgumentError):
+        verify_induced(c6, _from_labels(result.gamma[:5]), desk_params2)
+
+
+def test_edge_witnesses_need_the_decomposition(desk_params2):
+    c6 = cycle_graph(6)
+    result = embed(c6, 2, desk_params2)
+    with pytest.raises(ArgumentError, match="decomposition"):
+        check_edge_witnesses(c6, _from_labels(result.gamma), desk_params2)
+
+
+def test_overflow_moves_on_without_a_larger_budget():
+    # a zero schedule cap overflows at the first scheduled entry, whatever the
+    # walk budget; the next parameter set is tried instead
+    tight = make_gamma_params(2, 40, "desk", {"sigma_cap": 0})
+    h = cycle_graph(40)
+    with pytest.raises(EmbeddingFailureError) as err:
+        embed(h, 2, tight)
+    assert [t["error"]["type"] for t in err.value.trail] == ["ScheduleOverflowError"]
+    roomy = make_gamma_params(2, 40, "desk")
+    result = embed(h, 2, tight, retry=RetryPolicy(fallback_params=(roomy,)))
+    assert result.certificate.ok and result.params_digest == roomy.digest()

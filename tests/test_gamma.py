@@ -70,6 +70,57 @@ def test_rows_match_bfs_oracle(rm_desk):
         assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
 
 
+def _scalar_close_pairs(pw, xs):
+    return [(a, b, pw.rank(xs[a], xs[b])) for a in range(len(xs)) for b in range(len(xs))
+            if a != b and pw.contains(xs[a], xs[b])]
+
+
+def _listed(pairs):
+    a, b, r = pairs
+    assert a.dtype == b.dtype == r.dtype == np.int64
+    return list(zip(a.tolist(), b.tolist(), r.tolist()))
+
+
+def test_close_pairs_match_scalar_queries(rm_desk):
+    pw = PowerNeighborhoods(rm_desk, 4)
+    block = graphs._BLOCK
+    near = pw.row(block).tolist()
+    # repeated images and ids on both sides of two block boundaries
+    xs = [block - 1, block, block, 2 * block - 1, 2 * block, block - 1, near[0],
+          near[-1], near[0], 0, rm_desk.vertex_count - 1, block]
+    assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
+    rng = random.Random(11)
+    circ = circulant_graph(70, [1, 5])
+    small = PowerNeighborhoods(circ, 2)
+    for _ in range(20):
+        ys = [rng.randrange(70) for _ in range(rng.randint(2, 40))]
+        assert _listed(small.close_pairs(ys)) == _scalar_close_pairs(small, ys)
+
+
+def test_close_pairs_span_several_chunks(rm_desk):
+    pw = PowerNeighborhoods(rm_desk, 4)
+    assert 300 > graphs._PAIR_CHUNK // 300  # more than one chunk of positions
+    rng = random.Random(12)
+    centers = rng.sample(range(rm_desk.vertex_count), 2)
+    xs = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(300)]
+    assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
+
+
+def test_close_pairs_of_short_lists(rm_desk):
+    pw = PowerNeighborhoods(rm_desk, 4)
+    assert _listed(pw.close_pairs([])) == []
+    assert _listed(pw.close_pairs([17])) == []
+    assert _listed(pw.close_pairs([17, 17])) == []
+
+
+def test_close_pairs_reject_out_of_range_ids(rm_desk):
+    pw = PowerNeighborhoods(rm_desk, 4)
+    with pytest.raises(ArgumentError):
+        pw.close_pairs([0, rm_desk.vertex_count])
+    with pytest.raises(ArgumentError):
+        pw.close_pairs([-1, 3])
+
+
 def test_metric_lives_as_long_as_its_graph(desk_params2):
     p = desk_params2
     others = [circulant_graph(40 + i, [1, 3]) for i in range(10)]

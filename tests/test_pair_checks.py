@@ -1,0 +1,288 @@
+"""The batched pair checks against the quadratic references in oracles.py.
+
+Every output is compared whole: induced reports (violations, their order and
+witnesses), conflict sets, schedules, check messages, and the payload of a
+schedule overflow.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from induniv import embedder
+from induniv.embedder import (
+    EmbedCertificate,
+    EmbeddingResult,
+    _check_anchor_distinct,
+    _check_window_distinct,
+    compute_bad_sets,
+    compute_sigma_i,
+    embed,
+    verify_induced,
+)
+from induniv.errors import ArgumentError, ScheduleOverflowError
+from induniv.gamma import GammaVertex, make_gamma_params
+from induniv.graphs import Graph, cycle_graph, path_graph
+from induniv.harness import FamilySpec, enumerate_family
+from induniv.thin import PathPowerLayout
+from oracles import (
+    oracle_anchor_distinct,
+    oracle_bad_sets,
+    oracle_sigma_i,
+    oracle_verify_induced,
+    oracle_window_distinct,
+)
+
+
+def _outcome(fn, *args):
+    """The value, or the type, message and payload of the error raised."""
+    try:
+        return ("ok", fn(*args))
+    except ScheduleOverflowError as exc:
+        return ("error", type(exc).__name__, str(exc), exc.payload)
+
+
+def _assert_checks_agree(h, coord, layouts, params) -> set[str]:
+    """Compare every check at every coordinate; name the checks that found
+    something, so a caller can tell its inputs reach them."""
+    found = set()
+    for i in range(2, len(coord) + 1):
+        layout = layouts[i - 1]
+        sigma = _outcome(compute_sigma_i, i, h, coord[:i - 1], layout, params)
+        assert sigma == _outcome(oracle_sigma_i, i, h, coord[:i - 1], layout, params)
+        conflicts = compute_bad_sets(i, h, coord[:i], layout, params)
+        assert conflicts == oracle_bad_sets(i, h, coord[:i], layout, params)
+        anchor = _check_anchor_distinct(coord[0], coord[i - 1])
+        assert anchor == oracle_anchor_distinct(coord[0], coord[i - 1])
+        window = _check_window_distinct(layout, coord[i - 1])
+        assert window == oracle_window_distinct(layout, coord[i - 1])
+        found.update(name for name, hit in (
+            ("overflow", sigma[0] == "error"), ("sigma", sigma[0] == "ok" and sigma[1].sigma),
+            ("conflict", any(conflicts.values())), ("anchor", anchor), ("window", window)) if hit)
+    return found
+
+
+def _rebuilt(gamma):
+    return EmbeddingResult(gamma=tuple(gamma), certificate=EmbedCertificate(),
+                           homs=None, params_digest="")
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_every_small_graph_checks_like_the_reference(delta, desk_params2, desk_params3):
+    params = {2: desk_params2, 3: desk_params3}[delta]
+    count = 0
+    for n in range(1, 8):
+        for h in enumerate_family(FamilySpec(n, delta)):
+            result = embed(h, delta, params)
+            assert verify_induced(h, result, params) == oracle_verify_induced(h, result, params)
+            homs = result.homs
+            _assert_checks_agree(h, list(homs.coord), homs.layouts, params)
+            count += 1
+    assert count > 50
+
+
+def _ball_map(rng, pw, centers, n):
+    """Images drawn inside the radius-4 balls of a few centers, with some
+    positions copying an earlier image."""
+    out = []
+    for _ in range(n):
+        roll = rng.random()
+        if out and roll < 0.1:
+            out.append(rng.choice(out))
+        elif roll < 0.2:
+            out.append(rng.choice(centers))
+        else:
+            out.append(int(rng.choice(pw.row(rng.choice(centers)))))
+    return tuple(out)
+
+
+def _random_layout(rng, n):
+    phi = list(range(n))
+    rng.shuffle(phi)
+    return PathPowerLayout(phi=tuple(phi), n=n)
+
+
+def _random_graph(rng, n, m):
+    edges = set()
+    while n > 1 and len(edges) < m:
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    return Graph(n, edges)
+
+
+def test_fuzzed_maps_check_like_the_reference(desk_params3):
+    params = desk_params3
+    rng = random.Random(2024)
+    found = set()
+    for _ in range(24):
+        n = rng.choice([12, 30, 60, 120, 200])
+        centers = rng.sample(range(params.ell_m), rng.randint(1, 3))
+        coord = [_ball_map(rng, params.rm_pow, centers, n) for _ in range(3)]
+        layouts = tuple(_random_layout(rng, n) for _ in range(3))
+        h = _random_graph(rng, n, rng.randint(0, 2 * n))
+        found |= _assert_checks_agree(h, coord, layouts, params)
+    assert found == {"overflow", "sigma", "conflict", "anchor", "window"}
+
+
+def _fuzzed_gamma(rng, params, n, shield_balls=2):
+    """Vertices whose x-coordinates crowd a few balls, with random subset bits
+    on close pairs and shield images in a few balls of R_z."""
+    rm, rz = params.rm_pow, params.rz_pow
+    centers = rng.sample(range(params.ell_m), 3)
+    xs = [_ball_map(rng, rm, centers, n) for _ in range(params.delta)]
+    shield_centers = rng.sample(range(params.ell_z), shield_balls)
+    gamma = []
+    for v in range(n):
+        blocks = []
+        for i in range(2, params.delta + 1):
+            mask = 0
+            for w in rng.sample(range(n), min(n, 12)):
+                r = rm.rank(xs[i - 1][v], xs[i - 1][w])
+                if r is not None and rng.random() < 0.7:
+                    mask |= 1 << r
+            u = _ball_map(rng, rz, shield_centers, 1)[0]
+            blocks.append((xs[i - 1][v], mask, u))
+        gamma.append(GammaVertex(x1=xs[0][v], blocks=tuple(blocks)))
+    return gamma
+
+
+def test_fuzzed_labels_verify_like_the_reference(desk_params2, desk_params3):
+    rng = random.Random(77)
+    witnesses = set()
+    missing = 0
+    for params, n, balls in ((desk_params3, 40, 2), (desk_params2, 90, 2),
+                             (desk_params3, 150, 2), (desk_params3, 60, 1)):
+        gamma = _fuzzed_gamma(rng, params, n, balls)
+        h = _random_graph(rng, n, n)
+        report = verify_induced(h, _rebuilt(gamma), params)
+        assert report == oracle_verify_induced(h, _rebuilt(gamma), params)
+        assert report.pairs_checked == n * (n - 1) // 2
+        witnesses |= {tuple(v["witness"]) for v in report.violations if v["got"]}
+        missing += sum(v["expected"] for v in report.violations)
+    # spurious edges first witnessed at coordinate 2 and at coordinate 3
+    assert {(1, 2), (2, 3)} <= witnesses and missing
+
+
+@pytest.mark.parametrize("bad", [
+    lambda v, p: GammaVertex(v.x1, v.blocks + v.blocks),            # wrong Delta
+    lambda v, p: GammaVertex(p.ell_m, v.blocks),                    # x out of range
+    lambda v, p: GammaVertex(v.x1, ((v.blocks[0][0], 1 << p.subset_bits, v.blocks[0][2]),)),
+])
+def test_invalid_labels_raise_like_the_reference(bad, desk_params2):
+    h = cycle_graph(8)
+    result = embed(h, 2, desk_params2)
+    gamma = list(result.gamma)
+    gamma[5] = bad(gamma[5], desk_params2)
+    errors = []
+    for check in (verify_induced, oracle_verify_induced):
+        with pytest.raises(ArgumentError) as err:
+            check(h, _rebuilt(gamma), desk_params2)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def _replaced(result, v, vertex):
+    gamma = list(result.gamma)
+    gamma[v] = vertex
+    return _rebuilt(gamma)
+
+
+def test_tampered_embeddings_verify_like_the_reference(desk_params3):
+    params = desk_params3
+    h = Graph(14, [(i, (i + 1) % 12) for i in range(12)] + [(0, 12), (6, 13), (3, 9)])
+    result = embed(h, 3, params)
+    assert verify_induced(h, result, params).ok
+    rm, rz = params.rm_pow, params.rz_pow
+    gamma = result.gamma
+    breaking, other = [], []
+    # flipped subset bits: a used bit cleared, a free bit set; and with every
+    # bit of a vertex cleared, its edges are lost
+    v, g = next((v, g) for v, g in enumerate(gamma) if g.blocks[0][1])
+    x, mask, u = g.blocks[0]
+    low = mask & -mask
+    other.append(_replaced(result, v, GammaVertex(g.x1, ((x, mask ^ low, u),) + g.blocks[1:])))
+    other.append(_replaced(result, v, GammaVertex(g.x1, ((x, mask | low << 1, u),) + g.blocks[1:])))
+    breaking.append(_replaced(result, v, GammaVertex(
+        g.x1, tuple((x, 0, u) for x, _, u in g.blocks))))
+    # non-adjacent pairs made adjacent: grant the subset bits both ways at the
+    # given blocks and move a's shield image next to b's there; one pair close
+    # at coordinates 1 and 3 only, one close at all three (witnessed by (1, 3)
+    # when granted at block 3 alone, adjacent twice over when granted at both)
+    def granted(a, b, blocks):
+        out = list(gamma)
+        ga, gb = list(gamma[a].blocks), list(gamma[b].blocks)
+        for k in blocks:
+            (xa, ma, _), (xb, mb, ub) = ga[k], gb[k]
+            ga[k] = (xa, ma | 1 << rm.rank(xa, xb), int(rz.row(ub)[0]))
+            gb[k] = (xb, mb | 1 << rm.rank(xb, xa), ub)
+        out[a] = GammaVertex(gamma[a].x1, tuple(ga))
+        out[b] = GammaVertex(gamma[b].x1, tuple(gb))
+        return _rebuilt(out)
+
+    def close_at(a, b):
+        return tuple(rm.contains(gamma[a].x(i), gamma[b].x(i)) for i in (1, 2, 3))
+
+    non_edges = [(a, b) for a in range(14) for b in range(a + 1, 14) if not h.has_edge(a, b)]
+    a, b = next(p for p in non_edges if close_at(*p) == (True, False, True))
+    breaking.append(granted(a, b, [1]))
+    a, b = next(p for p in non_edges if close_at(*p) == (True, True, True))
+    breaking.append(granted(a, b, [1]))
+    breaking.append(granted(a, b, [0, 1]))
+    # swapped x-coordinates of two vertices, at the anchor (no edge of theirs
+    # needs it here) and at coordinate 2
+    a, b = 2, 8
+    swapped = list(gamma)
+    swapped[a], swapped[b] = GammaVertex(gamma[b].x1, gamma[a].blocks), \
+        GammaVertex(gamma[a].x1, gamma[b].blocks)
+    other.append(_rebuilt(swapped))
+    (xa, ma, ua), (xb, mb, ub) = gamma[a].blocks[0], gamma[b].blocks[0]
+    swapped = list(gamma)
+    swapped[a] = GammaVertex(gamma[a].x1, ((xb, ma, ua),) + gamma[a].blocks[1:])
+    swapped[b] = GammaVertex(gamma[b].x1, ((xa, mb, ub),) + gamma[b].blocks[1:])
+    breaking.append(_rebuilt(swapped))
+    for k, tampered in enumerate(breaking + other):
+        report = verify_induced(h, tampered, params)
+        assert report == oracle_verify_induced(h, tampered, params)
+        assert not report.ok or k >= len(breaking), k
+
+
+def test_verify_makes_no_per_pair_oracle_calls(monkeypatch):
+    params = make_gamma_params(2, 40, "desk")
+    h = cycle_graph(40)
+    result = embed(h, 2, params)
+    calls = []
+    scalar = embedder.gamma_adjacent_witness
+    monkeypatch.setattr(embedder, "gamma_adjacent_witness",
+                        lambda *args: calls.append(1) or scalar(*args))
+    report = verify_induced(h, result, params)
+    assert report.ok and report.pairs_checked == 40 * 39 // 2
+    assert len(calls) < h.vertex_count
+
+
+def test_verify_memory_stays_below_quadratic(desk_params2):
+    # a Delta=2 labelling of a 2048-vertex path by two random walks in R_m;
+    # the metric rows are built first, so only the check's own memory counts
+    params = desk_params2
+    n = 2048
+    rng = random.Random(9)
+    walks = []
+    for start in (0, params.ell_m // 2):
+        walk = [start]
+        for _ in range(n - 1):
+            walk.append(rng.choice(params.r_m.neighbors(walk[-1])))
+        walks.append(walk)
+    for v in set(walks[0] + walks[1]):
+        params.rm_pow.row(v)
+    gamma = [GammaVertex(walks[0][v], ((walks[1][v], 0, rng.randrange(params.ell_z)),))
+             for v in range(n)]
+    h = path_graph(n)
+    tracemalloc.start()
+    try:
+        report = verify_induced(h, _rebuilt(gamma), params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == n * (n - 1) // 2
+    assert len(report.violations) == n - 1  # every mask is empty: no edge realized
+    assert peak < 8 * n * n
