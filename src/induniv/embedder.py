@@ -18,8 +18,9 @@ assembled embedding is certified: every property is re-verified from its
 definition, and the final induced check decides oracle adjacency for every
 vertex pair and compares it with the input. The pair checks read closeness
 from batched close-pair sets (``PowerNeighborhoods.close_pairs``) instead of
-visiting all pairs. Nothing is accepted on the strength of the construction
-alone.
+visiting all pairs; the certificate also asks the public label oracle about
+every pair, so the batched verdict and the oracle are held to agree. Nothing
+is accepted on the strength of the construction alone.
 """
 
 from __future__ import annotations
@@ -473,6 +474,27 @@ def check_edge_witnesses(
     return out
 
 
+def check_oracle_agreement(
+    h: Graph, result: EmbeddingResult, params: GammaParams
+) -> list[str]:
+    """Every pair decoded by the public label oracle, one call per pair,
+    must agree with the input. ``verify_induced`` decides the same question
+    from batched close-pair sets; this check ties the emitted labels to the
+    oracle that decodes them, so a drift between the two is caught when the
+    embedding is built."""
+    n = h.vertex_count
+    gamma = result.gamma
+    if len(gamma) != n:
+        raise ArgumentError(f"embedding has {len(gamma)} labels for {n} vertices")
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            got, _ = gamma_adjacent_witness(gamma[a], gamma[b], params)
+            if got != h.has_edge(a, b):
+                out.append(f"oracle says pair ({a}, {b}) adjacent={got}")
+    return out
+
+
 def embed(
     h: Graph,
     delta: int,
@@ -576,6 +598,7 @@ def _attempt(
          for v in induced.violations],
     )
     result.certificate.add("edge_witnesses", check_edge_witnesses(h, result, params))
+    result.certificate.add("oracle", check_oracle_agreement(h, result, params))
     if not result.certificate.ok:
         raise PropertyFailureError(
             "assembled embedding failed verification",

@@ -370,28 +370,27 @@ def gamma_adjacent_witness(
     validate_vertex(a, params)
     validate_vertex(b, params)
     rm_pow, rz_pow = params.rm_pow, params.rz_pow
-    close = [rm_pow.contains(a.x(i), b.x(i)) for i in range(1, params.delta + 1)]
     first_close = None
     for i in range(1, params.delta + 1):
-        if (
-            first_close is not None
-            and i >= 2
-            and close[i - 1]
-        ):
-            xa, mask_a, ua = a.blocks[i - 2]
-            xb, mask_b, ub = b.blocks[i - 2]
-            ra = rm_pow.rank(xa, xb)
-            rb = rm_pow.rank(xb, xa)
-            if (
-                ra is not None
-                and rb is not None
-                and (mask_a >> ra) & 1
-                and (mask_b >> rb) & 1
-                and rz_pow.contains(ua, ub)
-            ):
-                return True, (first_close, i)
-        if close[i - 1] and first_close is None:
+        if first_close is None and i == params.delta:
+            break  # no earlier close coordinate is left to pair with i
+        if not rm_pow.contains(a.x(i), b.x(i)):
+            continue
+        if first_close is None:
             first_close = i
+            continue
+        xa, mask_a, ua = a.blocks[i - 2]
+        xb, mask_b, ub = b.blocks[i - 2]
+        ra = rm_pow.rank(xa, xb)
+        rb = rm_pow.rank(xb, xa)
+        if (
+            ra is not None
+            and rb is not None
+            and (mask_a >> ra) & 1
+            and (mask_b >> rb) & 1
+            and rz_pow.contains(ua, ub)
+        ):
+            return True, (first_close, i)
     return False, None
 
 

@@ -388,6 +388,21 @@ def oracle_verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams
     return InducedReport(pairs_checked=pairs, violations=tuple(violations))
 
 
+def oracle_gamma_adjacent_witness(a, b, params: GammaParams):
+    """The adjacency rule read off its definition: the witness is the
+    smallest i whose mask and shield tests pass with a close x-pair at i and
+    at some j < i, and j is the smallest close coordinate."""
+    rm_pow, rz_pow = params.rm_pow, params.rz_pow
+    close = [i for i in range(1, params.delta + 1) if rm_pow.contains(a.x(i), b.x(i))]
+    for i in close[1:]:
+        xa, mask_a, ua = a.blocks[i - 2]
+        xb, mask_b, ub = b.blocks[i - 2]
+        ra, rb = rm_pow.rank(xa, xb), rm_pow.rank(xb, xa)
+        if (mask_a >> ra) & 1 and (mask_b >> rb) & 1 and rz_pow.contains(ua, ub):
+            return True, (close[0], i)
+    return False, None
+
+
 def oracle_anchor_distinct(
     anchor: tuple[int, ...], assignment: tuple[int, ...]
 ) -> list[str]:

@@ -8,6 +8,7 @@ from induniv.embedder import (
     build_f1,
     build_ri,
     check_edge_witnesses,
+    check_oracle_agreement,
     compute_bad_sets,
     compute_sigma_i,
     embed,
@@ -292,3 +293,33 @@ def test_overflow_moves_on_without_a_larger_budget():
     roomy = make_gamma_params(2, 40, "desk")
     result = embed(h, 2, tight, retry=RetryPolicy(fallback_params=(roomy,)))
     assert result.certificate.ok and result.params_digest == roomy.digest()
+
+
+def test_embed_asks_the_oracle_about_every_pair(monkeypatch, desk_params2):
+    from induniv import embedder
+
+    c6 = cycle_graph(6)
+    calls = []
+    scalar = embedder.gamma_adjacent_witness
+    monkeypatch.setattr(embedder, "gamma_adjacent_witness",
+                        lambda *args: calls.append(1) or scalar(*args))
+    result = embed(c6, 2, desk_params2)
+    oracle = [r for r in result.certificate.records if r.stage == "oracle"]
+    assert len(oracle) == 1 and oracle[0].ok
+    # one call per pair, and one more per edge from the witness check
+    assert len(calls) == 6 * 5 // 2 + 6
+
+
+def test_oracle_agreement_names_the_disagreeing_pair(desk_params2):
+    c6 = cycle_graph(6)
+    result = embed(c6, 2, desk_params2)
+    assert check_oracle_agreement(c6, result, desk_params2) == []
+    # the labels of C6 read against P6, which lacks the edge (0, 5)
+    assert check_oracle_agreement(path_graph(6), result, desk_params2) == [
+        "oracle says pair (0, 5) adjacent=True"]
+    # and against C6 with the chord (0, 3), which the labels do not realize
+    chorded = Graph(6, list(c6.edges()) + [(0, 3)])
+    assert check_oracle_agreement(chorded, result, desk_params2) == [
+        "oracle says pair (0, 3) adjacent=False"]
+    with pytest.raises(ArgumentError):
+        check_oracle_agreement(path_graph(5), result, desk_params2)

@@ -26,7 +26,7 @@ from induniv.gamma import (
 from induniv import graphs
 from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
 from induniv.harness import random_close_gamma_pair, random_gamma_vertex
-from oracles import oracle_distances, oracle_power
+from oracles import oracle_distances, oracle_gamma_adjacent_witness, oracle_power
 
 
 # -- power neighborhoods ---------------------------------------------------------
@@ -233,6 +233,31 @@ def test_symmetry_random_and_close_pairs(desk_params2):
             a = random_gamma_vertex(rng, desk_params2)
             b = random_gamma_vertex(rng, desk_params2)
         assert gamma_adjacent(a, b, desk_params2) == gamma_adjacent(b, a, desk_params2)
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_witness_matches_the_definition(delta, desk_params2, desk_params3):
+    # the oracle stops early once no coordinate is left to witness; the
+    # verdict and the witness must still be the definition's
+    params = desk_params2 if delta == 2 else desk_params3
+    rng = random.Random(40 + delta)
+    seen = set()
+    for i in range(1200):
+        if i % 4 == 3:
+            a = random_gamma_vertex(rng, params)
+            b = random_gamma_vertex(rng, params)
+        else:
+            a, b = random_close_gamma_pair(rng, params)
+            if i % 4 == 1:  # x1 most likely far, so a witness must start later
+                b = GammaVertex(rng.randrange(params.ell_m), b.blocks)
+            elif i % 4 == 2:  # an empty mask at block 2 passes the witness on
+                (x, _, u), *rest = b.blocks
+                b = GammaVertex(b.x1, ((x, 0, u), *rest))
+        got = gamma_adjacent_witness(a, b, params)
+        assert got == oracle_gamma_adjacent_witness(a, b, params)
+        seen.add(got[1])
+    assert None in seen and (1, 2) in seen
+    assert delta == 2 or {(1, 3), (2, 3)} <= seen
 
 
 def test_empty_subsets_block_adjacency(desk_params2):
