@@ -342,15 +342,14 @@ def validate_vertex(v: GammaVertex, params: GammaParams) -> None:
             f"vertex has {v.delta} coordinates, parameters want {params.delta}")
     if not 0 <= v.x1 < params.ell_m:
         raise ArgumentError(f"x1={v.x1} out of range [0, {params.ell_m})")
-    limit = 1 << params.subset_bits
+    width = params.subset_bits
     for i, (x, mask, u) in enumerate(v.blocks, start=2):
         if not 0 <= x < params.ell_m:
             raise ArgumentError(f"x_{i}={x} out of range [0, {params.ell_m})")
         if not 0 <= u < params.ell_z:
             raise ArgumentError(f"u_{i}={u} out of range [0, {params.ell_z})")
-        if not 0 <= mask < limit:
-            raise ArgumentError(
-                f"subset mask at block {i} exceeds width {params.subset_bits}")
+        if mask < 0 or mask.bit_length() > width:
+            raise ArgumentError(f"subset mask at block {i} exceeds width {width}")
 
 
 def gamma_adjacent(a: GammaVertex, b: GammaVertex, params: GammaParams) -> bool:

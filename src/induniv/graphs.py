@@ -50,12 +50,57 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
+        self._init_slots(vertex_count, len(seen), tuple(tuple(sorted(nb)) for nb in adj))
+
+    def _init_slots(self, vertex_count: int, edge_count: int, adj: tuple) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edge_count", len(seen))
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(nb)) for nb in adj))
-        object.__setattr__(self, "_hash", hash((vertex_count, self._adj)))
+        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_hash", hash((vertex_count, adj)))
         object.__setattr__(self, "_connected", None)
         object.__setattr__(self, "_metrics", {})
+
+    @classmethod
+    def from_neighbor_table(cls, table) -> Graph:
+        """The d-regular graph whose vertex v has the neighbours in row v of
+        an (n, d) integer table, in any order.
+
+        The rows must already describe a simple undirected graph: ids in
+        range, no self-loop, no repeated neighbour, and w in row v exactly
+        when v is in row w. Each is checked with whole-table numpy operations
+        and a violation raises ArgumentError, so no edge set is built.
+        """
+        rows = np.array(table, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ArgumentError(f"neighbor table must be 2-D, got shape {rows.shape}")
+        n, d = rows.shape
+        rows.sort(axis=1)
+        if rows.size and not (rows[:, 0].min() >= 0 and rows[:, -1].max() < n):
+            raise ArgumentError(f"neighbor table holds ids out of range [0, {n})")
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise ArgumentError("neighbor table repeats a neighbour")
+        owner = np.arange(n, dtype=np.int64)[:, None]
+        if (rows == owner).any():
+            raise ArgumentError("neighbor table has a self-loop")
+        forward = (owner * n + rows).reshape(-1)  # sorted, rows being sorted
+        backward = np.sort((rows * n + owner).reshape(-1))
+        if not np.array_equal(forward, backward):
+            raise ArgumentError("neighbor table is not symmetric")
+        # one int object per vertex, shared by every row naming it, as in
+        # graphs built from edges; zip cuts the flat list into rows
+        ids = np.arange(n).astype(object)
+        flat = iter(ids[rows].reshape(-1).tolist())
+        g = cls.__new__(cls)
+        g._init_slots(n, n * d // 2, tuple(zip(*[flat] * d)) if d else ((),) * n)
+        return g
+
+    def neighbor_table(self) -> np.ndarray:
+        """The sorted neighbour rows as an (n, d) int64 array; the graph must
+        be d-regular (the inverse of ``from_neighbor_table``)."""
+        if not self.is_regular():
+            raise ArgumentError("neighbor_table needs a regular graph")
+        return np.array(self._adj, dtype=np.int64).reshape(
+            self.vertex_count, self.max_degree())
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
@@ -206,34 +251,49 @@ class Graph:
         vertex, and detected closed walks never undercut the girth).
         """
         best: int | float = INF
-        n = self.vertex_count
-        adj = self._adj
-        dist = [-1] * n
-        for src in range(n - 1, -1, -1):
+        dist = [-1] * self.vertex_count
+        for src in range(self.vertex_count - 1, -1, -1):
             if best == 3:
                 break
-            dist[src] = 0
-            queue = deque([src])
-            touched = [src]
-            while queue:
-                u = queue.popleft()
-                du = dist[u]
-                if 2 * du + 1 >= best:
-                    break
-                for w in adj[u]:
-                    if w < src:
-                        continue
-                    dw = dist[w]
-                    if dw < 0:
-                        dist[w] = du + 1
-                        touched.append(w)
-                        queue.append(w)
-                    elif dw >= du:
-                        cand = du + dw + 1
-                        if cand < best:
-                            best = cand
-            for t in touched:
-                dist[t] = -1
+            best = self._cycle_search(src, src, best, dist)
+        return best
+
+    def girth_through(self, source: int) -> int | float:
+        """Girth bound from one BFS at ``source``: the shortest closed walk it
+        detects, never below the girth, and equal to it whenever ``source``
+        lies on a shortest cycle, as every vertex of a vertex-transitive
+        graph does. inf when no cycle is reachable from ``source``.
+        """
+        self._check_vertex(source)
+        return self._cycle_search(source, 0, INF, [-1] * self.vertex_count)
+
+    def _cycle_search(self, src: int, floor: int, best, dist: list[int]):
+        """BFS from src over ids >= floor; returns min(best, the shortest
+        closed walk found), stopping once no shorter one can appear. Resets
+        the entries of ``dist`` it set."""
+        adj = self._adj
+        dist[src] = 0
+        queue = deque([src])
+        touched = [src]
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                break
+            for w in adj[u]:
+                if w < floor:
+                    continue
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du + 1
+                    touched.append(w)
+                    queue.append(w)
+                elif dw >= du:
+                    cand = du + dw + 1
+                    if cand < best:
+                        best = cand
+        for t in touched:
+            dist[t] = -1
         return best
 
 

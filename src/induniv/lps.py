@@ -6,6 +6,16 @@ integer quaternions of norm p is a non-bipartite (p+1)-regular Ramanujan
 graph on q(q^2-1)/2 vertices. This module builds those graphs explicitly,
 searches for admissible primes, and certifies the results numerically
 (degree, connectivity, non-bipartiteness, girth, spectral gap).
+
+Both steps use the group structure. ``Psl2`` enumerates the group elements
+in vertex order and maps "multiply every element by S" to vertex ids with
+numpy, so the build is one such product per generator. The graph is a right
+Cayley graph (M ~ M*S), so every left multiplication M -> T*M is an
+automorphism of it, and left multiplications by a generating set carry any
+vertex to any other: the graph is vertex-transitive, every vertex lies on a
+shortest cycle, and one BFS from a single vertex finds the girth.
+``certify_expander`` relies on that only after checking both facts on the
+graph it is given.
 """
 
 from __future__ import annotations
@@ -194,22 +204,17 @@ def _canonical(t: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int
     raise ConstructionIntegrityError("zero matrix cannot be normalized")
 
 
-def build_lps_graph(p, q: int | None = None) -> Graph:
-    """Explicit non-bipartite (p+1)-regular LPS graph on q(q^2-1)/2 vertices.
+def lps_generators(params: LpsParams) -> list[tuple[int, int, int, int]]:
+    """The p+1 generator matrices, in canonical form and sorted.
 
-    Vertices are the elements of PSL(2, q), canonicalized projectively and
-    ordered lexicographically; edges join M to M*S for each of the p+1
-    generator matrices S obtained from the quaternion solutions, mapped to
-    2x2 matrices through a square root of -1 mod q. The generator set is
-    closed under inverses, so the graph is undirected.
+    Each integer quaternion a + bi + cj + dk of norm p from
+    ``quaternion_norm_solutions`` maps to ((a+bx, c+dx), (-c+dx, a-bx)) mod q,
+    with x a square root of -1 mod q. The set is closed under inverses.
     """
-    params = p if isinstance(p, LpsParams) else LpsParams(p=p, q=q)
     p, q = params.p, params.q
-
     ii = sqrt_minus_one(q)
-    sols = quaternion_norm_solutions(p)
     gens: set[tuple[int, int, int, int]] = set()
-    for a, b, c, d in sols:
+    for a, b, c, d in quaternion_norm_solutions(p):
         mat = ((a + b * ii) % q, (c + d * ii) % q, (-c + d * ii) % q, (a - b * ii) % q)
         gens.add(_canonical(mat, q))
     if len(gens) != p + 1:
@@ -218,57 +223,100 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
             p=p,
             q=q,
         )
+    return sorted(gens)
 
-    square = [False] * q
-    for x in range(1, q):
-        square[x * x % q] = True
 
-    # PSL(2, q) = projective classes with square determinant. Enumerate the
-    # canonical representative of every class directly: first row-major
-    # nonzero entry equal to 1.
-    verts: list[tuple[int, int, int, int]] = []
-    for b_ in range(q):
-        bc = [b_ * c_ % q for c_ in range(q)]
-        for c_ in range(q):
-            base = bc[c_]
-            for d_ in range(q):
-                det = (d_ - base) % q
-                if det and square[det]:
-                    verts.append((1, b_, c_, d_))
-    for c_ in range(1, q):
-        det = -c_ % q
-        if square[det]:
-            verts.extend((0, 1, c_, d_) for d_ in range(q))
-    verts.sort()
-    expected = params.vertex_count
-    if len(verts) != expected:
-        raise ConstructionIntegrityError(
-            f"PSL(2,{q}) enumeration produced {len(verts)} classes, expected {expected}"
-        )
-    index = {t: i for i, t in enumerate(verts)}
+class Psl2:
+    """PSL(2, q) as arrays: its elements in vertex order, and products with
+    a fixed matrix as vertex ids.
 
-    gen_list = sorted(gens)
-    edges = []
-    for vid, (a_, b_, c_, d_) in enumerate(verts):
-        row = set()
-        for (e, f, g_, h) in gen_list:
-            prod = (
-                (a_ * e + b_ * g_) % q,
-                (a_ * f + b_ * h) % q,
-                (c_ * e + d_ * g_) % q,
-                (c_ * f + d_ * h) % q,
-            )
-            wid = index[_canonical(prod, q)]
-            row.add(wid)
-        if vid in row or len(row) != p + 1:
+    PSL(2, q) is the set of projective classes of 2x2 matrices over Z/q whose
+    determinant is a nonzero square. A class is represented by its member
+    whose first row-major nonzero entry is 1. ``elements`` is the (l, 4)
+    int64 array of those representatives (a, b, c, d), row-major, in
+    lexicographic order, so row i is vertex i of the LPS graph; ``keys``
+    holds their base-q values, ascending.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        r = np.arange(q, dtype=np.int64)
+        square = np.zeros(q, dtype=bool)
+        square[r[1:] ** 2 % q] = True
+        # (0, 1, c, d) with det -c a square, then (1, b, c, d) with det d - bc
+        # a square; np.nonzero lists each in lexicographic order.
+        c0, d0 = np.nonzero(np.broadcast_to(square[-r % q][:, None], (q, q)))
+        b1, c1, d1 = np.nonzero(square[(r[None, None, :] - np.outer(r, r)[:, :, None]) % q])
+        self.elements = np.concatenate([
+            np.stack([np.zeros_like(c0), np.ones_like(c0), c0, d0], axis=1),
+            np.stack([np.ones_like(b1), b1, c1, d1], axis=1),
+        ])
+        self.keys = self._key(self.elements)
+        self._inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+
+    def _key(self, mats: np.ndarray) -> np.ndarray:
+        q = self.q
+        return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
+
+    def multiply(self, s: tuple[int, int, int, int], left: bool = False) -> np.ndarray:
+        """Vertex ids of M*S for every element M in vertex order (S*M with
+        ``left``). Raises ConstructionIntegrityError when a product is not
+        an element, i.e. when S is not."""
+        q = self.q
+        a, b, c, d = self.elements.T
+        e, f, g, h = s
+        if left:
+            prod = (e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d)
+        else:
+            prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        mats = np.stack(prod, axis=1) % q
+        # the first row of an invertible matrix is nonzero
+        lead = np.where(mats[:, 0] != 0, mats[:, 0], mats[:, 1])
+        keys = self._key(mats * self._inverse[lead][:, None] % q)
+        ids = self.keys.searchsorted(keys)
+        found = (lead != 0) & (self.keys[np.minimum(ids, len(self.keys) - 1)] == keys)
+        if not found.all():
             raise ConstructionIntegrityError(
-                f"vertex {vid} has degenerate neighbor set (size {len(row)})",
-                p=p,
-                q=q,
-            )
-        edges.extend((vid, w) for w in row if vid < w)
-    g = Graph(expected, edges)
-    if any(g.degree(v) != p + 1 for v in range(expected)):
+                f"{s} times an element of PSL(2,{q}) is not an element", q=q)
+        return ids
+
+
+def build_lps_graph(p, q: int | None = None) -> Graph:
+    """Explicit non-bipartite (p+1)-regular LPS graph on q(q^2-1)/2 vertices.
+
+    Vertex i is row i of ``Psl2(q).elements``; edges join M to M*S for each
+    of the p+1 ``lps_generators`` S. Each generator multiplies all elements
+    in one numpy step, giving one column of an (l, p+1) neighbour table. The
+    generator set is closed under inverses, so the graph is undirected, which
+    ``Graph.from_neighbor_table`` checks.
+    """
+    params = p if isinstance(p, LpsParams) else LpsParams(p=p, q=q)
+    p, q = params.p, params.q
+
+    gens = lps_generators(params)
+    group = Psl2(q)
+    expected = params.vertex_count
+    if len(group.elements) != expected:
+        raise ConstructionIntegrityError(
+            f"PSL(2,{q}) enumeration produced {len(group.elements)} classes, expected {expected}"
+        )
+    table = np.stack([group.multiply(s) for s in gens], axis=1)
+    table.sort(axis=1)
+    degenerate = ((table[:, 1:] == table[:, :-1]).any(axis=1)
+                  | (table == np.arange(expected)[:, None]).any(axis=1))
+    if degenerate.any():
+        vid = int(np.flatnonzero(degenerate)[0])
+        raise ConstructionIntegrityError(
+            f"vertex {vid} has degenerate neighbor set (size {len(set(table[vid].tolist()))})",
+            p=p,
+            q=q,
+        )
+    try:
+        g = Graph.from_neighbor_table(table)
+    except ArgumentError as exc:
+        raise ConstructionIntegrityError(
+            f"neighbour table is not an undirected graph: {exc}", p=p, q=q) from exc
+    if any(deg != p + 1 for deg in g.degrees()):
         raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
     return g
 
@@ -308,17 +356,12 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     d = g.degree(0)
     n = g.vertex_count
     bipartite = g.is_bipartite()
+    table = g.neighbor_table()
+    a = sp.csr_matrix((np.ones(n * d), table.reshape(-1), np.arange(n + 1) * d),
+                      shape=(n, n))
     if n <= 64:
-        a = np.zeros((n, n))
-        for u, v in g.edges():
-            a[u, v] = a[v, u] = 1.0
-        vals = list(np.linalg.eigvalsh(a))
+        vals = list(np.linalg.eigvalsh(a.toarray()))
     else:
-        rows, cols = [], []
-        for u, v in g.edges():
-            rows += [u, v]
-            cols += [v, u]
-        a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         try:
             vals = list(eigsh(a, k=min(3, n - 1), which="LM", tol=tolerance,
                               return_eigenvectors=False))
@@ -355,6 +398,7 @@ class ExpanderCertificate:
     eigenvalue_ok: bool
     vertex_count_expected: int | None = None
     vertex_count_ok: bool = True
+    vertex_transitive: bool | None = None  # None: not checked, girth from every vertex
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -375,6 +419,7 @@ class ExpanderCertificate:
             "girth": self.girth_found,
             "girth_bound": self.girth_bound,
             "girth_ok": self.girth_ok,
+            "vertex_transitive": self.vertex_transitive,
             "lambda2": self.second_eigenvalue_bound,
             "eigenvalue_threshold": self.eigenvalue_threshold,
             "eigenvalue_ok": self.eigenvalue_ok,
@@ -397,6 +442,21 @@ def certify_expander(
     and the vertex count against q(q^2-1)/2. ``eigen_slack`` loosens the
     Ramanujan threshold for substitute (non-LPS) expanders; any use of it is
     visible in the certificate.
+
+    With ``params`` the girth comes from one BFS at vertex 0
+    (``Graph.girth_through``), which is the girth only when vertex 0 lies on
+    a shortest cycle. So the certificate first proves on ``g`` itself that g
+    is vertex-transitive (``vertex_transitive``): for each generator S, left
+    multiplication M -> S*M of the ``Psl2`` elements is a permutation of the
+    vertices that maps the neighbour row of every vertex onto the neighbour
+    row of its image, hence an automorphism (in a right Cayley graph
+    S*(M*T) = (S*M)*T); and these permutations carry vertex 0 to every
+    vertex. An automorphism carrying a vertex of a shortest cycle to vertex 0
+    carries the cycle through 0. When either check fails, a note names it,
+    the girth is left undecided and the certificate is not ok; there is no
+    fallback to another girth computation. Without ``params`` (an expander
+    supplied by the user) ``Graph.girth`` searches from every vertex and
+    ``vertex_transitive`` is None.
     """
     notes = []
     n = g.vertex_count
@@ -405,7 +465,17 @@ def certify_expander(
     degree = degs[0] if degs else 0
     connected = g.is_connected()
     non_bipartite = not g.is_bipartite()
-    girth = g.girth()
+    vertex_transitive = None
+    if params is None:
+        girth = g.girth()
+    else:
+        failure = _transitivity_failure(g, params)
+        vertex_transitive = failure is None
+        if failure is None:
+            girth = g.girth_through(0)
+        else:
+            notes.append(f"girth not decided: {failure}")
+            girth = math.inf
     girth_found = None if girth == math.inf else int(girth)
 
     girth_bound = None
@@ -449,5 +519,45 @@ def certify_expander(
         eigenvalue_ok=eig_ok,
         vertex_count_expected=vc_expected,
         vertex_count_ok=vc_ok,
+        vertex_transitive=vertex_transitive,
         notes=tuple(notes),
     )
+
+
+def _transitivity_failure(g: Graph, params: LpsParams) -> str | None:
+    """The first check by which left multiplication fails to show g
+    vertex-transitive, or None when it shows it (see ``certify_expander``)."""
+    n = params.vertex_count
+    if g.vertex_count != n or set(g.degrees()) != {params.degree}:
+        return (f"transitivity needs a {params.degree}-regular graph "
+                f"on {n} vertices, the LPS vertex set")
+    table = g.neighbor_table()
+    group = Psl2(params.q)
+    perms = []
+    try:
+        gens = lps_generators(params)
+        for k, s in enumerate(gens):
+            perm = group.multiply(s, left=True)
+            if len(perm) != n or (np.bincount(perm, minlength=n) != 1).any():
+                return f"left multiplication by generator {k} is not a permutation"
+            moved = np.flatnonzero((np.sort(perm[table], axis=1) != table[perm]).any(axis=1))
+            if len(moved):
+                v = int(moved[0])
+                return (f"left multiplication by generator {k} is not an automorphism: "
+                        f"it does not map the neighbours of vertex {v} onto those "
+                        f"of vertex {int(perm[v])}")
+            perms.append(perm)
+    except ConstructionIntegrityError as exc:
+        return f"left multiplication is undefined: {exc}"
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        reached[frontier] = True
+        images = np.zeros(n, dtype=bool)
+        for perm in perms:
+            images[perm[frontier]] = True
+        frontier = np.flatnonzero(images & ~reached)
+    if not reached.all():
+        return (f"left multiplications carry vertex 0 to only "
+                f"{int(reached.sum())} of {n} vertices")
+    return None

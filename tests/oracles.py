@@ -15,9 +15,15 @@ import networkx as nx
 import numpy as np
 
 from induniv.embedder import LOCAL_WINDOW, EmbeddingResult, InducedReport
-from induniv.errors import ArgumentError, ScheduleOverflowError
+from induniv.errors import ArgumentError, ConstructionIntegrityError, ScheduleOverflowError
 from induniv.gamma import GammaParams, gamma_adjacent_witness
 from induniv.graphs import Graph
+from induniv.lps import (
+    LpsParams,
+    _canonical,
+    quaternion_norm_solutions,
+    sqrt_minus_one,
+)
 from induniv.thin import PathPowerLayout
 from induniv.walks import ConstraintSchedule
 
@@ -469,3 +475,99 @@ def atlas_bounded_degree_counts(delta: int) -> dict[int, int]:
         if max((d for _, d in g.degree()), default=0) <= delta:
             counts[n] = counts.get(n, 0) + 1
     return counts
+
+
+def oracle_lps_graph(p, q: int | None = None) -> Graph:
+    """The LPS builder as it was before the numpy Cayley build, verbatim:
+    one Python tuple product per vertex and generator, then Graph(n, edges).
+
+    Explicit non-bipartite (p+1)-regular LPS graph on q(q^2-1)/2 vertices.
+
+    Vertices are the elements of PSL(2, q), canonicalized projectively and
+    ordered lexicographically; edges join M to M*S for each of the p+1
+    generator matrices S obtained from the quaternion solutions, mapped to
+    2x2 matrices through a square root of -1 mod q. The generator set is
+    closed under inverses, so the graph is undirected.
+    """
+    params = p if isinstance(p, LpsParams) else LpsParams(p=p, q=q)
+    p, q = params.p, params.q
+
+    ii = sqrt_minus_one(q)
+    sols = quaternion_norm_solutions(p)
+    gens: set[tuple[int, int, int, int]] = set()
+    for a, b, c, d in sols:
+        mat = ((a + b * ii) % q, (c + d * ii) % q, (-c + d * ii) % q, (a - b * ii) % q)
+        gens.add(_canonical(mat, q))
+    if len(gens) != p + 1:
+        raise ConstructionIntegrityError(
+            f"expected {p + 1} projective generators, got {len(gens)}",
+            p=p,
+            q=q,
+        )
+
+    square = [False] * q
+    for x in range(1, q):
+        square[x * x % q] = True
+
+    # PSL(2, q) = projective classes with square determinant. Enumerate the
+    # canonical representative of every class directly: first row-major
+    # nonzero entry equal to 1.
+    verts: list[tuple[int, int, int, int]] = []
+    for b_ in range(q):
+        bc = [b_ * c_ % q for c_ in range(q)]
+        for c_ in range(q):
+            base = bc[c_]
+            for d_ in range(q):
+                det = (d_ - base) % q
+                if det and square[det]:
+                    verts.append((1, b_, c_, d_))
+    for c_ in range(1, q):
+        det = -c_ % q
+        if square[det]:
+            verts.extend((0, 1, c_, d_) for d_ in range(q))
+    verts.sort()
+    expected = params.vertex_count
+    if len(verts) != expected:
+        raise ConstructionIntegrityError(
+            f"PSL(2,{q}) enumeration produced {len(verts)} classes, expected {expected}"
+        )
+    index = {t: i for i, t in enumerate(verts)}
+
+    gen_list = sorted(gens)
+    edges = []
+    for vid, (a_, b_, c_, d_) in enumerate(verts):
+        row = set()
+        for (e, f, g_, h) in gen_list:
+            prod = (
+                (a_ * e + b_ * g_) % q,
+                (a_ * f + b_ * h) % q,
+                (c_ * e + d_ * g_) % q,
+                (c_ * f + d_ * h) % q,
+            )
+            wid = index[_canonical(prod, q)]
+            row.add(wid)
+        if vid in row or len(row) != p + 1:
+            raise ConstructionIntegrityError(
+                f"vertex {vid} has degenerate neighbor set (size {len(row)})",
+                p=p,
+                q=q,
+            )
+        edges.extend((vid, w) for w in row if vid < w)
+    g = Graph(expected, edges)
+    if any(g.degree(v) != p + 1 for v in range(expected)):
+        raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
+    return g
+
+
+def oracle_psl2_elements(q: int) -> list[tuple[int, int, int, int]]:
+    """PSL(2, q) from its definition: every 2x2 matrix over Z/q with a
+    nonzero square determinant, scaled so its first nonzero entry is 1,
+    deduplicated and sorted."""
+    squares = {x * x % q for x in range(1, q)}
+    classes = set()
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        if (a * d - b * c) % q in squares:
+            lead = a or b
+            inv = pow(lead, q - 2, q)
+            classes.add((a * inv % q, b * inv % q, c * inv % q, d * inv % q))
+    return sorted(classes)

@@ -29,6 +29,7 @@ def test_build_expander_with_certificate(capsys, tmp_path):
     assert code == 0
     assert doc["vertices"] == 2448 and doc["degree"] == 14
     assert doc["girth"] == 6 and doc["non_bipartite"] and doc["connected"]
+    assert doc["vertex_transitive"] is True  # the girth came from one BFS
     assert doc["all_ok"]
     g = parse_edge_list(open(graph_file).read())
     assert g.vertex_count == 2448

@@ -304,6 +304,14 @@ def test_vertex_validation(desk_params2):
             desk_params2)
 
 
+def test_mask_width_edges(desk_params2):
+    width = desk_params2.subset_bits
+    validate_vertex(GammaVertex(x1=0, blocks=((0, (1 << width) - 1, 0),)), desk_params2)
+    for mask in (1 << width, -1):
+        with pytest.raises(ArgumentError, match=f"subset mask at block 2 exceeds width {width}"):
+            validate_vertex(GammaVertex(x1=0, blocks=((0, mask, 0),)), desk_params2)
+
+
 # -- label codec --------------------------------------------------------------------
 
 

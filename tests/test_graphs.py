@@ -134,6 +134,52 @@ def test_girth_matches_edge_removal_oracle(g):
     assert g.girth() == oracle_girth(g)
 
 
+def test_girth_through_a_vertex():
+    # a triangle with a tail ending in a pentagon: the girth is 3, but BFS
+    # from the pentagon only sees cycles no shorter than 5
+    g = Graph(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                  (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+    assert g.girth() == 3
+    assert g.girth_through(0) == 3
+    assert g.girth_through(6) == 5
+    assert g.girth_through(3) >= 3
+    assert Graph(3, [(0, 1)]).girth_through(2) == INF
+    with pytest.raises(ArgumentError):
+        g.girth_through(9)
+
+
+@given(random_graphs())
+@settings(max_examples=40, deadline=None)
+def test_girth_through_bounds_the_girth(g):
+    through = [g.girth_through(v) for v in range(g.vertex_count)]
+    assert min(through) == oracle_girth(g)
+
+
+def test_neighbor_table_round_trip(rm_desk):
+    for g in (rm_desk, circulant_graph(70, (1, 5, 12)), cycle_graph(3), Graph(2)):
+        table = g.neighbor_table()
+        assert table.shape == (g.vertex_count, g.max_degree())
+        copy = Graph.from_neighbor_table(table[:, ::-1])  # row order is free
+        assert copy == g and hash(copy) == hash(g)
+        assert copy.edge_count == g.edge_count
+        assert list(copy.edges()) == list(g.edges())
+    with pytest.raises(ArgumentError):
+        Graph(3, [(0, 1)]).neighbor_table()
+
+
+@pytest.mark.parametrize("table,problem", [
+    ([[1, 2], [0, 2], [0, 0]], "repeats"),
+    ([[1, 2], [0, 2], [0, 2]], "self-loop"),
+    ([[1, 2], [0, 2], [1, 3]], "out of range"),
+    ([[1, 2], [0, 2], [1, 0], [0, 1]], "not symmetric"),
+    ([[1], [2], [0]], "not symmetric"),
+    ([1, 0], "2-D"),
+])
+def test_neighbor_table_must_be_a_simple_graph(table, problem):
+    with pytest.raises(ArgumentError, match=problem):
+        Graph.from_neighbor_table(table)
+
+
 def test_girth_never_exceeds_a_found_cycle():
     # a cycle found by any means bounds the girth from above
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 2)])

@@ -1,22 +1,27 @@
 import math
 
+import networkx as nx
 import pytest
 
-from induniv.errors import ArgumentError, ExhaustedSearchError
+from induniv import lps
+from induniv.errors import ArgumentError, ConstructionIntegrityError, ExhaustedSearchError
 from induniv.graphs import Graph, circulant_graph, complete_graph, cycle_graph, disjoint_union
 from induniv.lps import (
     LpsParams,
+    Psl2,
     build_lps_graph,
+    cached_lps_graph,
     certify_expander,
     find_lps_params,
     integer_cbrt,
     is_prime,
     legendre_symbol,
+    lps_generators,
     quaternion_norm_solutions,
     second_eigenvalue,
     sqrt_minus_one,
 )
-from oracles import oracle_second_eigenvalue
+from oracles import oracle_lps_graph, oracle_psl2_elements, oracle_second_eigenvalue, to_networkx
 
 
 def test_primality_and_legendre():
@@ -80,10 +85,6 @@ def test_lps_params_validation():
 
 
 def test_build_small_lps_graph():
-    import networkx as nx
-
-    from oracles import to_networkx
-
     g = build_lps_graph(13, 17)
     assert g.vertex_count == 17 * (17 * 17 - 1) // 2 == 2448
     assert g.is_regular() and g.degree(0) == 14
@@ -94,7 +95,10 @@ def test_build_small_lps_graph():
     gn = to_networkx(g)
     assert nx.is_connected(gn)
     assert not nx.is_bipartite(gn)
-    assert nx.girth(gn) == 6
+    girth = nx.girth(gn)
+    assert girth == 6
+    cert = certify_expander(g, LpsParams(13, 17))
+    assert cert.vertex_transitive and cert.girth_found == girth
 
 
 def test_build_lps_deterministic():
@@ -174,3 +178,131 @@ def test_certify_disconnected():
 def test_certify_eigen_slack_is_recorded():
     cert = certify_expander(cycle_graph(5), eigen_slack=0.5)
     assert any("relaxed" in note for note in cert.notes)
+
+
+# -- the numpy Cayley build against the tuple-product builder ---------------------
+
+
+@pytest.mark.parametrize("p,q", [(5, 29), (13, 17), (17, 13)])
+def test_build_matches_reference_builder(p, q):
+    new, old = build_lps_graph(p, q), oracle_lps_graph(p, q)
+    assert new == old and hash(new) == hash(old)
+    assert new.edge_count == old.edge_count
+
+
+@pytest.mark.parametrize("p,q", [(13, 17), (17, 13)])
+def test_elements_and_generators_match_their_definition(p, q):
+    elements = oracle_psl2_elements(q)
+    assert [tuple(e) for e in Psl2(q).elements.tolist()] == elements
+    # the generators are the neighbours of the identity in the reference graph
+    ref = oracle_lps_graph(p, q)
+    identity = elements.index((1, 0, 0, 1))
+    assert lps_generators(LpsParams(p, q)) == sorted(elements[w] for w in ref.neighbors(identity))
+
+
+def test_products_follow_matrix_multiplication():
+    q = 13
+    group = Psl2(q)
+    elements = [tuple(e) for e in group.elements.tolist()]
+    s = (1, 2, 3, 5)  # det 5 - 6 = -1 = 5^2 mod 13
+    for left in (False, True):
+        ids = group.multiply(s, left=left).tolist()
+        for m in (0, 1, 500, len(elements) - 1):
+            a, b = (s, elements[m]) if left else (elements[m], s)
+            prod = ((a[0] * b[0] + a[1] * b[2]) % q, (a[0] * b[1] + a[1] * b[3]) % q,
+                    (a[2] * b[0] + a[3] * b[2]) % q, (a[2] * b[1] + a[3] * b[3]) % q)
+            assert elements[ids[m]] == lps._canonical(prod, q)
+    with pytest.raises(ConstructionIntegrityError):
+        group.multiply((1, 0, 0, 2))  # det 2 is not a square mod 13
+
+
+def test_builder_rejects_degenerate_generators(monkeypatch):
+    gens = lps_generators(LpsParams(13, 17))
+    # a self-loop (the set still has 14 members), a repeated neighbour (13)
+    for bad, size in (((1, 0, 0, 1), 14), (gens[0], 13)):
+        monkeypatch.setattr(lps, "lps_generators", lambda params: gens[:-1] + [bad])
+        with pytest.raises(ConstructionIntegrityError,
+                           match=rf"vertex 0 has degenerate neighbor set \(size {size}\)"):
+            build_lps_graph(13, 17)
+    # a set that is not closed under inverses gives a directed relation
+    a, b, c, d = gens[0]
+    square = lps._canonical((a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d), 17)
+    monkeypatch.setattr(lps, "lps_generators", lambda params: gens[:-1] + [square])
+    with pytest.raises(ConstructionIntegrityError, match="not symmetric"):
+        build_lps_graph(13, 17)
+
+
+# -- girth from one BFS, after a transitivity proof --------------------------------
+
+
+@pytest.mark.parametrize("p,q", [(5, 29), (13, 17)])
+def test_certificate_girth_is_the_all_source_girth(p, q):
+    g = cached_lps_graph(p, q)
+    cert = certify_expander(g, LpsParams(p, q))
+    assert cert.all_ok and cert.vertex_transitive is True
+    assert cert.girth_found == g.girth()  # at (13, 17) also nx.girth: test_build_small_lps_graph
+
+
+def _two_switch(g: Graph) -> Graph:
+    """Swap (a, b), (c, d) for (a, c), (b, d) where a and c have a common
+    neighbour x, which leaves the triangle a, x, c; far from vertex 0."""
+    dist = g.bfs_distances(0)
+    a = dist.index(max(dist))
+    b, x = g.neighbors(a)[:2]
+    for c in g.neighbors(x):
+        if c in (a, b) or g.has_edge(a, c):
+            continue
+        for d in g.neighbors(c):
+            if d not in (a, b, x) and not g.has_edge(b, d):
+                edges = set(g.edges()) - {tuple(sorted(e)) for e in ((a, b), (c, d))}
+                return Graph(g.vertex_count, edges | {(min(a, c), max(a, c)),
+                                                      (min(b, d), max(b, d))})
+    raise AssertionError("no 2-switch found")
+
+
+def test_two_switch_fails_the_lps_certificate():
+    params = LpsParams(13, 17)
+    g = _two_switch(cached_lps_graph(13, 17))
+    assert g.is_regular() and g.degree(0) == 14 and g.is_connected()
+    assert g.girth_through(0) == 6  # one BFS from vertex 0 would miss the triangle
+    cert = certify_expander(g, params)
+    assert cert.vertex_transitive is False and not cert.girth_ok and not cert.all_ok
+    assert cert.girth_found is None
+    assert any("not an automorphism" in note for note in cert.notes)
+    assert cert.to_json()["vertex_transitive"] is False
+    user = certify_expander(g)
+    assert user.vertex_transitive is None
+    assert user.girth_found == nx.girth(to_networkx(g)) == 3
+
+
+def test_transitivity_needs_the_whole_orbit(monkeypatch):
+    # left multiplication by one generator is an automorphism, but its
+    # powers reach only a few vertices, so the girth stays undecided
+    g, gens = cached_lps_graph(13, 17), lps_generators(LpsParams(13, 17))
+    monkeypatch.setattr(lps, "lps_generators", lambda params: gens[:1])
+    cert = certify_expander(g, LpsParams(13, 17))
+    assert cert.vertex_transitive is False and cert.girth_found is None
+    assert any("carry vertex 0 to only" in note for note in cert.notes)
+
+
+def test_lps_certificate_needs_the_lps_vertex_set():
+    cert = certify_expander(cached_lps_graph(17, 13), LpsParams(13, 17))
+    assert cert.vertex_transitive is False and not cert.all_ok
+    assert any("transitivity needs a 14-regular graph on 2448 vertices" in note
+               for note in cert.notes)
+
+
+def test_lps_certificate_does_not_search_every_vertex(monkeypatch):
+    def refuse(self):
+        raise AssertionError("all-source girth called")
+
+    monkeypatch.setattr(Graph, "girth", refuse)
+    cert = certify_expander(cached_lps_graph(5, 29), LpsParams(5, 29))
+    assert cert.all_ok and cert.girth_found == 9 and cert.vertex_transitive
+
+
+def test_user_certificate_leaves_transitivity_unchecked():
+    cert = certify_expander(circulant_graph(40, (1, 7)))
+    assert cert.vertex_transitive is None
+    assert cert.to_json()["vertex_transitive"] is None
+    assert cert.girth_found == 4
