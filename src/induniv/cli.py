@@ -357,3 +357,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:  # console entry point
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

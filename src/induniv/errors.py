@@ -89,11 +89,12 @@ class PropertyFailureError(ArtifactError):
 
 
 class EmbeddingFailureError(ArtifactError):
-    """All embedding retry rounds failed; carries the per-stage trail."""
+    """All embedding retry rounds failed; carries the per-round trail, also
+    in its JSON (each round's budget, params digest and error)."""
 
     def __init__(self, message: str, trail: list | None = None, **payload):
-        super().__init__(message, **payload)
-        self.trail = trail or []
+        super().__init__(message, trail=trail or [], **payload)
+        self.trail = self.payload["trail"]
 
 
 class IntegrityError(ArtifactError):

@@ -18,7 +18,7 @@ from .errors import ArgumentError
 
 INF = math.inf
 RADIUS = 4  # "close" in the product-graph oracle and in walk separation
-_BLOCK = 32  # consecutive vertices whose power rows are built together
+_FILL_GROUP = 32  # missing rows close_pairs builds by one vectorised expansion
 _PAIR_CHUNK = 1 << 16  # pair queries answered by one searchsorted in close_pairs
 
 
@@ -303,11 +303,12 @@ class Graph:
 class PowerNeighborhoods:
     """Sorted distance-<=k neighborhoods, the vertex itself left out.
 
-    The first query about a vertex builds the rows of its whole block of
-    ``_BLOCK`` consecutive ids by frontier expansion over a padded neighbor
-    table, vectorised across the block. A block's rows are int64 views into
-    one buffer and stay in ``_cache``, so memory follows the blocks touched,
-    not the graph size.
+    A row exists only for a vertex that was asked about. ``row``,
+    ``contains`` and ``rank`` build a missing row alone; ``close_pairs``
+    builds its distinct missing rows together, ``_FILL_GROUP`` sources per
+    frontier expansion over a padded neighbor table. Rows are int64 and stay
+    in ``_cache``, so memory follows the vertices asked about, not the graph
+    size.
     """
 
     def __init__(self, g: Graph, k: int = RADIUS):
@@ -323,12 +324,14 @@ class PowerNeighborhoods:
         self._table = table
         self._cache: dict[int, np.ndarray] = {}
 
-    def _fill(self, v: int) -> np.ndarray:
+    def _fill(self, vs: Sequence[int]) -> list[np.ndarray]:
+        """Build, hold and return the rows of the distinct vertices vs, none
+        of them held yet, by one frontier expansion vectorised across vs."""
         n = self.graph.vertex_count
-        if not 0 <= v < n:
-            raise ArgumentError(f"vertex id {v!r} out of range [0, {n})")
-        start = v - v % _BLOCK
-        src = np.arange(start, min(start + _BLOCK, n), dtype=np.int32)
+        bad = [v for v in vs if not 0 <= v < n]
+        if bad:
+            raise ArgumentError(f"vertex id {bad[0]!r} out of range [0, {n})")
+        src = np.array(vs, dtype=np.int32)
         reached = src[:, None]
         for _ in range(self.k):
             grown = np.concatenate(
@@ -338,23 +341,19 @@ class PowerNeighborhoods:
             grown.sort(axis=1)
             reached = grown[:, :int((grown < n).sum(axis=1).max())]
         keep = (reached < n) & (reached != src[:, None])
-        buf = reached[keep].astype(np.int64)
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        begin = 0
-        for u, end in zip(range(start, start + len(src)), ends):
-            self._cache[u] = buf[begin:end]
-            begin = end
-        return self._cache[v]
+        rows = np.split(reached[keep].astype(np.int64), np.cumsum(keep.sum(axis=1))[:-1])
+        self._cache.update(zip(src.tolist(), rows))
+        return rows
 
     def row(self, v: int) -> np.ndarray:
         r = self._cache.get(v)
-        return self._fill(v) if r is None else r
+        return self._fill((v,))[0] if r is None else r
 
     def contains(self, v: int, w: int) -> bool:
         """True iff 0 < dist(v, w) <= k, i.e. {v, w} is a power-graph edge."""
         row = self._cache.get(v)
         if row is None:
-            row = self._fill(v)
+            row = self._fill((v,))[0]
         i = int(row.searchsorted(w))
         return i < len(row) and int(row[i]) == w
 
@@ -362,7 +361,7 @@ class PowerNeighborhoods:
         """Position of w in the sorted neighborhood of v, None if absent."""
         row = self._cache.get(v)
         if row is None:
-            row = self._fill(v)
+            row = self._fill((v,))[0]
         i = int(row.searchsorted(w))
         if i < len(row) and int(row[i]) == w:
             return i
@@ -386,7 +385,12 @@ class PowerNeighborhoods:
         if size and not (0 <= xs.min() and xs.max() < n):
             bad = int(xs[(xs < 0) | (xs >= n)][0])
             raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
-        rows = [self.row(v) for v in xs.tolist()]
+        images = xs.tolist()
+        cache = self._cache
+        missing = [v for v in dict.fromkeys(images) if v not in cache]
+        for lo in range(0, len(missing), _FILL_GROUP):
+            self._fill(missing[lo:lo + _FILL_GROUP])
+        rows = [cache[v] for v in images]
         by_image = xs.argsort(kind="stable")
         sorted_xs = xs[by_image]  # sorted queries keep the searches local
         found = [(np.zeros(0, dtype=np.int64),) * 3]
@@ -409,8 +413,10 @@ class PowerNeighborhoods:
 
 
 def shared_power_neighborhoods(g: Graph, k: int = RADIUS) -> PowerNeighborhoods:
-    """The radius-k metric of g, built on first use and held by g itself, so
-    it lives exactly as long as the graph and is never rebuilt while it does."""
+    """The radius-k metric of g, made on first use and held by g itself, so
+    it lives exactly as long as the graph and is never remade while it does.
+    Making it builds only the padded neighbor table; its rows come one vertex
+    at a time, as vertices are asked about, and are kept."""
     pow_nbhd = g._metrics.get(k)
     if pow_nbhd is None:
         pow_nbhd = g._metrics.setdefault(k, PowerNeighborhoods(g, k))

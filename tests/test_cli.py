@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import induniv
 from induniv.cli import _worker_params, run
 from induniv.gamma import (
     DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params)
@@ -174,3 +179,27 @@ def test_worker_params_keep_every_desk_field(rm_desk):
                      retry_budget_scale=(1, 2))
     assert DeskConfig.from_json(cfg.to_json()) == cfg
     assert _worker_params(2, 5, json.dumps(cfg.to_json())).desk == cfg
+
+
+def test_embed_failure_reports_its_retry_trail(capsys, tmp_path, rm_desk):
+    # C100 at delta 2 overflows an anchor schedule on the desk host
+    path = tmp_path / "c100.txt"
+    dump_edge_list(cycle_graph(100), path)
+    assert run(["embed", "--input", str(path), "--delta", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "EmbeddingFailureError"
+    assert err["trail"]
+    for entry in err["trail"]:
+        assert entry["budget"] > 0 and entry["params_digest"]
+    overflow = err["trail"][-1]["error"]
+    assert overflow["type"] == "ScheduleOverflowError"
+    assert overflow["size"] > overflow["cap"] and overflow["position"] >= 0
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "induniv", "size-report", "--delta", "2", "--n-list", "100"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["rows"]

@@ -36,7 +36,6 @@ from oracles import oracle_distances, oracle_gamma_adjacent_witness, oracle_powe
                                Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)]),
                                circulant_graph(70, [1, 5])])
 def test_power_neighborhoods_match_oracle(g):
-    # the circulant spans three row blocks
     for k in range(1, 5):
         pw = PowerNeighborhoods(g, k)
         expected = oracle_power(g, k)
@@ -60,14 +59,18 @@ def test_power_neighborhood_ranks_are_positions():
 
 def test_rows_match_bfs_oracle(rm_desk):
     pw = PowerNeighborhoods(rm_desk, 4)
+    batched = PowerNeighborhoods(rm_desk, 4)
     ell = rm_desk.vertex_count
-    block = graphs._BLOCK
+    block = graphs._FILL_GROUP
     picks = random.Random(5).sample(range(ell), 12)
-    for v in picks + [0, ell - 1, block - 1, block, 3 * block - 1, 3 * block]:
+    picks += [0, ell - 1, block - 1, block, 3 * block - 1, 3 * block]
+    batched.close_pairs(picks)  # one batched fill of every pick
+    for v in picks:
         dist = oracle_distances(rm_desk, v)
         row = pw.row(v)
         assert row.dtype == np.int64
         assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
+        assert batched._cache[v].tobytes() == row.tobytes()
 
 
 def _scalar_close_pairs(pw, xs):
@@ -83,9 +86,9 @@ def _listed(pairs):
 
 def test_close_pairs_match_scalar_queries(rm_desk):
     pw = PowerNeighborhoods(rm_desk, 4)
-    block = graphs._BLOCK
+    block = graphs._FILL_GROUP
     near = pw.row(block).tolist()
-    # repeated images and ids on both sides of two block boundaries
+    # repeated images, and ids on both sides of two multiples of the fill group
     xs = [block - 1, block, block, 2 * block - 1, 2 * block, block - 1, near[0],
           near[-1], near[0], 0, rm_desk.vertex_count - 1, block]
     assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
@@ -95,6 +98,62 @@ def test_close_pairs_match_scalar_queries(rm_desk):
     for _ in range(20):
         ys = [rng.randrange(70) for _ in range(rng.randint(2, 40))]
         assert _listed(small.close_pairs(ys)) == _scalar_close_pairs(small, ys)
+
+
+def test_rows_exist_only_for_the_vertices_asked_about(rm_desk):
+    pw = PowerNeighborhoods(rm_desk, 4)
+    asked = random.Random(6).sample(range(rm_desk.vertex_count), 9)
+    pw.row(asked[0])
+    pw.contains(asked[1], asked[0])
+    pw.rank(asked[2], asked[1])
+    assert sorted(pw._cache) == sorted(asked[:3])
+    for v in asked:
+        pw.row(v)
+        pw.contains(v, asked[0])
+        pw.rank(v, asked[1])
+    assert sorted(pw._cache) == sorted(asked)
+
+
+def test_close_pairs_fill_only_their_images(rm_desk):
+    ell = rm_desk.vertex_count
+    rng = random.Random(7)
+    xs = rng.sample(range(ell), 70) + [0, ell - 1]
+    xs += [rng.choice(xs) for _ in range(20)]  # repeated images
+    rng.shuffle(xs)
+    cold = PowerNeighborhoods(rm_desk, 4)
+    got = _listed(cold.close_pairs(xs))
+    assert len(cold._cache) == len(set(xs))
+    warm = PowerNeighborhoods(rm_desk, 4)
+    for v in xs:
+        warm.row(v)
+    assert got == _listed(warm.close_pairs(xs))
+    # a second call on the warm rows adds none
+    assert _listed(cold.close_pairs(xs)) == got and len(cold._cache) == len(set(xs))
+
+
+def test_batched_fills_match_bfs_oracle(rm_desk):
+    ell = rm_desk.vertex_count
+    block = graphs._FILL_GROUP
+    rng = random.Random(8)
+    xs = rng.sample(range(ell), 2 * block + 5) + [0, ell - 1, 0, ell - 1]
+    xs += xs[:7]
+    rng.shuffle(xs)
+    pw = PowerNeighborhoods(rm_desk, 4)
+    pw.row(xs[3])  # one image already held, the rest missing
+    pw.close_pairs(xs)
+    assert len(set(xs)) - 1 > 2 * block  # the misses span three groups
+    for v in set(xs):
+        dist = oracle_distances(rm_desk, v)
+        row = pw._cache[v]
+        assert row.dtype == np.int64
+        assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
+    circ = circulant_graph(70, [1, 5])
+    small = PowerNeighborhoods(circ, 2)
+    small.close_pairs(list(range(70)) * 2)
+    assert len(small._cache) == 70
+    for v in range(70):
+        dist = oracle_distances(circ, v)
+        assert small.row(v).tolist() == sorted(w for w, d in dist.items() if 0 < d <= 2)
 
 
 def test_close_pairs_span_several_chunks(rm_desk):
