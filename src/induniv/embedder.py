@@ -165,7 +165,7 @@ class CloseSets:
 class RetryPolicy:
     """Budget escalation; optionally larger parameter sets for later rounds."""
 
-    budget_scale: tuple[int, ...] = (1, 4, 16)
+    budget_scale: tuple[int, ...] = (1,)
     fallback_params: tuple[GammaParams, ...] = ()
 
 
@@ -521,7 +521,7 @@ def embed(
             f"{h.vertex_count} vertices exceed the parameter capacity {params.n}")
 
     if retry is None:
-        scale = params.desk.retry_budget_scale if params.desk else (1, 4, 16)
+        scale = params.desk.retry_budget_scale if params.desk else (1,)
         retry = RetryPolicy(budget_scale=tuple(scale))
     base_budget = params.desk.walk_budget if params.desk else 200_000
 

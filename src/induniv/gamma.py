@@ -70,7 +70,7 @@ class DeskConfig:
     usage_cap_factor: int = 40
     sigma_cap: int | None = None       # None: max(2d, 4*ceil(sqrt(n)))
     conflict_gap: int = 4              # layout-gap floor in the conflict-set check
-    retry_budget_scale: tuple[int, ...] = (1, 4, 16)
+    retry_budget_scale: tuple[int, ...] = (1,)  # walk budget multiples, one round each
 
     def to_json(self) -> dict:
         return {

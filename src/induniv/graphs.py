@@ -1,13 +1,14 @@
 """Immutable simple undirected graphs and the metric operations built on them.
 
 Vertices are dense integer ids ``0..n-1``. Neighbor lists are kept sorted,
-which makes every ordering derived from them (vertex ranks, walk
-tie-breaking, layouts) deterministic.
+which makes every ordering derived from them (vertex ranks, layouts)
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -306,9 +307,11 @@ class PowerNeighborhoods:
     A row exists only for a vertex that was asked about. ``row``,
     ``contains`` and ``rank`` build a missing row alone; ``close_pairs``
     builds its distinct missing rows together, ``_FILL_GROUP`` sources per
-    frontier expansion over a padded neighbor table. Rows are int64 and stay
-    in ``_cache``, so memory follows the vertices asked about, not the graph
-    size.
+    frontier expansion over a padded neighbor table. A row is held in
+    ``_cache`` as a stdlib ``array.array`` of typecode ``'H'`` (2 bytes an
+    id) when every id fits, else ``'i'``: scalar queries bisect it, and
+    ``row`` and ``close_pairs`` read it through ``np.frombuffer``. Memory
+    follows the vertices asked about, not the graph size.
     """
 
     def __init__(self, g: Graph, k: int = RADIUS):
@@ -322,9 +325,11 @@ class PowerNeighborhoods:
         for v, nb in enumerate(g._adj):
             table[v, :len(nb)] = nb
         self._table = table
-        self._cache: dict[int, np.ndarray] = {}
+        self._typecode = "H" if n <= 0xFFFF else "i"
+        self._dtype = np.dtype(self._typecode)  # the same C type in numpy
+        self._cache: dict[int, array] = {}
 
-    def _fill(self, vs: Sequence[int]) -> list[np.ndarray]:
+    def _fill(self, vs: Sequence[int]) -> list[array]:
         """Build, hold and return the rows of the distinct vertices vs, none
         of them held yet, by one frontier expansion vectorised across vs."""
         n = self.graph.vertex_count
@@ -341,29 +346,33 @@ class PowerNeighborhoods:
             grown.sort(axis=1)
             reached = grown[:, :int((grown < n).sum(axis=1).max())]
         keep = (reached < n) & (reached != src[:, None])
-        rows = np.split(reached[keep].astype(np.int64), np.cumsum(keep.sum(axis=1))[:-1])
+        flat = reached[keep].astype(self._dtype).tobytes()
+        ends = np.cumsum(keep.sum(axis=1) * self._dtype.itemsize).tolist()
+        tc = self._typecode
+        rows = [array(tc, flat[lo:hi]) for lo, hi in zip([0] + ends, ends)]
         self._cache.update(zip(src.tolist(), rows))
         return rows
 
     def row(self, v: int) -> np.ndarray:
+        """The sorted neighborhood of v, a read-only view of the held row."""
         r = self._cache.get(v)
-        return self._fill((v,))[0] if r is None else r
+        return np.frombuffer(self._fill((v,))[0] if r is None else r, self._dtype)
 
     def contains(self, v: int, w: int) -> bool:
         """True iff 0 < dist(v, w) <= k, i.e. {v, w} is a power-graph edge."""
         row = self._cache.get(v)
         if row is None:
             row = self._fill((v,))[0]
-        i = int(row.searchsorted(w))
-        return i < len(row) and int(row[i]) == w
+        i = bisect_left(row, w)
+        return i < len(row) and row[i] == w
 
     def rank(self, v: int, w: int) -> int | None:
         """Position of w in the sorted neighborhood of v, None if absent."""
         row = self._cache.get(v)
         if row is None:
             row = self._fill((v,))[0]
-        i = int(row.searchsorted(w))
-        if i < len(row) and int(row[i]) == w:
+        i = bisect_left(row, w)
+        if i < len(row) and row[i] == w:
             return i
         return None
 
@@ -373,9 +382,10 @@ class PowerNeighborhoods:
         Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
         with 0 < dist(xs[a], xs[b]) <= k, the rank r of xs[b] in the row of
         xs[a] (what ``rank`` returns). A chunk of positions a is answered at
-        a time: the chunk's rows, offset by owner, form one sorted key array
-        that a single ``searchsorted`` probes for every (a, xs[b]), and only
-        the hits are kept. The chunk size is fixed, so transient memory is
+        a time: the chunk's rows, joined as bytes, read as one array and
+        offset by owner, form one sorted key array that a single
+        ``searchsorted`` probes for every (a, xs[b]), and only the hits are
+        kept. The chunk size is fixed, so transient memory is
         O(_PAIR_CHUNK + close pairs + row lengths) and no len(xs)^2 array is
         ever built.
         """
@@ -399,7 +409,7 @@ class PowerNeighborhoods:
             chunk = rows[lo:lo + step]
             lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
             owners = np.arange(len(chunk), dtype=np.int64) * n
-            keys = np.concatenate(chunk) + owners.repeat(lengths)
+            keys = np.frombuffer(b"".join(chunk), self._dtype) + owners.repeat(lengths)
             if not len(keys):
                 continue
             queries = (owners[:, None] + sorted_xs).reshape(-1)

@@ -27,8 +27,6 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import (
     ArgumentError,
@@ -37,6 +35,10 @@ from .errors import (
     ExhaustedSearchError,
 )
 from .graphs import Graph
+
+_DENSE_EIGEN = 64  # graphs up to this size get a dense eigenvalue solve
+_LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
+_LANCZOS_SEED = 20080101  # seeds the fixed Lanczos start vector
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -343,9 +345,19 @@ def cached_lps_certificate(
 def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     """Largest |eigenvalue| of the adjacency matrix below the trivial ones.
 
-    The trivial eigenvalues of a connected d-regular graph are +d and, when
-    the graph is bipartite, -d. Dense solve for small graphs; iterative
-    Lanczos with the given tolerance otherwise.
+    The trivial eigenvalues of a connected d-regular graph are +d, with the
+    all-ones eigenvector, and, when the graph is bipartite, -d, with the
+    vector that is +1 on one side and -1 on the other. Graphs of at most
+    ``_DENSE_EIGEN`` vertices take a dense solve. Larger ones take a Lanczos
+    iteration over ``g.neighbor_table()`` from a fixed start vector, with the
+    trivial eigenvectors projected out at every step, so its extreme Ritz
+    values approach the smallest and largest of the rest of the spectrum.
+    It stops once the residual bound beta * |s| of both is at most
+    ``tolerance``, s being the last entry of the Ritz vector in the
+    tridiagonal basis: each is then within ``tolerance`` of an eigenvalue of
+    the graph (Paige: this holds in floating point too, so the basis is not
+    reorthogonalised and no basis is stored). It raises ConvergenceError
+    when that does not happen within ``_LANCZOS_STEPS`` steps.
     """
     if tolerance <= 0:
         raise ArgumentError("tolerance must be positive")
@@ -357,28 +369,47 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     n = g.vertex_count
     bipartite = g.is_bipartite()
     table = g.neighbor_table()
-    a = sp.csr_matrix((np.ones(n * d), table.reshape(-1), np.arange(n + 1) * d),
-                      shape=(n, n))
-    if n <= 64:
-        vals = list(np.linalg.eigvalsh(a.toarray()))
-    else:
-        try:
-            vals = list(eigsh(a, k=min(3, n - 1), which="LM", tol=tolerance,
-                              return_eigenvectors=False))
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                "eigenvalue iteration did not converge",
-                converged=[float(v) for v in np.atleast_1d(exc.eigenvalues)],
-            ) from exc
-    slack = max(10 * tolerance, 1e-9) * max(d, 1)
-    vals.sort(key=abs, reverse=True)
-    trivial = [d] + ([-d] if bipartite else [])
-    for t in trivial:
-        for i, v in enumerate(vals):
-            if abs(v - t) <= slack:
-                vals.pop(i)
-                break
-    return float(max((abs(v) for v in vals), default=0.0))
+    if n <= _DENSE_EIGEN:
+        a = np.zeros((n, n))
+        a[np.arange(n).repeat(d), table.reshape(-1)] = 1.0
+        vals = list(np.linalg.eigvalsh(a))
+        slack = max(10 * tolerance, 1e-9) * max(d, 1)
+        vals.sort(key=abs, reverse=True)
+        for t in [d] + ([-d] if bipartite else []):
+            for i, v in enumerate(vals):
+                if abs(v - t) <= slack:
+                    vals.pop(i)
+                    break
+        return float(max((abs(v) for v in vals), default=0.0))
+
+    trivial = [np.full(n, 1 / math.sqrt(n))]
+    if bipartite:
+        side = np.array(g.bfs_distances(0)) % 2
+        trivial.append((1 - 2 * side) / math.sqrt(n))
+    columns = np.ascontiguousarray(table.T)
+    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    prev = np.zeros(n)
+    alpha: list[float] = []
+    beta: list[float] = []
+    ritz = np.zeros(0)
+    steps = min(_LANCZOS_STEPS, n - len(trivial))
+    for _ in range(steps):
+        for u in trivial:
+            v -= u * (u @ v)
+        v /= np.linalg.norm(v)
+        w = v.take(columns).sum(axis=0) - (beta[-1] * prev if beta else 0.0)
+        alpha.append(float(v @ w))
+        w -= alpha[-1] * v
+        beta.append(float(np.linalg.norm(w)))
+        ritz, s = np.linalg.eigh(
+            np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        if beta[-1] * max(abs(s[-1, 0]), abs(s[-1, -1])) <= tolerance:
+            return float(max(abs(ritz[0]), abs(ritz[-1])))
+        prev, v = v, w
+    raise ConvergenceError(
+        "eigenvalue iteration did not converge",
+        extreme_ritz_values=[float(ritz[0]), float(ritz[-1])] if len(ritz) else [],
+        steps=steps)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ The schedule may only constrain an index against indices at least one full
 block behind it, which is what makes the block-by-block construction sound.
 The builder is a deterministic depth-first search with backtracking; its
 output is always re-verified before being returned, never assumed correct.
+Each step tries the neighbours of the last vertex in order of how often the
+walk has used them so far, ties broken by a fixed integer mix of (vertex,
+position). So the walk spreads over the host, as the walk lemma of
+Alon-Capalbo needs, instead of circling a few vertices; walks that circle
+overflow the constraint schedules built from them.
 Builder and checker decide "within distance 4" through the host's shared
 radius-4 metric (``graphs.shared_power_neighborhoods``), the same one the
 product-graph oracle uses. The host memoises that metric and its connectivity,
@@ -31,6 +36,18 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ArgumentError, BudgetError, IntegrityError, WalkStuckError
 from .graphs import RADIUS, Graph, shared_power_neighborhoods
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(w: int, t: int) -> int:
+    """A fixed 64-bit mix of (vertex, position): the walk's tie-break among
+    equally used neighbours. Unlike ``hash`` it does not follow
+    PYTHONHASHSEED, so walks are the same in every process."""
+    x = (w * 0x9E3779B97F4A7C15 + t * 0xC2B2AE3D27D4EB4F) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 def step_for(ell: int) -> int:
@@ -199,7 +216,8 @@ def build_walk_map(
     def candidates(t: int):
         if t == 0:
             return iter(range(params.ell))
-        return iter(f_graph.neighbors(values[t - 1]))
+        return iter(sorted(f_graph.neighbors(values[t - 1]),
+                           key=lambda w: (usage.get(w, 0), _mix(w, t))))
 
     def admissible(t: int, w: int) -> bool:
         if usage.get(w, 0) >= cap:

@@ -173,6 +173,25 @@ def test_verify_accepts_params_without_desk_fields(capsys, c6_file, tmp_path, rm
     assert code == 0 and vdoc["ok"] and vdoc["pairs_checked"] == 15
 
 
+def test_verify_accepts_files_that_record_budget_escalation(capsys, c6_file, tmp_path, rm_desk):
+    # embeddings written when the desk default retried stuck walks at 4x and
+    # 16x record that scale, and their digest covers it
+    from induniv.embedder import embed
+
+    old_params = make_gamma_params(2, 6, "desk", {"retry_budget_scale": (1, 4, 16)})
+    assert old_params.digest() != make_gamma_params(2, 6, "desk").digest()
+    result = embed(cycle_graph(6), 2, old_params)
+    doc = {"params": {"delta": 2, "n": 6, **old_params.desk.to_json()},
+           "params_digest": old_params.digest(),
+           "gamma": [encode_label(v, old_params) for v in result.gamma]}
+    assert doc["params"]["retry_budget_scale"] == [1, 4, 16]
+    old = str(tmp_path / "old.json")
+    json.dump(doc, open(old, "w"))
+
+    code, vdoc = invoke(capsys, ["verify", "--embedding", old, "--input", c6_file])
+    assert code == 0 and vdoc["ok"] and vdoc["pairs_checked"] == 15
+
+
 def test_worker_params_keep_every_desk_field(rm_desk):
     cfg = DeskConfig(walk_budget=123_456, usage_cap_factor=30, sigma_cap=12,
                      conflict_gap=5, eigen_tolerance=2e-4,
@@ -181,19 +200,21 @@ def test_worker_params_keep_every_desk_field(rm_desk):
     assert _worker_params(2, 5, json.dumps(cfg.to_json())).desk == cfg
 
 
-def test_embed_failure_reports_its_retry_trail(capsys, tmp_path, rm_desk):
-    # C100 at delta 2 overflows an anchor schedule on the desk host
+def test_embed_failure_reports_its_retry_trail(capsys, tmp_path, monkeypatch, rm_desk):
+    # a walk budget too small for the 100-step anchor walk of C100 fails fast,
+    # in the one budget round the desk config asks for
     path = tmp_path / "c100.txt"
     dump_edge_list(cycle_graph(100), path)
+    monkeypatch.setenv("INDUNIV_WALK_BUDGET", "60")
     assert run(["embed", "--input", str(path), "--delta", "2"]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "EmbeddingFailureError"
-    assert err["trail"]
+    assert len(err["trail"]) == 1
     for entry in err["trail"]:
-        assert entry["budget"] > 0 and entry["params_digest"]
-    overflow = err["trail"][-1]["error"]
-    assert overflow["type"] == "ScheduleOverflowError"
-    assert overflow["size"] > overflow["cap"] and overflow["position"] >= 0
+        assert entry["budget"] == 60 and entry["params_digest"]
+    stuck = err["trail"][-1]["error"]
+    assert stuck["type"] == "WalkStuckError" and stuck["stage"] == "f1"
+    assert 0 <= stuck["position"] < 100 and stuck["budget"] == 60
 
 
 def test_python_dash_m_runs_the_cli():

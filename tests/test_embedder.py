@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,9 @@ from induniv.errors import (
     InfeasibleBuildError,
 )
 from induniv.gamma import GammaVertex, Profile, gamma_adjacent, make_gamma_params
-from induniv.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph
+from induniv.graphs import (
+    Graph, circulant_graph, complete_graph, cycle_graph, empty_graph, path_graph)
+from induniv.harness import random_bounded_graph
 from induniv.thin import layout_thin, thin_decompose
 
 
@@ -323,3 +326,51 @@ def test_oracle_agreement_names_the_disagreeing_pair(desk_params2):
         "oracle says pair (0, 3) adjacent=False"]
     with pytest.raises(ArgumentError):
         check_oracle_agreement(path_graph(5), result, desk_params2)
+
+
+# -- inputs past the desk sizes --------------------------------------------------
+
+
+def test_anchor_walk_spreads_over_the_expander():
+    # a walk that circles a few vertices of R_m overflows the schedules built from it
+    n = 200
+    params = make_gamma_params(2, n, "desk")
+    part = thin_decompose(cycle_graph(n), 2).parts[0]
+    f1 = build_f1(part, layout_thin(part, n), params)
+    assert len(set(f1)) >= n // 2
+
+
+def _random_two_regular(n: int, rng: random.Random) -> Graph:
+    """Disjoint cycles of random lengths, at least 3 each, on shuffled ids."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = []
+    start = 0
+    while start < n:
+        size = rng.randint(3, 60)
+        if n - start - size < 3:
+            size = n - start
+        cyc = ids[start:start + size]
+        edges += [(cyc[i], cyc[(i + 1) % size]) for i in range(size)]
+        start += size
+    return Graph(n, edges)
+
+
+# seconds each input may take; one embed takes 0.2-1.5 s on a 2-vCPU VM
+SCALE_BUDGET_S = 20.0
+
+
+@pytest.mark.parametrize("delta, h", [
+    (2, cycle_graph(400)),
+    (2, path_graph(400)),
+    (2, _random_two_regular(400, random.Random(3))),
+    (4, circulant_graph(128, (1, 2))),
+    (4, circulant_graph(128, (1, 7))),
+    (4, random_bounded_graph(random.Random(4), 128, 4)),
+], ids=["c400", "p400", "2reg400", "circ128-1-2", "circ128-1-7", "rand128-d4"])
+def test_spread_walks_embed_past_the_old_frontier(delta, h):
+    params = make_gamma_params(delta, h.vertex_count, "desk")
+    start = time.perf_counter()
+    result = embed(h, delta, params)
+    assert result.certificate.ok and verify_induced(h, result, params).ok
+    assert time.perf_counter() - start < SCALE_BUDGET_S

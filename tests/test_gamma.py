@@ -68,7 +68,7 @@ def test_rows_match_bfs_oracle(rm_desk):
     for v in picks:
         dist = oracle_distances(rm_desk, v)
         row = pw.row(v)
-        assert row.dtype == np.int64
+        assert row.dtype == np.uint16  # ids below 2**16 are held in two bytes
         assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
         assert batched._cache[v].tobytes() == row.tobytes()
 
@@ -145,7 +145,7 @@ def test_batched_fills_match_bfs_oracle(rm_desk):
     for v in set(xs):
         dist = oracle_distances(rm_desk, v)
         row = pw._cache[v]
-        assert row.dtype == np.int64
+        assert row.typecode == "H"
         assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
     circ = circulant_graph(70, [1, 5])
     small = PowerNeighborhoods(circ, 2)
@@ -154,6 +154,24 @@ def test_batched_fills_match_bfs_oracle(rm_desk):
     for v in range(70):
         dist = oracle_distances(circ, v)
         assert small.row(v).tolist() == sorted(w for w, d in dist.items() if 0 < d <= 2)
+
+
+def test_rows_past_two_byte_ids_match_bfs_oracle():
+    # ids above 65,535 do not fit two bytes, so rows take four
+    n = 70_000
+    circ = circulant_graph(n, [1, 5])
+    pw = PowerNeighborhoods(circ, 4)
+    xs = [65_535, 65_536, 65_540, 65_531, 65_556, 0, n - 1, n - 20, 40_000, 40_000, 40_021]
+    assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
+    assert sorted(pw._cache) == sorted(set(xs))
+    for v in set(xs):
+        expected = sorted(w for w, d in oracle_distances(circ, v).items() if 0 < d <= 4)
+        assert pw._cache[v].typecode == "i"
+        assert pw.row(v).tolist() == expected
+        assert [pw.rank(v, w) for w in expected] == list(range(len(expected)))
+        assert all(pw.contains(v, w) for w in expected)
+        assert not pw.contains(v, (v + 21) % n) and pw.rank(v, (v + 21) % n) is None
+        assert not pw.contains(v, v)
 
 
 def test_close_pairs_span_several_chunks(rm_desk):

@@ -1,10 +1,12 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from induniv import lps
-from induniv.errors import ArgumentError, ConstructionIntegrityError, ExhaustedSearchError
+from induniv.errors import (
+    ArgumentError, ConstructionIntegrityError, ConvergenceError, ExhaustedSearchError)
 from induniv.graphs import Graph, circulant_graph, complete_graph, cycle_graph, disjoint_union
 from induniv.lps import (
     LpsParams,
@@ -140,6 +142,63 @@ def test_second_eigenvalue_c6():
 def test_second_eigenvalue_matches_dense_oracle_midsize():
     g = circulant_graph(120, (1, 3, 9))
     assert second_eigenvalue(g) == pytest.approx(oracle_second_eigenvalue(g), abs=1e-5)
+
+
+def _arpack_second_eigenvalue(g):
+    """ARPACK's three largest-magnitude eigenvalues with the trivial ones
+    dropped: a reference independent of the Lanczos in the package."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+
+    n, d = g.vertex_count, g.degree(0)
+    a = csr_matrix((np.ones(n * d), g.neighbor_table().reshape(-1), np.arange(n + 1) * d),
+                   shape=(n, n))
+    vals = sorted(eigsh(a, k=3, which="LM", tol=1e-12, return_eigenvectors=False),
+                  key=abs, reverse=True)
+    for t in [d] + ([-d] if g.is_bipartite() else []):
+        vals.pop(min(range(len(vals)), key=lambda i: abs(vals[i] - t)))
+    return max(abs(v) for v in vals)
+
+
+def _hypercube(k):
+    n = 1 << k
+    return Graph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(k) if v < v ^ (1 << i)])
+
+
+@pytest.mark.parametrize("p, q", [(5, 29), (13, 17)])
+def test_second_eigenvalue_matches_arpack_on_lps_graphs(p, q):
+    g = cached_lps_graph(p, q)
+    lam = second_eigenvalue(g)
+    assert lam == pytest.approx(_arpack_second_eigenvalue(g), abs=1e-8)
+    assert lam < 2 * math.sqrt(p)
+    if g.vertex_count < 3000:
+        assert lam == pytest.approx(oracle_second_eigenvalue(g), abs=1e-8)
+
+
+def test_second_eigenvalue_drops_both_trivial_eigenvalues_of_a_bipartite_graph():
+    cube = _hypercube(7)
+    for g in (cube, cycle_graph(130)):
+        assert g.is_bipartite() and g.vertex_count > 64
+        lam = second_eigenvalue(g)
+        assert lam == pytest.approx(oracle_second_eigenvalue(g), abs=1e-8)
+        assert lam == pytest.approx(_arpack_second_eigenvalue(g), abs=1e-8)
+    # the 7-cube has spectrum 7 - 2k; +-7 are trivial, so the answer is 5
+    assert second_eigenvalue(cube) == pytest.approx(5.0, abs=1e-9)
+
+
+def test_second_eigenvalue_is_deterministic():
+    g = cached_lps_graph(5, 29)
+    first = second_eigenvalue(g)
+    assert second_eigenvalue(g) == first
+    assert second_eigenvalue(build_lps_graph(5, 29)) == first
+
+
+def test_second_eigenvalue_reports_non_convergence():
+    # the Krylov space of C101 is complete after 100 steps, and no residual
+    # reaches 1e-300
+    with pytest.raises(ConvergenceError) as err:
+        second_eigenvalue(cycle_graph(101), tolerance=1e-300)
+    assert err.value.payload["steps"] == 100
 
 
 def test_second_eigenvalue_rejects_bad_input():

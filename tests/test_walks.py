@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import induniv
 from induniv.errors import ArgumentError, WalkStuckError
 from induniv.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from induniv.harness import inject_walk_fault, random_walk_instance
@@ -240,10 +245,11 @@ def test_extra_avoid_constraints_hold():
         g, ConstraintSchedule.empty(20), wp, extra_avoid={9: {0}, 15: {9}})
     assert g.distance(wm.values[9], wm.values[0]) >= 5
     assert g.distance(wm.values[15], wm.values[9]) >= 5
-    # a 6-cycle with a tail: unconstrained, the walk circles back within
-    # distance 3 of vertex 0 at index 9; the constraint sends it down the tail
-    lolli = Graph(40, [(i, (i + 1) % 6) for i in range(6)]
-                  + [(i, i + 1) for i in range(5, 39)])
+    # an 8-cycle with a tail at vertex 4: unconstrained, the walk goes round
+    # the cycle and sits next to vertex 0 at index 9; the constraint sends it
+    # down the tail
+    lolli = Graph(40, [(i, (i + 1) % 8) for i in range(8)] + [(4, 8)]
+                  + [(i, i + 1) for i in range(8, 39)])
     free = build_walk_map(lolli, ConstraintSchedule.empty(20), _params_for(lolli, 20))
     assert lolli.distance(free.values[9], free.values[0]) < 5
     wm = build_walk_map(lolli, ConstraintSchedule.empty(20), _params_for(lolli, 20),
@@ -347,3 +353,19 @@ def test_pinned_start_avoidance_on_desk_expander(rm_desk):
     v0 = wm.values[0]
     for t in range(2 * q, n):
         assert rm_desk.distance(wm.values[t], v0) >= 5
+
+
+def test_walk_order_does_not_follow_the_hash_seed():
+    # the tie-break is a fixed integer mix, so every process builds one walk
+    script = (
+        "from induniv.graphs import circulant_graph\n"
+        "from induniv.walks import ConstraintSchedule, WalkParams, build_walk_map\n"
+        "g = circulant_graph(500, [1, 7, 50])\n"
+        "wm = build_walk_map(g, ConstraintSchedule.empty(60), WalkParams.for_graph(g, 60))\n"
+        "print(list(wm.values))\n")
+    src = str(Path(induniv.__file__).parents[1])
+    walks = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                 PYTHONHASHSEED=seed)).stdout
+             for seed in ("1", "2", "random")}
+    assert len(walks) == 1 and walks.pop().startswith("[")
