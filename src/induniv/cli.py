@@ -23,7 +23,7 @@ from .gamma import (
     make_gamma_params,
 )
 from .graphs import Graph, dump_edge_list, format_edge_list, load_edge_list
-from .harness import FamilySpec, size_report, universality_sweep
+from .harness import FamilySpec, size_report, sweep_step, universality_sweep
 from .embedder import EmbedCertificate, EmbeddingResult, embed, verify_induced
 from .lps import LpsParams, build_lps_graph, certify_expander
 from .thin import DecomposeStrategy, layout_thin, thin_decompose
@@ -251,34 +251,17 @@ def _parallel_sweep(spec, params, args):
 
     from .harness import SweepReport, enumerate_family
 
-    graphs = [(i, sorted(g.edges()), g.vertex_count) for i, g in
-              enumerate(enumerate_family(spec))]
     desk = params.desk.to_json()
-    jobs = [(idx, edges, nv, params.delta, params.n, desk)
-            for idx, edges, nv in graphs]
-    report = SweepReport(total=len(graphs), embedded=0)
+    jobs = [(idx, sorted(g.edges()), g.vertex_count, params.delta, params.n, desk)
+            for idx, g in enumerate(enumerate_family(spec))]
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for ok, failure in pool.map(_sweep_worker, jobs, chunksize=8):
-            if ok:
-                report.embedded += 1
-            else:
-                report.failures.append(failure)
-    return report
+        return SweepReport.of(list(pool.map(_sweep_worker, jobs, chunksize=8)))
 
 
 def _sweep_worker(job):
     idx, edges, nv, delta, n, desk = job
-    try:
-        params = _worker_params(delta, n, json.dumps(desk, sort_keys=True))
-        h = Graph(nv, edges)
-        result = embed(h, delta, params)
-        rep = verify_induced(h, result, params)
-        if rep.ok and result.certificate.ok:
-            return True, None
-        return False, {"index": idx, "edges": edges,
-                       "violations": list(rep.violations)}
-    except ArtifactError as exc:
-        return False, {"index": idx, "edges": edges, "error": exc.to_json()}
+    params = _worker_params(delta, n, json.dumps(desk, sort_keys=True))
+    return sweep_step(idx, Graph(nv, edges), params)
 
 
 _WORKER_PARAMS = {}

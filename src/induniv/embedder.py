@@ -16,11 +16,14 @@ Remaining conflict pairs are neutralized by a shield map into the small
 expander, built with the conflict pairs as separation constraints. The
 assembled embedding is certified: every property is re-verified from its
 definition, and the final induced check decides oracle adjacency for every
-vertex pair and compares it with the input. The pair checks read closeness
-from batched close-pair sets (``PowerNeighborhoods.close_pairs``) instead of
-visiting all pairs; the certificate also asks the public label oracle about
-every pair, so the batched verdict and the oracle are held to agree. Nothing
-is accepted on the strength of the construction alone.
+vertex pair and compares it with the input. The adjacency rule itself is
+decided only in ``gamma``: the induced check compares the oracle's batched
+form (``gamma.adjacent_pairs``, built from close-pair sets instead of
+visiting all pairs) with the input, and the edge-witness check asks the
+rule's block test (``gamma.block_link``) about each edge at its two parts.
+The certificate also asks the scalar public label oracle about every pair,
+so the batched verdict and the oracle are held to agree. Nothing is accepted
+on the strength of the construction alone.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ from .gamma import (
     GammaParams,
     GammaVertex,
     Profile,
+    _member,
+    adjacent_pairs,
+    block_link,
     encode_label,
     gamma_adjacent_witness,
-    validate_vertex,
 )
 from .graphs import Graph
 from .thin import (
@@ -390,42 +395,15 @@ def verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams) -> In
     """Exact check of every pair: oracle adjacency iff input adjacency.
 
     Every violating pair is reported with its direction and, for spurious
-    edges, the witnessing coordinate pair.
-
-    The oracle calls a and b adjacent iff for some j < i their x-pairs are
-    close at j and at i, each x_i lists the other's rank in its subset, and
-    the u-pair at i is close. ``close_pairs`` returns every pair close at a
-    coordinate, with both ranks, from the same rows that ``contains`` and
-    ``rank`` read. So a pair close at i and at some j < i is decided by the
-    mask and shield tests with the smallest such j and i, which is the
-    oracle's witness, and every other pair is non-adjacent by definition.
-    Nothing is sampled: all n(n-1)/2 pairs are decided and compared with h.
+    edges, the witnessing coordinate pair. The adjacent pairs come from
+    ``adjacent_pairs``, the batched form of the public oracle. Nothing is
+    sampled: all n(n-1)/2 pairs are decided and compared with h.
     """
     n = h.vertex_count
     gamma = result.gamma
     if len(gamma) != n:
         raise ArgumentError(f"embedding has {len(gamma)} labels for {n} vertices")
-    for v in gamma:
-        validate_vertex(v, params)
-    rz_pow = params.rz_pow
-    adjacent: dict[tuple[int, int], tuple[int, int]] = {}
-    earlier: list[np.ndarray] = []  # close keys of coordinates 1..i-1
-    for i in range(1, params.delta + 1):
-        keys, rank_ab, rank_ba = _close_ranked(params.rm_pow, [v.x(i) for v in gamma], n)
-        first = np.zeros(len(keys), dtype=np.int64)  # smallest earlier close j, or 0
-        for j in range(i - 1, 0, -1):
-            first[_member(earlier[j - 1], keys)] = j
-        cand = np.flatnonzero(first)
-        for key, ra, rb, j in zip(keys[cand].tolist(), rank_ab[cand].tolist(),
-                                  rank_ba[cand].tolist(), first[cand].tolist()):
-            pa, pb = divmod(key, n)
-            if (pa, pb) in adjacent:
-                continue
-            _, mask_a, ua = gamma[pa].blocks[i - 2]
-            _, mask_b, ub = gamma[pb].blocks[i - 2]
-            if (mask_a >> ra) & 1 and (mask_b >> rb) & 1 and rz_pow.contains(ua, ub):
-                adjacent[(pa, pb)] = (j, i)
-        earlier.append(keys)
+    adjacent = adjacent_pairs(gamma, params)
     violations = []
     for pair in sorted(set(adjacent).symmetric_difference(h.edges())):
         got = pair in adjacent
@@ -441,36 +419,28 @@ def verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams) -> In
 def check_edge_witnesses(
     h: Graph, result: EmbeddingResult, params: GammaParams
 ) -> list[str]:
-    """Each input edge must be witnessed by the two parts that contain it:
-    both coordinate pairs close, mutual subset membership and a close shield
-    pair at the larger part index."""
+    """Each input edge must be witnessed by the two parts j < i that contain
+    it: both x-pairs close at j and at i, and block i linking the pair
+    (``block_link``). That is the oracle's rule at (j, i), so an edge that
+    passes is one the oracle calls adjacent."""
     if result.homs is None:
         raise ArgumentError(
             "the edge-witness check needs the decomposition, and a result "
             "rebuilt from labels has none")
     out = []
-    dec = result.homs.decomposition
     gamma = result.gamma
     rm_pow = params.rm_pow
-    for (u, v), (pi, pj) in sorted(dec.multiplicity.items()):
-        got, _ = gamma_adjacent_witness(gamma[u], gamma[v], params)
-        if not got:
-            out.append(f"edge ({u}, {v}) not realized by the oracle")
-            continue
-        j, i = sorted((pi + 1, pj + 1))
+    for (u, v), parts in sorted(result.homs.decomposition.multiplicity.items()):
+        j, i = sorted(p + 1 for p in parts)
         gu, gv = gamma[u], gamma[v]
-        if not (rm_pow.contains(gu.x(j), gv.x(j))
-                and rm_pow.contains(gu.x(i), gv.x(i))):
+        ruv = rm_pow.rank(gu.x(i), gv.x(i))
+        rvu = rm_pow.rank(gv.x(i), gu.x(i))
+        if ruv is None or not rm_pow.contains(gu.x(j), gv.x(j)):
             out.append(f"edge ({u}, {v}): coordinates not close at its parts ({j}, {i})")
             continue
-        xu, mask_u, su = gu.blocks[i - 2]
-        xv, mask_v, sv = gv.blocks[i - 2]
-        ruv = rm_pow.rank(xu, xv)
-        rvu = rm_pow.rank(xv, xu)
-        if ruv is None or rvu is None or not ((mask_u >> ruv) & 1 and (mask_v >> rvu) & 1):
-            out.append(f"edge ({u}, {v}): subset membership missing at part {i}")
-        elif not params.rz_pow.contains(su, sv):
-            out.append(f"edge ({u}, {v}): shield pair not close at part {i}")
+        reason = block_link(gu, gv, i, ruv, rvu, params)
+        if reason is not None:
+            out.append(f"edge ({u}, {v}): {reason} at part {i}")
     return out
 
 
@@ -687,24 +657,6 @@ def _check_window_distinct(
     return [f"vertices {a}, {b} sit within {LOCAL_WINDOW} layout slots "
             f"but share image {assignment[a]}" for a, b in _collisions(assignment)
             if abs(phi[a] - phi[b]) <= LOCAL_WINDOW]
-
-
-def _close_ranked(rm_pow, xs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted keys a * n + b of the pairs a < b whose images are close, with
-    the rank of b's image seen from a's and of a's seen from b's. The ordered
-    pairs are dropped on return, so one coordinate's are held at a time."""
-    a, b, r = rm_pow.close_pairs(xs)
-    keys = a * n + b
-    fwd = a < b
-    return keys[fwd], r[fwd], r[keys.searchsorted(b[fwd] * n + a[fwd])]
-
-
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mask of the keys that occur in sorted_keys."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    at = sorted_keys.searchsorted(keys)
-    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
 def _pair_keys(pairs, n: int) -> np.ndarray:

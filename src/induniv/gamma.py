@@ -9,9 +9,13 @@ close in R_m (within distance 4), mutually listed neighbor ranks at i, and
 close u-coordinates in R_z. Closeness and ranks both come from the one
 radius-4 metric, ``graphs.PowerNeighborhoods`` (re-exported here with
 ``shared_power_neighborhoods``): the rank of y seen from x is y's position in
-x's sorted distance-<=4 neighborhood. The graph itself is never
-materialized: with paper-scale constants even one subset coordinate is
-astronomically wide, so everything is served by (params, oracle, codec).
+x's sorted distance-<=4 neighborhood. The rule's test at one block,
+``block_link``, is written once; the scalar oracle
+``gamma_adjacent_witness`` answers one pair with it, and ``adjacent_pairs``
+answers all pairs of a vertex list at once from per-coordinate close pairs,
+with the same witnesses. The graph itself is never materialized: with
+paper-scale constants even one subset coordinate is astronomically wide, so
+everything is served by (params, oracle, codec).
 
 Two profiles: PAPER keeps the literal constants (d = 734 and friends) and is
 formula-only, refusing to build graphs; DESK builds real certified expanders
@@ -27,6 +31,9 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     ArgumentError,
@@ -362,13 +369,13 @@ def gamma_adjacent_witness(
     """Adjacency plus the witnessing coordinate pair (j, i), j < i.
 
     Adjacent iff for some j < i: both x-pairs at j and i are within distance
-    4 in R_m, the rank of b's x_i among a's power neighbors lies in a's
-    subset (and symmetrically), and the u-pair at i is within distance 4 in
-    R_z. Index j only needs its x-pair close.
+    4 in R_m and block i links the pair (``block_link``). Index j only needs
+    its x-pair close; the witness takes the smallest such i and the smallest
+    close j.
     """
     validate_vertex(a, params)
     validate_vertex(b, params)
-    rm_pow, rz_pow = params.rm_pow, params.rz_pow
+    rm_pow = params.rm_pow
     first_close = None
     for i in range(1, params.delta + 1):
         if first_close is None and i == params.delta:
@@ -378,19 +385,76 @@ def gamma_adjacent_witness(
         if first_close is None:
             first_close = i
             continue
-        xa, mask_a, ua = a.blocks[i - 2]
-        xb, mask_b, ub = b.blocks[i - 2]
-        ra = rm_pow.rank(xa, xb)
-        rb = rm_pow.rank(xb, xa)
-        if (
-            ra is not None
-            and rb is not None
-            and (mask_a >> ra) & 1
-            and (mask_b >> rb) & 1
-            and rz_pow.contains(ua, ub)
-        ):
+        xa, xb = a.x(i), b.x(i)
+        if block_link(a, b, i, rm_pow.rank(xa, xb), rm_pow.rank(xb, xa), params) is None:
             return True, (first_close, i)
     return False, None
+
+
+def block_link(
+    a: GammaVertex, b: GammaVertex, i: int, ra: int | None, rb: int | None,
+    params: GammaParams,
+) -> str | None:
+    """None if block i links a and b, else why it does not.
+
+    ``ra`` is the rank of b's x_i among a's power neighbors and ``rb`` the
+    rank of a's x_i among b's (None when absent). Block i links the pair iff
+    each rank lies in its owner's subset and the u-pair at i is within
+    distance 4 in R_z.
+    """
+    _, mask_a, ua = a.blocks[i - 2]
+    _, mask_b, ub = b.blocks[i - 2]
+    if ra is None or rb is None or not ((mask_a >> ra) & 1 and (mask_b >> rb) & 1):
+        return "subset membership missing"
+    if not params.rz_pow.contains(ua, ub):
+        return "shield pair not close"
+    return None
+
+
+def adjacent_pairs(
+    vertices: Sequence[GammaVertex], params: GammaParams
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Every adjacent pair of positions a < b, with the witness (j, i) that
+    ``gamma_adjacent_witness`` gives it, without visiting all pairs.
+
+    ``close_pairs`` returns every pair close at a coordinate, with both
+    ranks, from the same rows that ``contains`` and ``rank`` read. So a pair
+    close at i and at some j < i is decided by ``block_link`` with the
+    smallest such j and i, which is the oracle's witness, and every other
+    pair is non-adjacent by definition. Every vertex is validated first.
+    """
+    for v in vertices:
+        validate_vertex(v, params)
+    n = len(vertices)
+    adjacent: dict[tuple[int, int], tuple[int, int]] = {}
+    earlier: list[np.ndarray] = []  # close keys a * n + b, a < b, of coordinates 1..i-1
+    for i in range(1, params.delta + 1):
+        a, b, r = params.rm_pow.close_pairs([v.x(i) for v in vertices])
+        keys = a * n + b
+        fwd = a < b
+        # the rank seen from b sits at the key of the reversed pair
+        keys, rank_ab, rank_ba = keys[fwd], r[fwd], r[keys.searchsorted(b[fwd] * n + a[fwd])]
+        del a, b, r, fwd  # hold one coordinate's ordered pairs at a time
+        first = np.zeros(len(keys), dtype=np.int64)  # smallest earlier close j, or 0
+        for j in range(i - 1, 0, -1):
+            first[_member(earlier[j - 1], keys)] = j
+        cand = np.flatnonzero(first)
+        for key, ra, rb, j in zip(keys[cand].tolist(), rank_ab[cand].tolist(),
+                                  rank_ba[cand].tolist(), first[cand].tolist()):
+            pair = divmod(key, n)
+            if pair not in adjacent and block_link(
+                    vertices[pair[0]], vertices[pair[1]], i, ra, rb, params) is None:
+                adjacent[pair] = (j, i)
+        earlier.append(keys)
+    return adjacent
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that occur in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = sorted_keys.searchsorted(keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
 # -- counting ------------------------------------------------------------------

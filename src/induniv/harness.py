@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .errors import ArgumentError, ArtifactError, BudgetError
@@ -180,56 +180,46 @@ class SweepReport:
             "ok": self.ok,
         }
 
-
-_SWEEP_CACHE: dict[tuple, SweepReport] = {}
+    @classmethod
+    def of(cls, outcomes: list[dict | None]) -> "SweepReport":
+        """The report on the per-graph outcomes of ``sweep_step``."""
+        failures = [f for f in outcomes if f is not None]
+        return cls(total=len(outcomes), embedded=len(outcomes) - len(failures),
+                   failures=failures)
 
 
 def universality_sweep(
     spec: FamilySpec,
     params: GammaParams,
     policy: RetryPolicy | None = None,
-    use_cache: bool = True,
 ) -> SweepReport:
     """Embed every family member; success means a clean induced re-check.
 
-    Failures are data, not exceptions. Results are cached per
-    (spec, parameter digest) because re-embedding a family is what dominates.
+    Failures are data, not exceptions.
     """
     if params.profile != Profile.DESK:
         raise ArgumentError("universality sweeps need desk parameters")
     if spec.delta > params.delta:
         raise ArgumentError(
             f"family delta {spec.delta} exceeds parameter delta {params.delta}")
-    key = (spec, params.digest())
-    if use_cache and key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[key]
+    return SweepReport.of([sweep_step(idx, h, params, policy)
+                           for idx, h in enumerate(enumerate_family(spec))])
 
-    total = 0
-    embedded = 0
-    failures: list[dict] = []
-    for idx, h in enumerate(enumerate_family(spec)):
-        total += 1
-        try:
-            result = embed(h, params.delta, params, retry=policy)
-            induced = verify_induced(h, result, params)
-            if induced.ok and result.certificate.ok:
-                embedded += 1
-            else:
-                failures.append({
-                    "index": idx,
-                    "edges": sorted(h.edges()),
-                    "violations": list(induced.violations),
-                })
-        except ArtifactError as exc:
-            failures.append({
-                "index": idx,
-                "edges": sorted(h.edges()),
-                "error": exc.to_json(),
-            })
-    report = SweepReport(total=total, embedded=embedded, failures=failures)
-    if use_cache:
-        _SWEEP_CACHE[key] = report
-    return report
+
+def sweep_step(
+    idx: int, h: Graph, params: GammaParams, policy: RetryPolicy | None = None
+) -> dict | None:
+    """Embed one family member and re-check it: None when it embeds with a
+    clean certificate and induced check, else the failure record."""
+    edges = sorted(h.edges())
+    try:
+        result = embed(h, params.delta, params, retry=policy)
+        induced = verify_induced(h, result, params)
+    except ArtifactError as exc:
+        return {"index": idx, "edges": edges, "error": exc.to_json()}
+    if induced.ok and result.certificate.ok:
+        return None
+    return {"index": idx, "edges": edges, "violations": list(induced.violations)}
 
 
 # -- property fuzzing -------------------------------------------------------------
@@ -527,11 +517,8 @@ def _fuzz_embedder(rng: random.Random, rounds: int, params: GammaParams) -> Fuzz
         x, mask, uu = blocks[bi]
         blocks[bi] = (x, mask & ~(1 << r), uu)
         mutated[u] = GammaVertex(x1=mutated[u].x1, blocks=tuple(blocks))
-        tampered_ok = all(
-            gamma_adjacent(mutated[a], mutated[b], params) == h.has_edge(a, b)
-            for a in range(n) for b in range(a + 1, n)
-        )
-        if not tampered_ok:
+        tampered = replace(result, gamma=tuple(mutated))
+        if not verify_induced(h, tampered, params).ok:
             report.detected += 1
     return report
 

@@ -409,6 +409,28 @@ def oracle_gamma_adjacent_witness(a, b, params: GammaParams):
     return False, None
 
 
+def oracle_edge_witnesses(h: Graph, result: EmbeddingResult, params: GammaParams) -> list[str]:
+    """The edge-witness check read off its definition: at the parts j < i
+    that contain an input edge, both x-pairs are close, each x_i's rank in
+    the other's power row lies in its owner's subset, and the shield pair at
+    i is close. The first test that fails names the edge."""
+    rm_pow, rz_pow = params.rm_pow, params.rz_pow
+    gamma = result.gamma
+    out = []
+    for (u, v), parts in sorted(result.homs.decomposition.multiplicity.items()):
+        j, i = sorted(p + 1 for p in parts)
+        a, b = gamma[u], gamma[v]
+        if not all(rm_pow.contains(a.x(k), b.x(k)) for k in (j, i)):
+            out.append(f"edge ({u}, {v}): coordinates not close at its parts ({j}, {i})")
+            continue
+        (xa, mask_a, ua), (xb, mask_b, ub) = a.blocks[i - 2], b.blocks[i - 2]
+        if not ((mask_a >> rm_pow.rank(xa, xb)) & 1 and (mask_b >> rm_pow.rank(xb, xa)) & 1):
+            out.append(f"edge ({u}, {v}): subset membership missing at part {i}")
+        elif not rz_pow.contains(ua, ub):
+            out.append(f"edge ({u}, {v}): shield pair not close at part {i}")
+    return out
+
+
 def oracle_anchor_distinct(
     anchor: tuple[int, ...], assignment: tuple[int, ...]
 ) -> list[str]:

@@ -158,7 +158,7 @@ def test_criterion_6_universality_sweep(desk_params3):
     total = embedded = 0
     failures = []
     for n in range(1, 8):
-        report = universality_sweep(FamilySpec(n, 3), desk_params3, use_cache=False)
+        report = universality_sweep(FamilySpec(n, 3), desk_params3)
         total += report.total
         embedded += report.embedded
         failures.extend(report.failures)

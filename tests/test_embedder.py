@@ -309,8 +309,8 @@ def test_embed_asks_the_oracle_about_every_pair(monkeypatch, desk_params2):
     result = embed(c6, 2, desk_params2)
     oracle = [r for r in result.certificate.records if r.stage == "oracle"]
     assert len(oracle) == 1 and oracle[0].ok
-    # one call per pair, and one more per edge from the witness check
-    assert len(calls) == 6 * 5 // 2 + 6
+    # one call per pair; the witness check reads the rule's block test instead
+    assert len(calls) == 6 * 5 // 2
 
 
 def test_oracle_agreement_names_the_disagreeing_pair(desk_params2):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from induniv.errors import ArgumentError, BudgetError
@@ -90,10 +92,26 @@ def test_sweep_rejects_oversized_delta(desk_params2):
         universality_sweep(FamilySpec(4, 3), desk_params2)
 
 
-def test_sweep_cache_hits(desk_params2):
-    a = universality_sweep(FamilySpec(3, 2), desk_params2)
-    b = universality_sweep(FamilySpec(3, 2), desk_params2)
-    assert a is b
+def test_relabelled_host_gets_its_own_sweep(monkeypatch, desk_params2, rm_desk):
+    # a relabelled copy of the shield expander leaves the parameter digest
+    # unchanged, so only embedding with it can show that it was swept
+    from induniv import harness
+    from induniv.gamma import make_gamma_params
+
+    perm = list(range(rm_desk.vertex_count))
+    random.Random(5).shuffle(perm)
+    relabelled = Graph(rm_desk.vertex_count, [(perm[u], perm[v]) for u, v in rm_desk.edges()])
+    other = make_gamma_params(2, 30, "desk", rz_graph=relabelled)
+    assert other.digest() == desk_params2.digest()
+    hosts = []
+    embed = harness.embed
+    monkeypatch.setattr(harness, "embed", lambda h, delta, params, **kw:
+                        hosts.append(params.r_z) or embed(h, delta, params, **kw))
+    spec = FamilySpec(3, 2)
+    assert universality_sweep(spec, desk_params2).ok
+    assert universality_sweep(spec, other).ok
+    count = count_family(spec)
+    assert [g is relabelled for g in hosts] == [False] * count + [True] * count
 
 
 def test_sweep_monotone_under_larger_shield_block(desk_params2):

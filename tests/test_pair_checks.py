@@ -7,6 +7,7 @@ schedule overflow.
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from induniv.embedder import (
     EmbeddingResult,
     _check_anchor_distinct,
     _check_window_distinct,
+    check_edge_witnesses,
     compute_bad_sets,
     compute_sigma_i,
     embed,
@@ -29,6 +31,7 @@ from induniv.thin import PathPowerLayout
 from oracles import (
     oracle_anchor_distinct,
     oracle_bad_sets,
+    oracle_edge_witnesses,
     oracle_sigma_i,
     oracle_verify_induced,
     oracle_window_distinct,
@@ -76,6 +79,7 @@ def test_every_small_graph_checks_like_the_reference(delta, desk_params2, desk_p
         for h in enumerate_family(FamilySpec(n, delta)):
             result = embed(h, delta, params)
             assert verify_induced(h, result, params) == oracle_verify_induced(h, result, params)
+            assert check_edge_witnesses(h, result, params) == oracle_edge_witnesses(h, result, params)
             homs = result.homs
             _assert_checks_agree(h, list(homs.coord), homs.layouts, params)
             count += 1
@@ -151,8 +155,10 @@ def test_fuzzed_labels_verify_like_the_reference(desk_params2, desk_params3):
     rng = random.Random(77)
     witnesses = set()
     missing = 0
+    desk_params4 = make_gamma_params(4, 30, "desk")
     for params, n, balls in ((desk_params3, 40, 2), (desk_params2, 90, 2),
-                             (desk_params3, 150, 2), (desk_params3, 60, 1)):
+                             (desk_params3, 150, 2), (desk_params3, 60, 1),
+                             (desk_params4, 120, 1)):
         gamma = _fuzzed_gamma(rng, params, n, balls)
         h = _random_graph(rng, n, n)
         report = verify_induced(h, _rebuilt(gamma), params)
@@ -160,8 +166,9 @@ def test_fuzzed_labels_verify_like_the_reference(desk_params2, desk_params3):
         assert report.pairs_checked == n * (n - 1) // 2
         witnesses |= {tuple(v["witness"]) for v in report.violations if v["got"]}
         missing += sum(v["expected"] for v in report.violations)
-    # spurious edges first witnessed at coordinate 2 and at coordinate 3
-    assert {(1, 2), (2, 3)} <= witnesses and missing
+    # spurious edges first witnessed at coordinate 2, 3 and 4, after
+    # coordinates 1 and 2
+    assert {(1, 2), (2, 3), (1, 3), (2, 4)} <= witnesses and missing
 
 
 @pytest.mark.parametrize("bad", [
@@ -245,6 +252,47 @@ def test_tampered_embeddings_verify_like_the_reference(desk_params3):
         report = verify_induced(h, tampered, params)
         assert report == oracle_verify_induced(h, tampered, params)
         assert not report.ok or k >= len(breaking), k
+
+
+def test_tampered_edge_witnesses_check_like_the_reference(desk_params3):
+    # the decomposition is kept, so each edge is checked at its own parts
+    params = desk_params3
+    h = Graph(14, [(i, (i + 1) % 12) for i in range(12)] + [(0, 12), (6, 13), (3, 9)])
+    result = embed(h, 3, params)
+    rm, rz = params.rm_pow, params.rz_pow
+    gamma = result.gamma
+
+    def far(pw, size, others):
+        return next(z for z in range(size) if z not in others
+                    and not any(pw.contains(z, o) for o in others))
+
+    def tampered(v, x1=None, block=lambda k, blk: blk):
+        out = list(gamma)
+        out[v] = GammaVertex(gamma[v].x1 if x1 is None else x1,
+                             tuple(block(k, blk) for k, blk in enumerate(gamma[v].blocks)))
+        return replace(result, gamma=tuple(out))
+
+    def nbr_x(v, i):
+        return [gamma[w].x(i) for w in h.neighbors(v)]
+
+    def nbr_u(v, k):
+        return [gamma[w].blocks[k][2] for w in h.neighbors(v)]
+
+    cases = []
+    for v in (0, 3, 6):
+        cases.append(tampered(v, block=lambda k, blk: (blk[0], 0, blk[2])))
+        cases.append(tampered(v, block=lambda k, blk: (
+            blk[0], blk[1], far(rz, params.ell_z, nbr_u(v, k)))))
+        cases.append(tampered(v, x1=far(rm, params.ell_m, nbr_x(v, 1)), block=lambda k, blk: (
+            far(rm, params.ell_m, nbr_x(v, k + 2)), blk[1], blk[2])))
+    messages = []
+    for case in cases:
+        got = check_edge_witnesses(h, case, params)
+        assert got == oracle_edge_witnesses(h, case, params)
+        assert verify_induced(h, case, params) == oracle_verify_induced(h, case, params)
+        messages += got
+    for kind in ("coordinates not close", "subset membership missing", "shield pair not close"):
+        assert any(kind in m for m in messages), kind
 
 
 def test_verify_makes_no_per_pair_oracle_calls(monkeypatch):
