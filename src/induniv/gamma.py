@@ -28,9 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from binascii import a2b_hex
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -122,11 +123,14 @@ class GammaParams:
     desk: DeskConfig | None
     certificates: dict[str, ExpanderCertificate] = field(default_factory=dict)
 
+    # Widths and the label layout are computed on first use and then held;
+    # the codec and the oracle read them on every call.
+
     @property
     def subset_universe(self) -> int:
         return 4 * self.d**4
 
-    @property
+    @cached_property
     def subset_bits(self) -> int:
         # the universe {0, ..., 4d^4} has 4d^4 + 1 members
         return self.subset_universe + 1
@@ -139,17 +143,21 @@ class GammaParams:
     def q_z(self) -> int:
         return step_for(self.ell_z)
 
-    @property
+    @cached_property
     def x_bits(self) -> int:
         return max(1, math.ceil(math.log2(self.ell_m)))
 
-    @property
+    @cached_property
     def u_bits(self) -> int:
         return max(1, math.ceil(math.log2(self.ell_z)))
 
-    @property
+    @cached_property
     def label_bits(self) -> int:
         return self.x_bits + (self.delta - 1) * (self.x_bits + self.subset_bits + self.u_bits)
+
+    @cached_property
+    def label_layout(self) -> LabelLayout:
+        return LabelLayout.of(self.x_bits, self.subset_bits, self.u_bits, self.delta)
 
     def sigma_cap_for(self, n: int) -> int:
         if self.desk and self.desk.sigma_cap is not None:
@@ -341,9 +349,19 @@ class GammaVertex:
 
 
 def validate_vertex(v: GammaVertex, params: GammaParams) -> None:
-    if params.profile == Profile.PAPER:
+    if params.profile is Profile.PAPER:
         raise InfeasibleBuildError(
             "paper-profile parameters are formula-only; no vertices exist to query")
+    ell_m, ell_z, width = params.ell_m, params.ell_z, params.subset_bits
+    if len(v.blocks) != params.delta - 1 or not 0 <= v.x1 < ell_m:
+        _reject_vertex(v, params)
+    for x, mask, u in v.blocks:
+        if not (0 <= x < ell_m and 0 <= u < ell_z and 0 <= mask and mask.bit_length() <= width):
+            _reject_vertex(v, params)
+
+
+def _reject_vertex(v: GammaVertex, params: GammaParams) -> None:
+    """Raise ArgumentError naming the first check that v fails."""
     if v.delta != params.delta:
         raise ArgumentError(
             f"vertex has {v.delta} coordinates, parameters want {params.delta}")
@@ -376,17 +394,18 @@ def gamma_adjacent_witness(
     validate_vertex(a, params)
     validate_vertex(b, params)
     rm_pow = params.rm_pow
-    first_close = None
-    for i in range(1, params.delta + 1):
-        if first_close is None and i == params.delta:
-            break  # no earlier close coordinate is left to pair with i
-        if not rm_pow.contains(a.x(i), b.x(i)):
-            continue
+    contains, rank = rm_pow.contains, rm_pow.rank
+    first_close = 1 if contains(a.x1, b.x1) else None
+    last = params.delta
+    for i, (block_a, block_b) in enumerate(zip(a.blocks, b.blocks), start=2):
+        xa, xb = block_a[0], block_b[0]
         if first_close is None:
-            first_close = i
+            # the last coordinate has no later one to pair with
+            if i < last and contains(xa, xb):
+                first_close = i
             continue
-        xa, xb = a.x(i), b.x(i)
-        if block_link(a, b, i, rm_pow.rank(xa, xb), rm_pow.rank(xb, xa), params) is None:
+        ra = rank(xa, xb)  # None iff the x-pair at i is not close
+        if ra is not None and block_link(a, b, i, ra, rank(xb, xa), params) is None:
             return True, (first_close, i)
     return False, None
 
@@ -506,8 +525,45 @@ def count_log10(count: int | ScaledCount) -> float:
 
 # -- label codec ---------------------------------------------------------------
 #
-# Fixed-width big-endian packing: x1, then per block x_i, subset mask, u_i.
-# External form is hex with an 8-hex-digit header carrying the bit width.
+# Fixed-width big-endian packing: x1, then per block x_i, subset mask, u_i,
+# with the pad bits that round the width up to whole hex digits on top (they
+# are zero). External form: an 8-hex-digit header carrying the bit width,
+# then the payload in lowercase hex. The decoder accepts exactly that form,
+# hex letters of either case: it parses the payload into bytes in one strict
+# pass and cuts each field from its fixed byte range.
+
+
+@dataclass(frozen=True)
+class LabelLayout:
+    """Where each field of a label lies, fixed by the field widths.
+
+    The payload has ``digits`` hex digits, parsed into ``nbytes`` bytes (an
+    odd digit count takes one leading zero digit). ``fields`` lists, for x1
+    and then x_i, X_i, u_i of each block, the byte range ``start:end`` that
+    holds the field, and the right shift and mask that cut it from the
+    big-endian integer of those bytes. x1's range starts at byte 0 and its
+    mask is None, so its value also carries the pad bits.
+    """
+
+    bits: int
+    header: str
+    digits: int
+    nbytes: int
+    fields: tuple[tuple[int, int, int, int | None], ...]
+
+    @classmethod
+    def of(cls, x_bits: int, subset_bits: int, u_bits: int, delta: int) -> LabelLayout:
+        widths = [x_bits] + [x_bits, subset_bits, u_bits] * (delta - 1)
+        bits = sum(widths)
+        digits = (bits + 3) // 4
+        nbytes = (digits + 1) // 2
+        fields = []
+        lo = bits  # a field's lowest bit, counted from the payload's last bit
+        for w in widths:
+            lo -= w
+            fields.append((nbytes - 1 - (lo + w - 1) // 8, nbytes - lo // 8, lo % 8, (1 << w) - 1))
+        fields[0] = (0, fields[0][1], fields[0][2], None)
+        return cls(bits, format(bits, "08x"), digits, nbytes, tuple(fields))
 
 
 def encode_label(v: GammaVertex, params: GammaParams) -> str:
@@ -515,12 +571,11 @@ def encode_label(v: GammaVertex, params: GammaParams) -> str:
     xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
     acc = v.x1
     for x, mask, u in v.blocks:
-        acc = (acc << xb) | x
-        acc = (acc << sb) | mask
-        acc = (acc << ub) | u
-    total = params.label_bits
-    payload_hex = format(acc, "x").zfill((total + 3) // 4)
-    return format(total, "08x") + payload_hex
+        acc = (((((acc << xb) | x) << sb) | mask) << ub) | u
+    layout = params.label_layout
+    payload_hex = acc.to_bytes(layout.nbytes, "big").hex()
+    # an odd digit count drops the zero digit that fills the first byte
+    return layout.header + (payload_hex[1:] if layout.digits % 2 else payload_hex)
 
 
 def decode_label(label: str, params: GammaParams) -> GammaVertex:
@@ -528,32 +583,28 @@ def decode_label(label: str, params: GammaParams) -> GammaVertex:
         raise InfeasibleBuildError("paper-profile parameters carry no labels")
     if len(label) < 8:
         raise CodecError("label shorter than its width header")
+    layout = params.label_layout
+    payload = label[8:]
     try:
-        total = int(label[:8], 16)
-        acc = int(label[8:], 16) if len(label) > 8 else 0
-    except ValueError as exc:
+        # the width header as encode_label writes it, else parsed strictly
+        total = layout.bits if label.startswith(layout.header) else int.from_bytes(
+            a2b_hex(label[:8]), "big")
+        raw = a2b_hex("0" + payload if len(payload) % 2 else payload)
+    except ValueError as exc:  # binascii.Error is a ValueError
         raise CodecError(f"label is not hex: {exc}") from exc
-    if total != params.label_bits:
+    if total != layout.bits:
         raise CodecError(
-            f"label declares {total} bits, parameters want {params.label_bits}")
-    if len(label) - 8 != (total + 3) // 4:
+            f"label declares {total} bits, parameters want {layout.bits}")
+    if len(payload) != layout.digits:
         raise CodecError(
-            f"label payload has {len(label) - 8} hex digits, "
-            f"want {(total + 3) // 4}")
-    xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
-    blocks = []
-    for _ in range(params.delta - 1):
-        u = acc & ((1 << ub) - 1)
-        acc >>= ub
-        mask = acc & ((1 << sb) - 1)
-        acc >>= sb
-        x = acc & ((1 << xb) - 1)
-        acc >>= xb
-        blocks.append((x, mask, u))
-    x1 = acc
-    if x1 >= 1 << xb:
+            f"label payload has {len(payload)} hex digits, want {layout.digits}")
+    (_, end, shift, _), *rest = layout.fields
+    x1 = int.from_bytes(raw[:end], "big") >> shift
+    if x1 >> params.x_bits:
         raise CodecError("label payload wider than its declared width")
-    vertex = GammaVertex(x1=x1, blocks=tuple(reversed(blocks)))
+    cut = iter([int.from_bytes(raw[start:end], "big") >> shift & mask
+                for start, end, shift, mask in rest])
+    vertex = GammaVertex(x1=x1, blocks=tuple(zip(cut, cut, cut)))
     try:
         validate_vertex(vertex, params)
     except ArgumentError as exc:

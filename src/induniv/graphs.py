@@ -33,7 +33,8 @@ class Graph:
     edges. Self-loops are rejected; duplicate edges are collapsed.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metrics")
+    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metrics",
+                 "_table")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -53,13 +54,15 @@ class Graph:
             adj[v].append(u)
         self._init_slots(vertex_count, len(seen), tuple(tuple(sorted(nb)) for nb in adj))
 
-    def _init_slots(self, vertex_count: int, edge_count: int, adj: tuple) -> None:
+    def _init_slots(self, vertex_count: int, edge_count: int, adj: tuple,
+                    table: np.ndarray | None = None) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edge_count", edge_count)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_hash", hash((vertex_count, adj)))
         object.__setattr__(self, "_connected", None)
         object.__setattr__(self, "_metrics", {})
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_neighbor_table(cls, table) -> Graph:
@@ -69,7 +72,8 @@ class Graph:
         The rows must already describe a simple undirected graph: ids in
         range, no self-loop, no repeated neighbour, and w in row v exactly
         when v is in row w. Each is checked with whole-table numpy operations
-        and a violation raises ArgumentError, so no edge set is built.
+        and a violation raises ArgumentError, so no edge set is built. The
+        graph keeps the sorted table, read-only, as its ``neighbor_table``.
         """
         rows = np.array(table, dtype=np.int64)
         if rows.ndim != 2:
@@ -92,12 +96,16 @@ class Graph:
         ids = np.arange(n).astype(object)
         flat = iter(ids[rows].reshape(-1).tolist())
         g = cls.__new__(cls)
-        g._init_slots(n, n * d // 2, tuple(zip(*[flat] * d)) if d else ((),) * n)
+        rows.setflags(write=False)
+        g._init_slots(n, n * d // 2, tuple(zip(*[flat] * d)) if d else ((),) * n, rows)
         return g
 
     def neighbor_table(self) -> np.ndarray:
         """The sorted neighbour rows as an (n, d) int64 array; the graph must
-        be d-regular (the inverse of ``from_neighbor_table``)."""
+        be d-regular (the inverse of ``from_neighbor_table``, whose table is
+        returned as it was kept, read-only)."""
+        if self._table is not None:
+            return self._table
         if not self.is_regular():
             raise ArgumentError("neighbor_table needs a regular graph")
         return np.array(self._adj, dtype=np.int64).reshape(
@@ -123,11 +131,14 @@ class Graph:
         return [len(nb) for nb in self._adj]
 
     def max_degree(self) -> int:
+        if self._table is not None:
+            return self._table.shape[1] if self.vertex_count else 0
         return max((len(nb) for nb in self._adj), default=0)
 
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return len(set(degs)) <= 1
+        if self._table is not None:
+            return True
+        return len(set(self.degrees())) <= 1
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -204,9 +215,28 @@ class Graph:
 
     def is_connected(self) -> bool:
         if self._connected is None:
-            connected = self.vertex_count <= 1 or min(self.bfs_distances(0)) >= 0
+            if self.vertex_count <= 1:
+                connected = True
+            elif self._table is not None:
+                connected = bool(self._table_reach().all())
+            else:
+                connected = min(self.bfs_distances(0)) >= 0
             object.__setattr__(self, "_connected", connected)
         return self._connected
+
+    def _table_reach(self) -> np.ndarray:
+        """Mask of the vertices reachable from vertex 0, by a breadth-first
+        search over the kept neighbour table, one whole level at a time."""
+        reached = np.zeros(self.vertex_count, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while len(frontier):
+            found = np.zeros_like(reached)
+            found[self._table[frontier]] = True
+            found &= ~reached
+            reached |= found
+            frontier = np.flatnonzero(found)
+        return reached
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self.vertex_count
@@ -322,8 +352,11 @@ class PowerNeighborhoods:
         n = g.vertex_count
         # row n is a sentinel; padding entries point at it
         table = np.full((n + 1, max(g.max_degree(), 1)), n, dtype=np.int32)
-        for v, nb in enumerate(g._adj):
-            table[v, :len(nb)] = nb
+        if g._table is not None:
+            table[:n, :g._table.shape[1]] = g._table
+        else:
+            for v, nb in enumerate(g._adj):
+                table[v, :len(nb)] = nb
         self._table = table
         self._typecode = "H" if n <= 0xFFFF else "i"
         self._dtype = np.dtype(self._typecode)  # the same C type in numpy

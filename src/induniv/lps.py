@@ -255,6 +255,8 @@ class Psl2:
         ])
         self.keys = self._key(self.elements)
         self._inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+        for arr in (self.elements, self.keys, self._inverse):
+            arr.setflags(write=False)  # shared through ``psl2``
 
     def _key(self, mats: np.ndarray) -> np.ndarray:
         q = self.q
@@ -283,6 +285,13 @@ class Psl2:
         return ids
 
 
+@lru_cache(maxsize=8)
+def psl2(q: int) -> Psl2:
+    """The one ``Psl2(q)`` that the build and the certificate of an LPS
+    graph on PSL(2, q) both read, enumerated once."""
+    return Psl2(q)
+
+
 def build_lps_graph(p, q: int | None = None) -> Graph:
     """Explicit non-bipartite (p+1)-regular LPS graph on q(q^2-1)/2 vertices.
 
@@ -296,7 +305,7 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
     p, q = params.p, params.q
 
     gens = lps_generators(params)
-    group = Psl2(q)
+    group = psl2(q)
     expected = params.vertex_count
     if len(group.elements) != expected:
         raise ConstructionIntegrityError(
@@ -318,7 +327,7 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
     except ArgumentError as exc:
         raise ConstructionIntegrityError(
             f"neighbour table is not an undirected graph: {exc}", p=p, q=q) from exc
-    if any(deg != p + 1 for deg in g.degrees()):
+    if g.max_degree() != p + 1:
         raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
     return g
 
@@ -491,9 +500,8 @@ def certify_expander(
     """
     notes = []
     n = g.vertex_count
-    degs = g.degrees()
-    regular = len(set(degs)) <= 1 and n > 0
-    degree = degs[0] if degs else 0
+    regular = g.is_regular() and n > 0
+    degree = g.degree(0) if n else 0
     connected = g.is_connected()
     non_bipartite = not g.is_bipartite()
     vertex_transitive = None
@@ -559,11 +567,11 @@ def _transitivity_failure(g: Graph, params: LpsParams) -> str | None:
     """The first check by which left multiplication fails to show g
     vertex-transitive, or None when it shows it (see ``certify_expander``)."""
     n = params.vertex_count
-    if g.vertex_count != n or set(g.degrees()) != {params.degree}:
+    if g.vertex_count != n or not g.is_regular() or g.max_degree() != params.degree:
         return (f"transitivity needs a {params.degree}-regular graph "
                 f"on {n} vertices, the LPS vertex set")
     table = g.neighbor_table()
-    group = Psl2(params.q)
+    group = psl2(params.q)
     perms = []
     try:
         gens = lps_generators(params)

@@ -16,7 +16,7 @@ import numpy as np
 
 from induniv.embedder import LOCAL_WINDOW, EmbeddingResult, InducedReport
 from induniv.errors import ArgumentError, ConstructionIntegrityError, ScheduleOverflowError
-from induniv.gamma import GammaParams, gamma_adjacent_witness
+from induniv.gamma import GammaParams, GammaVertex, gamma_adjacent_witness
 from induniv.graphs import Graph
 from induniv.lps import (
     LpsParams,
@@ -407,6 +407,38 @@ def oracle_gamma_adjacent_witness(a, b, params: GammaParams):
         if (mask_a >> ra) & 1 and (mask_b >> rb) & 1 and rz_pow.contains(ua, ub):
             return True, (close[0], i)
     return False, None
+
+
+def reference_encode_label(v: GammaVertex, params: GammaParams) -> str:
+    """The label codec's first encoder: shift each field into one integer,
+    then ``format`` it as hex zero-filled to whole digits, after an 8-digit
+    header carrying the bit width."""
+    xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
+    acc = v.x1
+    for x, mask, u in v.blocks:
+        acc = (acc << xb) | x
+        acc = (acc << sb) | mask
+        acc = (acc << ub) | u
+    total = params.label_bits
+    return format(total, "08x") + format(acc, "x").zfill((total + 3) // 4)
+
+
+def reference_decode_label(label: str, params: GammaParams) -> GammaVertex:
+    """The label codec's first decoder, for well-formed labels: parse with
+    ``int(..., 16)`` and shift each field off the low end."""
+    assert int(label[:8], 16) == params.label_bits
+    acc = int(label[8:], 16)
+    xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
+    blocks = []
+    for _ in range(params.delta - 1):
+        u = acc & ((1 << ub) - 1)
+        acc >>= ub
+        mask = acc & ((1 << sb) - 1)
+        acc >>= sb
+        x = acc & ((1 << xb) - 1)
+        acc >>= xb
+        blocks.append((x, mask, u))
+    return GammaVertex(x1=acc, blocks=tuple(reversed(blocks)))
 
 
 def oracle_edge_witnesses(h: Graph, result: EmbeddingResult, params: GammaParams) -> list[str]:

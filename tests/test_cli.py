@@ -224,3 +224,15 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["rows"]
+
+
+def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
+    # numpy imports numpy.ma lazily, at a cost of some 10 ms per process
+    env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
+    argv = ["embed", "--input", str(c6_file), "--delta", "2",
+            "--output", str(tmp_path / "emb.json"), "--emit-labels"]
+    code = f"import sys; from induniv.cli import run; print(run({argv!r}), 'numpy.ma' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]

@@ -1,8 +1,10 @@
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from induniv.errors import ArgumentError, CertificationError, CodecError, InfeasibleBuildError
 from induniv.gamma import (
@@ -26,7 +28,13 @@ from induniv.gamma import (
 from induniv import graphs
 from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
 from induniv.harness import random_close_gamma_pair, random_gamma_vertex
-from oracles import oracle_distances, oracle_gamma_adjacent_witness, oracle_power
+from oracles import (
+    oracle_distances,
+    oracle_gamma_adjacent_witness,
+    oracle_power,
+    reference_decode_label,
+    reference_encode_label,
+)
 
 
 # -- power neighborhoods ---------------------------------------------------------
@@ -417,6 +425,80 @@ def test_codec_errors(desk_params2):
     wrong_width = format(desk_params2.label_bits + 8, "08x") + label[8:]
     with pytest.raises(CodecError):
         decode_label(wrong_width, desk_params2)
+
+
+@lru_cache(maxsize=None)
+def _codec_params(delta):
+    return make_gamma_params(delta, 30, "desk")
+
+
+@st.composite
+def _codec_cases(draw):
+    params = _codec_params(draw(st.sampled_from([2, 3, 4, 5])))
+    x = st.integers(0, params.ell_m - 1)
+    mask = st.integers(0, (1 << params.subset_bits) - 1)
+    u = st.integers(0, params.ell_z - 1)
+    blocks = tuple((draw(x), draw(mask), draw(u)) for _ in range(params.delta - 1))
+    return params, GammaVertex(x1=draw(x), blocks=blocks)
+
+
+def test_payload_digit_counts():
+    # (5, 29) gives 14-bit coordinates and 5185-bit subsets; both parities occur
+    digits = {}
+    for delta in (2, 3, 4, 5):
+        v = GammaVertex(x1=0, blocks=((0, 0, 0),) * (delta - 1))
+        digits[delta] = len(encode_label(v, _codec_params(delta))) - 8
+    assert digits == {2: 1307, 3: 2610, 4: 3914, 5: 5217}
+
+
+@given(_codec_cases())
+@settings(max_examples=150, deadline=None)
+def test_labels_match_the_reference_codec(case):
+    params, v = case
+    label = encode_label(v, params)
+    assert label == reference_encode_label(v, params)
+    assert reference_decode_label(label, params) == v
+    assert decode_label(label, params) == v
+    assert decode_label(label.upper(), params) == v  # hex letter case is free
+
+
+@pytest.mark.parametrize("delta", [2, 4, 5])
+def test_a_set_pad_bit_is_rejected(delta):
+    params = _codec_params(delta)
+    pad = -params.label_bits % 4
+    assert pad > 0
+    label = encode_label(random_gamma_vertex(random.Random(delta), params), params)
+    for bit in {3, 4 - pad}:  # the highest and the lowest pad bit of the first digit
+        first = format(int(label[8], 16) | 1 << bit, "x")
+        with pytest.raises(CodecError, match="payload wider than its declared width"):
+            decode_label(label[:8] + first + label[9:], params)
+
+
+# Replacements for a leading "00" after which int(..., 16) still reads the
+# same number; encode_label never writes them.
+_LAX_FORMS = {
+    "underscore between digits": "0_",
+    "leading space": " 0",
+    "leading tab": "\t0",
+    "plus sign": "+0",
+    "0x prefix": "0x",
+    "fullwidth digit": "\uff100",
+    "Arabic-Indic digit": "\u06600",
+}
+
+
+@pytest.mark.parametrize("part", ["header", "payload"])
+@pytest.mark.parametrize("form", list(_LAX_FORMS))
+def test_decoder_rejects_forms_encode_never_writes(desk_params2, form, part):
+    v = GammaVertex(x1=5, blocks=((7, 3, 9),))  # x1 < 2^7: the payload starts with "00"
+    label = encode_label(v, desk_params2)
+    start, end = (0, 8) if part == "header" else (8, len(label))
+    assert label[start:start + 2] == "00"
+    lax = label[:start] + _LAX_FORMS[form] + label[start + 2:]
+    assert len(lax) == len(label)
+    assert int(lax[start:end], 16) == int(label[start:end], 16)
+    with pytest.raises(CodecError, match="label is not hex"):
+        decode_label(lax, desk_params2)
 
 
 def test_label_adjacency_agrees_with_oracle(desk_params2):

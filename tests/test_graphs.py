@@ -3,6 +3,7 @@ import pickle
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,6 +166,22 @@ def test_neighbor_table_round_trip(rm_desk):
         assert list(copy.edges()) == list(g.edges())
     with pytest.raises(ArgumentError):
         Graph(3, [(0, 1)]).neighbor_table()
+
+
+def test_a_table_graph_keeps_its_table(rm_desk):
+    table = rm_desk.neighbor_table()
+    assert rm_desk.neighbor_table() is table and not table.flags.writeable
+    assert rm_desk.is_regular() and rm_desk.max_degree() == 6
+    assert rm_desk.degrees() == [6] * rm_desk.vertex_count
+    plain = Graph(rm_desk.vertex_count, rm_desk.edges())
+    assert np.array_equal(plain.neighbor_table(), table)
+    assert plain.degrees() == rm_desk.degrees()
+
+
+@pytest.mark.parametrize("g", [cycle_graph(9), disjoint_union(cycle_graph(4), cycle_graph(5)),
+                               circulant_graph(30, (1, 10)), Graph(1), Graph(2)])
+def test_table_connectivity_matches_bfs(g):
+    assert Graph.from_neighbor_table(g.neighbor_table()).is_connected() == g.is_connected()
 
 
 @pytest.mark.parametrize("table,problem", [

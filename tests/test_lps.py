@@ -360,6 +360,14 @@ def test_lps_certificate_does_not_search_every_vertex(monkeypatch):
     assert cert.all_ok and cert.girth_found == 9 and cert.vertex_transitive
 
 
+def test_certificate_of_the_kept_table_matches_the_edges(rm_desk):
+    # the build keeps its neighbour table; an edge-built copy has none
+    plain = Graph(rm_desk.vertex_count, rm_desk.edges())
+    params = LpsParams(5, 29)
+    assert certify_expander(rm_desk, params) == certify_expander(plain, params)
+    assert lps.psl2(29) is lps.psl2(29)  # one enumeration for build and certificate
+
+
 def test_user_certificate_leaves_transitivity_unchecked():
     cert = certify_expander(circulant_graph(40, (1, 7)))
     assert cert.vertex_transitive is None

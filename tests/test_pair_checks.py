@@ -9,6 +9,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from induniv import embedder
@@ -334,3 +335,15 @@ def test_verify_memory_stays_below_quadratic(desk_params2):
     assert report.pairs_checked == n * (n - 1) // 2
     assert len(report.violations) == n - 1  # every mask is empty: no edge realized
     assert peak < 8 * n * n
+
+
+def test_close_set_union_is_sorted_and_distinct(desk_params2):
+    rng = random.Random(4)
+    n = 40
+    close = embedder.CloseSets(desk_params2.rm_pow, n)
+    near = desk_params2.rm_pow.row(0)[:30].tolist()  # a few vertices, many close pairs
+    maps = [[rng.choice(near) for _ in range(n)] for _ in range(3)]
+    for chosen in ([], maps[:1], maps, maps + maps):
+        keys = close.union(chosen)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == sorted(set().union(*(close.of(m).tolist() for m in chosen)))
