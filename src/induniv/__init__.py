@@ -57,7 +57,6 @@ from .walks import (
     verify_walk_map,
 )
 from .thin import (
-    DecomposeStrategy,
     PathPowerLayout,
     ThinDecomposition,
     is_thin,
@@ -79,7 +78,6 @@ from .gamma import (
 )
 from .embedder import (
     EmbeddingResult,
-    RetryPolicy,
     assemble_gamma,
     build_f1,
     build_fi,

@@ -26,7 +26,7 @@ from .graphs import Graph, dump_edge_list, format_edge_list, load_edge_list
 from .harness import FamilySpec, size_report, sweep_step, universality_sweep
 from .embedder import EmbedCertificate, EmbeddingResult, embed, verify_induced
 from .lps import LpsParams, build_lps_graph, certify_expander
-from .thin import DecomposeStrategy, layout_thin, thin_decompose
+from .thin import layout_thin, thin_decompose
 
 
 class UsageError(Exception):
@@ -72,8 +72,6 @@ def build_parser() -> _Parser:
     p = add_parser("decompose", help="thin decomposition of an edge-list graph")
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--strategy", default="auto",
-                   choices=[s.value for s in DecomposeStrategy])
 
     p = add_parser("layout", help="stretch-4 path layout of a thin graph")
     p.add_argument("--input", required=True)
@@ -118,14 +116,20 @@ def _desk_config(args) -> DeskConfig:
         kwargs["rz_pq"] = args.rm
     if getattr(args, "rz", None):
         kwargs["rz_pq"] = args.rz
-    env_budget = os.environ.get("INDUNIV_WALK_BUDGET")
-    if env_budget:
-        kwargs["walk_budget"] = int(env_budget)
+    walk_budget = _env_int("INDUNIV_WALK_BUDGET")
+    if walk_budget is not None:
+        kwargs["walk_budget"] = walk_budget
     return DeskConfig(**kwargs)
 
 
-def _search_budget() -> int:
-    return int(os.environ.get("INDUNIV_SEARCH_BUDGET", 2_000_000))
+def _env_int(name: str, default: int | None = None) -> int | None:
+    text = os.environ.get(name)
+    if not text:
+        return default
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"{name} must be an integer, got {text!r}") from exc
 
 
 def _cmd_build_expander(args) -> tuple[int, dict]:
@@ -154,8 +158,8 @@ def _cmd_build_expander(args) -> tuple[int, dict]:
 
 def _cmd_decompose(args) -> tuple[int, dict]:
     h = load_edge_list(args.input)
-    dec = thin_decompose(h, args.delta, DecomposeStrategy(args.strategy),
-                         search_budget=_search_budget())
+    dec = thin_decompose(h, args.delta,
+                         search_budget=_env_int("INDUNIV_SEARCH_BUDGET", 2_000_000))
     payload = {"schema": "induniv/decomposition-v1", "delta": args.delta}
     payload.update(dec.to_json())
     return 0, payload
@@ -206,24 +210,29 @@ def _cmd_embed(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    with open(args.embedding, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.embedding, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        meta = doc["params"]
+        params = make_gamma_params(
+            meta["delta"], meta["n"], Profile.DESK, DeskConfig.from_json(meta))
+        recorded, labels = doc["params_digest"], doc["gamma"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CodecError(f"malformed embedding file: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise CodecError("embedding labels must be a list of strings")
     h = load_edge_list(args.input)
-    meta = doc["params"]
-    params = make_gamma_params(
-        meta["delta"], meta["n"], Profile.DESK, DeskConfig.from_json(meta))
-    if params.digest() != doc["params_digest"]:
+    if params.digest() != recorded:
         raise CodecError(
             "embedding parameters do not match their recorded digest",
-            recorded=doc["params_digest"], rebuilt=params.digest())
-    labels = doc["gamma"]
+            recorded=recorded, rebuilt=params.digest())
     if len(labels) != h.vertex_count:
         raise ArgumentError(
             f"embedding has {len(labels)} labels for {h.vertex_count} vertices")
     result = EmbeddingResult(
         gamma=tuple(decode_label(lab, params) for lab in labels),
         certificate=EmbedCertificate(), homs=None,
-        params_digest=doc["params_digest"])
+        params_digest=recorded)
     report = verify_induced(h, result, params)
     payload = {
         "schema": "induniv/verify-v1",

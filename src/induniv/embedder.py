@@ -13,8 +13,17 @@ coordinate map is constrained so that
     most d members.
 
 Remaining conflict pairs are neutralized by a shield map into the small
-expander, built with the conflict pairs as separation constraints. The
-assembled embedding is certified: every property is re-verified from its
+expander, built with the conflict pairs as separation constraints.
+
+The anchor map, the coordinate maps into the large expander R_m and the
+shield maps into the small expander R_z are one walk stage (``_walk_stage``):
+a constrained walk on the host, read through the part's layout and checked
+to be a homomorphism into the host's 4th power. Maps into R_m are also
+checked for well-distribution. A schedule may only name indices a full block
+behind (``walks.prefix_limit``); a shield conflict closer than that goes to
+the walk as a direct avoidance constraint.
+
+The assembled embedding is certified: every property is re-verified from its
 definition, and the final induced check decides oracle adjacency for every
 vertex pair and compares it with the input. The adjacency rule itself is
 decided only in ``gamma``: the induced check compares the oracle's batched
@@ -53,13 +62,12 @@ from .gamma import (
 )
 from .graphs import Graph
 from .thin import (
-    DecomposeStrategy,
     PathPowerLayout,
     ThinDecomposition,
     layout_thin,
     thin_decompose,
 )
-from .walks import ConstraintSchedule, WalkParams, build_walk_map
+from .walks import ConstraintSchedule, WalkParams, build_walk_map, prefix_limit
 
 LOCAL_WINDOW = 8  # layout gap under which coordinate images must differ
 
@@ -76,7 +84,6 @@ class HomomorphismSet:
 
     decomposition: ThinDecomposition
     layouts: tuple[PathPowerLayout, ...]
-    orders: tuple[tuple[int, ...], ...]
     coord: tuple[tuple[int, ...], ...]
     shield: dict[int, tuple[int, ...]]
     label_sets: dict[int, tuple[int, ...]]
@@ -171,14 +178,6 @@ class CloseSets:
         return keys[first]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Budget escalation; optionally larger parameter sets for later rounds."""
-
-    budget_scale: tuple[int, ...] = (1,)
-    fallback_params: tuple[GammaParams, ...] = ()
-
-
 # -- stage operations ----------------------------------------------------------
 
 
@@ -194,10 +193,10 @@ def build_f1(
     is automatically a homomorphism of the part into the 4-th power; this is
     still verified, not assumed.
     """
-    n = len(layout.phi)
-    assignment = _run_walk(part, layout, params, ConstraintSchedule.empty(n),
-                           budget=budget, stage="f1")
-    _require_clean("f1", _check_coord_map(part, layout, assignment, params))
+    assignment, broken = _walk_stage(
+        "f1", part, layout, params.r_m, params.rm_pow,
+        ConstraintSchedule.empty(len(layout.phi)), params, budget)
+    _require_clean("f1", broken + _check_usage(assignment, params))
     return assignment
 
 
@@ -230,8 +229,8 @@ def compute_sigma_i(
                            _pair_keys(_collisions(coord_maps[0]), n)])
     phi = np.asarray(layout.phi, dtype=np.int64)
     ta, tb = phi[keys // n], phi[keys % n]
-    a_due = tb <= (ta // q - 1) * q - 1
-    b_due = ta <= (tb // q - 1) * q - 1
+    a_due = tb <= prefix_limit(ta, q)
+    b_due = ta <= prefix_limit(tb, q)
     t = np.concatenate([ta[a_due], tb[b_due]])
     t2 = np.concatenate([tb[a_due], ta[b_due]])
     order = np.argsort(t, kind="stable")
@@ -259,10 +258,10 @@ def build_fi(
     close: CloseSets | None = None,
 ) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
     """Coordinate map for part i and its conflict sets, both verified."""
-    assignment = _run_walk(part, layout, params, schedule, budget=budget,
-                           stage=f"f{i}")
+    assignment, broken = _walk_stage(
+        f"f{i}", part, layout, params.r_m, params.rm_pow, schedule, params, budget)
     conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params, close)
-    _require_clean(f"f{i}", _check_coord_map(part, layout, assignment, params)
+    _require_clean(f"f{i}", broken + _check_usage(assignment, params)
                    + _check_anchor_distinct(coord_maps[0], assignment)
                    + _check_window_distinct(layout, assignment)
                    + _check_conflict_bound(conflicts, layout, params))
@@ -314,9 +313,7 @@ def build_ri(
     direct avoidance constraints during the search. The separation property
     is then verified outright.
     """
-    rz = params.r_z
     n = len(layout.phi)
-    order = layout.order()
     pos = layout.phi
     q = params.q_z
     sched_sets: dict[int, set[int]] = {}
@@ -324,10 +321,9 @@ def build_ri(
     for a in range(n):
         for b in conflicts.get(a, ()):  # type: ignore[union-attr]
             ta, tb = pos[a], pos[b]
-            if tb >= ta:
-                continue
-            limit = (ta // q - 1) * q - 1
-            (sched_sets if tb <= limit else late).setdefault(ta, set()).add(tb)
+            if tb < ta:
+                due = sched_sets if tb <= prefix_limit(ta, q) else late
+                due.setdefault(ta, set()).add(tb)
 
     cap = params.sigma_cap_for(n)
     for t, entries in sched_sets.items():
@@ -335,15 +331,10 @@ def build_ri(
             raise ScheduleOverflowError(
                 f"shield schedule at {t} has {len(entries)} entries, cap {cap}",
                 position=t, size=len(entries), cap=cap)
-    schedule = ConstraintSchedule.from_sets(n, sched_sets)
-    wp = WalkParams.for_graph(rz, n, usage_cap=params.usage_cap_for(n),
-                              sigma_cap=cap)
-    wm = _walk(rz, schedule, wp, params, budget, stage=f"r{i}",
-               extra_avoid={t: s for t, s in late.items()})
-    assignment = tuple(wm.values[pos[v]] for v in range(n))
-    violations = _check_shield_map(part, assignment, params)
-    violations += _check_conflict_shielded(conflicts, assignment, params)
-    _require_clean(f"r{i}", violations)
+    assignment, broken = _walk_stage(
+        f"r{i}", part, layout, params.r_z, params.rz_pow,
+        ConstraintSchedule.from_sets(n, sched_sets), params, budget, late)
+    _require_clean(f"r{i}", broken + _check_conflict_shielded(conflicts, assignment, params))
     return assignment
 
 
@@ -475,13 +466,12 @@ def embed(
     h: Graph,
     delta: int,
     params: GammaParams,
-    retry: RetryPolicy | None = None,
-    strategy: DecomposeStrategy = DecomposeStrategy.AUTO,
 ) -> EmbeddingResult:
     """Full pipeline with verification gates and bounded retry escalation.
 
-    A round that fails with a stuck walk is retried at the next budget scale;
-    any other failure moves on to the next fallback parameter set.
+    Round k runs the whole attempt with the walk budget scaled by the k-th
+    entry of ``params.desk.retry_budget_scale``. A round that fails with a
+    stuck walk moves on to the next round; any other failure ends the run.
     """
     if params.profile == Profile.PAPER:
         raise InfeasibleBuildError(
@@ -496,30 +486,24 @@ def embed(
         raise ArgumentError(
             f"{h.vertex_count} vertices exceed the parameter capacity {params.n}")
 
-    if retry is None:
-        scale = params.desk.retry_budget_scale if params.desk else (1,)
-        retry = RetryPolicy(budget_scale=tuple(scale))
-    base_budget = params.desk.walk_budget if params.desk else 200_000
-
-    dec = thin_decompose(h, delta, strategy)
+    dec = thin_decompose(h, delta)
     layouts = tuple(layout_thin(part, h.vertex_count) for part in dec.parts)
 
     trail: list[dict] = []
-    param_rounds = (params,) + tuple(retry.fallback_params)
-    for p in param_rounds:
-        for mult in retry.budget_scale:
-            try:
-                return _attempt(h, dec, layouts, p, base_budget * mult)
-            except (WalkStuckError, PropertyFailureError, ScheduleOverflowError) as exc:
-                trail.append({
-                    "budget": base_budget * mult,
-                    "params_digest": p.digest(),
-                    "error": exc.to_json(),
-                })
-                # the walks are deterministic and their budget binds only when
-                # a walk runs out of it, so only a stuck walk gains from more
-                if not isinstance(exc, WalkStuckError):
-                    break
+    for mult in params.desk.retry_budget_scale:
+        budget = params.desk.walk_budget * mult
+        try:
+            return _attempt(h, dec, layouts, params, budget)
+        except (WalkStuckError, PropertyFailureError, ScheduleOverflowError) as exc:
+            trail.append({
+                "budget": budget,
+                "params_digest": params.digest(),
+                "error": exc.to_json(),
+            })
+            # the walks are deterministic and their budget binds only when
+            # a walk runs out of it, so only a stuck walk gains from more
+            if not isinstance(exc, WalkStuckError):
+                break
     raise EmbeddingFailureError("all embedding rounds failed", trail=trail)
 
 
@@ -558,7 +542,6 @@ def _attempt(
     homs = HomomorphismSet(
         decomposition=dec,
         layouts=layouts,
-        orders=tuple(tuple(l.order()) for l in layouts),
         coord=tuple(coord),
         shield=shield,
         label_sets=label_sets,
@@ -582,34 +565,46 @@ def _attempt(
     return result
 
 
-def _run_walk(
+def _walk_stage(
+    stage: str,
     part: Graph,
     layout: PathPowerLayout,
-    params: GammaParams,
+    host: Graph,
+    host_pow,
     schedule: ConstraintSchedule,
+    params: GammaParams,
     budget: int | None,
-    stage: str,
-) -> tuple[int, ...]:
+    late: dict[int, set[int]] | None = None,
+) -> tuple[tuple[int, ...], list[str]]:
+    """One map of a part into a host expander (R_m or R_z) and the part's
+    edges it fails to send into the host's 4th power.
+
+    A walk on the host under ``schedule`` (plus the ``late`` avoidance
+    constraints, see ``build_walk_map``) is read through the part's layout;
+    a walk stuck past its budget is tagged with ``stage``. The map is a
+    homomorphism into the 4th power when the list is empty: the layout
+    stretches no edge past 4 and the walk is locally a path, but that is
+    checked, not assumed.
+    """
     n = len(layout.phi)
-    wp = WalkParams.for_graph(
-        params.r_m, n,
-        usage_cap=params.usage_cap_for(n),
-        sigma_cap=params.sigma_cap_for(n))
-    wm = _walk(params.r_m, schedule, wp, params, budget, stage)
-    pos = layout.phi
-    return tuple(wm.values[pos[v]] for v in range(n))
-
-
-def _walk(graph, schedule, wp, params, budget, stage, extra_avoid=None):
-    if budget is None:
-        budget = params.desk.walk_budget if params.desk else 200_000
+    wp = WalkParams.for_graph(host, n, usage_cap=params.usage_cap_for(n),
+                              sigma_cap=params.sigma_cap_for(n))
     try:
-        return build_walk_map(
-            graph, schedule, wp, search_budget=budget, extra_avoid=extra_avoid)
+        wm = build_walk_map(
+            host, schedule, wp,
+            search_budget=params.desk.walk_budget if budget is None else budget,
+            extra_avoid=late)
     except WalkStuckError as exc:
         exc.payload["stage"] = stage
         exc.stage = stage
         raise
+    assignment = tuple(wm.values[t] for t in layout.phi)
+    broken = [f"edge ({u}, {v}) maps to non-adjacent images "
+              f"({assignment[u]}, {assignment[v]})"
+              for u, v in part.edges()
+              if assignment[u] == assignment[v]
+              or not host_pow.contains(assignment[u], assignment[v])]
+    return assignment, broken
 
 
 def _require_clean(stage: str, violations: list[str]) -> None:
@@ -618,35 +613,14 @@ def _require_clean(stage: str, violations: list[str]) -> None:
             f"stage {stage} failed verification", stage=stage, violations=violations)
 
 
-def _check_coord_map(
-    part: Graph,
-    layout: PathPowerLayout,
-    assignment: tuple[int, ...],
-    params: GammaParams,
-) -> list[str]:
-    out = []
-    rm_pow = params.rm_pow
-    for u, v in part.edges():
-        if assignment[u] == assignment[v] or not rm_pow.contains(assignment[u], assignment[v]):
-            out.append(f"edge ({u}, {v}) maps to non-adjacent images "
-                       f"({assignment[u]}, {assignment[v]})")
+def _check_usage(assignment: tuple[int, ...], params: GammaParams) -> list[str]:
+    """Well-distribution of a map into R_m: no image used past the cap."""
     cap = params.usage_cap_for(len(assignment))
     usage: dict[int, int] = {}
     for img in assignment:
         usage[img] = usage.get(img, 0) + 1
-    for img, c in sorted(usage.items()):
-        if c > cap:
-            out.append(f"image {img} used {c} times, well-distribution cap {cap}")
-    return out
-
-
-def _check_shield_map(part: Graph, assignment: tuple[int, ...], params: GammaParams) -> list[str]:
-    out = []
-    rz_pow = params.rz_pow
-    for u, v in part.edges():
-        if assignment[u] == assignment[v] or not rz_pow.contains(assignment[u], assignment[v]):
-            out.append(f"shield: edge ({u}, {v}) maps to non-adjacent images")
-    return out
+    return [f"image {img} used {c} times, well-distribution cap {cap}"
+            for img, c in sorted(usage.items()) if c > cap]
 
 
 def _check_anchor_distinct(
@@ -686,7 +660,7 @@ def _check_conflict_bound(
     params: GammaParams,
 ) -> list[str]:
     out = []
-    gap = params.desk.conflict_gap if params.desk else 2 * params.z
+    gap = params.desk.conflict_gap
     for v, cs in sorted(conflicts.items()):
         if len(cs) > params.d:
             out.append(f"conflict set of {v} has {len(cs)} members, cap {params.d}")

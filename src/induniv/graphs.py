@@ -536,9 +536,11 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise ArgumentError(f"expected edge line 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = (int(x) for x in parts)
+        except ValueError as exc:
+            raise ArgumentError(f"expected edge line 'u v', got {ln!r}") from exc
+        edges.append((u, v))
     if len(edges) != m:
         raise ArgumentError(f"header declares {m} edges, found {len(edges)}")
     return Graph(n, edges)

@@ -28,9 +28,8 @@ from .gamma import (
     make_gamma_params,
 )
 from .graphs import RADIUS, Graph
-from .embedder import RetryPolicy, embed, verify_induced
+from .embedder import embed, verify_induced
 from .thin import (
-    DecomposeStrategy,
     ThinDecomposition,
     thin_decompose,
     validate_decomposition,
@@ -40,6 +39,7 @@ from .walks import (
     WalkMap,
     WalkParams,
     build_walk_map,
+    prefix_limit,
     verify_walk_map,
 )
 
@@ -188,11 +188,7 @@ class SweepReport:
                    failures=failures)
 
 
-def universality_sweep(
-    spec: FamilySpec,
-    params: GammaParams,
-    policy: RetryPolicy | None = None,
-) -> SweepReport:
+def universality_sweep(spec: FamilySpec, params: GammaParams) -> SweepReport:
     """Embed every family member; success means a clean induced re-check.
 
     Failures are data, not exceptions.
@@ -202,18 +198,16 @@ def universality_sweep(
     if spec.delta > params.delta:
         raise ArgumentError(
             f"family delta {spec.delta} exceeds parameter delta {params.delta}")
-    return SweepReport.of([sweep_step(idx, h, params, policy)
+    return SweepReport.of([sweep_step(idx, h, params)
                            for idx, h in enumerate(enumerate_family(spec))])
 
 
-def sweep_step(
-    idx: int, h: Graph, params: GammaParams, policy: RetryPolicy | None = None
-) -> dict | None:
+def sweep_step(idx: int, h: Graph, params: GammaParams) -> dict | None:
     """Embed one family member and re-check it: None when it embeds with a
     clean certificate and induced check, else the failure record."""
     edges = sorted(h.edges())
     try:
-        result = embed(h, params.delta, params, retry=policy)
+        result = embed(h, params.delta, params)
         induced = verify_induced(h, result, params)
     except ArtifactError as exc:
         return {"index": idx, "edges": edges, "error": exc.to_json()}
@@ -305,7 +299,7 @@ def random_walk_instance(
     sets: dict[int, set[int]] = {}
     for t in range(gap, n):
         if rng.random() < 0.3:
-            limit = min((t // q - 1) * q - 1, t - gap)
+            limit = min(prefix_limit(t, q), t - gap)
             if limit < 0:
                 continue
             witness_ok = [
@@ -396,7 +390,7 @@ def _fuzz_decomposition(rng: random.Random, rounds: int) -> FuzzReport:
         delta = rng.choice((2, 3, 4))
         h = random_bounded_graph(rng, n, delta)
         try:
-            dec = thin_decompose(h, delta, DecomposeStrategy.AUTO)
+            dec = thin_decompose(h, delta)
         except ArtifactError as exc:
             report.violations.append(f"round {i}: decomposition failed: {exc}")
             continue

@@ -15,7 +15,6 @@ Both facts are re-validated on every output, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 from .errors import ArgumentError, DecompositionError, LayoutError
@@ -91,12 +90,6 @@ def is_thin(g: Graph) -> ThinReport:
 # -- decomposition ------------------------------------------------------------
 
 
-class DecomposeStrategy(Enum):
-    AUTO = "auto"
-    EVEN_PETERSEN = "even-petersen"
-    SEARCH = "search"
-
-
 @dataclass(frozen=True)
 class ThinDecomposition:
     """Delta thin spanning parts with an edge -> (part, part) certificate."""
@@ -162,7 +155,6 @@ def validate_decomposition(h: Graph, dec: ThinDecomposition) -> DecompositionRep
 def thin_decompose(
     h: Graph,
     delta: int,
-    strategy: DecomposeStrategy = DecomposeStrategy.AUTO,
     search_budget: int = 2_000_000,
 ) -> ThinDecomposition:
     """Split H into delta thin spanning parts covering every edge twice.
@@ -178,13 +170,7 @@ def thin_decompose(
     if h.max_degree() > delta:
         raise ArgumentError(
             f"max degree {h.max_degree()} exceeds delta {delta}")
-    if strategy == DecomposeStrategy.AUTO:
-        strategy = (
-            DecomposeStrategy.EVEN_PETERSEN if delta % 2 == 0 else DecomposeStrategy.SEARCH
-        )
-    if strategy == DecomposeStrategy.EVEN_PETERSEN:
-        if delta % 2 != 0:
-            raise ArgumentError("the two-factor strategy needs even delta")
+    if delta % 2 == 0:
         dec = _decompose_even(h, delta)
     else:
         dec = _decompose_search(h, delta, search_budget)

@@ -57,6 +57,14 @@ def step_for(ell: int) -> int:
     return max(1, math.ceil(math.log10(ell)))
 
 
+def prefix_limit(t, q: int):
+    """Last index that a constraint at index t may name, for block length q:
+    the end of the block before t's previous block, so every target lies one
+    full block behind t. Negative when t has no such index. Takes an int or
+    a numpy integer array of indices."""
+    return (t // q - 1) * q - 1
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Knobs of the walk construction for one host graph."""
@@ -114,7 +122,7 @@ class ConstraintSchedule:
             if not 0 <= t < self.n:
                 out.append(f"index {t} outside [0, {self.n})")
                 continue
-            limit = (t // q - 1) * q - 1
+            limit = prefix_limit(t, q)
             bad = [x for x in targets if x > limit or x < 0]
             if bad:
                 out.append(f"sigma({t}) reaches {sorted(bad)} past the prefix limit {limit}")
@@ -219,10 +227,9 @@ def build_walk_map(
         return iter(sorted(f_graph.neighbors(values[t - 1]),
                            key=lambda w: (usage.get(w, 0), _mix(w, t))))
 
-    def admissible(t: int, w: int) -> bool:
+    def admissible(t: int, w: int, window_start: int) -> bool:
         if usage.get(w, 0) >= cap:
             return False
-        window_start = max(0, (t // q - 1) * q)
         for t2 in range(window_start, t):
             if values[t2] == w:
                 return False
@@ -236,6 +243,7 @@ def build_walk_map(
     iters.append(candidates(0))
     while len(values) < n_pad:
         t = len(values)
+        window_start = max(0, prefix_limit(t, q) + 1)  # t's block and the one before
         placed = False
         for w in iters[-1]:
             spent += 1
@@ -248,7 +256,7 @@ def build_walk_map(
                     scheduled_targets=len(sigma_sorted.get(t, ())),
                     at_cap=sum(1 for u in usage.values() if u >= cap),
                 )
-            if admissible(t, w):
+            if admissible(t, w, window_start):
                 values.append(w)
                 usage[w] = usage.get(w, 0) + 1
                 if len(values) < n_pad:

@@ -32,7 +32,6 @@ from induniv.harness import (
 )
 from induniv.lps import build_lps_graph, certify_expander, LpsParams
 from induniv.thin import (
-    DecomposeStrategy,
     is_thin,
     layout_thin,
     thin_decompose,
@@ -124,7 +123,7 @@ def subcubic_decompositions():
     out = []
     for n in range(1, 9):
         for h in enumerate_family(FamilySpec(n, 3)):
-            out.append((h, thin_decompose(h, 3, DecomposeStrategy.AUTO)))
+            out.append((h, thin_decompose(h, 3)))
     return out
 
 
@@ -136,7 +135,7 @@ def test_criterion_4_decomposition_contract(subcubic_decompositions):
                       circulant_graph(10, (1, 3)), circulant_graph(12, (1, 5))]
     for g in regular_inputs:
         assert set(g.degrees()) == {4}
-        dec = thin_decompose(g, 4, DecomposeStrategy.EVEN_PETERSEN)
+        dec = thin_decompose(g, 4)
         ok &= validate_decomposition(g, dec).ok
         ok &= all(set(p.degrees()) == {2} for p in dec.parts)
     _report(4, "decomposition contract", ok, time.time() - t0, 300)

@@ -227,12 +227,57 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
-    # numpy imports numpy.ma lazily, at a cost of some 10 ms per process
+    # numpy imports numpy.ma lazily, at a cost of some 10 ms per process; and
+    # numpy is the only run-time dependency, so neither embed nor verify may
+    # import scipy or networkx, which only the tests use
     env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
-    argv = ["embed", "--input", str(c6_file), "--delta", "2",
-            "--output", str(tmp_path / "emb.json"), "--emit-labels"]
-    code = f"import sys; from induniv.cli import run; print(run({argv!r}), 'numpy.ma' in sys.modules)"
+    emb = str(tmp_path / "emb.json")
+    embed_argv = ["embed", "--input", str(c6_file), "--delta", "2",
+                  "--output", emb, "--emit-labels"]
+    verify_argv = ["verify", "--embedding", emb, "--input", str(c6_file),
+                   "--output", str(tmp_path / "verify.json")]
+    code = ("import sys; from induniv.cli import run; "
+            f"print(run({embed_argv!r}), run({verify_argv!r}), "
+            "*(m in sys.modules for m in ('numpy.ma', 'scipy', 'networkx')))")
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert done.stdout.split()[-5:] == ["0", "0", "False", "False", "False"]
+
+
+def _with_params(doc, **fields):
+    return json.dumps({**doc, "params": {**doc["params"], **fields}})
+
+
+@pytest.mark.parametrize("env, command, edge_list, edit, code, kind", [
+    ({}, "decompose", "2 1\n1 x\n", None, 1, "ArgumentError"),
+    ({"INDUNIV_WALK_BUDGET": "abc"}, "embed", None, None, 1, "UsageError"),
+    ({"INDUNIV_SEARCH_BUDGET": "abc"}, "decompose", None, None, 1, "UsageError"),
+    ({}, "verify", None, lambda doc: json.dumps(doc)[:-1], 2, "CodecError"),
+    ({}, "verify", None, lambda doc: json.dumps(
+        {**doc, "params": {k: v for k, v in doc["params"].items() if k != "delta"}}),
+     2, "CodecError"),
+    ({}, "verify", None, lambda doc: json.dumps({**doc, "gamma": [7] + doc["gamma"][1:]}),
+     2, "CodecError"),
+    ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=5), 2, "CodecError"),
+    ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=[5]), 2, "CodecError"),
+], ids=["edge-line", "walk-budget", "search-budget", "not-json", "no-delta",
+        "label-not-a-string", "rm-pq-int", "rm-pq-single"])
+def test_malformed_input_ends_in_a_json_error(
+        capsys, tmp_path, monkeypatch, c6_file, rm_desk, env, command, edge_list, edit,
+        code, kind):
+    graph = c6_file
+    if edge_list is not None:
+        graph = str(tmp_path / "bad.txt")
+        Path(graph).write_text(edge_list)
+    argv = [command, "--input", graph, "--delta", "2"]
+    if edit is not None:
+        emb = tmp_path / "emb.json"
+        assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
+                    "--output", str(emb)]) == 0
+        emb.write_text(edit(json.loads(emb.read_text())))
+        argv = ["verify", "--embedding", str(emb), "--input", c6_file]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run(argv) == code
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == kind

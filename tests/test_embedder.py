@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -5,7 +6,6 @@ import pytest
 
 from induniv.embedder import (
     EmbeddingResult,
-    RetryPolicy,
     build_f1,
     build_ri,
     check_edge_witnesses,
@@ -20,7 +20,8 @@ from induniv.errors import (
     EmbeddingFailureError,
     InfeasibleBuildError,
 )
-from induniv.gamma import GammaVertex, Profile, gamma_adjacent, make_gamma_params
+from induniv.gamma import (
+    GammaVertex, Profile, encode_label, gamma_adjacent, make_gamma_params)
 from induniv.graphs import (
     Graph, circulant_graph, complete_graph, cycle_graph, empty_graph, path_graph)
 from induniv.harness import random_bounded_graph
@@ -96,6 +97,22 @@ def test_embed_deterministic(desk_params3):
     a = embed(g, 3, desk_params3)
     b = embed(g, 3, desk_params3)
     assert a.gamma == b.gamma
+
+
+@pytest.mark.parametrize("h, delta, digest", [
+    (cycle_graph(50), 2, "098262238baa1df5"),
+    (circulant_graph(40, (1, 2)), 4, "3b2bd7578d7ceec3"),
+    (circulant_graph(20, (1, 10)), 3, "88737e1abffa9a31"),
+], ids=["c50", "circ40-1-2", "circ20-1-10"])
+def test_labels_match_their_golden_digest(h, delta, digest):
+    # the first 16 hex digits of sha256 over the newline-joined labels, the
+    # same under every PYTHONHASHSEED; each input has conflict pairs, so its
+    # shield walks run with schedules
+    params = make_gamma_params(delta, h.vertex_count, "desk")
+    result = embed(h, delta, params)
+    assert any(cs for conflicts in result.homs.conflicts.values() for cs in conflicts.values())
+    text = "\n".join(encode_label(v, params) for v in result.gamma)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_anchor_map_is_homomorphism(desk_params2):
@@ -243,13 +260,13 @@ def test_verify_induced_detects_shield_tamper(desk_params2):
                 or report.ok is False
 
 
-def test_retry_trail_on_failure(desk_params2):
+def test_retry_trail_on_failure():
     # an impossible host: delta-2 parameters with a path that cannot fail is
     # hard to fabricate, so force failure through a zero walk budget
     h = cycle_graph(8)
-    policy = RetryPolicy(budget_scale=(0,))
+    starved = make_gamma_params(2, 30, "desk", {"walk_budget": 0})
     with pytest.raises(EmbeddingFailureError) as err:
-        embed(h, 2, desk_params2, retry=policy)
+        embed(h, 2, starved)
     assert err.value.trail
 
 
@@ -287,15 +304,11 @@ def test_edge_witnesses_need_the_decomposition(desk_params2):
 
 def test_overflow_moves_on_without_a_larger_budget():
     # a zero schedule cap overflows at the first scheduled entry, whatever the
-    # walk budget; the next parameter set is tried instead
-    tight = make_gamma_params(2, 40, "desk", {"sigma_cap": 0})
-    h = cycle_graph(40)
+    # walk budget, so the larger budget of the second round is never tried
+    tight = make_gamma_params(2, 40, "desk", {"sigma_cap": 0, "retry_budget_scale": (1, 4)})
     with pytest.raises(EmbeddingFailureError) as err:
-        embed(h, 2, tight)
+        embed(cycle_graph(40), 2, tight)
     assert [t["error"]["type"] for t in err.value.trail] == ["ScheduleOverflowError"]
-    roomy = make_gamma_params(2, 40, "desk")
-    result = embed(h, 2, tight, retry=RetryPolicy(fallback_params=(roomy,)))
-    assert result.certificate.ok and result.params_digest == roomy.digest()
 
 
 def test_embed_asks_the_oracle_about_every_pair(monkeypatch, desk_params2):

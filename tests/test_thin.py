@@ -14,7 +14,6 @@ from induniv.graphs import (
 )
 from induniv.harness import FamilySpec, enumerate_family
 from induniv.thin import (
-    DecomposeStrategy,
     ThinDecomposition,
     _bfs_edge_order,
     _component_kind,
@@ -105,8 +104,6 @@ def test_precondition_checks():
         thin_decompose(complete_graph(5), 3)  # degree 4 > 3
     with pytest.raises(ArgumentError):
         thin_decompose(cycle_graph(4), 1)
-    with pytest.raises(ArgumentError):
-        thin_decompose(cycle_graph(4), 3, DecomposeStrategy.EVEN_PETERSEN)
 
 
 def test_degree_sum_invariant():
@@ -137,7 +134,7 @@ def test_degree_sum_invariant():
 ])
 def test_even_petersen_parts_two_regular_on_regular_input(g):
     assert set(g.degrees()) == {4}
-    dec = thin_decompose(g, 4, DecomposeStrategy.EVEN_PETERSEN)
+    dec = thin_decompose(g, 4)
     assert validate_decomposition(g, dec).ok
     assert all(set(p.degrees()) == {2} for p in dec.parts)
 
@@ -152,7 +149,7 @@ def test_even_petersen_delta_six():
 
 def test_search_budget_error_carries_partial():
     with pytest.raises(DecompositionError) as err:
-        thin_decompose(complete_graph(4), 3, DecomposeStrategy.SEARCH, search_budget=2)
+        thin_decompose(complete_graph(4), 3, search_budget=2)
     assert "budget" in str(err.value)
 
 
