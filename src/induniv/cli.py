@@ -217,7 +217,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
         params = make_gamma_params(
             meta["delta"], meta["n"], Profile.DESK, DeskConfig.from_json(meta))
         recorded, labels = doc["params_digest"], doc["gamma"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            ArgumentError) as exc:
         raise CodecError(f"malformed embedding file: {type(exc).__name__}: {exc}") from exc
     if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
         raise CodecError("embedding labels must be a list of strings")
@@ -343,7 +344,15 @@ def run(argv: list[str] | None = None) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe early (``induniv verify ... | head``):
+            # send what is left, and the flush at exit, to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

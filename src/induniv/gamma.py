@@ -13,7 +13,13 @@ x's sorted distance-<=4 neighborhood. The rule's test at one block,
 ``block_link``, is written once; the scalar oracle
 ``gamma_adjacent_witness`` answers one pair with it, and ``adjacent_pairs``
 answers all pairs of a vertex list at once from per-coordinate close pairs,
-with the same witnesses. The graph itself is never materialized: with
+with the same witnesses. The rule reads a vertex only through ``x(i)``,
+``u(i)`` and ``in_subset(i, r)``, so the label oracle
+``adjacency_from_labels`` runs the same scan on two parsed labels: each gets
+the strict parse that ``decode_label`` makes, which cuts and range-checks
+only the x and u fields; the scan then reads at most one bit of each subset
+mask, and only at a block whose x-pair is close, straight from the parsed
+bytes. The graph itself is never materialized: with
 paper-scale constants even one subset coordinate is astronomically wide, so
 everything is served by (params, oracle, codec).
 
@@ -28,10 +34,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from binascii import a2b_hex
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import ge, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -93,15 +101,47 @@ class DeskConfig:
             "retry_budget_scale": list(self.retry_budget_scale),
         }
 
+    def __post_init__(self):
+        # the fields also come from embedding files, where a wrong type would
+        # otherwise show only as a parameter digest that does not match
+        def reject(name: str, want: str):
+            raise ArgumentError(
+                f"desk config field {name} must be {want}, got {getattr(self, name)!r}")
+
+        for name in ("rm_pq", "rz_pq"):
+            pq = getattr(self, name)
+            if not (isinstance(pq, tuple) and len(pq) == 2 and all(map(_is_int, pq))):
+                reject(name, "a pair of integers")
+        for name in ("eigen_tolerance", "eigen_slack"):
+            if not _is_real(getattr(self, name)):
+                reject(name, "a number")
+        for name in ("walk_budget", "usage_cap_factor", "conflict_gap"):
+            if not _is_int(getattr(self, name)):
+                reject(name, "an integer")
+        if not (self.sigma_cap is None or _is_int(self.sigma_cap)):
+            reject("sigma_cap", "an integer or null")
+        scale = self.retry_budget_scale
+        if not (isinstance(scale, tuple) and scale and all(map(_is_int, scale))):
+            reject("retry_budget_scale", "a nonempty list of integers")
+
     @classmethod
     def from_json(cls, doc: dict) -> "DeskConfig":
         """Inverse of ``to_json``; absent fields take their defaults and
-        keys that are not fields are ignored."""
+        keys that are not fields are ignored. A field of the wrong type
+        raises ArgumentError naming it."""
         kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         for name in ("rm_pq", "rz_pq", "retry_budget_scale"):
-            if name in kwargs:
+            if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +197,8 @@ class GammaParams:
 
     @cached_property
     def label_layout(self) -> LabelLayout:
-        return LabelLayout.of(self.x_bits, self.subset_bits, self.u_bits, self.delta)
+        return LabelLayout.of(self.ell_m, self.ell_z, self.x_bits, self.subset_bits,
+                              self.u_bits, self.delta)
 
     def sigma_cap_for(self, n: int) -> int:
         if self.desk and self.desk.sigma_cap is not None:
@@ -217,6 +258,9 @@ def make_gamma_params(
     every cap from their actual sizes; supplied graphs failing certification
     raise CertificationError.
     """
+    for name, value in (("delta", delta), ("n", n)):
+        if not _is_int(value):
+            raise ArgumentError(f"{name} must be an integer, got {value!r}")
     if delta < 2:
         raise ArgumentError(f"delta must be >= 2, got {delta}")
     if n < 1:
@@ -347,9 +391,19 @@ class GammaVertex:
         """x-coordinate at 1-based index i."""
         return self.x1 if i == 1 else self.blocks[i - 2][0]
 
+    def u(self, i: int) -> int:
+        """u-coordinate of block i."""
+        return self.blocks[i - 2][2]
+
+    def in_subset(self, i: int, r: int) -> int:
+        """1 if rank r lies in the subset of block i, else 0."""
+        return self.blocks[i - 2][1] >> r & 1
+
 
 def validate_vertex(v: GammaVertex, params: GammaParams) -> None:
-    if params.profile is Profile.PAPER:
+    # only paper-profile parameters lack the metric; this runs on every
+    # oracle call, and Profile.PAPER is a slow descriptor lookup on 3.11
+    if params.rm_pow is None:
         raise InfeasibleBuildError(
             "paper-profile parameters are formula-only; no vertices exist to query")
     ell_m, ell_z, width = params.ell_m, params.ell_z, params.subset_bits
@@ -393,26 +447,36 @@ def gamma_adjacent_witness(
     """
     validate_vertex(a, params)
     validate_vertex(b, params)
+    return _witness(a, b, params)
+
+
+def _witness(
+    a: GammaVertex | _ParsedLabel, b: GammaVertex | _ParsedLabel, params: GammaParams
+) -> tuple[bool, tuple[int, int] | None]:
+    """The x-scan of ``gamma_adjacent_witness`` on two valid vertices or
+    parsed labels: the first close j, then the first i > j whose x-pair is
+    close and whose block links the pair."""
     rm_pow = params.rm_pow
     contains, rank = rm_pow.contains, rm_pow.rank
-    first_close = 1 if contains(a.x1, b.x1) else None
+    ax, bx = a.x, b.x
     last = params.delta
-    for i, (block_a, block_b) in enumerate(zip(a.blocks, b.blocks), start=2):
-        xa, xb = block_a[0], block_b[0]
-        if first_close is None:
-            # the last coordinate has no later one to pair with
-            if i < last and contains(xa, xb):
-                first_close = i
-            continue
+    # the last coordinate has no later one to pair with
+    for j in range(1, last):
+        if contains(ax(j), bx(j)):
+            break
+    else:
+        return False, None
+    for i in range(j + 1, last + 1):
+        xa, xb = ax(i), bx(i)
         ra = rank(xa, xb)  # None iff the x-pair at i is not close
         if ra is not None and block_link(a, b, i, ra, rank(xb, xa), params) is None:
-            return True, (first_close, i)
+            return True, (j, i)
     return False, None
 
 
 def block_link(
-    a: GammaVertex, b: GammaVertex, i: int, ra: int | None, rb: int | None,
-    params: GammaParams,
+    a: GammaVertex | _ParsedLabel, b: GammaVertex | _ParsedLabel, i: int,
+    ra: int | None, rb: int | None, params: GammaParams,
 ) -> str | None:
     """None if block i links a and b, else why it does not.
 
@@ -421,11 +485,9 @@ def block_link(
     each rank lies in its owner's subset and the u-pair at i is within
     distance 4 in R_z.
     """
-    _, mask_a, ua = a.blocks[i - 2]
-    _, mask_b, ub = b.blocks[i - 2]
-    if ra is None or rb is None or not ((mask_a >> ra) & 1 and (mask_b >> rb) & 1):
+    if ra is None or rb is None or not (a.in_subset(i, ra) and b.in_subset(i, rb)):
         return "subset membership missing"
-    if not params.rz_pow.contains(ua, ub):
+    if not params.rz_pow.contains(a.u(i), b.u(i)):
         return "shield pair not close"
     return None
 
@@ -538,32 +600,48 @@ class LabelLayout:
     """Where each field of a label lies, fixed by the field widths.
 
     The payload has ``digits`` hex digits, parsed into ``nbytes`` bytes (an
-    odd digit count takes one leading zero digit). ``fields`` lists, for x1
-    and then x_i, X_i, u_i of each block, the byte range ``start:end`` that
-    holds the field, and the right shift and mask that cut it from the
-    big-endian integer of those bytes. x1's range starts at byte 0 and its
-    mask is None, so its value also carries the pad bits.
+    odd digit count takes one leading zero digit). ``mask_fields`` lists,
+    for X_i of each block, the byte range ``start:end`` that holds the
+    field, and the right shift and mask that cut it from the big-endian
+    integer of those bytes. The coordinates are cut together:
+    ``small_bytes`` picks the few bytes that hold them, and ``cuts`` holds
+    the (shift, mask) pairs that cut x_1..x_delta and then u_2..u_delta
+    from the big-endian integer of those bytes, each below its entry of
+    ``bounds``. That integer shifted right by ``pad_shift`` is the pad bits.
     """
 
+    delta: int
     bits: int
     header: str
     digits: int
     nbytes: int
-    fields: tuple[tuple[int, int, int, int | None], ...]
+    mask_fields: tuple[tuple[int, int, int, int], ...]
+    small_bytes: itemgetter
+    pad_shift: int
+    cuts: tuple[tuple[int, int], ...]
+    bounds: tuple[int, ...]
 
     @classmethod
-    def of(cls, x_bits: int, subset_bits: int, u_bits: int, delta: int) -> LabelLayout:
+    def of(cls, ell_m: int, ell_z: int, x_bits: int, subset_bits: int, u_bits: int,
+           delta: int) -> LabelLayout:
         widths = [x_bits] + [x_bits, subset_bits, u_bits] * (delta - 1)
         bits = sum(widths)
         digits = (bits + 3) // 4
         nbytes = (digits + 1) // 2
-        fields = []
+        fields = []  # (start, end, shift, mask) of each field, in payload order
         lo = bits  # a field's lowest bit, counted from the payload's last bit
         for w in widths:
             lo -= w
             fields.append((nbytes - 1 - (lo + w - 1) // 8, nbytes - lo // 8, lo % 8, (1 << w) - 1))
-        fields[0] = (0, fields[0][1], fields[0][2], None)
-        return cls(bits, format(bits, "08x"), digits, nbytes, tuple(fields))
+        coords = [fields[0]] + fields[1::3] + fields[3::3]
+        # byte 0 holds the pad bits on top of x1
+        small = sorted({0}.union(*(range(start, end) for start, end, _, _ in coords)))
+        # the place of byte k, counted in bytes from the small integer's end
+        place = {k: len(small) - 1 - pos for pos, k in enumerate(small)}
+        cuts = tuple((8 * place[end - 1] + shift, mask) for _, end, shift, mask in coords)
+        return cls(delta, bits, format(bits, "08x"), digits, nbytes, tuple(fields[2::3]),
+                   itemgetter(*small), cuts[0][0] + x_bits, cuts,
+                   (ell_m,) * delta + (ell_z,) * (delta - 1))
 
 
 def encode_label(v: GammaVertex, params: GammaParams) -> str:
@@ -578,41 +656,83 @@ def encode_label(v: GammaVertex, params: GammaParams) -> str:
     return layout.header + (payload_hex[1:] if layout.digits % 2 else payload_hex)
 
 
+class _ParsedLabel:
+    """A label after its one strict parse, read through the rule's methods
+    ``x``, ``u`` and ``in_subset``.
+
+    The parse checks the width header, parses the whole payload as hex in
+    one pass and checks its digit count. It then cuts the coordinates,
+    x_1..x_delta and u_2..u_delta into ``coords``, checks the pad bits and
+    range-checks every coordinate. The subset fields need no check, since
+    the layout bounds each to ``subset_bits`` bits: ``in_subset`` reads one
+    bit of one from the parsed bytes, and ``decode_label`` cuts them whole.
+    """
+
+    __slots__ = ("raw", "layout", "coords")
+
+    def __init__(self, label: str, params: GammaParams):
+        if params.rm_pow is None:  # paper-profile parameters build no expanders
+            raise InfeasibleBuildError("paper-profile parameters carry no labels")
+        if len(label) < 8:
+            raise CodecError("label shorter than its width header")
+        layout = params.label_layout
+        payload = label[8:]
+        try:
+            # the width header as encode_label writes it, else parsed strictly
+            total = layout.bits if label.startswith(layout.header) else int.from_bytes(
+                a2b_hex(label[:8]), "big")
+            raw = a2b_hex("0" + payload if len(payload) % 2 else payload)
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise CodecError(f"label is not hex: {exc}") from exc
+        if total != layout.bits:
+            raise CodecError(
+                f"label declares {total} bits, parameters want {layout.bits}")
+        if len(payload) != layout.digits:
+            raise CodecError(
+                f"label payload has {len(payload)} hex digits, want {layout.digits}")
+        small = int.from_bytes(bytes(layout.small_bytes(raw)), "big")
+        if small >> layout.pad_shift:
+            raise CodecError("label payload wider than its declared width")
+        coords = [small >> shift & mask for shift, mask in layout.cuts]
+        if any(map(ge, coords, layout.bounds)):
+            _reject_coordinates(coords, layout)
+        self.raw, self.layout, self.coords = raw, layout, coords
+
+    def x(self, i: int) -> int:
+        return self.coords[i - 1]
+
+    def u(self, i: int) -> int:
+        return self.coords[self.layout.delta + i - 2]
+
+    def in_subset(self, i: int, r: int) -> int:
+        # a rank is below its row's length, at most 4 d^4 in a d-regular
+        # graph, so bit shift + r lies inside the field
+        _, end, shift, _ = self.layout.mask_fields[i - 2]
+        bit = shift + r
+        return self.raw[end - 1 - (bit >> 3)] >> (bit & 7) & 1
+
+
+def _reject_coordinates(coords: list[int], layout: LabelLayout) -> None:
+    """Raise CodecError naming the first coordinate out of range."""
+    delta = layout.delta
+    for k, (value, bound) in enumerate(zip(coords, layout.bounds)):
+        if value >= bound:
+            name = f"x_{k + 1}" if k < delta else f"u_{k - delta + 2}"
+            raise CodecError(
+                f"decoded label is out of range: {name}={value} out of range [0, {bound})")
+
+
 def decode_label(label: str, params: GammaParams) -> GammaVertex:
-    if params.profile == Profile.PAPER:
-        raise InfeasibleBuildError("paper-profile parameters carry no labels")
-    if len(label) < 8:
-        raise CodecError("label shorter than its width header")
-    layout = params.label_layout
-    payload = label[8:]
-    try:
-        # the width header as encode_label writes it, else parsed strictly
-        total = layout.bits if label.startswith(layout.header) else int.from_bytes(
-            a2b_hex(label[:8]), "big")
-        raw = a2b_hex("0" + payload if len(payload) % 2 else payload)
-    except ValueError as exc:  # binascii.Error is a ValueError
-        raise CodecError(f"label is not hex: {exc}") from exc
-    if total != layout.bits:
-        raise CodecError(
-            f"label declares {total} bits, parameters want {layout.bits}")
-    if len(payload) != layout.digits:
-        raise CodecError(
-            f"label payload has {len(payload)} hex digits, want {layout.digits}")
-    (_, end, shift, _), *rest = layout.fields
-    x1 = int.from_bytes(raw[:end], "big") >> shift
-    if x1 >> params.x_bits:
-        raise CodecError("label payload wider than its declared width")
-    cut = iter([int.from_bytes(raw[start:end], "big") >> shift & mask
-                for start, end, shift, mask in rest])
-    vertex = GammaVertex(x1=x1, blocks=tuple(zip(cut, cut, cut)))
-    try:
-        validate_vertex(vertex, params)
-    except ArgumentError as exc:
-        raise CodecError(f"decoded label is out of range: {exc}") from exc
-    return vertex
+    parsed = _ParsedLabel(label, params)
+    coords, delta, raw = parsed.coords, params.delta, parsed.raw
+    masks = [int.from_bytes(raw[start:end], "big") >> shift & mask
+             for start, end, shift, mask in parsed.layout.mask_fields]
+    return GammaVertex(x1=coords[0], blocks=tuple(zip(coords[1:delta], masks, coords[delta:])))
 
 
 def adjacency_from_labels(label_a: str, label_b: str, params: GammaParams) -> bool:
-    """Adjacency decided from two labels plus public parameters only."""
-    return gamma_adjacent(
-        decode_label(label_a, params), decode_label(label_b, params), params)
+    """Adjacency decided from two labels plus public parameters only.
+
+    Each label gets the strict parse of ``decode_label``; the rule then
+    reads at most one bit of each subset field, so no mask is decoded."""
+    return _witness(_ParsedLabel(label_a, params), _ParsedLabel(label_b, params), params)[0]

@@ -258,19 +258,37 @@ def _bipartite_matchings(nv: int, oriented: list[tuple[int, int, int]], k: int) 
             lst.sort()
         match_right: dict[int, tuple[int, int]] = {}  # head -> (eid, tail)
 
-        def augment(u: int, seen: set[int]) -> bool:
-            for eid, w in adj.get(u, ()):
-                if w in seen:
+        def augment(root: int) -> bool:
+            """Kuhn's depth-first search for an augmenting path from root, on
+            an explicit stack: frame k tries the edges of its tail in order,
+            path[k] is the edge it is trying, and frame k + 1 starts at the
+            tail matched to that edge's head."""
+            seen: set[int] = set()
+            frames = [(root, iter(adj.get(root, ())))]
+            path: list[tuple[int, int]] = []
+            while frames:
+                u, edges = frames[-1]
+                for eid, w in edges:
+                    if w not in seen:
+                        break
+                else:  # no unseen head left at u: back up to the frame below
+                    frames.pop()
+                    if path:
+                        path.pop()
                     continue
                 seen.add(w)
-                if w not in match_right or augment(match_right[w][1], seen):
-                    match_right[w] = (eid, u)
+                path.append((eid, w))
+                if w not in match_right:
+                    for (tail, _), (eid, head) in zip(frames, path):
+                        match_right[head] = (eid, tail)
                     return True
+                tail = match_right[w][1]
+                frames.append((tail, iter(adj.get(tail, ()))))
             return False
 
         lefts = sorted(adj)
         for u in lefts:
-            if not augment(u, set()):
+            if not augment(u):
                 raise DecompositionError(
                     f"no perfect matching while peeling layer {len(layers)}")
         layer = sorted(eid for eid, _ in match_right.values())

@@ -245,8 +245,56 @@ def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
     assert done.stdout.split()[-5:] == ["0", "0", "False", "False", "False"]
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_ends_the_command_quietly(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert run(["size-report", "--delta", "2", "--n-list", "100"]) == 0
+        # the descriptor now points at devnull, for the flush at exit
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "induniv", "size-report", "--delta", "2", "--n-list", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the command writes anything
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def _with_params(doc, **fields):
     return json.dumps({**doc, "params": {**doc["params"], **fields}})
+
+
+@pytest.mark.parametrize("field, value", [("delta", 2.5), ("n", "6"), ("sigma_cap", "x")])
+def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_desk, field, value):
+    emb = tmp_path / "emb.json"
+    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
+                "--output", str(emb)]) == 0
+    emb.write_text(_with_params(json.loads(emb.read_text()), **{field: value}))
+    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CodecError"
+    assert field in error["message"] and "digest" not in error["message"]
 
 
 @pytest.mark.parametrize("env, command, edge_list, edit, code, kind", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from induniv.errors import ArgumentError, CertificationError, CodecError, InfeasibleBuildError
 from induniv.gamma import (
+    DeskConfig,
     GammaVertex,
     PAPER_D,
     PAPER_Z,
@@ -26,6 +27,7 @@ from induniv.gamma import (
     validate_vertex,
 )
 from induniv import graphs
+from induniv.embedder import embed
 from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
 from induniv.harness import random_close_gamma_pair, random_gamma_vertex
 from oracles import (
@@ -432,14 +434,18 @@ def _codec_params(delta):
     return make_gamma_params(delta, 30, "desk")
 
 
-@st.composite
-def _codec_cases(draw):
-    params = _codec_params(draw(st.sampled_from([2, 3, 4, 5])))
+def _draw_vertex(draw, params):
     x = st.integers(0, params.ell_m - 1)
     mask = st.integers(0, (1 << params.subset_bits) - 1)
     u = st.integers(0, params.ell_z - 1)
     blocks = tuple((draw(x), draw(mask), draw(u)) for _ in range(params.delta - 1))
-    return params, GammaVertex(x1=draw(x), blocks=blocks)
+    return GammaVertex(x1=draw(x), blocks=blocks)
+
+
+@st.composite
+def _codec_cases(draw):
+    params = _codec_params(draw(st.sampled_from([2, 3, 4, 5])))
+    return params, _draw_vertex(draw, params)
 
 
 def test_payload_digit_counts():
@@ -501,6 +507,113 @@ def test_decoder_rejects_forms_encode_never_writes(desk_params2, form, part):
         decode_label(lax, desk_params2)
 
 
+@st.composite
+def _label_pairs(draw):
+    """A codec case a and a second vertex b; a draw decides at which
+    coordinates b's x is close to a's, and at which blocks the subsets hold
+    the mutual ranks and the u's are close."""
+    params, a = draw(_codec_cases())
+    b = _draw_vertex(draw, params)
+    rm, rz = params.rm_pow, params.rz_pow
+
+    def near(pw, v):
+        row = pw.row(v)
+        return int(row[draw(st.integers(0, len(row) - 1))])
+
+    x1 = near(rm, a.x1) if draw(st.booleans()) else b.x1
+    blocks_a, blocks_b = [], []
+    for (xa, ma, ua), (xb, mb, ub) in zip(a.blocks, b.blocks):
+        if draw(st.booleans()):
+            xb = near(rm, xa)
+            if draw(st.booleans()):
+                ma, mb = ma | 1 << rm.rank(xa, xb), mb | 1 << rm.rank(xb, xa)
+            if draw(st.booleans()):
+                ub = near(rz, ua)
+        blocks_a.append((xa, ma, ua))
+        blocks_b.append((xb, mb, ub))
+    return params, GammaVertex(a.x1, tuple(blocks_a)), GammaVertex(x1, tuple(blocks_b))
+
+
+@given(_label_pairs())
+@settings(max_examples=200, deadline=None)
+def test_label_oracle_agrees_with_the_decoded_vertices(case):
+    params, a, b = case
+    la, lb = encode_label(a, params), encode_label(b, params)
+    want = gamma_adjacent_witness(decode_label(la, params), decode_label(lb, params), params)
+    assert want == oracle_gamma_adjacent_witness(a, b, params)
+    assert adjacency_from_labels(la, lb, params) == want[0]
+    assert adjacency_from_labels(lb, la, params) == want[0]
+
+
+@pytest.mark.parametrize("h, delta", [
+    (cycle_graph(12), 2),
+    (circulant_graph(12, (1, 6)), 3),
+    (circulant_graph(12, (1, 2)), 4),
+    (circulant_graph(12, (1, 2, 6)), 5),
+])
+def test_label_oracle_agrees_on_every_pair_of_an_embedding(h, delta):
+    params = _codec_params(delta)
+    labels = [encode_label(v, params) for v in embed(h, delta, params).gamma]
+    decoded = [decode_label(label, params) for label in labels]
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            want, _ = gamma_adjacent_witness(decoded[a], decoded[b], params)
+            assert adjacency_from_labels(la, lb, params) == want == h.has_edge(a, b)
+
+
+def _labels_the_decoder_rejects(params):
+    """Malformed labels for params, each under the name of its defect."""
+    delta = params.delta
+    v = GammaVertex(x1=5, blocks=((7, 3, 9),) * (delta - 1))  # the payload starts "00"
+    label = encode_label(v, params)
+    bad = {
+        "shorter than its header": label[:7],
+        "truncated": label[:-2],
+        "a digit too many": label + "0",
+        "not hex": "zz" + label[2:],
+        "wrong width": format(params.label_bits + 8, "08x") + label[8:],
+    }
+    for form, lax in _LAX_FORMS.items():
+        for part, start in (("header", 0), ("payload", 8)):
+            bad[f"{form} in the {part}"] = label[:start] + lax + label[start + 2:]
+    pad = -params.label_bits % 4
+    for bit in range(4 - pad, 4):
+        bad[f"pad bit {bit}"] = label[:8] + format(int(label[8], 16) | 1 << bit, "x") + label[9:]
+    for i in range(1, delta + 1):
+        x1, blocks = v.x1, list(v.blocks)
+        if i == 1:
+            x1 = params.ell_m
+        else:
+            blocks[i - 2] = (params.ell_m, *blocks[i - 2][1:])
+        bad[f"x_{i} = ell_m"] = reference_encode_label(GammaVertex(x1, tuple(blocks)), params)
+        if i > 1:
+            blocks = list(v.blocks)
+            blocks[i - 2] = (*blocks[i - 2][:2], params.ell_z)
+            bad[f"u_{i} = ell_z"] = reference_encode_label(GammaVertex(x1=5, blocks=tuple(blocks)), params)
+    return bad
+
+
+def _codec_error(call, *args) -> str | None:
+    try:
+        call(*args)
+    except CodecError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 5])
+def test_label_oracle_rejects_what_the_decoder_rejects(delta):
+    params = _codec_params(delta)
+    good = encode_label(random_gamma_vertex(random.Random(delta), params), params)
+    bad = _labels_the_decoder_rejects(params)
+    assert len(bad) == 5 + 2 * len(_LAX_FORMS) + -params.label_bits % 4 + 2 * delta - 1
+    for defect, label in bad.items():
+        why = _codec_error(decode_label, label, params)
+        assert why is not None, defect
+        assert _codec_error(adjacency_from_labels, label, good, params) == why, defect
+        assert _codec_error(adjacency_from_labels, good, label, params) == why, defect
+
+
 def test_label_adjacency_agrees_with_oracle(desk_params2):
     rng = random.Random(10)
     for i in range(60):
@@ -515,6 +628,33 @@ def test_label_adjacency_agrees_with_oracle(desk_params2):
 
 
 # -- misc --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rm_pq", 5), ("rm_pq", [5]), ("rz_pq", [5, "29"]), ("eigen_tolerance", "1e-4"),
+    ("eigen_slack", None), ("walk_budget", 2.5), ("usage_cap_factor", True),
+    ("sigma_cap", "x"), ("conflict_gap", None), ("retry_budget_scale", []),
+    ("retry_budget_scale", [1, 4.0]),
+])
+def test_desk_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ArgumentError, match=f"desk config field {field} must be"):
+        DeskConfig.from_json({**DeskConfig().to_json(), field: value})
+    if isinstance(value, list):
+        value = tuple(value)
+    with pytest.raises(ArgumentError, match=f"desk config field {field} must be"):
+        make_gamma_params(2, 30, "desk", {field: value})
+
+
+def test_desk_config_takes_json_numbers():
+    cfg = DeskConfig.from_json({"eigen_tolerance": 0, "sigma_cap": 12, "rm_pq": [5, 29]})
+    assert (cfg.eigen_tolerance, cfg.sigma_cap, cfg.rm_pq) == (0, 12, (5, 29))
+
+
+@pytest.mark.parametrize("delta, n", [(2.5, 30), (2, 30.0), (2, "30"), (True, 30)])
+def test_params_reject_sizes_that_are_not_integers(delta, n):
+    name = "delta" if not isinstance(delta, int) or isinstance(delta, bool) else "n"
+    with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+        make_gamma_params(delta, n, "desk")
 
 
 def test_params_digest_distinguishes_configs(desk_params2, desk_params3):

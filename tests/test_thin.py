@@ -139,6 +139,15 @@ def test_even_petersen_parts_two_regular_on_regular_input(g):
     assert all(set(p.degrees()) == {2} for p in dec.parts)
 
 
+def test_even_petersen_on_a_long_cycle_power():
+    # an augmenting path here runs through hundreds of heads, past Python's
+    # default recursion limit
+    g = circulant_graph(1000, (1, 2))
+    dec = thin_decompose(g, 4)
+    assert validate_decomposition(g, dec).ok
+    assert all(set(p.degrees()) == {2} for p in dec.parts)
+
+
 def test_even_petersen_delta_six():
     g = circulant_graph(12, (1, 2, 3))
     assert set(g.degrees()) == {6}
