@@ -21,6 +21,7 @@ graph it is given.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -365,8 +366,11 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     ``tolerance``, s being the last entry of the Ritz vector in the
     tridiagonal basis: each is then within ``tolerance`` of an eigenvalue of
     the graph (Paige: this holds in floating point too, so the basis is not
-    reorthogonalised and no basis is stored). It raises ConvergenceError
-    when that does not happen within ``_LANCZOS_STEPS`` steps.
+    reorthogonalised and no basis is stored). Paige's bound holds only down
+    to round-off, so it is never taken below eps * d: an s that underflows
+    to 0.0 certifies nothing. It raises ConvergenceError when that does not
+    happen within ``_LANCZOS_STEPS`` steps. The start vector is uniform on
+    [-1, 1), drawn from ``random.Random(_LANCZOS_SEED)``.
     """
     if tolerance <= 0:
         raise ArgumentError("tolerance must be positive")
@@ -396,12 +400,16 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
         side = np.array(g.bfs_distances(0)) % 2
         trivial.append((1 - 2 * side) / math.sqrt(n))
     columns = np.ascontiguousarray(table.T)
-    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    # uniform on [-1, 1), drawn from the stdlib: numpy.random would cost
+    # every process some 6 MB of resident memory
+    bits = random.Random(_LANCZOS_SEED).getrandbits(64 * n)
+    v = np.frombuffer(bits.to_bytes(8 * n, "little"), dtype=np.int64) / 2.0 ** 63
     prev = np.zeros(n)
     alpha: list[float] = []
     beta: list[float] = []
     ritz = np.zeros(0)
     steps = min(_LANCZOS_STEPS, n - len(trivial))
+    floor = np.finfo(float).eps * d  # Paige's bound, below round-off
     for _ in range(steps):
         for u in trivial:
             v -= u * (u @ v)
@@ -412,7 +420,8 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
         beta.append(float(np.linalg.norm(w)))
         ritz, s = np.linalg.eigh(
             np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
-        if beta[-1] * max(abs(s[-1, 0]), abs(s[-1, -1])) <= tolerance:
+        bound = beta[-1] * max(abs(s[-1, 0]), abs(s[-1, -1]))
+        if max(bound, floor) <= tolerance:
             return float(max(abs(ritz[0]), abs(ritz[-1])))
         prev, v = v, w
     raise ConvergenceError(

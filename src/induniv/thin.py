@@ -15,7 +15,7 @@ Both facts are re-validated on every output, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import ArgumentError, DecompositionError, LayoutError
 from .graphs import Graph
@@ -162,8 +162,13 @@ def thin_decompose(
     Even delta goes through the two-factor route (pad to a delta-regular
     multigraph by doubling, orient along Euler circuits, peel perfect
     matchings of the in/out bipartite graph) and duplicates each 2-regular
-    layer into two identical parts. Odd delta uses validated backtracking
-    over per-edge part pairs. The result is always re-validated.
+    layer into two identical parts. Odd delta uses a backtracking search
+    over per-edge part pairs, which ``search_budget`` bounds. For delta 3 it
+    is led by a 3-edge-colouring found greedily with Kempe-chain swaps:
+    part c takes the edges of the two colours other than c, so a properly
+    coloured graph decomposes without backtracking, and only the edges the
+    colouring leaves out (class-2 pieces such as the Petersen graph) are
+    searched. The result is always re-validated.
     """
     if delta < 2:
         raise ArgumentError(f"delta must be >= 2, got {delta}")
@@ -425,6 +430,49 @@ def _bfs_edge_order(h: Graph) -> list[tuple[int, int]]:
     return order
 
 
+def _kempe_colouring(n: int, edges: list[tuple[int, int]]) -> list[int | None]:
+    """Colours 0, 1, 2 for the edges of a subcubic graph, None where none fits.
+
+    Edges are coloured greedily in the given order. When the two ends of uv
+    share no free colour, take a colour a free at u and b free at v and swap
+    a and b along the a/b chain that starts at v: the chain is a path, so the
+    swap keeps the colouring proper and frees a at v, and a stays free at u
+    unless the chain ends at u. A chain from u that swaps b and a is then the
+    same path, so uv stays uncoloured only when every such chain from v ends
+    at u. Any two coloured edges that share a vertex differ in colour.
+    """
+    colour: list[int | None] = [None] * len(edges)
+    at: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> colour -> edge index
+    for k, (u, v) in enumerate(edges):
+        free_u = [c for c in range(3) if c not in at[u]]
+        free_v = [c for c in range(3) if c not in at[v]]
+        common = [c for c in free_u if c in free_v]
+        if not common:
+            for a, b in product(free_u, free_v):
+                chain, x, c = [], v, a
+                while c in at[x]:  # walk the a/b path from v
+                    e = at[x][c]
+                    chain.append(e)
+                    x = edges[e][0] if edges[e][1] == x else edges[e][1]
+                    c = b if c == a else a
+                if x == u:
+                    continue
+                for e in chain:
+                    for y in edges[e]:
+                        del at[y][colour[e]]
+                for e in chain:
+                    colour[e] = b if colour[e] == a else a
+                    for y in edges[e]:
+                        at[y][colour[e]] = e
+                common = [a]
+                break
+            else:
+                continue
+        colour[k] = common[0]
+        at[u][common[0]] = at[v][common[0]] = k
+    return colour
+
+
 def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
     """Backtracking over per-edge part pairs with incremental thinness pruning.
 
@@ -436,51 +484,68 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
     (roots by descending degree): consecutive decisions share vertices, so a
     doomed branch is contradicted within a few levels instead of deep in the
     tree.
+
+    For delta 3 the edges are first 3-edge-coloured (``_kempe_colouring``)
+    and each coloured edge tries first the pair of parts that leaves its
+    colour out, then the other pairs in lexicographic order; other edges,
+    and every edge for larger delta, try the pairs in lexicographic order.
+    Under a proper colouring part c is then a union of the matchings of the
+    two other colours, so every prefix of every part has maximum degree 2
+    and is thin, and the first descent never backtracks. Only the edges left
+    uncoloured (class-2 pieces such as the Petersen graph) can make it
+    search. The search runs on an explicit stack: ``tries[pos]`` counts the
+    pairs the edge at depth pos has tried and ``refused[pos]`` holds the
+    parts that cannot take it at that node.
     """
     edges = _bfs_edge_order(h)
-    pairs = list(combinations(range(delta), 2))
     n = h.vertex_count
+    colours = _kempe_colouring(n, edges) if delta == 3 else [None] * len(edges)
+    pairs = list(combinations(range(delta), 2))
+    # the pair order of an edge of colour c (stable: lexicographic otherwise)
+    orders = {c: sorted(pairs, key=lambda pq: c in pq) for c in (None, *range(delta))}
     parts = [_SearchPart(n) for _ in range(delta)]
     assignment: list[tuple[int, int]] = []
+    tries = [0] * len(edges)
+    refused: list[set[int]] = [set() for _ in edges]
     spent = 0
-
-    def rec(pos: int) -> bool:
-        nonlocal spent
-        if pos == len(edges):
-            return True
-        u, v = edges[pos]
-        refused: set[int] = set()  # parts that cannot take uv at this node
-        for i, j in pairs:
-            spent += 1
-            if spent > budget:
+    pos = 0
+    while pos < len(edges):
+        if tries[pos] == len(pairs):  # every pair failed here: back up
+            if pos == 0:
                 raise DecompositionError(
-                    "search budget exhausted",
-                    assigned=[[*edge, *pq] for edge, pq in zip(edges, assignment)],
-                    budget=budget,
-                )
-            if i in refused or j in refused:
-                continue
-            if not parts[i].add(u, v):
-                parts[i].pop()
-                refused.add(i)
-                continue
-            if not parts[j].add(u, v):
-                parts[j].pop()
-                parts[i].pop()
-                refused.add(j)
-                continue
-            assignment.append((i, j))
-            if rec(pos + 1):
-                return True
+                    "no thin decomposition found by exhaustive search",
+                    assigned=[], budget=budget)
+            pos -= 1
+            i, j = assignment.pop()
             parts[i].pop()
             parts[j].pop()
-            assignment.pop()
-        return False
-
-    if not rec(0):
-        raise DecompositionError(
-            "no thin decomposition found by exhaustive search",
-            assigned=[], budget=budget)
+            continue
+        u, v = edges[pos]
+        i, j = orders[colours[pos]][tries[pos]]
+        tries[pos] += 1
+        spent += 1
+        if spent > budget:
+            raise DecompositionError(
+                "search budget exhausted",
+                assigned=[[*edge, *pq] for edge, pq in zip(edges, assignment)],
+                budget=budget,
+            )
+        if i in refused[pos] or j in refused[pos]:
+            continue
+        if not parts[i].add(u, v):
+            parts[i].pop()
+            refused[pos].add(i)
+            continue
+        if not parts[j].add(u, v):
+            parts[j].pop()
+            parts[i].pop()
+            refused[pos].add(j)
+            continue
+        assignment.append((i, j))
+        pos += 1
+        if pos < len(edges):
+            tries[pos] = 0
+            refused[pos].clear()
     multiplicity = {e: pq for e, pq in zip(edges, assignment)}
     return ThinDecomposition(
         parts=tuple(Graph(n, ((u, v) for u in range(n) for v in part.adj[u] if u < v))
@@ -649,6 +714,8 @@ def _order_search(g: Graph, comp: list[int], budget: int) -> list[int]:
     exactly, only one of them may take the next slot. Both cuts drop only
     branches that hold no layout, so the search returns the order a plain
     depth-first search in vertex order would, without walking its dead ends.
+    It keeps one frame per filled slot on an explicit stack, so its depth is
+    not bounded by the recursion limit.
     """
     comp_sorted = sorted(comp)
     comp_set = set(comp_sorted)
@@ -658,11 +725,10 @@ def _order_search(g: Graph, comp: list[int], budget: int) -> list[int]:
     order: list[int] = []
     spent = 0
 
-    def rec() -> bool:
-        nonlocal spent
+    def candidates() -> list[int] | None:
+        """The vertices that may take the next slot; None when the partial
+        order is cut."""
         t = len(order)
-        if t == nv:
-            return True
         # earlier slots have no unplaced neighbor left, or an ancestor was cut
         due: dict[int, int] = {}
         for j in range(max(0, t - 5), t):
@@ -672,26 +738,34 @@ def _order_search(g: Graph, comp: list[int], budget: int) -> list[int]:
         limit = None  # the last slot of the first full run of due slots
         for k, d in enumerate(sorted(due.values())):
             if d < t + k:
-                return False
+                return None
             if d == t + k and limit is None:
                 limit = d
-        for v in comp_sorted:
-            if v in placed or (limit is not None and due.get(v, limit + 1) > limit):
-                continue
-            spent += 1
-            if spent > budget:
-                raise LayoutError(
-                    "layout search budget exhausted",
-                    component=comp_sorted, budget=budget)
-            placed.add(v)
-            order.append(v)
-            if rec():
-                return True
-            placed.discard(v)
-            order.pop()
-        return False
+        return [v for v in comp_sorted if v not in placed
+                and (limit is None or due.get(v, limit + 1) <= limit)]
 
-    if not rec():
-        raise LayoutError(
-            "no stretch-4 layout found for component", component=comp_sorted)
-    return order
+    # frames[t] walks the candidates for slot t; order[t] is the one placed
+    frames = [iter(candidates() or ())]
+    while frames:
+        v = next(frames[-1], None)
+        if v is None:  # slot exhausted: take back the vertex before it
+            frames.pop()
+            if frames:
+                placed.discard(order.pop())
+            continue
+        spent += 1
+        if spent > budget:
+            raise LayoutError(
+                "layout search budget exhausted",
+                component=comp_sorted, budget=budget)
+        placed.add(v)
+        order.append(v)
+        if len(order) == nv:
+            return order
+        nxt = candidates()
+        if nxt is None:
+            placed.discard(order.pop())
+        else:
+            frames.append(iter(nxt))
+    raise LayoutError(
+        "no stretch-4 layout found for component", component=comp_sorted)

@@ -252,12 +252,18 @@ def oracle_first_layout(g: Graph, comp: list[int]) -> list[int] | None:
 
 
 def oracle_first_decomposition(
-    h: Graph, delta: int, edge_order: list[tuple[int, int]]
+    h: Graph, delta: int, edge_order: list[tuple[int, int]],
+    colours: list[int | None] | None = None,
 ) -> dict[tuple[int, int], tuple[int, int]] | None:
     """The first edge -> (part, part) map found by a depth-first search that
-    places the edges in edge_order, tries the part pairs in lexicographic
-    order and rebuilds both parts to test them with ``oracle_is_thin``."""
+    places the edges in edge_order and rebuilds both parts to test them with
+    ``oracle_is_thin``. An edge of colour c tries first the pair of parts
+    without c, then the other pairs in lexicographic order; an edge with no
+    colour (or no colours given) tries them all in lexicographic order."""
     pairs = list(itertools.combinations(range(delta), 2))
+    if colours is None:
+        colours = [None] * len(edge_order)
+    tried = [sorted(pairs, key=lambda pq: c is None or c in pq) for c in colours]
     parts: list[set[tuple[int, int]]] = [set() for _ in range(delta)]
     chosen: list[tuple[int, int]] = []
 
@@ -265,7 +271,7 @@ def oracle_first_decomposition(
         if k == len(edge_order):
             return True
         e = edge_order[k]
-        for i, j in pairs:
+        for i, j in tried[k]:
             parts[i].add(e)
             parts[j].add(e)
             chosen.append((i, j))

@@ -10,7 +10,7 @@ import induniv
 from induniv.cli import _worker_params, run
 from induniv.gamma import (
     DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params)
-from induniv.graphs import cycle_graph, dump_edge_list, parse_edge_list
+from induniv.graphs import circulant_graph, cycle_graph, dump_edge_list, parse_edge_list
 
 
 @pytest.fixture()
@@ -55,6 +55,16 @@ def test_decompose_and_layout(capsys, c6_file):
     code, doc = invoke(capsys, ["layout", "--input", c6_file])
     assert code == 0
     assert sorted(doc["phi"]) == list(range(6))
+
+
+def test_decompose_a_long_cubic_ring(capsys, tmp_path):
+    # 1,050 edges, one search level each: deeper than the recursion limit
+    path = tmp_path / "ring.txt"
+    dump_edge_list(circulant_graph(700, (1, 350)), path)
+    code, doc = invoke(capsys, ["decompose", "--input", str(path), "--delta", "3"])
+    assert code == 0
+    assert doc["schema"] == "induniv/decomposition-v1" and len(doc["parts"]) == 3
+    assert len(doc["multiplicity"]) == 1050
 
 
 def test_gamma_params_paper(capsys):
@@ -227,9 +237,10 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
-    # numpy imports numpy.ma lazily, at a cost of some 10 ms per process; and
-    # numpy is the only run-time dependency, so neither embed nor verify may
-    # import scipy or networkx, which only the tests use
+    # numpy imports numpy.ma lazily, at a cost of some 10 ms per process, and
+    # numpy.random, at some 6 MB of resident memory; and numpy is the only
+    # run-time dependency, so neither embed nor verify may import scipy or
+    # networkx, which only the tests use
     env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
     emb = str(tmp_path / "emb.json")
     embed_argv = ["embed", "--input", str(c6_file), "--delta", "2",
@@ -238,11 +249,11 @@ def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
                    "--output", str(tmp_path / "verify.json")]
     code = ("import sys; from induniv.cli import run; "
             f"print(run({embed_argv!r}), run({verify_argv!r}), "
-            "*(m in sys.modules for m in ('numpy.ma', 'scipy', 'networkx')))")
+            "*(m in sys.modules for m in ('numpy.ma', 'numpy.random', 'scipy', 'networkx')))")
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-5:] == ["0", "0", "False", "False", "False"]
+    assert done.stdout.split()[-6:] == ["0", "0", "False", "False", "False", "False"]
 
 
 class _ClosedPipe:

@@ -25,7 +25,7 @@ from induniv.embedder import (
     verify_induced,
 )
 from induniv.errors import ArgumentError, ScheduleOverflowError
-from induniv.gamma import GammaVertex, make_gamma_params
+from induniv.gamma import GammaVertex, gamma_adjacent_witness, make_gamma_params
 from induniv.graphs import Graph, cycle_graph, path_graph
 from induniv.harness import FamilySpec, enumerate_family
 from induniv.thin import PathPowerLayout
@@ -237,18 +237,26 @@ def test_tampered_embeddings_verify_like_the_reference(desk_params3):
     a, b = next(p for p in non_edges if close_at(*p) == (True, True, True))
     breaking.append(granted(a, b, [1]))
     breaking.append(granted(a, b, [0, 1]))
-    # swapped x-coordinates of two vertices, at the anchor (no edge of theirs
-    # needs it here) and at coordinate 2
-    a, b = 2, 8
+    # swapped x-coordinates of two vertices, at coordinate 2 and at the
+    # anchor: a and b are the first pair whose coordinate-2 swap loses an
+    # edge (a, w) witnessed at coordinate 2
+    def swapped_at_2(a, b):
+        (xa, ma, ua), (xb, mb, ub) = gamma[a].blocks[0], gamma[b].blocks[0]
+        out = list(gamma)
+        out[a] = GammaVertex(gamma[a].x1, ((xb, ma, ua),) + gamma[a].blocks[1:])
+        out[b] = GammaVertex(gamma[b].x1, ((xa, mb, ub),) + gamma[b].blocks[1:])
+        return out
+
+    a, b = next(
+        (a, b) for u, v in h.edges() for a, w in ((u, v), (v, u))
+        if 2 in gamma_adjacent_witness(gamma[a], gamma[w], params)[1]
+        for b in range(14) if b not in (a, w)
+        and not gamma_adjacent_witness(swapped_at_2(a, b)[a], gamma[w], params)[0])
+    breaking.append(_rebuilt(swapped_at_2(a, b)))
     swapped = list(gamma)
     swapped[a], swapped[b] = GammaVertex(gamma[b].x1, gamma[a].blocks), \
         GammaVertex(gamma[a].x1, gamma[b].blocks)
     other.append(_rebuilt(swapped))
-    (xa, ma, ua), (xb, mb, ub) = gamma[a].blocks[0], gamma[b].blocks[0]
-    swapped = list(gamma)
-    swapped[a] = GammaVertex(gamma[a].x1, ((xb, ma, ua),) + gamma[a].blocks[1:])
-    swapped[b] = GammaVertex(gamma[b].x1, ((xa, mb, ub),) + gamma[b].blocks[1:])
-    breaking.append(_rebuilt(swapped))
     for k, tampered in enumerate(breaking + other):
         report = verify_induced(h, tampered, params)
         assert report == oracle_verify_induced(h, tampered, params)

@@ -17,6 +17,7 @@ from induniv.thin import (
     ThinDecomposition,
     _bfs_edge_order,
     _component_kind,
+    _kempe_colouring,
     _order_search,
     _SearchPart,
     is_thin,
@@ -234,8 +235,73 @@ def test_decomposition_is_the_plain_search_result():
     graphs = [complete_graph(4), circulant_graph(8, (1, 4)), circulant_graph(10, (1, 5))]
     graphs += [_random_subcubic(rng, rng.randrange(5, 11), 1.0) for _ in range(25)]
     for h in graphs:
-        want = oracle_first_decomposition(h, 3, _bfs_edge_order(h))
+        edges = _bfs_edge_order(h)
+        want = oracle_first_decomposition(
+            h, 3, edges, _kempe_colouring(h.vertex_count, edges))
         assert thin_decompose(h, 3).multiplicity == want, sorted(h.edges())
+
+
+def _petersen() -> Graph:
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _bridged_cubic() -> Graph:
+    # two copies of K4 with one edge subdivided, the subdivision vertices
+    # joined by a bridge: cubic, and by the parity lemma not 3-edge-colourable
+    half = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
+    return Graph(10, half + [(u + 5, v + 5) for u, v in half] + [(4, 9)])
+
+
+def test_kempe_colouring_is_proper():
+    # any two coloured edges that share a vertex differ in colour
+    rng = random.Random(11)
+    graphs = [_petersen(), _bridged_cubic(), complete_graph(4), circulant_graph(700, (1, 350))]
+    graphs += [_random_subcubic(rng, n, keep) for n in (10, 52, 300, 2000)
+               for keep in (1.0, 0.8)]
+    for h in graphs:
+        edges = _bfs_edge_order(h)
+        colours = _kempe_colouring(h.vertex_count, edges)
+        assert len(colours) == len(edges) and set(colours) <= {0, 1, 2, None}
+        seen: dict[tuple[int, int], tuple[int, int]] = {}
+        for e, c in zip(edges, colours):
+            for x in e if c is not None else ():
+                assert (x, c) not in seen, (e, seen[x, c], c)
+                seen[x, c] = e
+
+
+@pytest.mark.parametrize("n", [52, 100, 500, 2000])
+def test_random_subcubic_graphs_decompose_along_the_colouring(n):
+    # a proper colouring leaves nothing to search, and random subcubic graphs
+    # leave at most a few edges uncoloured, so twice the edge count is ample
+    rng = random.Random(n)
+    for keep in (1.0, 1.0, 0.9):
+        h = _random_subcubic(rng, n, keep)
+        dec = thin_decompose(h, 3, search_budget=2 * h.edge_count)
+        assert validate_decomposition(h, dec).ok
+
+
+@pytest.mark.parametrize("h", [_petersen(), _bridged_cubic()], ids=["petersen", "bridged"])
+def test_class_two_graphs_decompose_through_the_search(h):
+    assert set(h.degrees()) == {3}
+    colours = _kempe_colouring(h.vertex_count, _bfs_edge_order(h))
+    assert None in colours  # no proper 3-edge-colouring exists
+    dec = thin_decompose(h, 3)
+    assert validate_decomposition(h, dec).ok
+    assert dec.multiplicity == oracle_first_decomposition(h, 3, _bfs_edge_order(h), colours)
+
+
+def test_long_cubic_rings_decompose_and_lay_out():
+    # one search level per edge, and a thousand and more edges: past the
+    # recursion limit of a search that recursed once per edge
+    h = circulant_graph(700, (1, 350))
+    dec = thin_decompose(h, 3)
+    assert validate_decomposition(h, dec).ok
+    for part in dec.parts:
+        assert validate_layout(part, layout_thin(part, 700)) == []
+    h = _random_subcubic(random.Random(1000), 1000, 1.0)
+    assert validate_decomposition(h, thin_decompose(h, 3)).ok
 
 
 def test_layout_search_is_the_plain_search_result():
@@ -302,6 +368,14 @@ def test_layout_every_thin_subcubic_class():
             if is_thin(g):
                 lay = layout_thin(g, n)
                 assert validate_layout(g, lay) == []
+
+
+def test_layout_search_places_a_long_tadpole():
+    # a triangle on a 1,200-vertex tail has one branch vertex, so it takes
+    # the search, which places one vertex per level
+    g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(1197, 1199)])
+    assert _component_kind(g, list(range(1200))) == "few_branch"
+    assert validate_layout(g, layout_thin(g, 1200)) == []
 
 
 def test_layout_order_inverse():
