@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .errors import ArgumentError, ArtifactError, CodecError
 from .gamma import (
@@ -320,10 +321,16 @@ def _cell(v) -> str:
     return str(v)
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built on first use and reused for every later ``run`` in
+    the process: building it costs far more than one parse."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code, payload = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(json.dumps({"error": {"type": "UsageError", "message": str(exc)}}),

@@ -57,6 +57,7 @@ from .gamma import (
     _member,
     adjacent_pairs,
     block_link,
+    close_pair_ranks,
     encode_label,
     gamma_adjacent_witness,
 )
@@ -147,35 +148,57 @@ class InducedReport:
 
 
 class CloseSets:
-    """Close pairs a < b of coordinate maps, as sorted keys a * n + b.
+    """The close pairs of one embedding attempt's coordinate maps, each map
+    scanned once.
 
-    A map's pairs come from one ``PowerNeighborhoods.close_pairs`` call, the
-    first time they are asked for; one embedding attempt shares an instance
-    between its schedules and conflict sets, so each map is scanned once.
+    ``ranks`` holds a map's close pairs a < b, as sorted keys a * n + b, with
+    both ranks (``gamma.close_pair_ranks``), keyed by the exact coordinate
+    tuple. The attempt's schedules and conflict sets read it as each map is
+    built, and its induced check (``adjacent_pairs``) reads it again for the
+    coordinates read off the assembled vertices: a vertex whose coordinate
+    differs from its built map changes the tuple, misses the table and is
+    scanned afresh. ``of`` gives a map's keys alone, ``union`` the keys close
+    in at least one of several maps, keyed by the maps it joins, and
+    ``edge_keys`` an input's edges as sorted keys; each is held once made.
+    An attempt makes one instance and drops it with itself.
     """
 
     def __init__(self, rm_pow, n: int):
         self.rm_pow = rm_pow
         self.n = n
-        self._keys: dict[tuple[int, ...], np.ndarray] = {}
+        self._ranks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._unions: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
+        self._edges: dict[Graph, np.ndarray] = {}
+
+    def ranks(self, coord_map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        coord_map = tuple(coord_map)
+        found = self._ranks.get(coord_map)
+        if found is None:
+            found = self._ranks[coord_map] = close_pair_ranks(self.rm_pow, coord_map)
+        return found
 
     def of(self, coord_map) -> np.ndarray:
-        coord_map = tuple(coord_map)
-        keys = self._keys.get(coord_map)
-        if keys is None:
-            a, b, _ = self.rm_pow.close_pairs(coord_map)
-            keys = self._keys[coord_map] = a[a < b] * self.n + b[a < b]
-        return keys
+        return self.ranks(coord_map)[0]
 
     def union(self, coord_maps) -> np.ndarray:
         """Keys of the pairs close in at least one of the maps, sorted and
         distinct. (Sorting and dropping repeats by hand, unlike ``np.unique``,
         does not import ``numpy.ma``, which costs a fresh process some 10 ms.)"""
-        keys = np.sort(np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [self.of(cm) for cm in coord_maps]))
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        return keys[first]
+        joined = tuple(map(tuple, coord_maps))
+        keys = self._unions.get(joined)
+        if keys is None:
+            keys = np.sort(np.concatenate(
+                [np.zeros(0, dtype=np.int64)] + [self.of(cm) for cm in joined]))
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            keys = self._unions[joined] = keys[first]
+        return keys
+
+    def edge_keys(self, h: Graph) -> np.ndarray:
+        keys = self._edges.get(h)
+        if keys is None:
+            keys = self._edges[h] = _pair_keys(h.edges(), self.n)
+        return keys
 
 
 # -- stage operations ----------------------------------------------------------
@@ -225,7 +248,7 @@ def compute_sigma_i(
     cap = params.sigma_cap_for(n)
     close = close or CloseSets(params.rm_pow, n)
     keys = close.union(coord_maps)
-    keys = np.concatenate([keys[~_member(_pair_keys(h.edges(), n), keys)],
+    keys = np.concatenate([keys[~_member(close.edge_keys(h), keys)],
                            _pair_keys(_collisions(coord_maps[0]), n)])
     phi = np.asarray(layout.phi, dtype=np.int64)
     ta, tb = phi[keys // n], phi[keys % n]
@@ -287,7 +310,7 @@ def compute_bad_sets(
     close = close or CloseSets(params.rm_pow, n)
     keys = close.of(coord_maps[i - 1])
     keys = keys[_member(close.union(coord_maps[: i - 1]), keys)]
-    keys = keys[~_member(_pair_keys(h.edges(), n), keys)]
+    keys = keys[~_member(close.edge_keys(h), keys)]
     phi = np.asarray(layout.phi, dtype=np.int64)
     a, b = keys // n, keys % n
     far = np.abs(phi[a] - phi[b]) > 4
@@ -387,19 +410,24 @@ def build_label_sets(
     return tuple(masks)
 
 
-def verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams) -> InducedReport:
+def verify_induced(
+    h: Graph, result: EmbeddingResult, params: GammaParams, *, close: CloseSets | None = None
+) -> InducedReport:
     """Exact check of every pair: oracle adjacency iff input adjacency.
 
     Every violating pair is reported with its direction and, for spurious
     edges, the witnessing coordinate pair. The adjacent pairs come from
-    ``adjacent_pairs``, the batched form of the public oracle. Nothing is
-    sampled: all n(n-1)/2 pairs are decided and compared with h.
+    ``adjacent_pairs``, the batched form of the public oracle, which reads
+    the close pairs of each coordinate from ``close`` when given (an
+    attempt's tables, keyed by the coordinates themselves) and scans them
+    afresh otherwise. Nothing is sampled: all n(n-1)/2 pairs are decided and
+    compared with h.
     """
     n = h.vertex_count
     gamma = result.gamma
     if len(gamma) != n:
         raise ArgumentError(f"embedding has {len(gamma)} labels for {n} vertices")
-    adjacent = adjacent_pairs(gamma, params)
+    adjacent = adjacent_pairs(gamma, params, close=close)
     violations = []
     for pair in sorted(set(adjacent).symmetric_difference(h.edges())):
         got = pair in adjacent
@@ -487,7 +515,11 @@ def embed(
             f"{h.vertex_count} vertices exceed the parameter capacity {params.n}")
 
     dec = thin_decompose(h, delta)
-    layouts = tuple(layout_thin(part, h.vertex_count) for part in dec.parts)
+    laid: dict[Graph, PathPowerLayout] = {}  # the even route's twin parts are one graph
+    for part in dec.parts:
+        if part not in laid:
+            laid[part] = layout_thin(part, h.vertex_count)
+    layouts = tuple(laid[part] for part in dec.parts)
 
     trail: list[dict] = []
     for mult in params.desk.retry_budget_scale:
@@ -550,7 +582,7 @@ def _attempt(
     result = assemble_gamma(homs, params)
     result.certificate.records[:0] = [
         StageRecord(stage, True) for stage in stage_log]
-    induced = verify_induced(h, result, params)
+    induced = verify_induced(h, result, params, close=close)
     result.certificate.add(
         "induced",
         [f"pair {v['pair']}: expected {v['expected']}, got {v['got']}"

@@ -493,16 +493,19 @@ def block_link(
 
 
 def adjacent_pairs(
-    vertices: Sequence[GammaVertex], params: GammaParams
+    vertices: Sequence[GammaVertex], params: GammaParams, *, close=None
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Every adjacent pair of positions a < b, with the witness (j, i) that
     ``gamma_adjacent_witness`` gives it, without visiting all pairs.
 
-    ``close_pairs`` returns every pair close at a coordinate, with both
+    ``close_pair_ranks`` returns every pair close at a coordinate, with both
     ranks, from the same rows that ``contains`` and ``rank`` read. So a pair
     close at i and at some j < i is decided by ``block_link`` with the
     smallest such j and i, which is the oracle's witness, and every other
     pair is non-adjacent by definition. Every vertex is validated first.
+    ``close``, an embedding attempt's ``embedder.CloseSets``, answers for
+    ``close_pair_ranks`` from the scans it holds, keyed by the coordinate
+    tuple.
     """
     for v in vertices:
         validate_vertex(v, params)
@@ -510,12 +513,9 @@ def adjacent_pairs(
     adjacent: dict[tuple[int, int], tuple[int, int]] = {}
     earlier: list[np.ndarray] = []  # close keys a * n + b, a < b, of coordinates 1..i-1
     for i in range(1, params.delta + 1):
-        a, b, r = params.rm_pow.close_pairs([v.x(i) for v in vertices])
-        keys = a * n + b
-        fwd = a < b
-        # the rank seen from b sits at the key of the reversed pair
-        keys, rank_ab, rank_ba = keys[fwd], r[fwd], r[keys.searchsorted(b[fwd] * n + a[fwd])]
-        del a, b, r, fwd  # hold one coordinate's ordered pairs at a time
+        xs = tuple(v.x(i) for v in vertices)
+        keys, rank_ab, rank_ba = (
+            close_pair_ranks(params.rm_pow, xs) if close is None else close.ranks(xs))
         first = np.zeros(len(keys), dtype=np.int64)  # smallest earlier close j, or 0
         for j in range(i - 1, 0, -1):
             first[_member(earlier[j - 1], keys)] = j
@@ -528,6 +528,21 @@ def adjacent_pairs(
                 adjacent[pair] = (j, i)
         earlier.append(keys)
     return adjacent
+
+
+def close_pair_ranks(
+    rm_pow: PowerNeighborhoods, xs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of positions a < b whose images are close, as sorted keys
+    a * len(xs) + b, with the rank of xs[b] seen from xs[a] and the rank of
+    xs[a] seen from xs[b]: ``PowerNeighborhoods.close_pairs`` folded onto
+    its unordered pairs."""
+    n = len(xs)
+    a, b, r = rm_pow.close_pairs(xs)
+    keys = a * n + b
+    fwd = a < b
+    # the rank seen from b sits at the key of the reversed pair
+    return keys[fwd], r[fwd], r[keys.searchsorted(b[fwd] * n + a[fwd])]
 
 
 def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

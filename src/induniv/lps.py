@@ -412,12 +412,12 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     floor = np.finfo(float).eps * d  # Paige's bound, below round-off
     for _ in range(steps):
         for u in trivial:
-            v -= u * (u @ v)
-        v /= np.linalg.norm(v)
+            v -= u * _dot(u, v)
+        v /= math.sqrt(_dot(v, v))
         w = v.take(columns).sum(axis=0) - (beta[-1] * prev if beta else 0.0)
-        alpha.append(float(v @ w))
+        alpha.append(_dot(v, w))
         w -= alpha[-1] * v
-        beta.append(float(np.linalg.norm(w)))
+        beta.append(math.sqrt(_dot(w, w)))
         ritz, s = np.linalg.eigh(
             np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
         bound = beta[-1] * max(abs(s[-1, 0]), abs(s[-1, -1]))
@@ -428,6 +428,13 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
         "eigenvalue iteration did not converge",
         extreme_ritz_values=[float(ritz[0]), float(ritz[-1])] if len(ritz) else [],
         steps=steps)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """The inner product by numpy's own sum of products. ``u @ v`` and
+    ``np.linalg.norm`` go through BLAS, which splits long vectors across its
+    threads and so rounds differently for each thread count."""
+    return float(np.einsum("i,i->", u, v))
 
 
 @dataclass(frozen=True)

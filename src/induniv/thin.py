@@ -121,20 +121,26 @@ class DecompositionReport:
 
 def validate_decomposition(h: Graph, dec: ThinDecomposition) -> DecompositionReport:
     """Independent recheck: thin parts, spanning, every edge in exactly the
-    two parts its multiplicity names and in no others."""
+    two parts its multiplicity names and in no others. A part that occurs
+    twice (the even route's twin parts) is read and thin-checked once, and
+    membership is read from each part's edge set."""
     out: list[str] = []
+    h_edges = set(h.edges())
+    seen: dict[Graph, tuple[ThinReport, set[tuple[int, int]]]] = {}
+    part_edges = []
     for idx, part in enumerate(dec.parts):
         if part.vertex_count != h.vertex_count:
             out.append(f"part {idx} is not spanning "
                        f"({part.vertex_count} != {h.vertex_count} vertices)")
-        rep = is_thin(part)
+        if part not in seen:
+            seen[part] = (is_thin(part), set(part.edges()))
+        rep, edges = seen[part]
+        part_edges.append(edges)
         if not rep:
             out.append(f"part {idx} is not thin: {rep.reason}")
-        for u, v in part.edges():
-            if not h.has_edge(u, v):
-                out.append(f"part {idx} contains non-edge ({u}, {v})")
+        out.extend(f"part {idx} contains non-edge ({u}, {v})"
+                   for u, v in sorted(edges - h_edges))
 
-    h_edges = set(h.edges())
     if set(dec.multiplicity) != h_edges:
         missing = sorted(h_edges - set(dec.multiplicity))
         extra = sorted(set(dec.multiplicity) - h_edges)
@@ -143,7 +149,7 @@ def validate_decomposition(h: Graph, dec: ThinDecomposition) -> DecompositionRep
         if extra:
             out.append(f"multiplicity map names non-edges {extra[:5]}")
     for (u, v) in sorted(h_edges):
-        members = tuple(i for i, p in enumerate(dec.parts) if p.has_edge(u, v))
+        members = tuple(i for i, edges in enumerate(part_edges) if (u, v) in edges)
         named = dec.multiplicity.get((u, v))
         if len(members) != 2:
             out.append(f"edge ({u}, {v}) lies in {len(members)} parts {members}, want 2")

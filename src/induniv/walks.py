@@ -203,6 +203,7 @@ def build_walk_map(
     q = params.step
     cap = params.usage_cap
     close = shared_power_neighborhoods(f_graph, RADIUS).contains
+    adj = f_graph._adj  # the host's sorted neighbour tuples, read without id checks
     n_pad = ((n + q - 1) // q) * q
 
     late: dict[int, tuple[int, ...]] = {}
@@ -215,37 +216,32 @@ def build_walk_map(
                 raise ArgumentError(f"extra_avoid[{t}] must name earlier indices, got {tg}")
             late[t] = tg
 
-    sigma_sorted = {t: tuple(sorted(schedule.at(t))) for t in schedule.sigma}
+    # the earlier positions each position must keep its image away from
+    due = {t: tuple(sorted(targets)) for t, targets in schedule.sigma.items()}
+    for t, targets in late.items():
+        due[t] = due.get(t, ()) + targets
     values: list[int] = []
     usage: dict[int, int] = {}  # only the vertices the walk has used
-    iters: list = []
     spent = 0
 
-    def candidates(t: int):
+    def frame(t: int):
+        """Position t's candidates in walk order, the images of its window
+        (t's block and the one before) and its scheduled and late targets.
+        Made once when t is reached: the positions before t keep their
+        images while t is being filled."""
         if t == 0:
-            return iter(range(params.ell))
-        return iter(sorted(f_graph.neighbors(values[t - 1]),
-                           key=lambda w: (usage.get(w, 0), _mix(w, t))))
+            order = iter(range(params.ell))
+        else:
+            order = iter(sorted(adj[values[t - 1]],
+                                key=lambda w: (usage.get(w, 0), _mix(w, t))))
+        return order, values[max(0, prefix_limit(t, q) + 1):t], due.get(t, ())
 
-    def admissible(t: int, w: int, window_start: int) -> bool:
-        if usage.get(w, 0) >= cap:
-            return False
-        for t2 in range(window_start, t):
-            if values[t2] == w:
-                return False
-        if t < n:
-            for t2 in sigma_sorted.get(t, ()) + late.get(t, ()):
-                x = values[t2]
-                if x == w or close(x, w):
-                    return False
-        return True
-
-    iters.append(candidates(0))
+    frames = [frame(0)]
     while len(values) < n_pad:
         t = len(values)
-        window_start = max(0, prefix_limit(t, q) + 1)  # t's block and the one before
+        order, window, targets = frames[-1]
         placed = False
-        for w in iters[-1]:
+        for w in order:
             spent += 1
             if spent > search_budget:
                 raise WalkStuckError(
@@ -253,14 +249,20 @@ def build_walk_map(
                     position=t,
                     state=tuple(values),
                     budget=search_budget,
-                    scheduled_targets=len(sigma_sorted.get(t, ())),
+                    scheduled_targets=len(schedule.at(t)),
                     at_cap=sum(1 for u in usage.values() if u >= cap),
                 )
-            if admissible(t, w, window_start):
+            if usage.get(w, 0) >= cap or w in window:
+                continue
+            for t2 in targets:
+                x = values[t2]
+                if x == w or close(x, w):
+                    break
+            else:
                 values.append(w)
                 usage[w] = usage.get(w, 0) + 1
                 if len(values) < n_pad:
-                    iters.append(candidates(len(values)))
+                    frames.append(frame(len(values)))
                 placed = True
                 break
         if not placed:
@@ -268,7 +270,7 @@ def build_walk_map(
                 raise WalkStuckError(
                     "no feasible starting vertex", position=0, state=(),
                     budget=search_budget)
-            iters.pop()
+            frames.pop()
             prev = values.pop()
             usage[prev] -= 1
 
@@ -306,8 +308,8 @@ def verify_walk_map(
             out.append(WalkViolation(
                 "usage", (v,), f"vertex {v} used {c} times, cap {params.usage_cap}"))
 
-    for t in range(n):
-        for t2 in sorted(schedule.at(t)):
+    for t in sorted(t for t in schedule.sigma if 0 <= t < n):
+        for t2 in sorted(schedule.sigma[t]):
             if t2 >= n:
                 continue
             a, b = vals[t], vals[t2]

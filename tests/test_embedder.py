@@ -23,7 +23,8 @@ from induniv.errors import (
 from induniv.gamma import (
     GammaVertex, Profile, encode_label, gamma_adjacent, make_gamma_params)
 from induniv.graphs import (
-    Graph, circulant_graph, complete_graph, cycle_graph, empty_graph, path_graph)
+    Graph, circulant_graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
+    path_graph)
 from induniv.harness import random_bounded_graph
 from induniv.thin import layout_thin, thin_decompose
 
@@ -53,6 +54,21 @@ def test_conflict_sets_computed_once_per_coordinate(monkeypatch, desk_params3):
     assert result.homs.conflicts == {
         i: bad_sets(i, h, list(result.homs.coord), result.homs.layouts[i - 1],
                     desk_params3) for i in (2, 3)}
+
+
+def test_twin_parts_are_laid_out_once(monkeypatch):
+    # the even route's two copies of each 2-factor are one graph
+    from induniv import embedder
+
+    calls = []
+    layout = embedder.layout_thin
+    monkeypatch.setattr(embedder, "layout_thin",
+                        lambda part, n: calls.append(part) or layout(part, n))
+    h = circulant_graph(40, (1, 2))
+    result = embed(h, 4, make_gamma_params(4, 40, "desk"))
+    parts = result.homs.decomposition.parts
+    assert len(calls) == 2 and parts[0] is parts[1] and parts[2] is parts[3]
+    assert result.homs.layouts[0] is result.homs.layouts[1]
 
 
 def test_cycle_delta_two(desk_params2):
@@ -103,7 +119,10 @@ def test_embed_deterministic(desk_params3):
     (cycle_graph(50), 2, "098262238baa1df5"),
     (circulant_graph(40, (1, 2)), 4, "3b2bd7578d7ceec3"),
     (circulant_graph(20, (1, 10)), 3, "02d2a7a6aee2701f"),
-], ids=["c50", "circ40-1-2", "circ20-1-10"])
+    (path_graph(50), 2, "51f6e98d160508cb"),
+    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "c7f5dfbb8e43a23e"),
+    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "70961ac39334b23f"),
+], ids=["c50", "circ40-1-2", "circ20-1-10", "p50", "circ24-1-2+p16", "circ20-1-10+p12"])
 def test_labels_match_their_golden_digest(h, delta, digest):
     # the first 16 hex digits of sha256 over the newline-joined labels, the
     # same under every PYTHONHASHSEED; each input has conflict pairs, so its

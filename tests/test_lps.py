@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import induniv
 from induniv import lps
 from induniv.errors import (
     ArgumentError, ConstructionIntegrityError, ConvergenceError, ExhaustedSearchError)
@@ -191,6 +196,19 @@ def test_second_eigenvalue_is_deterministic():
     first = second_eigenvalue(g)
     assert second_eigenvalue(g) == first
     assert second_eigenvalue(build_lps_graph(5, 29)) == first
+
+
+def test_second_eigenvalue_does_not_follow_the_blas_thread_count():
+    # the Lanczos inner products make no BLAS call, so a BLAS that splits
+    # long vectors across threads cannot move the last digit
+    script = ("from induniv.lps import cached_lps_graph, second_eigenvalue\n"
+              "print(repr(second_eigenvalue(cached_lps_graph(5, 29))))\n")
+    src = str(Path(induniv.__file__).parents[1])
+    values = {threads: subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")}
+    assert values["1"] == values["2"] and float(values["1"]) > 0
 
 
 def test_second_eigenvalue_reports_non_convergence():

@@ -25,8 +25,9 @@ from induniv.embedder import (
     verify_induced,
 )
 from induniv.errors import ArgumentError, ScheduleOverflowError
-from induniv.gamma import GammaVertex, gamma_adjacent_witness, make_gamma_params
-from induniv.graphs import Graph, cycle_graph, path_graph
+from induniv.gamma import (
+    GammaVertex, adjacent_pairs, gamma_adjacent_witness, make_gamma_params)
+from induniv.graphs import Graph, circulant_graph, cycle_graph, disjoint_union, path_graph
 from induniv.harness import FamilySpec, enumerate_family
 from induniv.thin import PathPowerLayout
 from oracles import (
@@ -343,6 +344,55 @@ def test_verify_memory_stays_below_quadratic(desk_params2):
     assert report.pairs_checked == n * (n - 1) // 2
     assert len(report.violations) == n - 1  # every mask is empty: no edge realized
     assert peak < 8 * n * n
+
+
+def _embed_keeping_tables(monkeypatch, h, delta, params):
+    """Embed h; return the result and the CloseSets its induced check read."""
+    seen = []
+    verify = embedder.verify_induced
+    monkeypatch.setattr(embedder, "verify_induced",
+                        lambda *args, close=None: seen.append(close) or verify(*args, close=close))
+    result = embed(h, delta, params)
+    monkeypatch.setattr(embedder, "verify_induced", verify)
+    assert len(seen) == 1 and isinstance(seen[0], embedder.CloseSets)
+    return result, seen[0]
+
+
+@pytest.mark.parametrize("delta, h", [
+    (2, disjoint_union(cycle_graph(24), path_graph(16))),
+    (3, disjoint_union(circulant_graph(20, (1, 10)), path_graph(12))),
+    (4, circulant_graph(40, (1, 2))),
+], ids=["d2", "d3", "d4"])
+def test_induced_check_reads_the_attempt_tables(monkeypatch, delta, h):
+    params = make_gamma_params(delta, h.vertex_count, "desk")
+    result, close = _embed_keeping_tables(monkeypatch, h, delta, params)
+    scans = []
+    close_pairs = type(params.rm_pow).close_pairs
+    monkeypatch.setattr(type(params.rm_pow), "close_pairs",
+                        lambda self, xs: scans.append(1) or close_pairs(self, xs))
+    shared = adjacent_pairs(result.gamma, params, close=close)
+    assert not scans  # every coordinate was scanned while its map was built
+    fresh = adjacent_pairs(result.gamma, params)
+    assert len(scans) == delta
+    assert shared == fresh and len(fresh) == h.edge_count
+
+
+def test_a_moved_coordinate_misses_the_attempt_tables(monkeypatch, desk_params3):
+    params = desk_params3
+    h = Graph(14, [(i, (i + 1) % 12) for i in range(12)] + [(0, 12), (6, 13), (3, 9)])
+    result, close = _embed_keeping_tables(monkeypatch, h, 3, params)
+    gamma, rm = result.gamma, params.rm_pow
+    for v in (0, 3, 6):
+        # x_2 of v moves away from the x_2 of every neighbour
+        nbrs = [gamma[w].x(2) for w in h.neighbors(v)]
+        x2 = next(z for z in range(params.ell_m)
+                  if z not in nbrs and not any(rm.contains(z, o) for o in nbrs))
+        (_, mask, u), *rest = gamma[v].blocks
+        tampered = _replaced(result, v, GammaVertex(gamma[v].x1, ((x2, mask, u), *rest)))
+        report = verify_induced(h, tampered, params, close=close)
+        assert report == verify_induced(h, tampered, params)
+        assert report == oracle_verify_induced(h, tampered, params)
+        assert not report.ok
 
 
 def test_close_set_union_is_sorted_and_distinct(desk_params2):
