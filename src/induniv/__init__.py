@@ -90,7 +90,6 @@ from .embedder import (
 from .harness import (
     FamilySpec,
     enumerate_family,
-    property_fuzz,
     size_report,
     universality_sweep,
 )

@@ -275,15 +275,11 @@ def _sweep_worker(job):
     return sweep_step(idx, Graph(nv, edges), params)
 
 
-_WORKER_PARAMS = {}
-
-
 def _worker_params(delta, n, desk_json):
-    key = (delta, n, desk_json)
-    if key not in _WORKER_PARAMS:
-        cfg = DeskConfig.from_json(json.loads(desk_json))
-        _WORKER_PARAMS[key] = make_gamma_params(delta, n, Profile.DESK, cfg)
-    return _WORKER_PARAMS[key]
+    """The sweep's parameters rebuilt in a worker; the expanders they name
+    are cached per process, so only the first call builds them."""
+    cfg = DeskConfig.from_json(json.loads(desk_json))
+    return make_gamma_params(delta, n, Profile.DESK, cfg)
 
 
 def _cmd_size_report(args) -> tuple[int, dict]:

@@ -20,6 +20,8 @@ from itertools import combinations, product
 from .errors import ArgumentError, DecompositionError, LayoutError
 from .graphs import Graph
 
+_LAYOUT_BUDGET = 500_000  # placements _order_search may try for one component
+
 
 # -- thinness recognition -----------------------------------------------------
 
@@ -73,18 +75,27 @@ def _component_kind(g, comp: list[int]) -> str:
 
 def is_thin(g: Graph) -> ThinReport:
     """Thinness check with a witness naming the first failing component."""
+    return _classify(g)[0]
+
+
+def _classify(g: Graph) -> tuple[ThinReport, list[tuple[list[int], str]]]:
+    """The thinness report, and for a thin graph each component with its
+    ``_component_kind``, classified once."""
     for v in range(g.vertex_count):
         if g.degree(v) > 3:
-            return ThinReport(False, (v,), f"vertex {v} has degree {g.degree(v)} > 3")
+            return ThinReport(False, (v,), f"vertex {v} has degree {g.degree(v)} > 3"), []
+    kinds = []
     for comp in g.connected_components():
-        if _component_kind(g, comp) == "not_thin":
+        kind = _component_kind(g, comp)
+        if kind == "not_thin":
             return ThinReport(
                 False,
                 tuple(comp),
                 "component is neither an augmentation of a path or cycle "
                 "nor limited to two degree-3 vertices",
-            )
-    return ThinReport(True)
+            ), []
+        kinds.append((comp, kind))
+    return ThinReport(True), kinds
 
 
 # -- decomposition ------------------------------------------------------------
@@ -586,7 +597,7 @@ class PathPowerLayout:
         return {"phi": list(self.phi), "n": self.n}
 
 
-def layout_thin(g: Graph, n: int, fallback_budget: int = 500_000) -> PathPowerLayout:
+def layout_thin(g: Graph, n: int) -> PathPowerLayout:
     """Constructive layout of a thin graph, validated before return.
 
     Caterpillar components put legs right after their spine partner; cycle
@@ -594,21 +605,20 @@ def layout_thin(g: Graph, n: int, fallback_budget: int = 500_000) -> PathPowerLa
     most 2 and leaf insertion raises that to at most 4. Components with at
     most two branch vertices fall back to an exhaustive position search.
     """
-    rep = is_thin(g)
+    rep, kinds = _classify(g)
     if not rep:
         raise ArgumentError(f"layout requires a thin graph: {rep.reason}")
     if g.vertex_count > n:
         raise ArgumentError(f"{g.vertex_count} vertices do not fit into {n} slots")
 
     order: list[int] = []
-    for comp in g.connected_components():
-        kind = _component_kind(g, comp)
+    for comp, kind in kinds:
         if kind == "path_aug":
             order.extend(_order_caterpillar(g, comp))
         elif kind == "cycle_aug":
             order.extend(_order_cycle_aug(g, comp))
         else:
-            order.extend(_order_search(g, comp, fallback_budget))
+            order.extend(_order_search(g, comp, _LAYOUT_BUDGET))
 
     phi = [-1] * g.vertex_count
     for t, v in enumerate(order):

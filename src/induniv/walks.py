@@ -295,10 +295,14 @@ def verify_walk_map(
 
     Recomputes the usage histogram, radius-4 closeness of every scheduled
     pair (through the shared metric, which the tests hold to BFS), and
-    path-ness of every block window from scratch.
+    path-ness of every block window from scratch. Raises ArgumentError on a
+    value that is not a vertex of the host.
     """
-    close = shared_power_neighborhoods(f_graph, RADIUS).contains
     vals = wm.values
+    for v in vals:
+        f_graph._check_vertex(v)
+    close = shared_power_neighborhoods(f_graph, RADIUS).contains
+    adj = f_graph._adj  # the host's sorted neighbour tuples, read without id checks
     n = len(vals)
     out: list[WalkViolation] = []
 
@@ -334,7 +338,7 @@ def verify_walk_map(
                 "blocks", (k,), f"window at block {k} repeats a vertex: {window}"))
         else:
             for i in range(len(window) - 1):
-                if not f_graph.has_edge(window[i], window[i + 1]):
+                if window[i + 1] not in adj[window[i]]:
                     out.append(WalkViolation(
                         "blocks", (k,),
                         f"window at block {k} breaks adjacency at offset {i}"))
@@ -393,7 +397,7 @@ def is_q_expanding(
 
 
 def _path_vertex_sets(g: Graph, max_size: int, budget: int):
-    """Vertex sets of all paths in g with 1..max_size vertices, deduplicated."""
+    """Vertex sets of all paths in g with 1..max_size vertices, each once."""
     seen: set[frozenset[int]] = set()
     count = 0
     for start in range(g.vertex_count):

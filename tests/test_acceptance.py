@@ -21,15 +21,7 @@ from induniv.gamma import (
     make_gamma_params,
 )
 from induniv.graphs import Graph, circulant_graph, complete_graph
-from induniv.harness import (
-    FamilySpec,
-    enumerate_family,
-    inject_walk_fault,
-    random_close_gamma_pair,
-    random_gamma_vertex,
-    random_walk_instance,
-    universality_sweep,
-)
+from induniv.harness import FamilySpec, enumerate_family, universality_sweep
 from induniv.lps import build_lps_graph, certify_expander, LpsParams
 from induniv.thin import (
     is_thin,
@@ -39,6 +31,12 @@ from induniv.thin import (
     validate_layout,
 )
 from induniv.walks import build_walk_map, is_q_expanding, verify_walk_map
+from instances import (
+    inject_walk_fault,
+    random_close_gamma_pair,
+    random_gamma_vertex,
+    random_walk_instance,
+)
 from oracles import oracle_q_expanding
 
 

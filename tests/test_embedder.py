@@ -25,8 +25,8 @@ from induniv.gamma import (
 from induniv.graphs import (
     Graph, circulant_graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
     path_graph)
-from induniv.harness import random_bounded_graph
 from induniv.thin import layout_thin, thin_decompose
+from instances import random_bounded_graph
 
 
 def test_single_edge_delta_two(desk_params2):

@@ -29,7 +29,7 @@ from induniv.gamma import (
 from induniv import graphs
 from induniv.embedder import embed
 from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
-from induniv.harness import random_close_gamma_pair, random_gamma_vertex
+from instances import random_close_gamma_pair, random_gamma_vertex
 from oracles import (
     oracle_distances,
     oracle_gamma_adjacent_witness,

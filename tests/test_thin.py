@@ -163,12 +163,20 @@ def test_search_budget_error_carries_partial():
     assert "budget" in str(err.value)
 
 
-def test_validator_fault_injection_missing_edge():
-    h = cycle_graph(6)
-    dec = thin_decompose(h, 2)
+@pytest.mark.parametrize("h,delta", [
+    (cycle_graph(6), 2),
+    (complete_graph(4), 3),  # the search route
+    (circulant_graph(8, (1, 2)), 4),  # the even route, twin parts
+], ids=["cycle6", "k4", "circulant8"])
+def test_validator_fault_injection_missing_edge(h, delta):
+    dec = thin_decompose(h, delta)
     edge = (0, 1)
-    part0 = Graph(6, [e for e in dec.parts[0].edges() if e != edge])
-    bad = ThinDecomposition(parts=(part0, dec.parts[1]), multiplicity=dec.multiplicity)
+    i, j = dec.multiplicity[edge]
+    # the even route names a part and its twin: the edge leaves one twin only
+    assert (dec.parts[i] == dec.parts[j]) == (delta % 2 == 0)
+    parts = list(dec.parts)
+    parts[i] = Graph(h.vertex_count, [e for e in parts[i].edges() if e != edge])
+    bad = ThinDecomposition(parts=tuple(parts), multiplicity=dec.multiplicity)
     report = validate_decomposition(h, bad)
     assert len([v for v in report.violations if "lies in 1 parts" in v]) == 1
 
@@ -360,6 +368,18 @@ def test_layout_multi_component_disjoint_intervals():
     lay = layout_thin(g, 7)
     assert validate_layout(g, lay) == []
     assert sorted(lay.phi) == list(range(7))
+
+
+def test_layout_classifies_each_component_once(monkeypatch):
+    from induniv import thin
+
+    sizes = []
+    kind = thin._component_kind
+    monkeypatch.setattr(thin, "_component_kind",
+                        lambda g, comp: sizes.append(len(comp)) or kind(g, comp))
+    g = disjoint_union(cycle_graph(10), path_graph(7))
+    assert validate_layout(g, layout_thin(g, 17)) == []
+    assert sorted(sizes) == [7, 10]
 
 
 def test_layout_every_thin_subcubic_class():

@@ -9,7 +9,6 @@ import pytest
 import induniv
 from induniv.errors import ArgumentError, WalkStuckError
 from induniv.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
-from induniv.harness import inject_walk_fault, random_walk_instance
 from induniv.walks import (
     ConstraintSchedule,
     WalkMap,
@@ -20,6 +19,7 @@ from induniv.walks import (
     step_for,
     verify_walk_map,
 )
+from instances import inject_walk_fault, random_walk_instance
 from oracles import oracle_q_expanding
 
 
@@ -320,6 +320,16 @@ def test_verifier_catches_usage_fault():
     bad = inject_walk_fault(rng, host, sched, wm, "usage")
     report = verify_walk_map(host, sched, wp, bad)
     assert report.of_kind("usage")
+
+
+def test_verifier_rejects_values_off_the_host():
+    g = path_graph(25)
+    wp = _params_for(g, 12)
+    wm = build_walk_map(g, ConstraintSchedule.empty(12), wp)
+    for off in (25, -1, 1.0):
+        bad = WalkMap(values=wm.values[:-1] + (off,), schedule=wm.schedule, usage=wm.usage)
+        with pytest.raises(ArgumentError, match="out of range"):
+            verify_walk_map(g, ConstraintSchedule.empty(12), wp, bad)
 
 
 def test_verify_valid_map_is_clean():
