@@ -2,8 +2,8 @@
 
 JSON goes to stdout (or --output); --table renders a plain-text view for
 humans. Exit codes: 0 success, 2 property failure (violations found, failed
-certificates), 1 usage or argument errors. Budgets can be overridden through
-INDUNIV_WALK_BUDGET and INDUNIV_SEARCH_BUDGET.
+certificates), 1 usage or argument errors. The walk budget can be overridden
+through INDUNIV_WALK_BUDGET.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ def _desk_config(args) -> DeskConfig:
     return DeskConfig(**kwargs)
 
 
-def _env_int(name: str, default: int | None = None) -> int | None:
+def _env_int(name: str) -> int | None:
     text = os.environ.get(name)
     if not text:
-        return default
+        return None
     try:
         return int(text)
     except ValueError as exc:
@@ -159,8 +159,7 @@ def _cmd_build_expander(args) -> tuple[int, dict]:
 
 def _cmd_decompose(args) -> tuple[int, dict]:
     h = load_edge_list(args.input)
-    dec = thin_decompose(h, args.delta,
-                         search_budget=_env_int("INDUNIV_SEARCH_BUDGET", 2_000_000))
+    dec = thin_decompose(h, args.delta)
     payload = {"schema": "induniv/decomposition-v1", "delta": args.delta}
     payload.update(dec.to_json())
     return 0, payload

@@ -14,12 +14,14 @@ Both facts are re-validated on every output, never assumed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import ArgumentError, DecompositionError, LayoutError
+from .errors import ArgumentError, DecompositionError, IntegrityError, LayoutError
 from .graphs import Graph
 
+_SEARCH_BUDGET = 2_000_000  # part pairs _decompose_search may try for one graph
 _LAYOUT_BUDGET = 500_000  # placements _order_search may try for one component
 
 
@@ -169,23 +171,20 @@ def validate_decomposition(h: Graph, dec: ThinDecomposition) -> DecompositionRep
     return DecompositionReport(violations=tuple(out))
 
 
-def thin_decompose(
-    h: Graph,
-    delta: int,
-    search_budget: int = 2_000_000,
-) -> ThinDecomposition:
+def thin_decompose(h: Graph, delta: int) -> ThinDecomposition:
     """Split H into delta thin spanning parts covering every edge twice.
 
-    Even delta goes through the two-factor route (pad to a delta-regular
-    multigraph by doubling, orient along Euler circuits, peel perfect
-    matchings of the in/out bipartite graph) and duplicates each 2-regular
-    layer into two identical parts. Odd delta uses a backtracking search
-    over per-edge part pairs, which ``search_budget`` bounds. For delta 3 it
-    is led by a 3-edge-colouring found greedily with Kempe-chain swaps:
-    part c takes the edges of the two colours other than c, so a properly
-    coloured graph decomposes without backtracking, and only the edges the
-    colouring leaves out (class-2 pieces such as the Petersen graph) are
-    searched. The result is always re-validated.
+    Both routes rest on one greedy edge colouring with Kempe-chain swaps
+    (``_kempe_colouring``). Even delta goes through the two-factor route:
+    pad to a delta-regular multigraph by doubling, orient along Euler
+    circuits, colour the k-regular out/in bipartite multigraph with
+    k = delta / 2 colours, and duplicate each colour class, a 2-factor, into
+    two identical parts. Odd delta delta-colours H and runs a backtracking
+    search over per-edge part pairs, bounded by ``_SEARCH_BUDGET`` tries, in
+    which part p takes the edges of colours p - 1 and p - 2 first: a
+    properly coloured graph decomposes without backtracking, and only the
+    edges the colouring leaves out (class-2 pieces such as the Petersen
+    graph) are searched. The result is always re-validated.
     """
     if delta < 2:
         raise ArgumentError(f"delta must be >= 2, got {delta}")
@@ -195,7 +194,7 @@ def thin_decompose(
     if delta % 2 == 0:
         dec = _decompose_even(h, delta)
     else:
-        dec = _decompose_search(h, delta, search_budget)
+        dec = _decompose_search(h, delta, _SEARCH_BUDGET)
     report = validate_decomposition(h, dec)
     if not report.ok:
         raise DecompositionError(
@@ -215,15 +214,26 @@ def _decompose_even(h: Graph, delta: int) -> ThinDecomposition:
         medges.extend((v, v + n, False) for _ in range(delta - h.degree(v)))
 
     oriented = _euler_orientation(2 * n, medges)
+    # Every vertex has k out- and k in-edges, so the out/in bipartite
+    # multigraph (tail t on the left, head w as 2n + w on the right) is
+    # k-regular. Its k colour classes are perfect matchings: one out- and one
+    # in-edge at every vertex, a 2-factor.
     k = delta // 2
-    layers = _bipartite_matchings(2 * n, oriented, k)
+    out_in = [(t, 2 * n + w) for _, t, w in oriented]
+    order = _bfs_edge_order(4 * n, out_in)
+    colours = _kempe_colouring(4 * n, [out_in[i] for i in order], k)
+    if None in colours:
+        raise IntegrityError("the out/in multigraph was left partly uncoloured")
+    layers: list[list[int]] = [[] for _ in range(k)]
+    for i, c in zip(order, colours):
+        layers[c].append(oriented[i][0])
 
     parts: list[Graph] = []
     multiplicity: dict[tuple[int, int], tuple[int, int]] = {}
     for j, layer in enumerate(layers):
         real = [
             (min(medges[eid][0], medges[eid][1]), max(medges[eid][0], medges[eid][1]))
-            for eid in layer
+            for eid in sorted(layer)
             if medges[eid][2]
         ]
         part = Graph(n, real)
@@ -266,60 +276,6 @@ def _euler_orientation(nv: int, medges: list[tuple[int, int, bool]]) -> list[tup
             stack.append(w)
         oriented.extend(trail)
     return oriented
-
-
-def _bipartite_matchings(nv: int, oriented: list[tuple[int, int, int]], k: int) -> list[list[int]]:
-    """Peel k perfect matchings off the k-regular out/in bipartite graph."""
-    layers: list[list[int]] = []
-    remaining = list(oriented)
-    for _ in range(k):
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for eid, u, w in remaining:
-            adj.setdefault(u, []).append((eid, w))
-        for lst in adj.values():
-            lst.sort()
-        match_right: dict[int, tuple[int, int]] = {}  # head -> (eid, tail)
-
-        def augment(root: int) -> bool:
-            """Kuhn's depth-first search for an augmenting path from root, on
-            an explicit stack: frame k tries the edges of its tail in order,
-            path[k] is the edge it is trying, and frame k + 1 starts at the
-            tail matched to that edge's head."""
-            seen: set[int] = set()
-            frames = [(root, iter(adj.get(root, ())))]
-            path: list[tuple[int, int]] = []
-            while frames:
-                u, edges = frames[-1]
-                for eid, w in edges:
-                    if w not in seen:
-                        break
-                else:  # no unseen head left at u: back up to the frame below
-                    frames.pop()
-                    if path:
-                        path.pop()
-                    continue
-                seen.add(w)
-                path.append((eid, w))
-                if w not in match_right:
-                    for (tail, _), (eid, head) in zip(frames, path):
-                        match_right[head] = (eid, tail)
-                    return True
-                tail = match_right[w][1]
-                frames.append((tail, iter(adj.get(tail, ()))))
-            return False
-
-        lefts = sorted(adj)
-        for u in lefts:
-            if not augment(u):
-                raise DecompositionError(
-                    f"no perfect matching while peeling layer {len(layers)}")
-        layer = sorted(eid for eid, _ in match_right.values())
-        layers.append(layer)
-        taken = set(layer)
-        remaining = [t for t in remaining if t[0] not in taken]
-    if remaining:
-        raise DecompositionError("two-factor peeling left unassigned edges")
-    return layers
 
 
 class _SearchPart:
@@ -422,33 +378,39 @@ class _SearchPart:
         self.counts[r] = old
 
 
-def _bfs_edge_order(h: Graph) -> list[tuple[int, int]]:
-    """Edges in breadth-first discovery order, roots by descending degree."""
-    from collections import deque
-
-    seen_v: set[int] = set()
-    seen_e: set[tuple[int, int]] = set()
-    order: list[tuple[int, int]] = []
-    for s in sorted(range(h.vertex_count), key=lambda v: (-h.degree(v), v)):
-        if s in seen_v:
+def _bfs_edge_order(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """The indices of the edges of a multigraph in breadth-first discovery
+    order: roots by descending degree, each vertex's edges by their other
+    end, parallel edges by index."""
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incidence[u].append((v, i))
+        incidence[v].append((u, i))
+    for inc in incidence:
+        inc.sort()
+    seen_v = [False] * n
+    seen_e = [False] * len(edges)
+    order: list[int] = []
+    for s in sorted(range(n), key=lambda v: (-len(incidence[v]), v)):
+        if seen_v[s]:
             continue
-        seen_v.add(s)
+        seen_v[s] = True
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in h.neighbors(u):
-                e = (u, w) if u < w else (w, u)
-                if e not in seen_e:
-                    seen_e.add(e)
-                    order.append(e)
-                if w not in seen_v:
-                    seen_v.add(w)
+            for w, i in incidence[u]:
+                if not seen_e[i]:
+                    seen_e[i] = True
+                    order.append(i)
+                if not seen_v[w]:
+                    seen_v[w] = True
                     queue.append(w)
     return order
 
 
-def _kempe_colouring(n: int, edges: list[tuple[int, int]]) -> list[int | None]:
-    """Colours 0, 1, 2 for the edges of a subcubic graph, None where none fits.
+def _kempe_colouring(n: int, edges: list[tuple[int, int]], colours: int) -> list[int | None]:
+    """Colours 0..colours-1 for the edges of a multigraph of maximum degree
+    at most ``colours``, None where none fits.
 
     Edges are coloured greedily in the given order. When the two ends of uv
     share no free colour, take a colour a free at u and b free at v and swap
@@ -456,13 +418,15 @@ def _kempe_colouring(n: int, edges: list[tuple[int, int]]) -> list[int | None]:
     swap keeps the colouring proper and frees a at v, and a stays free at u
     unless the chain ends at u. A chain from u that swaps b and a is then the
     same path, so uv stays uncoloured only when every such chain from v ends
-    at u. Any two coloured edges that share a vertex differ in colour.
+    at u. In a bipartite multigraph no chain does (König): it enters u's
+    side only along a-edges, and a is free at u, so every edge gets a
+    colour. Any two coloured edges that share a vertex differ in colour.
     """
     colour: list[int | None] = [None] * len(edges)
     at: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> colour -> edge index
     for k, (u, v) in enumerate(edges):
-        free_u = [c for c in range(3) if c not in at[u]]
-        free_v = [c for c in range(3) if c not in at[v]]
+        free_u = [c for c in range(colours) if c not in at[u]]
+        free_v = [c for c in range(colours) if c not in at[v]]
         common = [c for c in free_u if c in free_v]
         if not common:
             for a, b in product(free_u, free_v):
@@ -502,24 +466,26 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
     doomed branch is contradicted within a few levels instead of deep in the
     tree.
 
-    For delta 3 the edges are first 3-edge-coloured (``_kempe_colouring``)
-    and each coloured edge tries first the pair of parts that leaves its
-    colour out, then the other pairs in lexicographic order; other edges,
-    and every edge for larger delta, try the pairs in lexicographic order.
-    Under a proper colouring part c is then a union of the matchings of the
-    two other colours, so every prefix of every part has maximum degree 2
-    and is thin, and the first descent never backtracks. Only the edges left
-    uncoloured (class-2 pieces such as the Petersen graph) can make it
-    search. The search runs on an explicit stack: ``tries[pos]`` counts the
+    The edges are first delta-edge-coloured (``_kempe_colouring``), and an
+    edge of colour c tries parts c + 1 and c + 2 (mod delta) first, then the
+    other pairs in lexicographic order; an uncoloured edge tries them all in
+    lexicographic order. Under a proper colouring part p is then a union of
+    the matchings of colours p - 1 and p - 2, so every prefix of every part
+    has maximum degree 2 and is thin, and the first descent never
+    backtracks. Only the edges left uncoloured (class-2 pieces such as the
+    Petersen graph) can make it search, and it gives up after ``budget``
+    tries. The search runs on an explicit stack: ``tries[pos]`` counts the
     pairs the edge at depth pos has tried and ``refused[pos]`` holds the
     parts that cannot take it at that node.
     """
-    edges = _bfs_edge_order(h)
     n = h.vertex_count
-    colours = _kempe_colouring(n, edges) if delta == 3 else [None] * len(edges)
+    h_edges = list(h.edges())
+    edges = [h_edges[i] for i in _bfs_edge_order(n, h_edges)]
+    colours = _kempe_colouring(n, edges, delta)
     pairs = list(combinations(range(delta), 2))
-    # the pair order of an edge of colour c (stable: lexicographic otherwise)
-    orders = {c: sorted(pairs, key=lambda pq: c in pq) for c in (None, *range(delta))}
+    orders = {c: sorted(pairs, key=lambda pq: {(c + 1) % delta, (c + 2) % delta} != set(pq))
+              for c in range(delta)}
+    orders[None] = pairs
     parts = [_SearchPart(n) for _ in range(delta)]
     assignment: list[tuple[int, int]] = []
     tries = [0] * len(edges)

@@ -257,13 +257,16 @@ def oracle_first_decomposition(
 ) -> dict[tuple[int, int], tuple[int, int]] | None:
     """The first edge -> (part, part) map found by a depth-first search that
     places the edges in edge_order and rebuilds both parts to test them with
-    ``oracle_is_thin``. An edge of colour c tries first the pair of parts
-    without c, then the other pairs in lexicographic order; an edge with no
-    colour (or no colours given) tries them all in lexicographic order."""
+    ``oracle_is_thin``. An edge of colour c tries first parts c + 1 and
+    c + 2 (mod delta), then the other pairs in lexicographic order; an edge
+    with no colour (or no colours given) tries them all in lexicographic
+    order."""
     pairs = list(itertools.combinations(range(delta), 2))
     if colours is None:
         colours = [None] * len(edge_order)
-    tried = [sorted(pairs, key=lambda pq: c is None or c in pq) for c in colours]
+    tried = [sorted(pairs, key=lambda pq: c is not None
+                    and set(pq) != {(c + 1) % delta, (c + 2) % delta})
+             for c in colours]
     parts: list[set[tuple[int, int]]] = [set() for _ in range(delta)]
     chosen: list[tuple[int, int]] = []
 

@@ -311,7 +311,6 @@ def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_de
 @pytest.mark.parametrize("env, command, edge_list, edit, code, kind", [
     ({}, "decompose", "2 1\n1 x\n", None, 1, "ArgumentError"),
     ({"INDUNIV_WALK_BUDGET": "abc"}, "embed", None, None, 1, "UsageError"),
-    ({"INDUNIV_SEARCH_BUDGET": "abc"}, "decompose", None, None, 1, "UsageError"),
     ({}, "verify", None, lambda doc: json.dumps(doc)[:-1], 2, "CodecError"),
     ({}, "verify", None, lambda doc: json.dumps(
         {**doc, "params": {k: v for k, v in doc["params"].items() if k != "delta"}}),
@@ -320,7 +319,7 @@ def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_de
      2, "CodecError"),
     ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=5), 2, "CodecError"),
     ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=[5]), 2, "CodecError"),
-], ids=["edge-line", "walk-budget", "search-budget", "not-json", "no-delta",
+], ids=["edge-line", "walk-budget", "not-json", "no-delta",
         "label-not-a-string", "rm-pq-int", "rm-pq-single"])
 def test_malformed_input_ends_in_a_json_error(
         capsys, tmp_path, monkeypatch, c6_file, rm_desk, env, command, edge_list, edit,

@@ -120,9 +120,11 @@ def test_embed_deterministic(desk_params3):
     (circulant_graph(40, (1, 2)), 4, "3b2bd7578d7ceec3"),
     (circulant_graph(20, (1, 10)), 3, "02d2a7a6aee2701f"),
     (path_graph(50), 2, "51f6e98d160508cb"),
-    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "c7f5dfbb8e43a23e"),
+    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "a58eb940e1038ad1"),
     (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "70961ac39334b23f"),
-], ids=["c50", "circ40-1-2", "circ20-1-10", "p50", "circ24-1-2+p16", "circ20-1-10+p12"])
+    (circulant_graph(24, (1, 2, 12)), 5, "f2b2b0f325d48dfa"),
+], ids=["c50", "circ40-1-2", "circ20-1-10", "p50", "circ24-1-2+p16", "circ20-1-10+p12",
+        "circ24-1-2-12"])
 def test_labels_match_their_golden_digest(h, delta, digest):
     # the first 16 hex digits of sha256 over the newline-joined labels, the
     # same under every PYTHONHASHSEED; each input has conflict pairs, so its

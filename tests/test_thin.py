@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import induniv
 from induniv.errors import ArgumentError, DecompositionError
 from induniv.graphs import (
     Graph,
@@ -17,6 +23,8 @@ from induniv.thin import (
     ThinDecomposition,
     _bfs_edge_order,
     _component_kind,
+    _decompose_search,
+    _euler_orientation,
     _kempe_colouring,
     _order_search,
     _SearchPart,
@@ -26,6 +34,7 @@ from induniv.thin import (
     validate_decomposition,
     validate_layout,
 )
+from instances import random_bounded_graph
 from oracles import oracle_first_decomposition, oracle_first_layout, oracle_is_thin
 
 
@@ -141,8 +150,8 @@ def test_even_petersen_parts_two_regular_on_regular_input(g):
 
 
 def test_even_petersen_on_a_long_cycle_power():
-    # an augmenting path here runs through hundreds of heads, past Python's
-    # default recursion limit
+    # the Euler circuits and the Kempe chains that colour the out/in
+    # multigraph run through hundreds of vertices
     g = circulant_graph(1000, (1, 2))
     dec = thin_decompose(g, 4)
     assert validate_decomposition(g, dec).ok
@@ -159,7 +168,7 @@ def test_even_petersen_delta_six():
 
 def test_search_budget_error_carries_partial():
     with pytest.raises(DecompositionError) as err:
-        thin_decompose(complete_graph(4), 3, search_budget=2)
+        _decompose_search(complete_graph(4), 3, 2)
     assert "budget" in str(err.value)
 
 
@@ -206,6 +215,11 @@ def _random_subcubic(rng: random.Random, n: int, keep: float) -> Graph:
     return Graph(n, [e for e in sorted(edges) if rng.random() < keep])
 
 
+def _simple_bfs_order(h: Graph) -> list[tuple[int, int]]:
+    edges = list(h.edges())
+    return [edges[i] for i in _bfs_edge_order(h.vertex_count, edges)]
+
+
 def test_search_part_verdicts_match_thinness_oracle():
     # insert random edges into one part as the search does: a refused edge
     # is taken out again, and kept edges are sometimes taken out later, so
@@ -243,9 +257,9 @@ def test_decomposition_is_the_plain_search_result():
     graphs = [complete_graph(4), circulant_graph(8, (1, 4)), circulant_graph(10, (1, 5))]
     graphs += [_random_subcubic(rng, rng.randrange(5, 11), 1.0) for _ in range(25)]
     for h in graphs:
-        edges = _bfs_edge_order(h)
+        edges = _simple_bfs_order(h)
         want = oracle_first_decomposition(
-            h, 3, edges, _kempe_colouring(h.vertex_count, edges))
+            h, 3, edges, _kempe_colouring(h.vertex_count, edges, 3))
         assert thin_decompose(h, 3).multiplicity == want, sorted(h.edges())
 
 
@@ -269,8 +283,8 @@ def test_kempe_colouring_is_proper():
     graphs += [_random_subcubic(rng, n, keep) for n in (10, 52, 300, 2000)
                for keep in (1.0, 0.8)]
     for h in graphs:
-        edges = _bfs_edge_order(h)
-        colours = _kempe_colouring(h.vertex_count, edges)
+        edges = _simple_bfs_order(h)
+        colours = _kempe_colouring(h.vertex_count, edges, 3)
         assert len(colours) == len(edges) and set(colours) <= {0, 1, 2, None}
         seen: dict[tuple[int, int], tuple[int, int]] = {}
         for e, c in zip(edges, colours):
@@ -286,18 +300,18 @@ def test_random_subcubic_graphs_decompose_along_the_colouring(n):
     rng = random.Random(n)
     for keep in (1.0, 1.0, 0.9):
         h = _random_subcubic(rng, n, keep)
-        dec = thin_decompose(h, 3, search_budget=2 * h.edge_count)
+        dec = _decompose_search(h, 3, 2 * h.edge_count)
         assert validate_decomposition(h, dec).ok
 
 
 @pytest.mark.parametrize("h", [_petersen(), _bridged_cubic()], ids=["petersen", "bridged"])
 def test_class_two_graphs_decompose_through_the_search(h):
     assert set(h.degrees()) == {3}
-    colours = _kempe_colouring(h.vertex_count, _bfs_edge_order(h))
+    colours = _kempe_colouring(h.vertex_count, _simple_bfs_order(h), 3)
     assert None in colours  # no proper 3-edge-colouring exists
     dec = thin_decompose(h, 3)
     assert validate_decomposition(h, dec).ok
-    assert dec.multiplicity == oracle_first_decomposition(h, 3, _bfs_edge_order(h), colours)
+    assert dec.multiplicity == oracle_first_decomposition(h, 3, _simple_bfs_order(h), colours)
 
 
 def test_long_cubic_rings_decompose_and_lay_out():
@@ -310,6 +324,81 @@ def test_long_cubic_rings_decompose_and_lay_out():
         assert validate_layout(part, layout_thin(part, 700)) == []
     h = _random_subcubic(random.Random(1000), 1000, 1.0)
     assert validate_decomposition(h, thin_decompose(h, 3)).ok
+
+
+@pytest.mark.parametrize("h", [
+    circulant_graph(1000, (1, 2, 500)),
+    random_bounded_graph(random.Random(5), 1000, 5),
+], ids=["ring", "random"])
+def test_delta_five_decomposes_along_the_colouring(h):
+    # the lexicographic search alone runs out of its budget on these
+    start = time.perf_counter()
+    dec = thin_decompose(h, 5)
+    assert validate_decomposition(h, dec).ok
+    assert time.perf_counter() - start < 5
+
+
+def test_delta_five_decomposition_is_the_plain_search_result():
+    # part p takes colours p - 1 and p - 2 first, as the reference search does
+    rng = random.Random(6)
+    graphs = [circulant_graph(12, (1, 2, 6)), complete_graph(6)]
+    graphs += [random_bounded_graph(rng, rng.randrange(6, 12), 5) for _ in range(20)]
+    for h in graphs:
+        edges = _simple_bfs_order(h)
+        want = oracle_first_decomposition(
+            h, 5, edges, _kempe_colouring(h.vertex_count, edges, 5))
+        assert thin_decompose(h, 5).multiplicity == want, sorted(h.edges())
+
+
+@pytest.mark.parametrize("delta, top", [(4, 7), (5, 7), (6, 6)])
+def test_decompose_every_class_at_higher_delta(delta, top):
+    for n in range(1, top + 1):
+        for h in enumerate_family(FamilySpec(n, delta)):
+            assert validate_decomposition(h, thin_decompose(h, delta)).ok
+
+
+def _out_in_multigraph(h: Graph, delta: int) -> list[tuple[int, int]]:
+    # the even route's input to the colouring: H and a clone of it, each
+    # vertex padded to degree delta by parallel edges to its clone, oriented
+    # along Euler circuits; tail t on the left, head w as 2n + w on the right
+    n = h.vertex_count
+    medges = [e for u, v in h.edges() for e in ((u, v, True), (u + n, v + n, False))]
+    medges += [(v, v + n, False) for v in range(n) for _ in range(delta - h.degree(v))]
+    return [(t, 2 * n + w) for _, t, w in _euler_orientation(2 * n, medges)]
+
+
+@pytest.mark.parametrize("h, delta", [
+    (path_graph(9), 2),
+    (path_graph(9), 4),
+    (Graph(5, [(0, i) for i in range(1, 5)]), 4),
+    (path_graph(9), 6),
+    (Graph(7, [(0, i) for i in range(1, 7)]), 6),
+    (random_bounded_graph(random.Random(4), 300, 6), 6),
+], ids=["path-k1", "path-k2", "star-k2", "path-k3", "star-k3", "random-k3"])
+def test_kempe_colouring_splits_the_out_in_multigraph_into_perfect_matchings(h, delta):
+    out_in = _out_in_multigraph(h, delta)
+    nv = 4 * h.vertex_count
+    edges = [out_in[i] for i in _bfs_edge_order(nv, out_in)]
+    colours = _kempe_colouring(nv, edges, delta // 2)
+    assert None not in colours
+    for c in range(delta // 2):
+        # every vertex is an end of exactly one edge of colour c
+        assert sorted(x for e, col in zip(edges, colours) if col == c for x in e) == list(range(nv))
+
+
+def test_no_decomposition_route_recurses():
+    script = (
+        "import sys\n"
+        "from induniv.graphs import circulant_graph\n"
+        "from induniv.thin import thin_decompose\n"
+        "cases = [(circulant_graph(700, (1, 350)), 3), (circulant_graph(1000, (1, 2)), 4),\n"
+        "         (circulant_graph(1000, (1, 2, 500)), 5)]\n"
+        "sys.setrecursionlimit(100)\n"
+        "print([len(thin_decompose(h, delta).multiplicity) for h, delta in cases])\n")
+    src = str(Path(induniv.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[1050, 2000, 2500]"
 
 
 def test_layout_search_is_the_plain_search_result():
