@@ -102,7 +102,8 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--rm", type=_pq, default=None)
     p.add_argument("--rz", type=_pq, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per graph and per processor")
 
     p = add_parser("size-report", help="formula-level scaling table")
     p.add_argument("--delta", type=_int_list, required=True)
@@ -264,7 +265,10 @@ def _parallel_sweep(spec, params, args):
     desk = params.desk.to_json()
     jobs = [(idx, sorted(g.edges()), g.vertex_count, params.delta, params.n, desk)
             for idx, g in enumerate(enumerate_family(spec))]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at once, so ask for no more than
+    # there are graphs and processors
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return SweepReport.of(list(pool.map(_sweep_worker, jobs, chunksize=8)))
 
 

@@ -71,6 +71,7 @@ from .thin import (
 from .walks import ConstraintSchedule, WalkParams, build_walk_map, prefix_limit
 
 LOCAL_WINDOW = 8  # layout gap under which coordinate images must differ
+CONFLICT_GAP = 4  # conflict pairs sit more than this many layout slots apart
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,6 @@ def build_f1(
     part: Graph,
     layout: PathPowerLayout,
     params: GammaParams,
-    budget: int | None = None,
 ) -> tuple[int, ...]:
     """Anchor coordinate map: an unconstrained walk read through the layout.
 
@@ -218,7 +218,7 @@ def build_f1(
     """
     assignment, broken = _walk_stage(
         "f1", part, layout, params.r_m, params.rm_pow,
-        ConstraintSchedule.empty(len(layout.phi)), params, budget)
+        ConstraintSchedule.empty(len(layout.phi)), params)
     _require_clean("f1", broken + _check_usage(assignment, params))
     return assignment
 
@@ -274,7 +274,6 @@ def build_fi(
     layout: PathPowerLayout,
     schedule: ConstraintSchedule,
     params: GammaParams,
-    budget: int | None = None,
     *,
     h: Graph,
     coord_maps: list[tuple[int, ...]],
@@ -282,7 +281,7 @@ def build_fi(
 ) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
     """Coordinate map for part i and its conflict sets, both verified."""
     assignment, broken = _walk_stage(
-        f"f{i}", part, layout, params.r_m, params.rm_pow, schedule, params, budget)
+        f"f{i}", part, layout, params.r_m, params.rm_pow, schedule, params)
     conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params, close)
     _require_clean(f"f{i}", broken + _check_usage(assignment, params)
                    + _check_anchor_distinct(coord_maps[0], assignment)
@@ -301,10 +300,11 @@ def compute_bad_sets(
 ) -> dict[int, frozenset[int]]:
     """Exact conflict sets for coordinate i, straight from the definition.
 
-    h' conflicts with h when they are non-adjacent, more than 4 apart in the
-    layout, and their images collide (lie within distance 4) both in map i
-    and in some earlier map. Symmetric by construction. Only pairs close in
-    map i and in an earlier map can conflict, so only those are tested.
+    h' conflicts with h when they are non-adjacent, more than ``CONFLICT_GAP``
+    apart in the layout, and their images collide (lie within distance 4)
+    both in map i and in some earlier map. Symmetric by construction. Only
+    pairs close in map i and in an earlier map can conflict, so only those
+    are tested.
     """
     n = h.vertex_count
     close = close or CloseSets(params.rm_pow, n)
@@ -313,7 +313,7 @@ def compute_bad_sets(
     keys = keys[~_member(close.edge_keys(h), keys)]
     phi = np.asarray(layout.phi, dtype=np.int64)
     a, b = keys // n, keys % n
-    far = np.abs(phi[a] - phi[b]) > 4
+    far = np.abs(phi[a] - phi[b]) > CONFLICT_GAP
     out: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in zip(a[far].tolist(), b[far].tolist()):
         out[u].add(v)
@@ -327,7 +327,6 @@ def build_ri(
     layout: PathPowerLayout,
     conflicts: dict[int, frozenset[int]],
     params: GammaParams,
-    budget: int | None = None,
 ) -> tuple[int, ...]:
     """Shield map for part i: a walk in R_z separating all conflict pairs.
 
@@ -356,7 +355,7 @@ def build_ri(
                 position=t, size=len(entries), cap=cap)
     assignment, broken = _walk_stage(
         f"r{i}", part, layout, params.r_z, params.rz_pow,
-        ConstraintSchedule.from_sets(n, sched_sets), params, budget, late)
+        ConstraintSchedule.from_sets(n, sched_sets), params, late)
     _require_clean(f"r{i}", broken + _check_conflict_shielded(conflicts, assignment, params))
     return assignment
 
@@ -495,11 +494,12 @@ def embed(
     delta: int,
     params: GammaParams,
 ) -> EmbeddingResult:
-    """Full pipeline with verification gates and bounded retry escalation.
+    """Full pipeline with verification gates: one attempt, its walks held
+    to ``params.desk.walk_budget``.
 
-    Round k runs the whole attempt with the walk budget scaled by the k-th
-    entry of ``params.desk.retry_budget_scale``. A round that fails with a
-    stuck walk moves on to the next round; any other failure ends the run.
+    The walks are deterministic, so a failed attempt would fail again. Its
+    error is raised as an EmbeddingFailureError whose ``trail`` holds one
+    entry: the walk budget, the parameter digest and the error.
     """
     if params.profile == Profile.PAPER:
         raise InfeasibleBuildError(
@@ -521,22 +521,14 @@ def embed(
             laid[part] = layout_thin(part, h.vertex_count)
     layouts = tuple(laid[part] for part in dec.parts)
 
-    trail: list[dict] = []
-    for mult in params.desk.retry_budget_scale:
-        budget = params.desk.walk_budget * mult
-        try:
-            return _attempt(h, dec, layouts, params, budget)
-        except (WalkStuckError, PropertyFailureError, ScheduleOverflowError) as exc:
-            trail.append({
-                "budget": budget,
-                "params_digest": params.digest(),
-                "error": exc.to_json(),
-            })
-            # the walks are deterministic and their budget binds only when
-            # a walk runs out of it, so only a stuck walk gains from more
-            if not isinstance(exc, WalkStuckError):
-                break
-    raise EmbeddingFailureError("all embedding rounds failed", trail=trail)
+    try:
+        return _attempt(h, dec, layouts, params)
+    except (WalkStuckError, PropertyFailureError, ScheduleOverflowError) as exc:
+        raise EmbeddingFailureError("the embedding attempt failed", trail=[{
+            "budget": params.desk.walk_budget,
+            "params_digest": params.digest(),
+            "error": exc.to_json(),
+        }]) from exc
 
 
 # -- internals -----------------------------------------------------------------
@@ -547,11 +539,10 @@ def _attempt(
     dec: ThinDecomposition,
     layouts: tuple[PathPowerLayout, ...],
     params: GammaParams,
-    budget: int,
 ) -> EmbeddingResult:
     # a stage that fails its checks raises, so every logged stage is green
     stage_log = []
-    coord: list[tuple[int, ...]] = [build_f1(dec.parts[0], layouts[0], params, budget)]
+    coord: list[tuple[int, ...]] = [build_f1(dec.parts[0], layouts[0], params)]
     stage_log.append("f1: homomorphism, well-distribution")
     shield: dict[int, tuple[int, ...]] = {}
     label_sets: dict[int, tuple[int, ...]] = {}
@@ -560,14 +551,14 @@ def _attempt(
     for i in range(2, params.delta + 1):
         part, layout = dec.parts[i - 1], layouts[i - 1]
         schedule = compute_sigma_i(i, h, coord, layout, params, close)
-        fi, conflicts = build_fi(i, part, layout, schedule, params, budget,
+        fi, conflicts = build_fi(i, part, layout, schedule, params,
                                  h=h, coord_maps=coord, close=close)
         coord.append(fi)
         stage_log.append(
             f"f{i}: homomorphism, well-distribution, anchor-distinct, "
             "window-distinct, conflict-bound")
         conflicts_all[i] = conflicts
-        shield[i] = build_ri(i, part, layout, conflicts, params, budget)
+        shield[i] = build_ri(i, part, layout, conflicts, params)
         stage_log.append(f"r{i}: homomorphism, conflict-shielded")
         label_sets[i] = build_label_sets(i, part, coord[i - 1], params)
 
@@ -605,7 +596,6 @@ def _walk_stage(
     host_pow,
     schedule: ConstraintSchedule,
     params: GammaParams,
-    budget: int | None,
     late: dict[int, set[int]] | None = None,
 ) -> tuple[tuple[int, ...], list[str]]:
     """One map of a part into a host expander (R_m or R_z) and the part's
@@ -613,19 +603,17 @@ def _walk_stage(
 
     A walk on the host under ``schedule`` (plus the ``late`` avoidance
     constraints, see ``build_walk_map``) is read through the part's layout;
-    a walk stuck past its budget is tagged with ``stage``. The map is a
-    homomorphism into the 4th power when the list is empty: the layout
-    stretches no edge past 4 and the walk is locally a path, but that is
-    checked, not assumed.
+    a walk stuck past ``params.desk.walk_budget`` is tagged with ``stage``.
+    The map is a homomorphism into the 4th power when the list is empty: the
+    layout stretches no edge past 4 and the walk is locally a path, but that
+    is checked, not assumed.
     """
     n = len(layout.phi)
-    wp = WalkParams.for_graph(host, n, usage_cap=params.usage_cap_for(n),
+    wp = WalkParams.for_graph(host, usage_cap=params.usage_cap_for(n),
                               sigma_cap=params.sigma_cap_for(n))
     try:
-        wm = build_walk_map(
-            host, schedule, wp,
-            search_budget=params.desk.walk_budget if budget is None else budget,
-            extra_avoid=late)
+        wm = build_walk_map(host, schedule, wp, search_budget=params.desk.walk_budget,
+                            extra_avoid=late)
     except WalkStuckError as exc:
         exc.payload["stage"] = stage
         exc.stage = stage
@@ -692,15 +680,14 @@ def _check_conflict_bound(
     params: GammaParams,
 ) -> list[str]:
     out = []
-    gap = params.desk.conflict_gap
     for v, cs in sorted(conflicts.items()):
         if len(cs) > params.d:
             out.append(f"conflict set of {v} has {len(cs)} members, cap {params.d}")
         for w in sorted(cs):
-            if abs(layout.phi[v] - layout.phi[w]) <= gap:
+            if abs(layout.phi[v] - layout.phi[w]) <= CONFLICT_GAP:
                 out.append(
                     f"conflict pair ({v}, {w}) sits {abs(layout.phi[v] - layout.phi[w])} "
-                    f"slots apart, need more than {gap}")
+                    f"slots apart, need more than {CONFLICT_GAP}")
     return out
 
 

@@ -89,8 +89,8 @@ class PropertyFailureError(ArtifactError):
 
 
 class EmbeddingFailureError(ArtifactError):
-    """All embedding retry rounds failed; carries the per-round trail, also
-    in its JSON (each round's budget, params digest and error)."""
+    """The embedding attempt failed; its ``trail``, also in its JSON, holds
+    one entry: the walk budget, the params digest and the error."""
 
     def __init__(self, message: str, trail: list | None = None, **payload):
         super().__init__(message, trail=trail or [], **payload)

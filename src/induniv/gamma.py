@@ -76,29 +76,19 @@ class Profile(Enum):
 
 @dataclass(frozen=True)
 class DeskConfig:
-    """Desk-profile knobs; every relaxation is explicit and recorded."""
+    """The desk profile's two expander hosts, as LPS primes (p, q), and the
+    walk search budget. Every cap of the construction follows from these and
+    from (delta, n); see ``GammaParams``."""
 
     rm_pq: tuple[int, int] = (5, 29)
     rz_pq: tuple[int, int] = (5, 29)
-    eigen_tolerance: float = 1e-4
-    eigen_slack: float = 0.0
     walk_budget: int = 200_000
-    usage_cap_factor: int = 40
-    sigma_cap: int | None = None       # None: max(2d, 4*ceil(sqrt(n)))
-    conflict_gap: int = 4              # layout-gap floor in the conflict-set check
-    retry_budget_scale: tuple[int, ...] = (1,)  # walk budget multiples, one round each
 
     def to_json(self) -> dict:
         return {
             "rm_pq": list(self.rm_pq),
             "rz_pq": list(self.rz_pq),
-            "eigen_tolerance": self.eigen_tolerance,
-            "eigen_slack": self.eigen_slack,
             "walk_budget": self.walk_budget,
-            "usage_cap_factor": self.usage_cap_factor,
-            "sigma_cap": self.sigma_cap,
-            "conflict_gap": self.conflict_gap,
-            "retry_budget_scale": list(self.retry_budget_scale),
         }
 
     def __post_init__(self):
@@ -112,17 +102,8 @@ class DeskConfig:
             pq = getattr(self, name)
             if not (isinstance(pq, tuple) and len(pq) == 2 and all(map(_is_int, pq))):
                 reject(name, "a pair of integers")
-        for name in ("eigen_tolerance", "eigen_slack"):
-            if not _is_real(getattr(self, name)):
-                reject(name, "a number")
-        for name in ("walk_budget", "usage_cap_factor", "conflict_gap"):
-            if not _is_int(getattr(self, name)):
-                reject(name, "an integer")
-        if not (self.sigma_cap is None or _is_int(self.sigma_cap)):
-            reject("sigma_cap", "an integer or null")
-        scale = self.retry_budget_scale
-        if not (isinstance(scale, tuple) and scale and all(map(_is_int, scale))):
-            reject("retry_budget_scale", "a nonempty list of integers")
+        if not (_is_int(self.walk_budget) and self.walk_budget >= 0):
+            reject("walk_budget", "a nonnegative integer")
 
     @classmethod
     def from_json(cls, doc: dict) -> "DeskConfig":
@@ -130,7 +111,7 @@ class DeskConfig:
         keys that are not fields are ignored. A field of the wrong type
         raises ArgumentError naming it."""
         kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
-        for name in ("rm_pq", "rz_pq", "retry_budget_scale"):
+        for name in ("rm_pq", "rz_pq"):
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
@@ -138,10 +119,6 @@ class DeskConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +178,13 @@ class GammaParams:
                               self.u_bits, self.delta)
 
     def sigma_cap_for(self, n: int) -> int:
-        if self.desk and self.desk.sigma_cap is not None:
-            return self.desk.sigma_cap
+        """Entries a constraint schedule may hold at one index."""
         return max(2 * self.d, 4 * math.isqrt(max(n, 1)) + 4)
 
     def usage_cap_for(self, n: int) -> int:
-        factor = self.desk.usage_cap_factor if self.desk else 40
-        return max(1, factor * math.ceil(n / self.ell_m))
+        """Times a map of n indices into R_m may use one vertex
+        (well-distribution)."""
+        return max(1, 40 * math.ceil(n / self.ell_m))
 
     def digest(self) -> str:
         payload = {
@@ -289,11 +266,9 @@ def make_gamma_params(
     certs = {}
     for name, graph, lps in (("r_m", rm_graph, rm_lps), ("r_z", rz_graph, rz_lps)):
         if lps is not None:
-            cert = cached_lps_certificate(
-                lps.p, lps.q, cfg.eigen_tolerance, cfg.eigen_slack)
+            cert = cached_lps_certificate(lps.p, lps.q)
         else:
-            cert = certify_expander(
-                graph, lps, tolerance=cfg.eigen_tolerance, eigen_slack=cfg.eigen_slack)
+            cert = certify_expander(graph)
         certs[name] = cert
         if not cert.all_ok:
             raise CertificationError(

@@ -40,6 +40,7 @@ from .graphs import Graph
 _DENSE_EIGEN = 64  # graphs up to this size get a dense eigenvalue solve
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
 _LANCZOS_SEED = 20080101  # seeds the fixed Lanczos start vector
+EIGEN_TOLERANCE = 1e-4  # certified lambda_2 may exceed 2 sqrt(d - 1) by this
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -340,13 +341,9 @@ def cached_lps_graph(p: int, q: int) -> Graph:
 
 
 @lru_cache(maxsize=16)
-def cached_lps_certificate(
-    p: int, q: int, tolerance: float = 1e-4, eigen_slack: float = 0.0
-) -> "ExpanderCertificate":
+def cached_lps_certificate(p: int, q: int) -> "ExpanderCertificate":
     """Certificate of the cached graph; girth and spectra are recomputed once."""
-    return certify_expander(
-        cached_lps_graph(p, q), LpsParams(p, q),
-        tolerance=tolerance, eigen_slack=eigen_slack)
+    return certify_expander(cached_lps_graph(p, q), LpsParams(p, q))
 
 
 # -- spectral and structural certification -----------------------------------
@@ -485,19 +482,13 @@ class ExpanderCertificate:
         }
 
 
-def certify_expander(
-    g: Graph,
-    params: LpsParams | None = None,
-    tolerance: float = 1e-4,
-    eigen_slack: float = 0.0,
-) -> ExpanderCertificate:
+def certify_expander(g: Graph, params: LpsParams | None = None) -> ExpanderCertificate:
     """Bundle regularity, connectivity, bipartiteness, girth and spectral checks.
 
     Failures are reported inside the certificate, never raised. With
     ``params``, the girth is checked against (1/2) log_p of the vertex count
-    and the vertex count against q(q^2-1)/2. ``eigen_slack`` loosens the
-    Ramanujan threshold for substitute (non-LPS) expanders; any use of it is
-    visible in the certificate.
+    and the vertex count against q(q^2-1)/2. The Ramanujan threshold is
+    2 sqrt(d - 1) + ``EIGEN_TOLERANCE``.
 
     With ``params`` the girth comes from one BFS at vertex 0
     (``Graph.girth_through``), which is the girth only when vertex 0 lies on
@@ -547,18 +538,16 @@ def certify_expander(
         girth_ok = girth_found is not None and girth_found >= math.ceil(girth_bound)
 
     lam = None
-    threshold = 2.0 * math.sqrt(max(degree - 1, 0)) + tolerance + eigen_slack
+    threshold = 2.0 * math.sqrt(max(degree - 1, 0)) + EIGEN_TOLERANCE
     eig_ok = False
     if regular and connected and n > 0:
         try:
-            lam = second_eigenvalue(g, tolerance=min(tolerance, 1e-6))
+            lam = second_eigenvalue(g)
             eig_ok = lam <= threshold
         except ConvergenceError as exc:
             notes.append(f"eigenvalue iteration failed: {exc}")
     else:
         notes.append("eigenvalue check skipped (needs a connected regular graph)")
-    if eigen_slack:
-        notes.append(f"eigenvalue threshold relaxed by {eigen_slack}")
 
     return ExpanderCertificate(
         degree=degree,

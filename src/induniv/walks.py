@@ -67,7 +67,9 @@ def prefix_limit(t, q: int):
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Knobs of the walk construction for one host graph."""
+    """The walk construction's sizes for one host graph: its vertex count,
+    the block length and the two caps. The caps are the embedding's
+    (``GammaParams.usage_cap_for`` and ``sigma_cap_for``)."""
 
     ell: int
     step: int
@@ -85,15 +87,9 @@ class WalkParams:
             raise ArgumentError("sigma_cap must be >= 0")
 
     @classmethod
-    def for_graph(cls, f: Graph, n: int, usage_cap: int | None = None,
-                  sigma_cap: int | None = None) -> "WalkParams":
+    def for_graph(cls, f: Graph, usage_cap: int, sigma_cap: int) -> "WalkParams":
         ell = f.vertex_count
-        if usage_cap is None:
-            usage_cap = max(1, 40 * math.ceil(n / ell)) if n else 1
-        if sigma_cap is None:
-            sigma_cap = max(1, ell // 40)
-        return cls(ell=ell, step=step_for(ell), usage_cap=usage_cap,
-                   sigma_cap=sigma_cap)
+        return cls(ell=ell, step=step_for(ell), usage_cap=usage_cap, sigma_cap=sigma_cap)
 
 
 @dataclass(frozen=True)

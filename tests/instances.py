@@ -39,8 +39,7 @@ def random_walk_instance(
     host = Graph(ell, edges)
     n = rng.randrange(20, ell - 5)
     wp = WalkParams.for_graph(
-        host, n, usage_cap=max(4, math.ceil(n / ell) + 3),
-        sigma_cap=max(2, ell // 12))
+        host, usage_cap=max(4, math.ceil(n / ell) + 3), sigma_cap=max(2, ell // 12))
     q = wp.step
     gap = max(8, 2 * q + 2)
     sets: dict[int, set[int]] = {}

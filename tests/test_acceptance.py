@@ -55,7 +55,7 @@ def test_criterion_1_lps_construction():
     ok &= g.is_regular() and g.degree(0) == 6
     ok &= g.is_connected()
     ok &= not g.is_bipartite()
-    cert = certify_expander(g, params, tolerance=1e-4)
+    cert = certify_expander(g, params)
     ok &= cert.second_eigenvalue_bound <= 2 * math.sqrt(5) + 1e-4
     girth_bound = math.ceil(0.5 * math.log(12180) / math.log(5))
     ok &= girth_bound == 3 and cert.girth_found >= 3

@@ -130,6 +130,36 @@ def test_sweep_parallel(capsys, rm_desk):
     assert doc["embedded"] == doc["total"] == 4
 
 
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records the workers asked
+    for and runs every job in this process."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_sweep_asks_for_no_more_workers_than_graphs(capsys, monkeypatch, rm_desk):
+    # four graphs on three vertices: a pool of 10000 would fork 10000 processes
+    import concurrent.futures
+
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    code, doc = invoke(capsys, ["sweep", "--n", "3", "--delta", "2", "--jobs", "10000"])
+    assert code == 0 and doc["embedded"] == doc["total"] == 4
+    assert _InProcessPool.asked == [min(4, os.cpu_count() or 1)]
+
+
 def test_size_report_command(capsys):
     code, doc = invoke(capsys, [
         "size-report", "--delta", "2,3", "--n-list", "100,10000"])
@@ -183,36 +213,41 @@ def test_verify_accepts_params_without_desk_fields(capsys, c6_file, tmp_path, rm
     assert code == 0 and vdoc["ok"] and vdoc["pairs_checked"] == 15
 
 
-def test_verify_accepts_files_that_record_budget_escalation(capsys, c6_file, tmp_path, rm_desk):
-    # embeddings written when the desk default retried stuck walks at 4x and
-    # 16x record that scale, and their digest covers it
-    from induniv.embedder import embed
+# the params block and digest of an embedding of C6 written while the desk
+# config had nine fields; its labels are those of today's embedding
+NINE_FIELD_PARAMS = {
+    "delta": 2, "n": 6, "rm_pq": [5, 29], "rz_pq": [5, 29], "eigen_tolerance": 0.0001,
+    "eigen_slack": 0.0, "walk_budget": 200000, "usage_cap_factor": 40, "sigma_cap": None,
+    "conflict_gap": 4, "retry_budget_scale": [1]}
+NINE_FIELD_DIGEST = "5eeedbac05d39977"
 
-    old_params = make_gamma_params(2, 6, "desk", {"retry_budget_scale": (1, 4, 16)})
-    assert old_params.digest() != make_gamma_params(2, 6, "desk").digest()
-    result = embed(cycle_graph(6), 2, old_params)
-    doc = {"params": {"delta": 2, "n": 6, **old_params.desk.to_json()},
-           "params_digest": old_params.digest(),
-           "gamma": [encode_label(v, old_params) for v in result.gamma]}
-    assert doc["params"]["retry_budget_scale"] == [1, 4, 16]
-    old = str(tmp_path / "old.json")
-    json.dump(doc, open(old, "w"))
 
-    code, vdoc = invoke(capsys, ["verify", "--embedding", old, "--input", c6_file])
-    assert code == 0 and vdoc["ok"] and vdoc["pairs_checked"] == 15
+def test_verify_rejects_files_written_with_the_nine_field_config(
+        capsys, c6_file, tmp_path, rm_desk):
+    emb = tmp_path / "emb.json"
+    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
+                "--output", str(emb)]) == 0
+    doc = json.loads(emb.read_text())
+    assert doc["params_digest"] != NINE_FIELD_DIGEST
+    emb.write_text(json.dumps(
+        {**doc, "params": NINE_FIELD_PARAMS, "params_digest": NINE_FIELD_DIGEST}))
+    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "CodecError" and "digest" in error["message"]
+    assert error["recorded"] == NINE_FIELD_DIGEST and error["rebuilt"] == doc["params_digest"]
 
 
 def test_worker_params_keep_every_desk_field(rm_desk):
-    cfg = DeskConfig(walk_budget=123_456, usage_cap_factor=30, sigma_cap=12,
-                     conflict_gap=5, eigen_tolerance=2e-4,
-                     retry_budget_scale=(1, 2))
+    cfg = DeskConfig(walk_budget=123_456)
     assert DeskConfig.from_json(cfg.to_json()) == cfg
     assert _worker_params(2, 5, json.dumps(cfg.to_json())).desk == cfg
 
 
 def test_embed_failure_reports_its_retry_trail(capsys, tmp_path, monkeypatch, rm_desk):
     # a walk budget too small for the 100-step anchor walk of C100 fails fast,
-    # in the one budget round the desk config asks for
+    # in the one attempt that embed makes
     path = tmp_path / "c100.txt"
     dump_edge_list(cycle_graph(100), path)
     monkeypatch.setenv("INDUNIV_WALK_BUDGET", "60")
@@ -296,7 +331,7 @@ def _with_params(doc, **fields):
     return json.dumps({**doc, "params": {**doc["params"], **fields}})
 
 
-@pytest.mark.parametrize("field, value", [("delta", 2.5), ("n", "6"), ("sigma_cap", "x")])
+@pytest.mark.parametrize("field, value", [("delta", 2.5), ("n", "6"), ("walk_budget", "x")])
 def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_desk, field, value):
     emb = tmp_path / "emb.json"
     assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
@@ -311,6 +346,7 @@ def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_de
 @pytest.mark.parametrize("env, command, edge_list, edit, code, kind", [
     ({}, "decompose", "2 1\n1 x\n", None, 1, "ArgumentError"),
     ({"INDUNIV_WALK_BUDGET": "abc"}, "embed", None, None, 1, "UsageError"),
+    ({"INDUNIV_WALK_BUDGET": "-5"}, "embed", None, None, 1, "ArgumentError"),
     ({}, "verify", None, lambda doc: json.dumps(doc)[:-1], 2, "CodecError"),
     ({}, "verify", None, lambda doc: json.dumps(
         {**doc, "params": {k: v for k, v in doc["params"].items() if k != "delta"}}),
@@ -319,7 +355,7 @@ def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_de
      2, "CodecError"),
     ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=5), 2, "CodecError"),
     ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=[5]), 2, "CodecError"),
-], ids=["edge-line", "walk-budget", "not-json", "no-delta",
+], ids=["edge-line", "walk-budget", "negative-walk-budget", "not-json", "no-delta",
         "label-not-a-string", "rm-pq-int", "rm-pq-single"])
 def test_malformed_input_ends_in_a_json_error(
         capsys, tmp_path, monkeypatch, c6_file, rm_desk, env, command, edge_list, edit,

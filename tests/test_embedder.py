@@ -5,7 +5,9 @@ import time
 import pytest
 
 from induniv.embedder import (
+    CONFLICT_GAP,
     EmbeddingResult,
+    _check_conflict_bound,
     build_f1,
     build_ri,
     check_edge_witnesses,
@@ -21,7 +23,7 @@ from induniv.errors import (
     InfeasibleBuildError,
 )
 from induniv.gamma import (
-    GammaVertex, Profile, encode_label, gamma_adjacent, make_gamma_params)
+    GammaParams, GammaVertex, Profile, encode_label, gamma_adjacent, make_gamma_params)
 from induniv.graphs import (
     Graph, circulant_graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
     path_graph)
@@ -323,13 +325,29 @@ def test_edge_witnesses_need_the_decomposition(desk_params2):
         check_edge_witnesses(c6, _from_labels(result.gamma), desk_params2)
 
 
-def test_overflow_moves_on_without_a_larger_budget():
+def test_overflow_moves_on_without_a_larger_budget(monkeypatch):
     # a zero schedule cap overflows at the first scheduled entry, whatever the
-    # walk budget, so the larger budget of the second round is never tried
-    tight = make_gamma_params(2, 40, "desk", {"sigma_cap": 0, "retry_budget_scale": (1, 4)})
+    # walk budget, and the one attempt records it
+    monkeypatch.setattr(GammaParams, "sigma_cap_for", lambda self, n: 0)
+    tight = make_gamma_params(2, 40, "desk")
     with pytest.raises(EmbeddingFailureError) as err:
         embed(cycle_graph(40), 2, tight)
     assert [t["error"]["type"] for t in err.value.trail] == ["ScheduleOverflowError"]
+
+
+def test_conflict_sets_pass_their_own_bound():
+    # the conflict sets and their check read one layout gap; on this input
+    # the closest conflict pair sits just past it
+    h = circulant_graph(40, (1, 2))
+    params = make_gamma_params(4, h.vertex_count, "desk")
+    homs = embed(h, 4, params).homs
+    gaps = []
+    for i, layout in enumerate(homs.layouts[1:], start=2):
+        conflicts = compute_bad_sets(i, h, list(homs.coord[:i]), layout, params)
+        assert conflicts == homs.conflicts[i]
+        assert _check_conflict_bound(conflicts, layout, params) == []
+        gaps += [abs(layout.phi[v] - layout.phi[w]) for v, cs in conflicts.items() for w in cs]
+    assert min(gaps) == CONFLICT_GAP + 1
 
 
 def test_embed_asks_the_oracle_about_every_pair(monkeypatch, desk_params2):

@@ -631,10 +631,8 @@ def test_label_adjacency_agrees_with_oracle(desk_params2):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rm_pq", 5), ("rm_pq", [5]), ("rz_pq", [5, "29"]), ("eigen_tolerance", "1e-4"),
-    ("eigen_slack", None), ("walk_budget", 2.5), ("usage_cap_factor", True),
-    ("sigma_cap", "x"), ("conflict_gap", None), ("retry_budget_scale", []),
-    ("retry_budget_scale", [1, 4.0]),
+    ("rm_pq", 5), ("rm_pq", [5]), ("rz_pq", [5, "29"]), ("walk_budget", 2.5),
+    ("walk_budget", True), ("walk_budget", -5),
 ])
 def test_desk_config_rejects_a_field_of_the_wrong_type(field, value):
     with pytest.raises(ArgumentError, match=f"desk config field {field} must be"):
@@ -646,8 +644,16 @@ def test_desk_config_rejects_a_field_of_the_wrong_type(field, value):
 
 
 def test_desk_config_takes_json_numbers():
-    cfg = DeskConfig.from_json({"eigen_tolerance": 0, "sigma_cap": 12, "rm_pq": [5, 29]})
-    assert (cfg.eigen_tolerance, cfg.sigma_cap, cfg.rm_pq) == (0, 12, (5, 29))
+    cfg = DeskConfig.from_json({"walk_budget": 0, "rm_pq": [5, 29]})
+    assert (cfg.walk_budget, cfg.rm_pq, cfg.rz_pq) == (0, (5, 29), (5, 29))
+
+
+def test_desk_config_holds_the_hosts_and_the_walk_budget(desk_params2):
+    # every cap follows from the hosts and (delta, n); none is configured
+    assert list(DeskConfig().to_json()) == ["rm_pq", "rz_pq", "walk_budget"]
+    assert list(desk_params2.to_json()["desk"]) == ["rm_pq", "rz_pq", "walk_budget"]
+    assert desk_params2.sigma_cap_for(30) == max(2 * desk_params2.d, 4 * 5 + 4)
+    assert desk_params2.usage_cap_for(30) == 40
 
 
 @pytest.mark.parametrize("delta, n", [(2.5, 30), (2, 30.0), (2, "30"), (True, 30)])

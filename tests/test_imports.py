@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is read somewhere in the package.
 
-The package's ``__init__`` re-exports what it imports, so it is left out.
+The package's ``__init__`` re-exports what it imports, so the import check
+leaves it out.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "induniv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,45 @@ def test_the_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (one leading underscore) that a module of
+    ``sources`` binds at its top level and that no module reads: by name,
+    as an attribute or in an import."""
+    bound: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            bound.extend((module, name) for name in targets
+                         if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}: {name}" for module, name in bound if name not in read]
+
+
+def test_the_checker_sees_unread_private_names():
+    sources = {
+        "a": "_K = 1\n_unread = 2\n__dunder__ = 3\ndef _f():\n    return _K\n",
+        "b": "from .a import _f\nclass _C:\n    pass\ndef g(m):\n    return m._D\n",
+        "c": "_D: int = 4\n_E = 5\n",
+    }
+    assert unread_private_names(sources) == ["a: _unread", "b: _C", "c: _E"]
+
+
+def test_package_reads_every_private_name():
+    assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []

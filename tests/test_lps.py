@@ -252,11 +252,6 @@ def test_certify_disconnected():
     assert not cert.all_ok
 
 
-def test_certify_eigen_slack_is_recorded():
-    cert = certify_expander(cycle_graph(5), eigen_slack=0.5)
-    assert any("relaxed" in note for note in cert.notes)
-
-
 # -- the numpy Cayley build against the tuple-product builder ---------------------
 
 

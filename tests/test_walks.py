@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -122,7 +123,7 @@ def test_schedule_digest_stable():
 def test_walk_map_serialization():
     g = cycle_graph(20)
     sched = ConstraintSchedule.empty(6)
-    wm = build_walk_map(g, sched, WalkParams.for_graph(g, 6))
+    wm = build_walk_map(g, sched, _params_for(g, 6))
     doc = wm.to_json()
     assert doc["values"] == list(wm.values)
     assert doc["schedule_digest"] == sched.digest()
@@ -131,8 +132,12 @@ def test_walk_map_serialization():
 # -- builder --------------------------------------------------------------------
 
 
-def _params_for(g, n, **kw):
-    return WalkParams.for_graph(g, n, **kw)
+def _params_for(g, n):
+    """Walk sizes for n indices on host g: 40 uses of a vertex per
+    ceil(n / ell) indices, and ell // 40 schedule entries at an index."""
+    ell = g.vertex_count
+    return WalkParams.for_graph(g, usage_cap=max(1, 40 * math.ceil(n / ell)) if n else 1,
+                                sigma_cap=max(1, ell // 40))
 
 
 def test_single_block_is_a_path():
@@ -200,7 +205,7 @@ def test_builder_work_follows_the_walk_not_the_host(monkeypatch, rm_desk):
     neighbors = Graph.neighbors
     monkeypatch.setattr(
         Graph, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
-    wp = WalkParams.for_graph(rm_desk, n)
+    wp = _params_for(rm_desk, n)
     build_walk_map(rm_desk, ConstraintSchedule.empty(n), wp)
     assert len(calls) < 4 * n < rm_desk.vertex_count
 
@@ -344,7 +349,7 @@ def test_verify_valid_map_is_clean():
 
 def test_unconstrained_walk_on_desk_expander(rm_desk):
     n = 100
-    wp = WalkParams.for_graph(rm_desk, n)
+    wp = _params_for(rm_desk, n)
     assert wp.step == 5 and wp.usage_cap == 40
     sched = ConstraintSchedule.empty(n)
     wm = build_walk_map(rm_desk, sched, wp)
@@ -355,7 +360,7 @@ def test_pinned_start_avoidance_on_desk_expander(rm_desk):
     # every index from the third block onward must escape the radius-4
     # ball of the starting image
     n = 40
-    wp = WalkParams.for_graph(rm_desk, n)
+    wp = _params_for(rm_desk, n)
     q = wp.step
     sched = ConstraintSchedule.from_sets(n, {t: {0} for t in range(2 * q, n)})
     wm = build_walk_map(rm_desk, sched, wp)
@@ -371,7 +376,8 @@ def test_walk_order_does_not_follow_the_hash_seed():
         "from induniv.graphs import circulant_graph\n"
         "from induniv.walks import ConstraintSchedule, WalkParams, build_walk_map\n"
         "g = circulant_graph(500, [1, 7, 50])\n"
-        "wm = build_walk_map(g, ConstraintSchedule.empty(60), WalkParams.for_graph(g, 60))\n"
+        "wp = WalkParams.for_graph(g, usage_cap=40, sigma_cap=12)\n"
+        "wm = build_walk_map(g, ConstraintSchedule.empty(60), wp)\n"
         "print(list(wm.values))\n")
     src = str(Path(induniv.__file__).parents[1])
     walks = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
