@@ -247,7 +247,12 @@ def make_gamma_params(
     if profile == Profile.PAPER:
         return _paper_params(delta, n)
 
-    cfg = overrides if isinstance(overrides, DeskConfig) else DeskConfig(**(overrides or {}))
+    cfg = overrides
+    if not isinstance(cfg, DeskConfig):
+        unknown = sorted(map(str, set(cfg or ()) - {f.name for f in fields(DeskConfig)}))
+        if unknown:
+            raise ArgumentError(f"desk config has no field {', '.join(unknown)}")
+        cfg = DeskConfig(**(cfg or {}))
 
     if rm_graph is None:
         rm_graph = cached_lps_graph(*cfg.rm_pq)

@@ -14,6 +14,7 @@ Both facts are re-validated on every output, never assumed.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -22,7 +23,6 @@ from .errors import ArgumentError, DecompositionError, IntegrityError, LayoutErr
 from .graphs import Graph
 
 _SEARCH_BUDGET = 2_000_000  # part pairs _decompose_search may try for one graph
-_LAYOUT_BUDGET = 500_000  # placements _order_search may try for one component
 
 
 # -- thinness recognition -----------------------------------------------------
@@ -80,24 +80,22 @@ def is_thin(g: Graph) -> ThinReport:
     return _classify(g)[0]
 
 
-def _classify(g: Graph) -> tuple[ThinReport, list[tuple[list[int], str]]]:
-    """The thinness report, and for a thin graph each component with its
-    ``_component_kind``, classified once."""
+def _classify(g: Graph) -> tuple[ThinReport, list[list[int]]]:
+    """The thinness report, and for a thin graph its components, each
+    classified once by ``_component_kind``."""
     for v in range(g.vertex_count):
         if g.degree(v) > 3:
             return ThinReport(False, (v,), f"vertex {v} has degree {g.degree(v)} > 3"), []
-    kinds = []
-    for comp in g.connected_components():
-        kind = _component_kind(g, comp)
-        if kind == "not_thin":
+    comps = g.connected_components()
+    for comp in comps:
+        if _component_kind(g, comp) == "not_thin":
             return ThinReport(
                 False,
                 tuple(comp),
                 "component is neither an augmentation of a path or cycle "
                 "nor limited to two degree-3 vertices",
             ), []
-        kinds.append((comp, kind))
-    return ThinReport(True), kinds
+    return ThinReport(True), comps
 
 
 # -- decomposition ------------------------------------------------------------
@@ -564,28 +562,22 @@ class PathPowerLayout:
 
 
 def layout_thin(g: Graph, n: int) -> PathPowerLayout:
-    """Constructive layout of a thin graph, validated before return.
+    """Layout of a thin graph into the 4-th power of a path, validated
+    before return.
 
-    Caterpillar components put legs right after their spine partner; cycle
-    augmentations zigzag the cycle from both ends so cycle edges stretch at
-    most 2 and leaf insertion raises that to at most 4. Components with at
-    most two branch vertices fall back to an exhaustive position search.
+    Every component, whatever its shape, is ordered by ``_deadline_order``
+    and the components take consecutive runs of slots. Alon and Capalbo show
+    that every thin graph embeds in the 4-th power of a path; that this
+    greedy order finds such an embedding is not proved, so an order that
+    ``validate_layout`` rejects raises LayoutError and is never returned.
     """
-    rep, kinds = _classify(g)
+    rep, comps = _classify(g)
     if not rep:
         raise ArgumentError(f"layout requires a thin graph: {rep.reason}")
     if g.vertex_count > n:
         raise ArgumentError(f"{g.vertex_count} vertices do not fit into {n} slots")
 
-    order: list[int] = []
-    for comp, kind in kinds:
-        if kind == "path_aug":
-            order.extend(_order_caterpillar(g, comp))
-        elif kind == "cycle_aug":
-            order.extend(_order_cycle_aug(g, comp))
-        else:
-            order.extend(_order_search(g, comp, _LAYOUT_BUDGET))
-
+    order = [v for comp in comps for v in _deadline_order(g, comp)]
     phi = [-1] * g.vertex_count
     for t, v in enumerate(order):
         phi[v] = t
@@ -610,144 +602,29 @@ def validate_layout(g: Graph, layout: PathPowerLayout) -> list[str]:
     return out
 
 
-def _leaves_by_partner(g: Graph, comp_set: set[int], base: set[int]) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for v in sorted(comp_set - base):
-        partner = next(w for w in g.neighbors(v) if w in comp_set)
-        out.setdefault(partner, []).append(v)
-    return out
+def _deadline_order(g: Graph, comp: list[int]) -> list[int]:
+    """An order of one connected component that fills its slots by deadline.
 
-
-def _order_caterpillar(g: Graph, comp: list[int]) -> list[int]:
-    comp_set = set(comp)
-    if len(comp) == 1:
-        return list(comp)
-    degs = {v: sum(1 for w in g.neighbors(v) if w in comp_set) for v in comp}
-    if max(degs.values()) <= 2:  # bare path: walk it, stretch 1
-        start = min(v for v in comp if degs[v] == 1)
-        path = [start]
-        prev = None
-        while True:
-            nxt = [w for w in g.neighbors(path[-1]) if w in comp_set and w != prev]
-            if not nxt:
-                return path
-            prev = path[-1]
-            path.append(min(nxt))
-    spine = [v for v in comp if degs[v] >= 2]
-    if not spine:  # single edge
-        return sorted(comp)
-    spine_set = set(spine)
-    # walk the spine path from its smaller endpoint
-    spine_deg = {v: sum(1 for w in g.neighbors(v) if w in spine_set) for v in spine}
-    ends = sorted(v for v in spine if spine_deg[v] <= 1)
-    start = ends[0] if ends else min(spine)
-    path = [start]
-    prev = None
-    while True:
-        nxt = [w for w in g.neighbors(path[-1]) if w in spine_set and w != prev]
-        if not nxt:
-            break
-        prev = path[-1]
-        path.append(min(nxt))
-    legs = _leaves_by_partner(g, comp_set, spine_set)
-    order: list[int] = []
-    for s in path:
-        order.append(s)
-        order.extend(legs.get(s, ()))
-    return order
-
-
-def _order_cycle_aug(g: Graph, comp: list[int]) -> list[int]:
-    comp_set = set(comp)
-    degs = {v: sum(1 for w in g.neighbors(v) if w in comp_set) for v in comp}
-    cyc_set = {v for v in comp if degs[v] >= 2}
-    start = min(cyc_set)
-    nbrs = sorted(w for w in g.neighbors(start) if w in cyc_set)
-    cycle = [start, nbrs[0]]
-    while True:
-        nxt = next(
-            w for w in g.neighbors(cycle[-1]) if w in cyc_set and w != cycle[-2])
-        if nxt == start:
-            break
-        cycle.append(nxt)
-    # two-ended zigzag: v1, vk, v2, v(k-1), ... keeps cycle edges within 2
-    zig: list[int] = []
-    lo, hi = 0, len(cycle) - 1
-    while lo <= hi:
-        zig.append(cycle[lo])
-        if lo != hi:
-            zig.append(cycle[hi])
-        lo += 1
-        hi -= 1
-    legs = _leaves_by_partner(g, comp_set, cyc_set)
-    order: list[int] = []
-    for c in zig:
-        order.append(c)
-        order.extend(legs.get(c, ()))
-    return order
-
-
-def _order_search(g: Graph, comp: list[int], budget: int) -> list[int]:
-    """Exhaustive left-to-right placement with stretch-4 pruning.
-
-    Every unplaced neighbor of the vertex in slot j is due by slot j + 4. A
-    partial order is cut as soon as k of its unplaced vertices are due within
-    fewer than k free slots, and when the due vertices fill the next slots
-    exactly, only one of them may take the next slot. Both cuts drop only
-    branches that hold no layout, so the search returns the order a plain
-    depth-first search in vertex order would, without walking its dead ends.
-    It keeps one frame per filled slot on an explicit stack, so its depth is
-    not bounded by the recursion limit.
+    It starts at the lowest-id vertex of least degree. A vertex falls due 4
+    slots after its first placed neighbour, and each slot goes to the vertex
+    due first. Ties go to the vertex with fewer unplaced neighbours when it
+    fell due, then to the one that fell due last, with neighbours falling
+    due in increasing id. A path is walked from its lowest-id end, and a
+    cycle zigzags from its lowest id, larger neighbour second, so cycle
+    edges stretch at most 2. Each vertex enters and leaves one heap once.
     """
-    comp_sorted = sorted(comp)
-    comp_set = set(comp_sorted)
-    nbrs = {v: [w for w in g.neighbors(v) if w in comp_set] for v in comp_sorted}
-    nv = len(comp_sorted)
+    start = min(comp, key=lambda v: (g.degree(v), v))
     placed: set[int] = set()
+    due = {start}
+    heap = [(0, 0, 0, start)]
     order: list[int] = []
-    spent = 0
-
-    def candidates() -> list[int] | None:
-        """The vertices that may take the next slot; None when the partial
-        order is cut."""
-        t = len(order)
-        # earlier slots have no unplaced neighbor left, or an ancestor was cut
-        due: dict[int, int] = {}
-        for j in range(max(0, t - 5), t):
-            for w in nbrs[order[j]]:
-                if w not in placed and w not in due:
-                    due[w] = j + 4
-        limit = None  # the last slot of the first full run of due slots
-        for k, d in enumerate(sorted(due.values())):
-            if d < t + k:
-                return None
-            if d == t + k and limit is None:
-                limit = d
-        return [v for v in comp_sorted if v not in placed
-                and (limit is None or due.get(v, limit + 1) <= limit)]
-
-    # frames[t] walks the candidates for slot t; order[t] is the one placed
-    frames = [iter(candidates() or ())]
-    while frames:
-        v = next(frames[-1], None)
-        if v is None:  # slot exhausted: take back the vertex before it
-            frames.pop()
-            if frames:
-                placed.discard(order.pop())
-            continue
-        spent += 1
-        if spent > budget:
-            raise LayoutError(
-                "layout search budget exhausted",
-                component=comp_sorted, budget=budget)
+    while heap:
+        v = heapq.heappop(heap)[3]
         placed.add(v)
         order.append(v)
-        if len(order) == nv:
-            return order
-        nxt = candidates()
-        if nxt is None:
-            placed.discard(order.pop())
-        else:
-            frames.append(iter(nxt))
-    raise LayoutError(
-        "no stretch-4 layout found for component", component=comp_sorted)
+        for w in g.neighbors(v):
+            if w not in due:
+                due.add(w)
+                unplaced = sum(x not in placed for x in g.neighbors(w))
+                heapq.heappush(heap, (len(order) + 3, unplaced, -len(due), w))
+    return order

@@ -643,6 +643,13 @@ def test_desk_config_rejects_a_field_of_the_wrong_type(field, value):
         make_gamma_params(2, 30, "desk", {field: value})
 
 
+@pytest.mark.parametrize("overrides", [{"sigma_cap": 3}, {"walk_budget": 10, 7: 1}])
+def test_desk_overrides_name_a_key_that_is_not_a_field(overrides):
+    bad = next(k for k in overrides if k != "walk_budget")
+    with pytest.raises(ArgumentError, match=f"desk config has no field {bad}$"):
+        make_gamma_params(2, 30, "desk", overrides)
+
+
 def test_desk_config_takes_json_numbers():
     cfg = DeskConfig.from_json({"walk_budget": 0, "rm_pq": [5, 29]})
     assert (cfg.walk_budget, cfg.rm_pq, cfg.rz_pq) == (0, (5, 29), (5, 29))

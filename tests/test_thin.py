@@ -16,6 +16,7 @@ from induniv.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    format_edge_list,
     path_graph,
 )
 from induniv.harness import FamilySpec, enumerate_family
@@ -26,7 +27,6 @@ from induniv.thin import (
     _decompose_search,
     _euler_orientation,
     _kempe_colouring,
-    _order_search,
     _SearchPart,
     is_thin,
     layout_thin,
@@ -387,46 +387,81 @@ def test_kempe_colouring_splits_the_out_in_multigraph_into_perfect_matchings(h, 
 
 
 def test_no_decomposition_route_recurses():
+    # neither route, nor the layout of a part or of a long thin component
+    tailed = _two_tailed_cycle()
     script = (
         "import sys\n"
-        "from induniv.graphs import circulant_graph\n"
-        "from induniv.thin import thin_decompose\n"
+        "from induniv.graphs import circulant_graph, parse_edge_list\n"
+        "from induniv.thin import layout_thin, thin_decompose\n"
         "cases = [(circulant_graph(700, (1, 350)), 3), (circulant_graph(1000, (1, 2)), 4),\n"
         "         (circulant_graph(1000, (1, 2, 500)), 5)]\n"
+        "tailed = parse_edge_list(sys.stdin.read())\n"
         "sys.setrecursionlimit(100)\n"
-        "print([len(thin_decompose(h, delta).multiplicity) for h, delta in cases])\n")
+        "decs = [(h, thin_decompose(h, delta)) for h, delta in cases]\n"
+        "print([len(dec.multiplicity) for _, dec in decs])\n"
+        "print(sum(len(layout_thin(p, h.vertex_count).phi) for h, dec in decs for p in dec.parts))\n"
+        "print(len(layout_thin(tailed, tailed.vertex_count).phi))\n")
     src = str(Path(induniv.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         input=format_edge_list(tailed),
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[1050, 2000, 2500]"
+    assert out.split() == ["[1050,", "2000,", "2500]", "11100", "3003"]
 
 
-def test_layout_search_is_the_plain_search_result():
-    # the deadline cuts drop only orders with no layout, so the first order
-    # found is the one the plain depth-first search finds
+def _component_graph(g: Graph, comp: list[int]) -> Graph:
+    index = {v: i for i, v in enumerate(comp)}
+    return Graph(len(comp), [(index[u], index[v]) for u, v in g.edges() if u in index])
+
+
+def test_every_thin_random_component_lays_out():
+    # no proof backs the deadline order, so it is checked on every thin
+    # component of thousands of random subcubic graphs; on the small ones
+    # the reference search confirms that a layout exists
     rng = random.Random(9)
     checked = 0
-    for _ in range(400):
-        g = _random_subcubic(rng, rng.randrange(5, 15), 0.8)
-        for comp in g.connected_components():
-            if _component_kind(g, comp) == "few_branch" and len(comp) > 4:
-                assert _order_search(g, comp, 10**6) == oracle_first_layout(g, comp)
-                checked += 1
-    assert checked > 50
+    for n in range(5, 41):
+        for keep in (0.7, 0.8, 0.9, 1.0):
+            for _ in range(50):
+                g = _random_subcubic(rng, n, keep)
+                for comp in g.connected_components():
+                    part = _component_graph(g, comp)
+                    if not is_thin(part):
+                        continue
+                    assert validate_layout(part, layout_thin(part, len(comp))) == [], \
+                        sorted(part.edges())
+                    if len(comp) <= 14:
+                        assert oracle_first_layout(g, comp) is not None
+                    checked += 1
+    assert checked > 6000
 
 
 # -- layouts ---------------------------------------------------------------------
 
 
+def _relabelled(g: Graph) -> Graph:
+    perm = list(range(g.vertex_count))
+    random.Random(0).shuffle(perm)
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_path_layout_is_identity():
     lay = layout_thin(path_graph(6), 6)
     assert lay.phi == tuple(range(6))
+    # relabelled, the walk starts at the lower-id end, 6 (the other is 7)
+    g = _relabelled(path_graph(9))
+    assert layout_thin(g, 9).order() == [6, 8, 0, 2, 4, 3, 1, 5, 7]
 
 
 def test_cycle_zigzag_layout():
     lay = layout_thin(cycle_graph(5), 5)
     assert lay.phi == (0, 2, 4, 3, 1)
     assert max(abs(lay.phi[u] - lay.phi[v]) for u, v in cycle_graph(5).edges()) <= 2
+    # relabelled as 0 2 5 1 4 6 7 3: from 0, its larger neighbour 3 second,
+    # then the two arcs in turn
+    g = _relabelled(cycle_graph(8))
+    lay = layout_thin(g, 8)
+    assert lay.order() == [0, 3, 2, 7, 5, 6, 1, 4]
+    assert max(abs(lay.phi[u] - lay.phi[v]) for u, v in g.edges()) <= 2
 
 
 def test_cycle_with_pendants_layout():
@@ -472,19 +507,106 @@ def test_layout_classifies_each_component_once(monkeypatch):
 
 
 def test_layout_every_thin_subcubic_class():
-    for n in range(1, 8):
+    for n in range(1, 9):
         for g in enumerate_family(FamilySpec(n, 3)):
             if is_thin(g):
                 lay = layout_thin(g, n)
                 assert validate_layout(g, lay) == []
 
 
-def test_layout_search_places_a_long_tadpole():
-    # a triangle on a 1,200-vertex tail has one branch vertex, so it takes
-    # the search, which places one vertex per level
+def test_layout_places_a_long_tadpole():
+    # a triangle on a 1,200-vertex tail: one branch vertex, met 1,197 slots
+    # into the walk down the tail
     g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(1197, 1199)])
     assert _component_kind(g, list(range(1200))) == "few_branch"
     assert validate_layout(g, layout_thin(g, 1200)) == []
+
+
+class _Shape:
+    """A graph grown from vertex 0 by paths, relabelled by a fixed shuffle."""
+
+    def __init__(self):
+        self.n, self.edges = 1, []
+
+    def path(self, a: int, length: int, b: int | None = None) -> int:
+        """Add a path of length edges from a to b, or to a new vertex when b
+        is None, and return its last vertex."""
+        for i in range(length):
+            if b is not None and i == length - 1:
+                nxt = b
+            else:
+                nxt, self.n = self.n, self.n + 1
+            self.edges.append((a, nxt))
+            a = nxt
+        return a
+
+    def graph(self) -> Graph:
+        return _relabelled(Graph(self.n, self.edges))
+
+
+def _two_tailed_cycle() -> Graph:
+    # arcs of 3 and 2,000 edges between the branch vertices, a 500-vertex
+    # tail on each: 3,003 vertices
+    s = _Shape()
+    b = s.path(0, 3)
+    s.path(b, 2000, 0)
+    s.path(0, 500)
+    s.path(b, 500)
+    return s.graph()
+
+
+def _theta() -> Graph:
+    s = _Shape()
+    b = s.path(0, 10)
+    s.path(0, 1000, b)
+    s.path(0, 1000, b)
+    return s.graph()
+
+
+def _spider() -> Graph:
+    s = _Shape()
+    for leg in (700, 800, 900):
+        s.path(0, leg)
+    return s.graph()
+
+
+def _h_tree() -> Graph:
+    s = _Shape()
+    b = s.path(0, 500)
+    for a, leg in ((0, 400), (0, 600), (b, 300), (b, 700)):
+        s.path(a, leg)
+    return s.graph()
+
+
+def _dumbbell() -> Graph:
+    s = _Shape()
+    s.path(0, 800, 0)
+    b = s.path(0, 600)
+    s.path(b, 900, b)
+    return s.graph()
+
+
+def _branching_tadpole() -> Graph:
+    s = _Shape()
+    s.path(0, 1000, 0)
+    b = s.path(0, 500)
+    s.path(b, 600)
+    s.path(b, 400)
+    return s.graph()
+
+
+@pytest.mark.parametrize("make", [
+    _two_tailed_cycle, _theta, _spider, _h_tree, _dumbbell, _branching_tadpole,
+], ids=["two-tailed-cycle", "theta", "spider", "h-tree", "dumbbell", "branching-tadpole"])
+def test_large_few_branch_shapes_lay_out_at_once(make):
+    # each takes about 0.01 s; a slot-by-slot search took 17 s and more on
+    # the theta and ran out of its budget on the two-tailed cycle
+    g = make()
+    assert 2000 <= g.vertex_count <= 3003 and is_thin(g)
+    start = time.perf_counter()
+    lay = layout_thin(g, g.vertex_count)
+    assert time.perf_counter() - start < 0.5
+    assert validate_layout(g, lay) == []
 
 
 def test_layout_order_inverse():
