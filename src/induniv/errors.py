@@ -73,7 +73,7 @@ class LayoutError(ArtifactError):
 
 
 class CertificationError(ArtifactError):
-    """A supplied or built expander failed its certificate checks."""
+    """A built LPS expander failed its certificate checks."""
 
 
 class InfeasibleBuildError(ArtifactError):

@@ -57,7 +57,6 @@ from .lps import (
     LpsParams,
     cached_lps_certificate,
     cached_lps_graph,
-    certify_expander,
     find_lps_params,
 )
 from .walks import step_for
@@ -76,9 +75,10 @@ class Profile(Enum):
 
 @dataclass(frozen=True)
 class DeskConfig:
-    """The desk profile's two expander hosts, as LPS primes (p, q), and the
-    walk search budget. Every cap of the construction follows from these and
-    from (delta, n); see ``GammaParams``."""
+    """The desk profile's two expander hosts, as LPS primes (p, q) with one
+    p, so both are (p+1)-regular, and the walk search budget. Every cap of
+    the construction follows from these and from (delta, n); see
+    ``GammaParams``."""
 
     rm_pq: tuple[int, int] = (5, 29)
     rz_pq: tuple[int, int] = (5, 29)
@@ -102,6 +102,10 @@ class DeskConfig:
             pq = getattr(self, name)
             if not (isinstance(pq, tuple) and len(pq) == 2 and all(map(_is_int, pq))):
                 reject(name, "a pair of integers")
+        if self.rm_pq[0] != self.rz_pq[0]:
+            raise ArgumentError(
+                f"desk config fields rm_pq and rz_pq must share p (the hosts' degree "
+                f"is p+1), got {self.rm_pq!r} and {self.rz_pq!r}")
         if not (_is_int(self.walk_budget) and self.walk_budget >= 0):
             reject("walk_budget", "a nonnegative integer")
 
@@ -211,8 +215,6 @@ class GammaParams:
             "m": self.m,
             "ell_m": self.ell_m,
             "ell_z": self.ell_z,
-            "r_m_file": None,
-            "r_z_file": None,
             "label_bits": self.label_bits,
             "desk": self.desk.to_json() if self.desk else None,
             "certificates": {k: c.to_json() for k, c in self.certificates.items()},
@@ -224,16 +226,16 @@ def make_gamma_params(
     n: int,
     profile: Profile | str = Profile.DESK,
     overrides: DeskConfig | dict | None = None,
-    rm_graph: Graph | None = None,
-    rz_graph: Graph | None = None,
 ) -> GammaParams:
     """Compute constants per profile and, for DESK, build certified expanders.
 
     PAPER keeps d = 734, z = 160 d^5, m = 800 delta d^8 sqrt(n) and resolves
     the two prime searches so sizes are exact, but refuses to build graphs.
-    DESK builds (or accepts) two d-regular certified expanders and derives
-    every cap from their actual sizes; supplied graphs failing certification
-    raise CertificationError.
+    DESK builds the two LPS expanders whose primes the desk config names,
+    both (p+1)-regular, and derives every cap from their actual sizes; a
+    failing certificate raises CertificationError. Graphs and certificates
+    come from lru caches, so equal primes give R_m and R_z one graph and one
+    metric.
     """
     for name, value in (("delta", delta), ("n", n)):
         if not _is_int(value):
@@ -254,42 +256,20 @@ def make_gamma_params(
             raise ArgumentError(f"desk config has no field {', '.join(unknown)}")
         cfg = DeskConfig(**(cfg or {}))
 
-    if rm_graph is None:
-        rm_graph = cached_lps_graph(*cfg.rm_pq)
-        rm_lps: LpsParams | None = LpsParams(*cfg.rm_pq)
-    else:
-        rm_lps = None
-    if rz_graph is None:
-        if rm_lps is not None and cfg.rz_pq == cfg.rm_pq:
-            rz_graph, rz_lps = rm_graph, rm_lps
-        else:
-            rz_graph = cached_lps_graph(*cfg.rz_pq)
-            rz_lps = LpsParams(*cfg.rz_pq)
-    else:
-        rz_lps = None
-
-    certs = {}
-    for name, graph, lps in (("r_m", rm_graph, rm_lps), ("r_z", rz_graph, rz_lps)):
-        if lps is not None:
-            cert = cached_lps_certificate(lps.p, lps.q)
-        else:
-            cert = certify_expander(graph)
-        certs[name] = cert
+    rm_graph = cached_lps_graph(*cfg.rm_pq)
+    rz_graph = cached_lps_graph(*cfg.rz_pq)
+    certs = {"r_m": cached_lps_certificate(*cfg.rm_pq),
+             "r_z": cached_lps_certificate(*cfg.rz_pq)}
+    for name, cert in certs.items():
         if not cert.all_ok:
             raise CertificationError(
                 f"{name} failed certification", certificate=cert.to_json())
-
-    d = rm_graph.degree(0)
-    if rz_graph.degree(0) != d:
-        raise CertificationError(
-            f"expander degrees differ: r_m is {d}-regular, "
-            f"r_z is {rz_graph.degree(0)}-regular")
 
     return GammaParams(
         delta=delta,
         n=n,
         profile=profile,
-        d=d,
+        d=rm_graph.degree(0),
         z=rz_graph.vertex_count,
         m=rm_graph.vertex_count,
         ell_m=rm_graph.vertex_count,

@@ -444,14 +444,14 @@ class ExpanderCertificate:
     connected: bool
     non_bipartite: bool
     girth_found: int | None
-    girth_bound: float | None
+    girth_bound: float
     girth_ok: bool
     second_eigenvalue_bound: float | None
     eigenvalue_threshold: float
     eigenvalue_ok: bool
-    vertex_count_expected: int | None = None
-    vertex_count_ok: bool = True
-    vertex_transitive: bool | None = None  # None: not checked, girth from every vertex
+    vertex_count_expected: int
+    vertex_count_ok: bool
+    vertex_transitive: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -482,28 +482,27 @@ class ExpanderCertificate:
         }
 
 
-def certify_expander(g: Graph, params: LpsParams | None = None) -> ExpanderCertificate:
-    """Bundle regularity, connectivity, bipartiteness, girth and spectral checks.
+def certify_expander(g: Graph, params: LpsParams) -> ExpanderCertificate:
+    """Bundle regularity, connectivity, bipartiteness, girth and spectral
+    checks of g as the LPS graph of ``params``.
 
-    Failures are reported inside the certificate, never raised. With
-    ``params``, the girth is checked against (1/2) log_p of the vertex count
-    and the vertex count against q(q^2-1)/2. The Ramanujan threshold is
+    Failures are reported inside the certificate, never raised. The girth is
+    checked against (1/2) log_p of the vertex count, the vertex count against
+    q(q^2-1)/2 and the degree against p+1. The Ramanujan threshold is
     2 sqrt(d - 1) + ``EIGEN_TOLERANCE``.
 
-    With ``params`` the girth comes from one BFS at vertex 0
-    (``Graph.girth_through``), which is the girth only when vertex 0 lies on
-    a shortest cycle. So the certificate first proves on ``g`` itself that g
-    is vertex-transitive (``vertex_transitive``): for each generator S, left
-    multiplication M -> S*M of the ``Psl2`` elements is a permutation of the
-    vertices that maps the neighbour row of every vertex onto the neighbour
-    row of its image, hence an automorphism (in a right Cayley graph
+    The girth comes from one BFS at vertex 0 (``Graph.girth_through``),
+    which is the girth only when vertex 0 lies on a shortest cycle. So the
+    certificate first proves on ``g`` itself that g is vertex-transitive
+    (``vertex_transitive``): for each generator S, left multiplication
+    M -> S*M of the ``Psl2`` elements is a permutation of the vertices that
+    maps the neighbour row of every vertex onto the neighbour row of its
+    image, hence an automorphism (in a right Cayley graph
     S*(M*T) = (S*M)*T); and these permutations carry vertex 0 to every
     vertex. An automorphism carrying a vertex of a shortest cycle to vertex 0
     carries the cycle through 0. When either check fails, a note names it,
     the girth is left undecided and the certificate is not ok; there is no
-    fallback to another girth computation. Without ``params`` (an expander
-    supplied by the user) ``Graph.girth`` searches from every vertex and
-    ``vertex_transitive`` is None.
+    fallback to another girth computation.
     """
     notes = []
     n = g.vertex_count
@@ -511,31 +510,17 @@ def certify_expander(g: Graph, params: LpsParams | None = None) -> ExpanderCerti
     degree = g.degree(0) if n else 0
     connected = g.is_connected()
     non_bipartite = not g.is_bipartite()
-    vertex_transitive = None
-    if params is None:
-        girth = g.girth()
+    failure = _transitivity_failure(g, params)
+    girth_found = None
+    if failure is None:
+        girth = g.girth_through(0)
+        girth_found = None if girth == math.inf else int(girth)
     else:
-        failure = _transitivity_failure(g, params)
-        vertex_transitive = failure is None
-        if failure is None:
-            girth = g.girth_through(0)
-        else:
-            notes.append(f"girth not decided: {failure}")
-            girth = math.inf
-    girth_found = None if girth == math.inf else int(girth)
-
-    girth_bound = None
-    girth_ok = True
-    vc_expected = None
-    vc_ok = True
-    if params is not None:
-        vc_expected = params.vertex_count
-        vc_ok = n == vc_expected
-        if degree != params.degree:
-            notes.append(f"degree {degree} != p+1 = {params.degree}")
-            regular = regular and False
-        girth_bound = 0.5 * math.log(max(n, 2)) / math.log(params.p)
-        girth_ok = girth_found is not None and girth_found >= math.ceil(girth_bound)
+        notes.append(f"girth not decided: {failure}")
+    if degree != params.degree:
+        notes.append(f"degree {degree} != p+1 = {params.degree}")
+        regular = False
+    girth_bound = 0.5 * math.log(max(n, 2)) / math.log(params.p)
 
     lam = None
     threshold = 2.0 * math.sqrt(max(degree - 1, 0)) + EIGEN_TOLERANCE
@@ -557,13 +542,13 @@ def certify_expander(g: Graph, params: LpsParams | None = None) -> ExpanderCerti
         non_bipartite=non_bipartite,
         girth_found=girth_found,
         girth_bound=girth_bound,
-        girth_ok=girth_ok,
+        girth_ok=girth_found is not None and girth_found >= math.ceil(girth_bound),
         second_eigenvalue_bound=lam,
         eigenvalue_threshold=threshold,
         eigenvalue_ok=eig_ok,
-        vertex_count_expected=vc_expected,
-        vertex_count_ok=vc_ok,
-        vertex_transitive=vertex_transitive,
+        vertex_count_expected=params.vertex_count,
+        vertex_count_ok=n == params.vertex_count,
+        vertex_transitive=failure is None,
         notes=tuple(notes),
     )
 

@@ -40,39 +40,21 @@ class ThinReport:
         return self.ok
 
 
-def _component_kind(g, comp: list[int]) -> str:
-    """Classify one connected component of a max-degree-3 graph.
+def _thin_rule(size: int, edges: int, branch: int, tree: int, cycle: int) -> bool:
+    """Whether a connected component of maximum degree 3 with ``size``
+    vertices and ``edges`` edges is thin, given how many of its vertices have
+    degree 3 (``branch``), more than two non-leaf neighbours (``tree``), and
+    degree 2 or more but not exactly two non-leaf neighbours (``cycle``).
 
-    Returns 'path_aug' (augmentation of a path: a caterpillar),
-    'cycle_aug' (augmentation of a cycle: cycle plus depth-1 leaves),
-    'few_branch' (at most two degree-3 vertices) or 'not_thin'.
+    It is thin when it has at most two branch vertices; or is a tree whose
+    non-leaf vertices form a path (a caterpillar, the augmentation of a
+    path), which holds iff no vertex has more than two non-leaf neighbours;
+    or is unicyclic and peeling its leaves once leaves a cycle (the
+    augmentation of a cycle), which holds iff every non-leaf vertex has
+    exactly two non-leaf neighbours.
     """
-    comp_set = set(comp)
-    degs = {v: sum(1 for w in g.neighbors(v) if w in comp_set) for v in comp}
-    edge_count = sum(degs.values()) // 2
-    nv = len(comp)
-
-    if edge_count == nv - 1:  # tree: augmentation of a path == caterpillar
-        if nv <= 2:
-            return "path_aug"
-        core = [v for v in comp if degs[v] >= 2]
-        if not core:
-            return "path_aug"
-        core_set = set(core)
-        core_degs = [sum(1 for w in g.neighbors(v) if w in core_set) for v in core]
-        if all(d <= 2 for d in core_degs) and sum(1 for d in core_degs if d <= 1) <= 2:
-            return "path_aug"
-    elif edge_count == nv:  # unicyclic: peel leaves once, a cycle must remain
-        rest = {v for v in comp if degs[v] >= 2}
-        if rest and all(
-            sum(1 for w in g.neighbors(v) if w in rest) == 2 for v in rest
-        ):
-            return "cycle_aug"
-
-    deg3 = sum(1 for v in comp if degs[v] == 3)
-    if deg3 <= 2:
-        return "few_branch"
-    return "not_thin"
+    return (branch <= 2 or (edges == size - 1 and tree == 0)
+            or (edges == size and cycle == 0))
 
 
 def is_thin(g: Graph) -> ThinReport:
@@ -82,13 +64,22 @@ def is_thin(g: Graph) -> ThinReport:
 
 def _classify(g: Graph) -> tuple[ThinReport, list[list[int]]]:
     """The thinness report, and for a thin graph its components, each
-    classified once by ``_component_kind``."""
-    for v in range(g.vertex_count):
-        if g.degree(v) > 3:
-            return ThinReport(False, (v,), f"vertex {v} has degree {g.degree(v)} > 3"), []
+    judged once by ``_thin_rule``."""
+    degs = g.degrees()
+    for v, d in enumerate(degs):
+        if d > 3:
+            return ThinReport(False, (v,), f"vertex {v} has degree {d} > 3"), []
     comps = g.connected_components()
     for comp in comps:
-        if _component_kind(g, comp) == "not_thin":
+        edges = branch = tree = cycle = 0
+        for v in comp:
+            d = degs[v]
+            inner = sum(degs[w] >= 2 for w in g.neighbors(v))
+            edges += d
+            branch += d == 3
+            tree += inner > 2
+            cycle += d >= 2 and inner != 2
+        if not _thin_rule(len(comp), edges // 2, branch, tree, cycle):
             return ThinReport(
                 False,
                 tuple(comp),
@@ -280,14 +271,12 @@ class _SearchPart:
     """One part of the decomposition search, which decides whether an edge
     may join it without re-reading the component it lands in.
 
-    By ``_component_kind``, a component of maximum degree 3 is thin when it
-    has at most two branch vertices (degree 3), or is a tree in which no
-    vertex has more than two non-leaf neighbours (a caterpillar), or is
-    unicyclic and every non-leaf vertex has exactly two non-leaf neighbours
-    (a cycle with leaves). So each vertex keeps its count of non-leaf
-    neighbours, and each component root its edge count and how many of its
-    vertices break each rule, in a union-find forest with no path
-    compression. An insertion changes only its two ends and, when an end
+    ``_thin_rule`` judges a component of maximum degree 3 from its size,
+    its edge count and how many of its vertices break each of its three
+    rules, and ``is_thin`` judges every component with it too. So each
+    vertex keeps its count of non-leaf neighbours, and each component root
+    its edge count and those three counts, in a union-find forest with no
+    path compression. An insertion changes only its two ends and, when an end
     stops being a leaf, that end's neighbours. Insertions are undone in
     reverse order.
     """
@@ -359,9 +348,7 @@ class _SearchPart:
         self.counts[r] = (edges, branch, tree, cycle)
         if len(adj[u]) > 3 or len(adj[v]) > 3:
             return False
-        size = self.size[r]
-        return (branch <= 2 or (edges == size - 1 and tree == 0)
-                or (edges == size and cycle == 0))
+        return _thin_rule(self.size[r], edges, branch, tree, cycle)
 
     def pop(self) -> None:
         """Undo the last insertion."""

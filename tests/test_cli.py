@@ -85,6 +85,16 @@ def test_gamma_params_desk(capsys, rm_desk):
     assert int(doc["vertex_count"]) == 12180**2 * 2**5185 * 12180
 
 
+def test_hosts_of_different_degrees_are_a_usage_error(capsys):
+    # both certificates would pass; the two hosts just cannot share a d
+    assert run(["gamma-params", "--delta", "2", "--n", "10",
+                "--rm", "5,29", "--rz", "13,17"]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert captured.out == "" and error["type"] == "ArgumentError"
+    assert "rm_pq" in error["message"] and "rz_pq" in error["message"]
+
+
 def test_embed_verify_round_trip(capsys, c6_file, tmp_path, rm_desk):
     emb = str(tmp_path / "emb.json")
     code, _ = invoke(capsys, [

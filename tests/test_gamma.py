@@ -26,9 +26,10 @@ from induniv.gamma import (
     shared_power_neighborhoods,
     validate_vertex,
 )
-from induniv import graphs
+from induniv import gamma, graphs
 from induniv.embedder import embed
 from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
+from induniv.lps import LpsParams, certify_expander
 from instances import random_close_gamma_pair, random_gamma_vertex
 from oracles import (
     oracle_distances,
@@ -251,10 +252,29 @@ def test_desk_params_shapes(desk_params3):
     assert p.certificates["r_m"].all_ok
 
 
-def test_desk_rejects_uncertifiable_substitute():
-    with pytest.raises(CertificationError):
-        make_gamma_params(2, 10, Profile.DESK, rm_graph=cycle_graph(6),
-                          rz_graph=cycle_graph(6))
+def test_desk_rejects_uncertifiable_substitute(monkeypatch):
+    failing = certify_expander(cycle_graph(6), LpsParams(5, 29))
+    assert not failing.all_ok
+    monkeypatch.setattr(gamma, "cached_lps_certificate", lambda p, q: failing)
+    with pytest.raises(CertificationError, match="r_m failed certification"):
+        make_gamma_params(2, 10, Profile.DESK)
+
+
+def test_desk_hosts_must_share_their_degree():
+    with pytest.raises(ArgumentError, match="fields rm_pq and rz_pq must share p"):
+        DeskConfig(rz_pq=(13, 17))
+    with pytest.raises(ArgumentError, match="fields rm_pq and rz_pq must share p"):
+        make_gamma_params(2, 10, "desk", {"rm_pq": (13, 17)})
+
+
+def test_default_hosts_share_one_graph_and_one_metric(desk_params2):
+    # only the lru caches keep R_m and R_z one graph, so check they do
+    p = desk_params2
+    assert p.r_m is p.r_z and p.rm_pow is p.rz_pow
+    other = make_gamma_params(2, 30, "desk", {"rz_pq": (5, 61)})
+    assert other.r_m is p.r_m and other.rm_pow is p.rm_pow
+    assert other.r_z is not other.r_m and other.rz_pow is not other.rm_pow
+    assert other.ell_z == 61 * (61**2 - 1) // 2
 
 
 def test_param_validation():

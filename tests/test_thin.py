@@ -23,7 +23,6 @@ from induniv.harness import FamilySpec, enumerate_family
 from induniv.thin import (
     ThinDecomposition,
     _bfs_edge_order,
-    _component_kind,
     _decompose_search,
     _euler_orientation,
     _kempe_colouring,
@@ -498,9 +497,9 @@ def test_layout_classifies_each_component_once(monkeypatch):
     from induniv import thin
 
     sizes = []
-    kind = thin._component_kind
-    monkeypatch.setattr(thin, "_component_kind",
-                        lambda g, comp: sizes.append(len(comp)) or kind(g, comp))
+    rule = thin._thin_rule
+    monkeypatch.setattr(thin, "_thin_rule",
+                        lambda size, *counts: sizes.append(size) or rule(size, *counts))
     g = disjoint_union(cycle_graph(10), path_graph(7))
     assert validate_layout(g, layout_thin(g, 17)) == []
     assert sorted(sizes) == [7, 10]
@@ -518,7 +517,7 @@ def test_layout_places_a_long_tadpole():
     # a triangle on a 1,200-vertex tail: one branch vertex, met 1,197 slots
     # into the walk down the tail
     g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(1197, 1199)])
-    assert _component_kind(g, list(range(1200))) == "few_branch"
+    assert is_thin(g)
     assert validate_layout(g, layout_thin(g, 1200)) == []
 
 
