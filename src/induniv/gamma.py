@@ -6,14 +6,18 @@ coordinates live in a large expander R_m, u coordinates in a small expander
 R_z, and X_i is a subset of neighbor ranks in the 4-th power of R_m. Two
 vertices are adjacent iff some pair of coordinates j < i has both x-pairs
 close in R_m (within distance 4), mutually listed neighbor ranks at i, and
-close u-coordinates in R_z. Closeness and ranks both come from the one
-radius-4 metric, ``graphs.PowerNeighborhoods`` (re-exported here with
-``shared_power_neighborhoods``): the rank of y seen from x is y's position in
-x's sorted distance-<=4 neighborhood. The rule's test at one block,
-``block_link``, is written once; the scalar oracle
-``gamma_adjacent_witness`` answers one pair with it, and ``adjacent_pairs``
-answers all pairs of a vertex list at once from per-coordinate close pairs,
-with the same witnesses. The rule reads a vertex only through ``x(i)``,
+close u-coordinates in R_z. Closeness and ranks both come from the host's
+one radius-4 metric, ``graphs.PowerNeighborhoods`` (re-exported here with
+``shared_power_neighborhoods``). A desk host is the LPS Cayley graph of
+PSL(2, q), whose build gives it a metric decided by group arithmetic
+(``lps.Psl2Ball``): y is close to x iff x^-1 y lies in the identity's
+distance-<=4 neighborhood B, and the rank of y seen from x is the index of
+x^-1 y in B, listed by vertex id. So the metric holds no per-vertex rows.
+
+The rule's test at one block, ``block_link``, is written once; the scalar
+oracle ``gamma_adjacent_witness`` answers one pair with it, and
+``adjacent_pairs`` answers all pairs of a vertex list at once from
+per-coordinate close pairs, with the same witnesses. The rule reads a vertex only through ``x(i)``,
 ``u(i)`` and ``in_subset(i, r)``, so the label oracle
 ``adjacency_from_labels`` runs the same scan on two parsed labels: each gets
 the strict parse that ``decode_label`` makes, which cuts and range-checks
@@ -63,6 +67,10 @@ from .walks import step_for
 
 PAPER_D = 734
 PAPER_Z = 160 * PAPER_D**5
+# what a rank in a subset mask means, named in the params digest: the index
+# of x^-1 y in the identity's radius-4 ball, listed by vertex id; masks made
+# under another meaning would fail their checks pair by pair
+RANK_CONVENTION = "psl2-ball-index"
 
 
 class Profile(Enum):
@@ -201,6 +209,7 @@ class GammaParams:
             "ell_m": self.ell_m,
             "ell_z": self.ell_z,
             "desk": self.desk.to_json() if self.desk else None,
+            "ranks": RANK_CONVENTION,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -459,7 +468,7 @@ def adjacent_pairs(
     ``gamma_adjacent_witness`` gives it, without visiting all pairs.
 
     ``close_pair_ranks`` returns every pair close at a coordinate, with both
-    ranks, from the same rows that ``contains`` and ``rank`` read. So a pair
+    ranks, from the same metric that ``contains`` and ``rank`` ask. So a pair
     close at i and at some j < i is decided by ``block_link`` with the
     smallest such j and i, which is the oracle's witness, and every other
     pair is non-adjacent by definition. Every vertex is validated first.
@@ -680,8 +689,9 @@ class _ParsedLabel:
         return self.coords[self.layout.delta + i - 2]
 
     def in_subset(self, i: int, r: int) -> int:
-        # a rank is below its row's length, at most 4 d^4 in a d-regular
-        # graph, so bit shift + r lies inside the field
+        # a rank is an index into the identity's radius-4 ball, which has
+        # at most 4 d^4 members in a d-regular graph, so bit shift + r lies
+        # inside the field
         _, end, shift, _ = self.layout.mask_fields[i - 2]
         bit = shift + r
         return self.raw[end - 1 - (bit >> 3)] >> (bit & 7) & 1

@@ -20,7 +20,7 @@ from .errors import ArgumentError
 INF = math.inf
 RADIUS = 4  # "close" in the product-graph oracle and in walk separation
 _FILL_GROUP = 32  # missing rows close_pairs builds by one vectorised expansion
-_PAIR_CHUNK = 1 << 16  # pair queries answered by one searchsorted in close_pairs
+_PAIR_CHUNK = 1 << 16  # pair queries close_pairs answers at a time
 
 
 class Graph:
@@ -332,23 +332,36 @@ class Graph:
 
 
 class PowerNeighborhoods:
-    """Sorted distance-<=k neighborhoods, the vertex itself left out.
+    """Distance-<=k neighborhoods, the vertex itself left out, and a fixed
+    rank for each member of each.
 
-    A row exists only for a vertex that was asked about. ``row``,
-    ``contains`` and ``rank`` build a missing row alone; ``close_pairs``
-    builds its distinct missing rows together, ``_FILL_GROUP`` sources per
-    frontier expansion over a padded neighbor table. A row is held in
-    ``_cache`` as a stdlib ``array.array`` of typecode ``'H'`` (2 bytes an
-    id) when every id fits, else ``'i'``: scalar queries bisect it, and
-    ``row`` and ``close_pairs`` read it through ``np.frombuffer``. Memory
-    follows the vertices asked about, not the graph size.
+    A metric made with a ``group`` is decided by it: ``group.rank(v, w)``,
+    ``group.row(v)`` and ``group.close_pairs(xs, chunk)`` answer every
+    query by arithmetic, and no per-vertex row is ever held. The build of an
+    LPS graph makes its shared radius-4 metric so, with ``lps.Psl2Ball``,
+    whose rank of w seen from v is the index of v^-1 w in the identity's
+    neighborhood.
+
+    Any other metric keeps rows: the sorted neighborhood of v, in which the
+    rank of w is its position. A row exists only for a vertex that was asked
+    about. ``row``, ``contains`` and ``rank`` build a missing row alone;
+    ``close_pairs`` builds its distinct missing rows together,
+    ``_FILL_GROUP`` sources per frontier expansion over a padded neighbor
+    table. A row is held in ``_cache`` as a stdlib ``array.array`` of
+    typecode ``'H'`` (2 bytes an id) when every id fits, else ``'i'``:
+    scalar queries bisect it, and ``row`` and ``close_pairs`` read it through
+    ``np.frombuffer``. Memory follows the vertices asked about.
     """
 
-    def __init__(self, g: Graph, k: int = RADIUS):
+    def __init__(self, g: Graph, k: int = RADIUS, group=None):
         if k < 1:
             raise ArgumentError(f"power radius must be >= 1, got {k}")
         self.graph = g
         self.k = k
+        self._group = group
+        self._cache: dict[int, array] = {}
+        if group is not None:
+            return
         n = g.vertex_count
         # row n is a sentinel; padding entries point at it
         table = np.full((n + 1, max(g.max_degree(), 1)), n, dtype=np.int32)
@@ -360,7 +373,6 @@ class PowerNeighborhoods:
         self._table = table
         self._typecode = "H" if n <= 0xFFFF else "i"
         self._dtype = np.dtype(self._typecode)  # the same C type in numpy
-        self._cache: dict[int, array] = {}
 
     def _fill(self, vs: Sequence[int]) -> list[array]:
         """Build, hold and return the rows of the distinct vertices vs, none
@@ -387,12 +399,18 @@ class PowerNeighborhoods:
         return rows
 
     def row(self, v: int) -> np.ndarray:
-        """The sorted neighborhood of v, a read-only view of the held row."""
+        """The sorted neighborhood of v: computed by the group, else a
+        read-only view of the held row."""
+        if self._group is not None:
+            return self._group.row(v)
         r = self._cache.get(v)
         return np.frombuffer(self._fill((v,))[0] if r is None else r, self._dtype)
 
     def contains(self, v: int, w: int) -> bool:
         """True iff 0 < dist(v, w) <= k, i.e. {v, w} is a power-graph edge."""
+        group = self._group
+        if group is not None:
+            return group.rank(v, w) is not None
         row = self._cache.get(v)
         if row is None:
             row = self._fill((v,))[0]
@@ -400,7 +418,10 @@ class PowerNeighborhoods:
         return i < len(row) and row[i] == w
 
     def rank(self, v: int, w: int) -> int | None:
-        """Position of w in the sorted neighborhood of v, None if absent."""
+        """The fixed rank of w in the neighborhood of v, None if absent."""
+        group = self._group
+        if group is not None:
+            return group.rank(v, w)
         row = self._cache.get(v)
         if row is None:
             row = self._fill((v,))[0]
@@ -413,14 +434,15 @@ class PowerNeighborhoods:
         """Every ordered pair of list positions whose images are close.
 
         Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
-        with 0 < dist(xs[a], xs[b]) <= k, the rank r of xs[b] in the row of
-        xs[a] (what ``rank`` returns). A chunk of positions a is answered at
-        a time: the chunk's rows, joined as bytes, read as one array and
-        offset by owner, form one sorted key array that a single
-        ``searchsorted`` probes for every (a, xs[b]), and only the hits are
-        kept. The chunk size is fixed, so transient memory is
-        O(_PAIR_CHUNK + close pairs + row lengths) and no len(xs)^2 array is
-        ever built.
+        with 0 < dist(xs[a], xs[b]) <= k, the rank r of xs[b] seen from xs[a]
+        (what ``rank`` returns). A chunk of positions a is answered at a
+        time, about ``_PAIR_CHUNK`` pairs, so transient memory is
+        O(_PAIR_CHUNK + close pairs), plus on rows the chunk's row lengths,
+        and no len(xs)^2 array is ever built. A group answers a chunk by
+        arithmetic (``lps.Psl2Ball.close_pairs``). On rows, the chunk's rows,
+        joined as bytes, read as one array and offset by owner, form one
+        sorted key array that a single ``searchsorted`` probes for every
+        (a, xs[b]), and only the hits are kept.
         """
         n = self.graph.vertex_count
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
@@ -428,6 +450,8 @@ class PowerNeighborhoods:
         if size and not (0 <= xs.min() and xs.max() < n):
             bad = int(xs[(xs < 0) | (xs >= n)][0])
             raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
+        if self._group is not None:
+            return self._group.close_pairs(xs, _PAIR_CHUNK)
         images = xs.tolist()
         cache = self._cache
         missing = [v for v in dict.fromkeys(images) if v not in cache]
@@ -458,8 +482,10 @@ class PowerNeighborhoods:
 def shared_power_neighborhoods(g: Graph, k: int = RADIUS) -> PowerNeighborhoods:
     """The radius-k metric of g, made on first use and held by g itself, so
     it lives exactly as long as the graph and is never remade while it does.
-    Making it builds only the padded neighbor table; its rows come one vertex
-    at a time, as vertices are asked about, and are kept."""
+    An LPS graph's radius-4 metric is made by its build, decided by its
+    group, and holds no rows. Made here, it builds only the padded neighbor
+    table; its rows come one vertex at a time, as vertices are asked about,
+    and are kept."""
     pow_nbhd = g._metrics.get(k)
     if pow_nbhd is None:
         pow_nbhd = g._metrics.setdefault(k, PowerNeighborhoods(g, k))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable
 
@@ -35,7 +35,7 @@ from .errors import (
     ConvergenceError,
     ExhaustedSearchError,
 )
-from .graphs import Graph
+from .graphs import RADIUS, Graph, PowerNeighborhoods
 
 _DENSE_EIGEN = 64  # graphs up to this size get a dense eigenvalue solve
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
@@ -231,15 +231,17 @@ def lps_generators(params: LpsParams) -> list[tuple[int, int, int, int]]:
 
 
 class Psl2:
-    """PSL(2, q) as arrays: its elements in vertex order, and products with
-    a fixed matrix as vertex ids.
+    """PSL(2, q) as arrays: its elements in vertex order, and products of
+    elements as vertex ids.
 
     PSL(2, q) is the set of projective classes of 2x2 matrices over Z/q whose
     determinant is a nonzero square. A class is represented by its member
     whose first row-major nonzero entry is 1. ``elements`` is the (l, 4)
     int64 array of those representatives (a, b, c, d), row-major, in
     lexicographic order, so row i is vertex i of the LPS graph; ``keys``
-    holds their base-q values, ascending.
+    holds their base-q values, ascending. A representative's first entry is
+    0 or 1, so every key lies below 2 q^3, and a dense table over that range
+    turns the key of any class into its vertex id.
     """
 
     def __init__(self, q: int):
@@ -255,36 +257,137 @@ class Psl2:
             np.stack([np.zeros_like(c0), np.ones_like(c0), c0, d0], axis=1),
             np.stack([np.ones_like(b1), b1, c1, d1], axis=1),
         ])
-        self.keys = self._key(self.elements)
-        self._inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
-        for arr in (self.elements, self.keys, self._inverse):
+        self.keys = ((self.elements[:, 0] * q + self.elements[:, 1]) * q
+                     + self.elements[:, 2]) * q + self.elements[:, 3]
+        self._inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int32)
+        self._ids = np.full(2 * q ** 3, -1, dtype=np.int32)  # -1 off the keys
+        self._ids[self.keys] = np.arange(len(self.keys))
+        for arr in (self.elements, self.keys, self._inverse, self._ids):
             arr.setflags(write=False)  # shared through ``psl2``
 
-    def _key(self, mats: np.ndarray) -> np.ndarray:
-        q = self.q
-        return ((mats[:, 0] * q + mats[:, 1]) * q + mats[:, 2]) * q + mats[:, 3]
+    def product_keys(self, x, y) -> np.ndarray:
+        """The keys of the classes of the products x*y of 2x2 matrices over
+        Z/q, given by their four row-major entries in [0, q): ints, or arrays
+        that broadcast together. Flat, in the order of the broadcast shape.
+        Entries stay below 2 q^3, so int32 arrays may carry them for q below
+        1024. The key of a product whose first row is zero is 0, no key."""
+        q, inverse = self.q, self._inverse
+        a, b, c, d = x
+        e, f, g, h = y
+        m0 = (a * e + b * g) % q
+        m1, m2, m3 = a * f + b * h, c * e + d * g, c * f + d * h  # reduced once scaled
+        s = inverse[m0]  # the canonical form scales m0 to 1, when it is not 0
+        keys = (((m1 * s % q + q) * q + m2 * s % q) * q + m3 * s % q).reshape(-1)
+        zero = np.flatnonzero(m0 == 0)  # and else m1, in about one product in q
+        if len(zero):
+            m1, m2, m3 = (m.reshape(-1)[zero] for m in (m1, m2, m3))
+            s = inverse[m1 % q]
+            keys[zero] = ((m1 * s % q) * q + m2 * s % q) * q + m3 * s % q
+        return keys
+
+    def product_ids(self, x, y) -> np.ndarray:
+        """Vertex ids of the products x*y (as in ``product_keys``). Raises
+        ConstructionIntegrityError when one of them is not an element."""
+        ids = self._ids[self.product_keys(x, y)]
+        if (ids < 0).any():
+            raise ConstructionIntegrityError(
+                f"a product of matrices over Z/{self.q} is not an element of "
+                f"PSL(2,{self.q})", q=self.q)
+        return ids
 
     def multiply(self, s: tuple[int, int, int, int], left: bool = False) -> np.ndarray:
         """Vertex ids of M*S for every element M in vertex order (S*M with
         ``left``). Raises ConstructionIntegrityError when a product is not
         an element, i.e. when S is not."""
-        q = self.q
-        a, b, c, d = self.elements.T
-        e, f, g, h = s
-        if left:
-            prod = (e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d)
-        else:
-            prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        mats = np.stack(prod, axis=1) % q
-        # the first row of an invertible matrix is nonzero
-        lead = np.where(mats[:, 0] != 0, mats[:, 0], mats[:, 1])
-        keys = self._key(mats * self._inverse[lead][:, None] % q)
-        ids = self.keys.searchsorted(keys)
-        found = (lead != 0) & (self.keys[np.minimum(ids, len(self.keys) - 1)] == keys)
-        if not found.all():
-            raise ConstructionIntegrityError(
-                f"{s} times an element of PSL(2,{q}) is not an element", q=q)
-        return ids
+        s = tuple(x % self.q for x in s)
+        m = self.elements.T
+        return self.product_ids(s, m) if left else self.product_ids(m, s)
+
+
+class Psl2Ball:
+    """The radius-k metric of an LPS graph, decided by arithmetic in
+    PSL(2, q) instead of by stored neighbourhoods.
+
+    The graph joins M to M*S for each generator S, so left multiplication by
+    M is an automorphism carrying the identity e to M: the distance-<=k
+    neighbourhood of M is M*B, B being that of e (e left out), and
+    0 < dist(M, N) <= k exactly when M^-1 N lies in B. ``ball`` holds B's
+    vertex ids, ascending, as the graph's breadth-first row of e lists
+    them (``build_lps_graph``). The rank of N seen from M is the
+    index of M^-1 N in ``ball``: a fixed bijection from each neighbourhood
+    onto range(len(ball)). M^-1 is the adjugate (d, -b, -c, a) of
+    M = (a, b, c, d) up to a scalar, which the projective canonical form
+    absorbs. Scalar queries look the key of the product up in a dict of B's
+    keys; ``close_pairs`` looks whole blocks of keys up in a dense table
+    over the range of keys (two bytes for each of 2 q^3, about four a
+    vertex). Nothing grows with the vertices queried.
+    """
+
+    def __init__(self, group: Psl2, ball: np.ndarray):
+        q = group.q
+        self.group = group
+        self.ball = ball
+        keys = group.keys[ball]
+        self._rank = dict(zip(keys.tolist(), range(len(keys))))
+        self._ranks = np.full(2 * q ** 3, -1, dtype=np.int16 if len(keys) < 1 << 15 else np.int32)
+        self._ranks[keys] = np.arange(len(keys))
+        self._columns = tuple(np.ascontiguousarray(group.elements[self.ball].T))
+        self._q, self._n = q, len(group.keys)
+
+    @cached_property
+    def _entries(self) -> list[list[int]]:
+        """The elements as Python lists, for scalar arithmetic (about 1 MB
+        at q = 29); made by the first query that needs them."""
+        return self.group.elements.tolist()
+
+    @cached_property
+    def rank(self):
+        """The scalar query ``rank(v, w)``: the index of M_v^-1 M_w in
+        ``ball``, None when it is not there or w is not a vertex id; raises
+        ArgumentError when v is not one. A closure over the tables, so a
+        query reads no attribute; made by the first one."""
+        q, n, index, entries = self._q, self._n, self._rank, self._entries
+        inverse = self.group._inverse.tolist()
+
+        def rank(v: int, w: int) -> int | None:
+            if not (0 <= v < n and 0 <= w < n):
+                if 0 <= v < n:
+                    return None
+                raise ArgumentError(f"vertex id {v!r} out of range [0, {n})")
+            a, b, c, d = entries[v]
+            e, f, g, h = entries[w]
+            m0 = (d * e - b * g) % q
+            if m0:  # as in ``Psl2.product_keys``
+                s = inverse[m0]
+                key = ((q + (d * f - b * h) * s % q) * q + (a * g - c * e) * s % q) * q \
+                    + (a * h - c * f) * s % q
+            else:
+                s = inverse[(d * f - b * h) % q]
+                key = (q + (a * g - c * e) * s % q) * q + (a * h - c * f) * s % q
+            return index.get(key)
+
+        return rank
+
+    def row(self, v: int) -> np.ndarray:
+        """The sorted ids of M_v * B, computed, not kept."""
+        if not 0 <= v < self._n:
+            raise ArgumentError(f"vertex id {v!r} out of range [0, {self._n})")
+        return np.sort(self.group.product_ids(self._entries[v], self._columns))
+
+    def close_pairs(self, xs: np.ndarray, chunk: int) -> tuple[np.ndarray, ...]:
+        """``PowerNeighborhoods.close_pairs`` for an int64 array of vertex
+        ids: the adjugates of a block of positions times every image, about
+        ``chunk`` products a block, in int32."""
+        q, size = self._q, len(xs)
+        e, f, g, h = cols = self.group.elements[xs].T.astype(np.int32, order="C")
+        adj = np.stack([h, q - f, q - g, e])  # (d, -b, -c, a) mod q, per position
+        found = [(np.zeros(0, dtype=np.int64),) * 3]
+        step = max(1, chunk // max(size, 1))
+        for lo in range(0, size, step):
+            ranks = self._ranks[self.group.product_keys(adj[:, lo:lo + step, None], cols)]
+            hit = np.flatnonzero(ranks >= 0)
+            found.append((hit // size + lo, hit % size, ranks[hit].astype(np.int64)))
+        return tuple(np.concatenate(part) for part in zip(*found))
 
 
 @lru_cache(maxsize=8)
@@ -331,6 +434,12 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
             f"neighbour table is not an undirected graph: {exc}", p=p, q=q) from exc
     if g.max_degree() != p + 1:
         raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
+    # the identity's breadth-first row decides every other by arithmetic;
+    # the shared radius-4 metric is the group's from the start, so no query
+    # can meet the graph without it and rank by rows instead
+    identity = int(group._ids[q ** 3 + 1])  # the key of (1, 0, 0, 1)
+    ball = PowerNeighborhoods(g, RADIUS).row(identity).astype(np.int64)
+    g._metrics[RADIUS] = PowerNeighborhoods(g, RADIUS, Psl2Ball(group, ball))
     return g
 
 

@@ -21,7 +21,9 @@ overflow the constraint schedules built from them.
 Builder and checker decide "within distance 4" through the host's shared
 radius-4 metric (``graphs.shared_power_neighborhoods``), the same one the
 product-graph oracle uses. The host memoises that metric and its connectivity,
-so a call costs what its own walk costs, never a pass over the host.
+so a call costs what its own walk costs, never a pass over the host. On an
+LPS host the metric is group arithmetic and holds no rows, so a walk's memory
+does not grow with the host vertices it visits.
 """
 
 from __future__ import annotations

@@ -59,6 +59,13 @@ def oracle_power(g: Graph, k: int) -> set[tuple[int, int]]:
     return edges
 
 
+def oracle_close_pairs(pw, xs) -> list[tuple[int, int, int]]:
+    """What ``PowerNeighborhoods.close_pairs`` lists, from scalar queries:
+    every (a, b, rank) with a != b and xs[a], xs[b] close, in (a, b) order."""
+    return [(a, b, pw.rank(xs[a], xs[b])) for a in range(len(xs)) for b in range(len(xs))
+            if a != b and pw.contains(xs[a], xs[b])]
+
+
 def oracle_girth(g: Graph) -> int | float:
     """Shortest cycle by edge removal: min over edges of dist(u, v) + 1
     in the graph without that edge."""

@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 import induniv
+from induniv import cli, harness, lps
 from induniv.cli import _worker_params, run
+from induniv.embedder import embed
 from induniv.gamma import (
-    DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params)
+    DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params,
+    shared_power_neighborhoods)
 from induniv.graphs import circulant_graph, cycle_graph, dump_edge_list, parse_edge_list
 
 
@@ -247,6 +250,51 @@ def test_verify_rejects_files_written_with_the_nine_field_config(
     error = json.loads(err)["error"]
     assert error["type"] == "CodecError" and "digest" in error["message"]
     assert error["recorded"] == NINE_FIELD_DIGEST and error["rebuilt"] == doc["params_digest"]
+
+
+# the params digest of an embedding of C6 at delta 2 written while a rank was
+# a position in a sorted BFS row; its masks would now fail pair by pair
+ROW_RANK_DIGEST = "eee9c14b94e9715d"
+
+
+def test_verify_rejects_files_written_with_row_ranks(capsys, c6_file, tmp_path, rm_desk):
+    emb = tmp_path / "emb.json"
+    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
+                "--output", str(emb)]) == 0
+    doc = json.loads(emb.read_text())
+    assert doc["params_digest"] != ROW_RANK_DIGEST
+    emb.write_text(json.dumps({**doc, "params_digest": ROW_RANK_DIGEST}))
+    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CodecError" and "digest" in error["message"]
+    assert error["recorded"] == ROW_RANK_DIGEST and error["rebuilt"] == doc["params_digest"]
+
+
+def _labels_step(idx, h, params):
+    """A sweep step that reports the labels of its embedding as a failure
+    record, so the report carries them."""
+    labels = [encode_label(v, params) for v in embed(h, params.delta, params).gamma]
+    return {"index": idx, "labels": labels}
+
+
+def _rebuilding_params(delta, n, desk_json):
+    # a worker whose hosts are built afresh, and whose metric is asked
+    # about before the parameters are made
+    lps.cached_lps_graph.cache_clear()
+    lps.cached_lps_certificate.cache_clear()
+    cfg = DeskConfig.from_json(json.loads(desk_json))
+    shared_power_neighborhoods(lps.cached_lps_graph(*cfg.rm_pq)).rank(0, 1)
+    return _worker_params(delta, n, desk_json)
+
+
+def test_parallel_sweep_labels_match_the_serial_ones(capsys, monkeypatch, rm_desk):
+    monkeypatch.setattr(cli, "sweep_step", _labels_step)
+    monkeypatch.setattr(harness, "sweep_step", _labels_step)
+    monkeypatch.setattr(cli, "_worker_params", _rebuilding_params)
+    reports = [invoke(capsys, ["sweep", "--n", "4", "--delta", "2", "--jobs", jobs])[1]
+               for jobs in ("1", "2")]
+    assert reports[0]["total"] == len(reports[0]["failures"]) > 4
+    assert reports[0]["failures"] == reports[1]["failures"]
 
 
 def test_worker_params_keep_every_desk_field(rm_desk):

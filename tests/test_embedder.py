@@ -117,17 +117,22 @@ def test_embed_deterministic(desk_params3):
     assert a.gamma == b.gamma
 
 
-@pytest.mark.parametrize("h, delta, digest", [
-    (cycle_graph(50), 2, "098262238baa1df5"),
-    (circulant_graph(40, (1, 2)), 4, "3b2bd7578d7ceec3"),
-    (circulant_graph(20, (1, 10)), 3, "02d2a7a6aee2701f"),
-    (path_graph(50), 2, "51f6e98d160508cb"),
-    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "a58eb940e1038ad1"),
-    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "70961ac39334b23f"),
-    (circulant_graph(24, (1, 2, 12)), 5, "f2b2b0f325d48dfa"),
+# labels, and their x and u coordinates alone; the coordinates' digests are
+# those of the labels made when ranks were positions in sorted BFS rows, so
+# the change to ball-index ranks moved only the subset masks
+@pytest.mark.parametrize("h, delta, digest, coord_digest", [
+    (cycle_graph(50), 2, "aaeb02b41b8c6c31", "ccaeb8927a80ec83"),
+    (circulant_graph(40, (1, 2)), 4, "0469d263a03e6eba", "a1b3776151aca5fc"),
+    (circulant_graph(20, (1, 10)), 3, "455543f83447197b", "a3360637947beb6f"),
+    (path_graph(50), 2, "899e5f12c7465658", "11e3ae72d1264f5b"),
+    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "7cc28ce80d216c4c",
+     "aed15f954f31f4f9"),
+    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "d3eeda89db8c60df",
+     "4f6d33bab83e46e2"),
+    (circulant_graph(24, (1, 2, 12)), 5, "8cdbccb36b72aa8d", "e10397fba17d2c0b"),
 ], ids=["c50", "circ40-1-2", "circ20-1-10", "p50", "circ24-1-2+p16", "circ20-1-10+p12",
         "circ24-1-2-12"])
-def test_labels_match_their_golden_digest(h, delta, digest):
+def test_labels_match_their_golden_digest(h, delta, digest, coord_digest):
     # the first 16 hex digits of sha256 over the newline-joined labels, the
     # same under every PYTHONHASHSEED; each input has conflict pairs, so its
     # shield walks run with schedules
@@ -136,6 +141,9 @@ def test_labels_match_their_golden_digest(h, delta, digest):
     assert any(cs for conflicts in result.homs.conflicts.values() for cs in conflicts.values())
     text = "\n".join(encode_label(v, params) for v in result.gamma)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    coords = "\n".join(" ".join(map(str, [v.x1] + [c for x, _, u in v.blocks for c in (x, u)]))
+                       for v in result.gamma)
+    assert hashlib.sha256(coords.encode()).hexdigest()[:16] == coord_digest
 
 
 def test_anchor_map_is_homomorphism(desk_params2):

@@ -29,9 +29,11 @@ from induniv.gamma import (
 from induniv import gamma, graphs
 from induniv.embedder import embed
 from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
-from induniv.lps import LpsParams, certify_expander
+from induniv.lps import (
+    LpsParams, build_lps_graph, cached_lps_graph, certify_expander, psl2)
 from instances import random_close_gamma_pair, random_gamma_vertex
 from oracles import (
+    oracle_close_pairs,
     oracle_distances,
     oracle_gamma_adjacent_witness,
     oracle_power,
@@ -84,11 +86,6 @@ def test_rows_match_bfs_oracle(rm_desk):
         assert batched._cache[v].tobytes() == row.tobytes()
 
 
-def _scalar_close_pairs(pw, xs):
-    return [(a, b, pw.rank(xs[a], xs[b])) for a in range(len(xs)) for b in range(len(xs))
-            if a != b and pw.contains(xs[a], xs[b])]
-
-
 def _listed(pairs):
     a, b, r = pairs
     assert a.dtype == b.dtype == r.dtype == np.int64
@@ -102,13 +99,13 @@ def test_close_pairs_match_scalar_queries(rm_desk):
     # repeated images, and ids on both sides of two multiples of the fill group
     xs = [block - 1, block, block, 2 * block - 1, 2 * block, block - 1, near[0],
           near[-1], near[0], 0, rm_desk.vertex_count - 1, block]
-    assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
+    assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
     rng = random.Random(11)
     circ = circulant_graph(70, [1, 5])
     small = PowerNeighborhoods(circ, 2)
     for _ in range(20):
         ys = [rng.randrange(70) for _ in range(rng.randint(2, 40))]
-        assert _listed(small.close_pairs(ys)) == _scalar_close_pairs(small, ys)
+        assert _listed(small.close_pairs(ys)) == oracle_close_pairs(small, ys)
 
 
 def test_rows_exist_only_for_the_vertices_asked_about(rm_desk):
@@ -173,7 +170,7 @@ def test_rows_past_two_byte_ids_match_bfs_oracle():
     circ = circulant_graph(n, [1, 5])
     pw = PowerNeighborhoods(circ, 4)
     xs = [65_535, 65_536, 65_540, 65_531, 65_556, 0, n - 1, n - 20, 40_000, 40_000, 40_021]
-    assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
+    assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
     assert sorted(pw._cache) == sorted(set(xs))
     for v in set(xs):
         expected = sorted(w for w, d in oracle_distances(circ, v).items() if 0 < d <= 4)
@@ -191,7 +188,7 @@ def test_close_pairs_span_several_chunks(rm_desk):
     rng = random.Random(12)
     centers = rng.sample(range(rm_desk.vertex_count), 2)
     xs = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(300)]
-    assert _listed(pw.close_pairs(xs)) == _scalar_close_pairs(pw, xs)
+    assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
 
 
 def test_close_pairs_of_short_lists(rm_desk):
@@ -207,6 +204,81 @@ def test_close_pairs_reject_out_of_range_ids(rm_desk):
         pw.close_pairs([0, rm_desk.vertex_count])
     with pytest.raises(ArgumentError):
         pw.close_pairs([-1, 3])
+
+
+# -- the group metric of the desk hosts ---------------------------------------------
+
+
+def test_lps_hosts_are_built_with_the_group_metric():
+    # no call made before the first query can leave an LPS host ranked by rows
+    for g in (build_lps_graph(5, 29), cached_lps_graph(5, 29)):
+        pw = shared_power_neighborhoods(g)
+        assert pw._group is not None and len(pw._group.ball) == 936
+        assert shared_power_neighborhoods(g) is pw
+    assert PowerNeighborhoods(cached_lps_graph(5, 29), 4)._group is None
+
+
+def test_group_rows_match_bfs_rows_on_every_vertex(rm_desk):
+    group = shared_power_neighborhoods(rm_desk)
+    bfs = PowerNeighborhoods(rm_desk, 4)  # made directly: rows by BFS
+    n = rm_desk.vertex_count
+    for lo in range(0, n, 256):
+        vs = list(range(lo, min(lo + 256, n)))
+        bfs.close_pairs(vs)  # fills the rows of vs in groups
+        for v in vs:
+            assert np.array_equal(group.row(v), bfs.row(v))
+        bfs._cache.clear()
+    assert not group._cache
+
+
+def test_group_ranks_index_each_neighbourhood_by_the_ball(rm_desk):
+    pw = shared_power_neighborhoods(rm_desk)
+    e = [tuple(m) for m in psl2(29).elements.tolist()].index((1, 0, 0, 1))
+    ball = pw._group.ball.tolist()
+    assert pw.row(e).tolist() == ball and [pw.rank(e, b) for b in ball] == list(range(936))
+    n = rm_desk.vertex_count
+    for v in random.Random(14).sample(range(n), 200) + [0, n - 1]:
+        row = pw.row(v).tolist()
+        assert sorted(pw.rank(v, w) for w in row) == list(range(936))
+        assert pw.rank(v, v) is None and not pw.contains(v, v)
+    with pytest.raises(ArgumentError):
+        pw.rank(n, 0)
+    with pytest.raises(ArgumentError):
+        pw.row(-1)
+    assert pw.rank(0, n) is None and not pw.contains(0, -1)
+
+
+def test_group_metric_matches_bfs_on_a_larger_host():
+    g = build_lps_graph(5, 61)
+    pw, bfs = shared_power_neighborhoods(g), PowerNeighborhoods(g, 4)
+    n = g.vertex_count
+    rng = random.Random(61)
+    for v in rng.sample(range(n), 25):
+        dist = g.bfs_distances(v, cutoff=5)
+        near = [w for w, d in enumerate(dist) if 0 < d <= 4]
+        rim = [w for w, d in enumerate(dist) if d == 5]
+        assert pw.row(v).tolist() == bfs.row(v).tolist() == near
+        for w in near + rim[:400] + rng.sample(range(n), 400) + [v]:
+            assert pw.contains(v, w) == bfs.contains(v, w) == (0 < dist[w] <= 4)
+        assert sorted(pw.rank(v, w) for w in near) == list(range(len(near)))
+    assert not pw._cache
+
+
+def test_group_close_pairs_match_scalar_queries(rm_desk):
+    pw = shared_power_neighborhoods(rm_desk)
+    n = rm_desk.vertex_count
+    # ball members whose first entry is 0 take the rarer canonical branch
+    assert (psl2(29).elements[pw._group.ball, 0] == 0).any()
+    rng = random.Random(15)
+    centers = rng.sample(range(n), 3)
+    clustered = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(300)]
+    assert 300 > graphs._PAIR_CHUNK // 300  # more than one chunk of positions
+    for xs in (rng.sample(range(n), 400), clustered + centers, clustered[:40] * 2,
+               [centers[0]] * 3, [], [17]):
+        assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
+    with pytest.raises(ArgumentError):
+        pw.close_pairs([0, n])
+    assert not pw._cache
 
 
 def test_metric_lives_as_long_as_its_graph(desk_params2):

@@ -318,11 +318,9 @@ def test_verify_makes_no_per_pair_oracle_calls(monkeypatch):
     assert len(calls) < h.vertex_count
 
 
-def test_verify_memory_stays_below_quadratic(desk_params2):
-    # a Delta=2 labelling of a 2048-vertex path by two random walks in R_m;
-    # the metric rows are built first, so only the check's own memory counts
-    params = desk_params2
-    n = 2048
+def _walk_labelling(params, n: int) -> list[GammaVertex]:
+    """A Delta=2 labelling of an n-vertex path by two random walks in R_m,
+    with empty masks."""
     rng = random.Random(9)
     walks = []
     for start in (0, params.ell_m // 2):
@@ -330,10 +328,16 @@ def test_verify_memory_stays_below_quadratic(desk_params2):
         for _ in range(n - 1):
             walk.append(rng.choice(params.r_m.neighbors(walk[-1])))
         walks.append(walk)
-    for v in set(walks[0] + walks[1]):
-        params.rm_pow.row(v)
-    gamma = [GammaVertex(walks[0][v], ((walks[1][v], 0, rng.randrange(params.ell_z)),))
-             for v in range(n)]
+    return [GammaVertex(walks[0][v], ((walks[1][v], 0, rng.randrange(params.ell_z)),))
+            for v in range(n)]
+
+
+def test_verify_memory_stays_below_quadratic(desk_params2):
+    # the desk host's metric is group arithmetic and holds no rows, so the
+    # peak is the check's own memory
+    params = desk_params2
+    n = 2048
+    gamma = _walk_labelling(params, n)
     h = path_graph(n)
     tracemalloc.start()
     try:
@@ -344,6 +348,21 @@ def test_verify_memory_stays_below_quadratic(desk_params2):
     assert report.pairs_checked == n * (n - 1) // 2
     assert len(report.violations) == n - 1  # every mask is empty: no edge realized
     assert peak < 8 * n * n
+
+
+def test_desk_metric_holds_no_rows():
+    # neither an embed (walks, schedules, conflict sets, the induced check)
+    # nor a 2048-vertex verify leaves a per-vertex row behind
+    metrics = []
+    for h, delta in ((cycle_graph(100), 2), (circulant_graph(40, (1, 2)), 4)):
+        params = make_gamma_params(delta, h.vertex_count, "desk")
+        assert verify_induced(h, embed(h, delta, params), params).ok
+        metrics += [params.rm_pow, params.rz_pow]
+    n = 2048
+    params = make_gamma_params(2, n, "desk")
+    verify_induced(path_graph(n), _rebuilt(_walk_labelling(params, n)), params)
+    for pw in metrics + [params.rm_pow, params.rz_pow]:
+        assert pw._group is not None and not pw._cache
 
 
 def _embed_keeping_tables(monkeypatch, h, delta, params):
