@@ -88,7 +88,6 @@ def build_parser() -> _Parser:
     p = add_parser("embed", help="induced embedding of an edge-list graph")
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--profile", default="desk", choices=["paper", "desk"])
     p.add_argument("--rm", type=_pq, default=None)
     p.add_argument("--rz", type=_pq, default=None)
     p.add_argument("--emit-labels", action="store_true")
@@ -201,9 +200,6 @@ def _embedding_payload(result: EmbeddingResult, params, h: Graph, args) -> dict:
 
 def _cmd_embed(args) -> tuple[int, dict]:
     h = load_edge_list(args.input)
-    if args.profile == "paper":
-        raise ArgumentError(
-            "paper-profile parameters are formula-only; embedding needs --profile desk")
     params = make_gamma_params(
         args.delta, max(h.vertex_count, 1), Profile.DESK, _desk_config(args))
     result = embed(h, args.delta, params)

@@ -12,7 +12,11 @@ one radius-4 metric, ``graphs.PowerNeighborhoods`` (re-exported here with
 PSL(2, q), whose build gives it a metric decided by group arithmetic
 (``lps.Psl2Ball``): y is close to x iff x^-1 y lies in the identity's
 distance-<=4 neighborhood B, and the rank of y seen from x is the index of
-x^-1 y in B, listed by vertex id. So the metric holds no per-vertex rows.
+x^-1 y in B, listed by vertex id. So the metric holds no per-vertex rows,
+and it is the only one that answers ``close_pairs``, on which the batched
+pair checks (``adjacent_pairs``, ``close_pair_ranks``) rest. A graph without
+a group gets the breadth-first reference metric, which serves scalar queries
+only.
 
 The rule's test at one block, ``block_link``, is written once; the scalar
 oracle ``gamma_adjacent_witness`` answers one pair with it, and
@@ -55,7 +59,7 @@ from .errors import (
     ExhaustedSearchError,
     InfeasibleBuildError,
 )
-from .graphs import RADIUS, Graph, PowerNeighborhoods, shared_power_neighborhoods
+from .graphs import Graph, PowerNeighborhoods, shared_power_neighborhoods
 from .lps import (
     ExpanderCertificate,
     LpsParams,
@@ -285,8 +289,8 @@ def make_gamma_params(
         ell_z=rz_graph.vertex_count,
         r_m=rm_graph,
         r_z=rz_graph,
-        rm_pow=shared_power_neighborhoods(rm_graph, RADIUS),
-        rz_pow=shared_power_neighborhoods(rz_graph, RADIUS),
+        rm_pow=shared_power_neighborhoods(rm_graph),
+        rz_pow=shared_power_neighborhoods(rz_graph),
         desk=cfg,
         certificates=certs,
     )

@@ -2,13 +2,15 @@
 
 Vertices are dense integer ids ``0..n-1``. Neighbor lists are kept sorted,
 which makes every ordering derived from them (vertex ranks, layouts)
-deterministic.
+deterministic. Closeness is always "within distance 4" (``RADIUS``): each
+graph holds one such metric, ``PowerNeighborhoods``, decided by group
+arithmetic on an LPS host and by breadth-first rows on any other graph.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+import threading
 from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -19,21 +21,24 @@ from .errors import ArgumentError
 
 INF = math.inf
 RADIUS = 4  # "close" in the product-graph oracle and in walk separation
-_FILL_GROUP = 32  # missing rows close_pairs builds by one vectorised expansion
 _PAIR_CHUNK = 1 << 16  # pair queries close_pairs answers at a time
+_METRIC_LOCK = threading.Lock()
 
 
 class Graph:
     """Simple undirected graph with canonical sorted adjacency lists.
 
-    Instances are immutable after construction. Connectivity and the radius-k
-    metrics (``shared_power_neighborhoods``) are memoised on first use; as pure
-    functions of the adjacency they keep sharing across threads safe, a race
-    at worst computing one twice. A graph pickles as its vertex count and
-    edges. Self-loops are rejected; duplicate edges are collapsed.
+    Instances are immutable after construction. Connectivity and the radius-4
+    metric (``shared_power_neighborhoods``) are memoised on first use;
+    connectivity is a pure function of the adjacency, so a race at worst
+    computes it twice, and the metric is made under a lock, so every thread
+    shares one. A graph pickles as its vertex count and edges, except an LPS
+    host (one whose metric has a group), which pickles as the
+    ``lps.cached_lps_graph`` call that rebuilds it with its group. Self-loops
+    are rejected; duplicate edges are collapsed.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metrics",
+    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metric",
                  "_table")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
@@ -61,7 +66,7 @@ class Graph:
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_hash", hash((vertex_count, adj)))
         object.__setattr__(self, "_connected", None)
-        object.__setattr__(self, "_metrics", {})
+        object.__setattr__(self, "_metric", None)
         object.__setattr__(self, "_table", table)
 
     @classmethod
@@ -115,6 +120,10 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
+        metric = self._metric
+        if metric is not None and metric._group is not None:
+            from .lps import cached_lps_graph  # lps imports this module
+            return cached_lps_graph, (self.max_degree() - 1, metric._group.group.q)
         return (type(self), (self.vertex_count, list(self.edges())))
 
     # -- basic accessors ---------------------------------------------------
@@ -328,92 +337,50 @@ class Graph:
         return best
 
 
-# -- the radius-k power metric ----------------------------------------------
+# -- the radius-4 power metric ----------------------------------------------
 
 
 class PowerNeighborhoods:
-    """Distance-<=k neighborhoods, the vertex itself left out, and a fixed
-    rank for each member of each.
+    """Distance-<=4 (``RADIUS``) neighborhoods, the vertex itself left out,
+    and a fixed rank for each member of each.
 
     A metric made with a ``group`` is decided by it: ``group.rank(v, w)``,
     ``group.row(v)`` and ``group.close_pairs(xs, chunk)`` answer every
     query by arithmetic, and no per-vertex row is ever held. The build of an
-    LPS graph makes its shared radius-4 metric so, with ``lps.Psl2Ball``,
-    whose rank of w seen from v is the index of v^-1 w in the identity's
-    neighborhood.
+    LPS graph makes its shared metric so, with ``lps.Psl2Ball``, whose rank
+    of w seen from v is the index of v^-1 w in the identity's neighborhood.
 
-    Any other metric keeps rows: the sorted neighborhood of v, in which the
-    rank of w is its position. A row exists only for a vertex that was asked
-    about. ``row``, ``contains`` and ``rank`` build a missing row alone;
-    ``close_pairs`` builds its distinct missing rows together,
-    ``_FILL_GROUP`` sources per frontier expansion over a padded neighbor
-    table. A row is held in ``_cache`` as a stdlib ``array.array`` of
-    typecode ``'H'`` (2 bytes an id) when every id fits, else ``'i'``:
-    scalar queries bisect it, and ``row`` and ``close_pairs`` read it through
-    ``np.frombuffer``. Memory follows the vertices asked about.
+    Any other metric is the plain reference: the row of v is the sorted ids
+    that ``Graph.bfs_distances(v, cutoff=RADIUS)`` puts at distance 1 to 4,
+    made when v is first asked about and held in ``_cache`` as a tuple that
+    ``contains`` and ``rank`` bisect; the rank of w is its position there.
+    Only a group answers ``close_pairs``.
     """
 
-    def __init__(self, g: Graph, k: int = RADIUS, group=None):
-        if k < 1:
-            raise ArgumentError(f"power radius must be >= 1, got {k}")
+    def __init__(self, g: Graph, group=None):
         self.graph = g
-        self.k = k
         self._group = group
-        self._cache: dict[int, array] = {}
-        if group is not None:
-            return
-        n = g.vertex_count
-        # row n is a sentinel; padding entries point at it
-        table = np.full((n + 1, max(g.max_degree(), 1)), n, dtype=np.int32)
-        if g._table is not None:
-            table[:n, :g._table.shape[1]] = g._table
-        else:
-            for v, nb in enumerate(g._adj):
-                table[v, :len(nb)] = nb
-        self._table = table
-        self._typecode = "H" if n <= 0xFFFF else "i"
-        self._dtype = np.dtype(self._typecode)  # the same C type in numpy
+        self._cache: dict[int, tuple[int, ...]] = {}
 
-    def _fill(self, vs: Sequence[int]) -> list[array]:
-        """Build, hold and return the rows of the distinct vertices vs, none
-        of them held yet, by one frontier expansion vectorised across vs."""
-        n = self.graph.vertex_count
-        bad = [v for v in vs if not 0 <= v < n]
-        if bad:
-            raise ArgumentError(f"vertex id {bad[0]!r} out of range [0, {n})")
-        src = np.array(vs, dtype=np.int32)
-        reached = src[:, None]
-        for _ in range(self.k):
-            grown = np.concatenate(
-                [reached, self._table[reached].reshape(len(src), -1)], axis=1)
-            grown.sort(axis=1)
-            grown[:, 1:][grown[:, 1:] == grown[:, :-1]] = n
-            grown.sort(axis=1)
-            reached = grown[:, :int((grown < n).sum(axis=1).max())]
-        keep = (reached < n) & (reached != src[:, None])
-        flat = reached[keep].astype(self._dtype).tobytes()
-        ends = np.cumsum(keep.sum(axis=1) * self._dtype.itemsize).tolist()
-        tc = self._typecode
-        rows = [array(tc, flat[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-        self._cache.update(zip(src.tolist(), rows))
-        return rows
+    def _row(self, v: int) -> tuple[int, ...]:
+        row = self._cache.get(v)
+        if row is None:
+            dist = self.graph.bfs_distances(v, cutoff=RADIUS)
+            row = self._cache[v] = tuple(w for w, d in enumerate(dist) if d > 0)
+        return row
 
     def row(self, v: int) -> np.ndarray:
-        """The sorted neighborhood of v: computed by the group, else a
-        read-only view of the held row."""
+        """The sorted neighborhood of v, as an array."""
         if self._group is not None:
             return self._group.row(v)
-        r = self._cache.get(v)
-        return np.frombuffer(self._fill((v,))[0] if r is None else r, self._dtype)
+        return np.array(self._row(v), dtype=np.int64)
 
     def contains(self, v: int, w: int) -> bool:
-        """True iff 0 < dist(v, w) <= k, i.e. {v, w} is a power-graph edge."""
+        """True iff 0 < dist(v, w) <= 4, i.e. {v, w} is a power-graph edge."""
         group = self._group
         if group is not None:
             return group.rank(v, w) is not None
-        row = self._cache.get(v)
-        if row is None:
-            row = self._fill((v,))[0]
+        row = self._row(v)
         i = bisect_left(row, w)
         return i < len(row) and row[i] == w
 
@@ -422,74 +389,43 @@ class PowerNeighborhoods:
         group = self._group
         if group is not None:
             return group.rank(v, w)
-        row = self._cache.get(v)
-        if row is None:
-            row = self._fill((v,))[0]
+        row = self._row(v)
         i = bisect_left(row, w)
-        if i < len(row) and row[i] == w:
-            return i
-        return None
+        return i if i < len(row) and row[i] == w else None
 
     def close_pairs(self, xs: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every ordered pair of list positions whose images are close.
 
         Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
-        with 0 < dist(xs[a], xs[b]) <= k, the rank r of xs[b] seen from xs[a]
-        (what ``rank`` returns). A chunk of positions a is answered at a
-        time, about ``_PAIR_CHUNK`` pairs, so transient memory is
-        O(_PAIR_CHUNK + close pairs), plus on rows the chunk's row lengths,
-        and no len(xs)^2 array is ever built. A group answers a chunk by
-        arithmetic (``lps.Psl2Ball.close_pairs``). On rows, the chunk's rows,
-        joined as bytes, read as one array and offset by owner, form one
-        sorted key array that a single ``searchsorted`` probes for every
-        (a, xs[b]), and only the hits are kept.
+        with 0 < dist(xs[a], xs[b]) <= 4, the rank r of xs[b] seen from xs[a]
+        (what ``rank`` returns). The group answers a chunk of positions a at
+        a time, about ``_PAIR_CHUNK`` pairs (``lps.Psl2Ball.close_pairs``),
+        so no len(xs)^2 array is ever built. Raises ArgumentError on a metric
+        without a group, or on an id that is not a vertex.
         """
+        if self._group is None:
+            raise ArgumentError("close_pairs needs a metric decided by a group (an LPS host)")
         n = self.graph.vertex_count
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
-        size = len(xs)
-        if size and not (0 <= xs.min() and xs.max() < n):
+        if len(xs) and not (0 <= xs.min() and xs.max() < n):
             bad = int(xs[(xs < 0) | (xs >= n)][0])
             raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
-        if self._group is not None:
-            return self._group.close_pairs(xs, _PAIR_CHUNK)
-        images = xs.tolist()
-        cache = self._cache
-        missing = [v for v in dict.fromkeys(images) if v not in cache]
-        for lo in range(0, len(missing), _FILL_GROUP):
-            self._fill(missing[lo:lo + _FILL_GROUP])
-        rows = [cache[v] for v in images]
-        by_image = xs.argsort(kind="stable")
-        sorted_xs = xs[by_image]  # sorted queries keep the searches local
-        found = [(np.zeros(0, dtype=np.int64),) * 3]
-        step = max(1, _PAIR_CHUNK // max(size, 1))
-        for lo in range(0, size, step):
-            chunk = rows[lo:lo + step]
-            lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-            owners = np.arange(len(chunk), dtype=np.int64) * n
-            keys = np.frombuffer(b"".join(chunk), self._dtype) + owners.repeat(lengths)
-            if not len(keys):
-                continue
-            queries = (owners[:, None] + sorted_xs).reshape(-1)
-            pos = keys.searchsorted(queries)
-            hit = np.flatnonzero(keys[np.minimum(pos, len(keys) - 1)] == queries)
-            a, b = hit // size, by_image[hit % size]
-            order = (a * size + b).argsort()
-            a, b = a[order], b[order]
-            found.append((a + lo, b, pos[hit[order]] - (lengths.cumsum() - lengths)[a]))
-        return tuple(np.concatenate(part) for part in zip(*found))
+        return self._group.close_pairs(xs, _PAIR_CHUNK)
 
 
-def shared_power_neighborhoods(g: Graph, k: int = RADIUS) -> PowerNeighborhoods:
-    """The radius-k metric of g, made on first use and held by g itself, so
+def shared_power_neighborhoods(g: Graph) -> PowerNeighborhoods:
+    """The radius-4 metric of g, made on first use and held by g itself, so
     it lives exactly as long as the graph and is never remade while it does.
-    An LPS graph's radius-4 metric is made by its build, decided by its
-    group, and holds no rows. Made here, it builds only the padded neighbor
-    table; its rows come one vertex at a time, as vertices are asked about,
-    and are kept."""
-    pow_nbhd = g._metrics.get(k)
-    if pow_nbhd is None:
-        pow_nbhd = g._metrics.setdefault(k, PowerNeighborhoods(g, k))
-    return pow_nbhd
+    An LPS graph's metric is made by its build and decided by its group;
+    made here, it is the BFS reference, holding the rows asked about."""
+    metric = g._metric
+    if metric is None:
+        with _METRIC_LOCK:  # one metric per graph, even when threads race
+            metric = g._metric
+            if metric is None:
+                metric = PowerNeighborhoods(g)
+                object.__setattr__(g, "_metric", metric)
+    return metric
 
 
 # -- vertex sequences ------------------------------------------------------

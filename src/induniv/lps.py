@@ -35,7 +35,7 @@ from .errors import (
     ConvergenceError,
     ExhaustedSearchError,
 )
-from .graphs import RADIUS, Graph, PowerNeighborhoods
+from .graphs import Graph, PowerNeighborhoods
 
 _DENSE_EIGEN = 64  # graphs up to this size get a dense eigenvalue solve
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
@@ -434,12 +434,12 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
             f"neighbour table is not an undirected graph: {exc}", p=p, q=q) from exc
     if g.max_degree() != p + 1:
         raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
-    # the identity's breadth-first row decides every other by arithmetic;
-    # the shared radius-4 metric is the group's from the start, so no query
-    # can meet the graph without it and rank by rows instead
+    # the identity's row in the BFS reference metric decides every other row
+    # by arithmetic; the shared radius-4 metric is the group's from the
+    # start, so no query can meet the graph without it and rank by rows
     identity = int(group._ids[q ** 3 + 1])  # the key of (1, 0, 0, 1)
-    ball = PowerNeighborhoods(g, RADIUS).row(identity).astype(np.int64)
-    g._metrics[RADIUS] = PowerNeighborhoods(g, RADIUS, Psl2Ball(group, ball))
+    ball = PowerNeighborhoods(g).row(identity)
+    object.__setattr__(g, "_metric", PowerNeighborhoods(g, Psl2Ball(group, ball)))
     return g
 
 

@@ -23,7 +23,8 @@ radius-4 metric (``graphs.shared_power_neighborhoods``), the same one the
 product-graph oracle uses. The host memoises that metric and its connectivity,
 so a call costs what its own walk costs, never a pass over the host. On an
 LPS host the metric is group arithmetic and holds no rows, so a walk's memory
-does not grow with the host vertices it visits.
+does not grow with the host vertices it visits; on any other host it is the
+breadth-first reference, which keeps the row of each vertex asked about.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def build_walk_map(
 
     q = params.step
     cap = params.usage_cap
-    close = shared_power_neighborhoods(f_graph, RADIUS).contains
+    close = shared_power_neighborhoods(f_graph).contains
     adj = f_graph._adj  # the host's sorted neighbour tuples, read without id checks
     n_pad = ((n + q - 1) // q) * q
 
@@ -299,7 +300,7 @@ def verify_walk_map(
     vals = wm.values
     for v in vals:
         f_graph._check_vertex(v)
-    close = shared_power_neighborhoods(f_graph, RADIUS).contains
+    close = shared_power_neighborhoods(f_graph).contains
     adj = f_graph._adj  # the host's sorted neighbour tuples, read without id checks
     n = len(vals)
     out: list[WalkViolation] = []

@@ -13,6 +13,7 @@ from collections import deque
 
 import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 
 from induniv.embedder import LOCAL_WINDOW, EmbeddingResult, InducedReport
 from induniv.errors import ArgumentError, ConstructionIntegrityError, ScheduleOverflowError
@@ -57,6 +58,26 @@ def oracle_power(g: Graph, k: int) -> set[tuple[int, int]]:
             if 0 < d <= k and u < w:
                 edges.add((u, w))
     return edges
+
+
+def oracle_ball_rows(g: Graph, k: int, block: int = 1024):
+    """Yield (v, sorted array of the w with 0 < dist(v, w) <= k) for every
+    vertex v, from the k-th power of A + I with scipy.sparse: the rows of a
+    block of sources are multiplied out together, so no n x n matrix is
+    ever built."""
+    n = g.vertex_count
+    u, w = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2).T
+    step = sp.csr_matrix((np.ones(2 * len(u), dtype=bool),  # boolean: sums are ORs
+                          (np.concatenate([u, w]), np.concatenate([w, u]))), shape=(n, n))
+    step = step + sp.identity(n, dtype=bool, format="csr")
+    for lo in range(0, n, block):
+        reach = sp.identity(n, dtype=bool, format="csr")[lo:lo + block]
+        for _ in range(k):
+            reach = reach @ step
+        reach.sort_indices()
+        for i in range(reach.shape[0]):
+            row = reach.indices[reach.indptr[i]:reach.indptr[i + 1]]
+            yield lo + i, row[row != lo + i]
 
 
 def oracle_close_pairs(pw, xs) -> list[tuple[int, int, int]]:

@@ -192,6 +192,13 @@ def test_usage_error_exit_code(capsys):
     assert run(["embed", "--input", "/nonexistent", "--delta", "2"]) == 1
 
 
+def test_embed_takes_no_profile(capsys, c6_file):
+    # paper-profile parameters are formula-only, so embed has no such option
+    assert run(["embed", "--input", c6_file, "--delta", "2", "--profile", "paper"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "UsageError" and "--profile" in err["message"]
+
+
 def test_output_file(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     code = run(["size-report", "--delta", "2", "--n-list", "100", "--output", out])

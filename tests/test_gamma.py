@@ -33,6 +33,7 @@ from induniv.lps import (
     LpsParams, build_lps_graph, cached_lps_graph, certify_expander, psl2)
 from instances import random_close_gamma_pair, random_gamma_vertex
 from oracles import (
+    oracle_ball_rows,
     oracle_close_pairs,
     oracle_distances,
     oracle_gamma_adjacent_witness,
@@ -49,21 +50,20 @@ from oracles import (
                                Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)]),
                                circulant_graph(70, [1, 5])])
 def test_power_neighborhoods_match_oracle(g):
-    for k in range(1, 5):
-        pw = PowerNeighborhoods(g, k)
-        expected = oracle_power(g, k)
-        for u in range(g.vertex_count):
-            for v in range(g.vertex_count):
-                if u == v:
-                    assert not pw.contains(u, v)
-                else:
-                    e = (min(u, v), max(u, v))
-                    assert pw.contains(u, v) == (e in expected)
+    pw = PowerNeighborhoods(g)
+    expected = oracle_power(g, 4)
+    for u in range(g.vertex_count):
+        for v in range(g.vertex_count):
+            if u == v:
+                assert not pw.contains(u, v)
+            else:
+                e = (min(u, v), max(u, v))
+                assert pw.contains(u, v) == (e in expected)
 
 
 def test_power_neighborhood_ranks_are_positions():
     g = cycle_graph(12)
-    pw = PowerNeighborhoods(g, 4)
+    pw = PowerNeighborhoods(g)
     row = list(pw.row(0))
     for idx, w in enumerate(row):
         assert pw.rank(0, w) == idx
@@ -71,19 +71,13 @@ def test_power_neighborhood_ranks_are_positions():
 
 
 def test_rows_match_bfs_oracle(rm_desk):
-    pw = PowerNeighborhoods(rm_desk, 4)
-    batched = PowerNeighborhoods(rm_desk, 4)
+    pw = PowerNeighborhoods(rm_desk)
     ell = rm_desk.vertex_count
-    block = graphs._FILL_GROUP
-    picks = random.Random(5).sample(range(ell), 12)
-    picks += [0, ell - 1, block - 1, block, 3 * block - 1, 3 * block]
-    batched.close_pairs(picks)  # one batched fill of every pick
-    for v in picks:
+    for v in random.Random(5).sample(range(ell), 12) + [0, ell - 1]:
         dist = oracle_distances(rm_desk, v)
         row = pw.row(v)
-        assert row.dtype == np.uint16  # ids below 2**16 are held in two bytes
+        assert row.dtype == np.int64
         assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
-        assert batched._cache[v].tobytes() == row.tobytes()
 
 
 def _listed(pairs):
@@ -92,24 +86,8 @@ def _listed(pairs):
     return list(zip(a.tolist(), b.tolist(), r.tolist()))
 
 
-def test_close_pairs_match_scalar_queries(rm_desk):
-    pw = PowerNeighborhoods(rm_desk, 4)
-    block = graphs._FILL_GROUP
-    near = pw.row(block).tolist()
-    # repeated images, and ids on both sides of two multiples of the fill group
-    xs = [block - 1, block, block, 2 * block - 1, 2 * block, block - 1, near[0],
-          near[-1], near[0], 0, rm_desk.vertex_count - 1, block]
-    assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
-    rng = random.Random(11)
-    circ = circulant_graph(70, [1, 5])
-    small = PowerNeighborhoods(circ, 2)
-    for _ in range(20):
-        ys = [rng.randrange(70) for _ in range(rng.randint(2, 40))]
-        assert _listed(small.close_pairs(ys)) == oracle_close_pairs(small, ys)
-
-
 def test_rows_exist_only_for_the_vertices_asked_about(rm_desk):
-    pw = PowerNeighborhoods(rm_desk, 4)
+    pw = PowerNeighborhoods(rm_desk)
     asked = random.Random(6).sample(range(rm_desk.vertex_count), 9)
     pw.row(asked[0])
     pw.contains(asked[1], asked[0])
@@ -122,68 +100,32 @@ def test_rows_exist_only_for_the_vertices_asked_about(rm_desk):
     assert sorted(pw._cache) == sorted(asked)
 
 
-def test_close_pairs_fill_only_their_images(rm_desk):
-    ell = rm_desk.vertex_count
-    rng = random.Random(7)
-    xs = rng.sample(range(ell), 70) + [0, ell - 1]
-    xs += [rng.choice(xs) for _ in range(20)]  # repeated images
-    rng.shuffle(xs)
-    cold = PowerNeighborhoods(rm_desk, 4)
-    got = _listed(cold.close_pairs(xs))
-    assert len(cold._cache) == len(set(xs))
-    warm = PowerNeighborhoods(rm_desk, 4)
-    for v in xs:
-        warm.row(v)
-    assert got == _listed(warm.close_pairs(xs))
-    # a second call on the warm rows adds none
-    assert _listed(cold.close_pairs(xs)) == got and len(cold._cache) == len(set(xs))
-
-
-def test_batched_fills_match_bfs_oracle(rm_desk):
-    ell = rm_desk.vertex_count
-    block = graphs._FILL_GROUP
-    rng = random.Random(8)
-    xs = rng.sample(range(ell), 2 * block + 5) + [0, ell - 1, 0, ell - 1]
-    xs += xs[:7]
-    rng.shuffle(xs)
-    pw = PowerNeighborhoods(rm_desk, 4)
-    pw.row(xs[3])  # one image already held, the rest missing
-    pw.close_pairs(xs)
-    assert len(set(xs)) - 1 > 2 * block  # the misses span three groups
-    for v in set(xs):
-        dist = oracle_distances(rm_desk, v)
-        row = pw._cache[v]
-        assert row.typecode == "H"
-        assert row.tolist() == sorted(w for w, d in dist.items() if 0 < d <= 4)
-    circ = circulant_graph(70, [1, 5])
-    small = PowerNeighborhoods(circ, 2)
-    small.close_pairs(list(range(70)) * 2)
-    assert len(small._cache) == 70
-    for v in range(70):
-        dist = oracle_distances(circ, v)
-        assert small.row(v).tolist() == sorted(w for w, d in dist.items() if 0 < d <= 2)
-
-
 def test_rows_past_two_byte_ids_match_bfs_oracle():
-    # ids above 65,535 do not fit two bytes, so rows take four
+    # a host past 2**16 vertices, read at ids on both sides of 65,535
     n = 70_000
     circ = circulant_graph(n, [1, 5])
-    pw = PowerNeighborhoods(circ, 4)
-    xs = [65_535, 65_536, 65_540, 65_531, 65_556, 0, n - 1, n - 20, 40_000, 40_000, 40_021]
-    assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
-    assert sorted(pw._cache) == sorted(set(xs))
-    for v in set(xs):
+    pw = PowerNeighborhoods(circ)
+    xs = [65_535, 65_536, 65_540, 65_531, 65_556, 0, n - 1, n - 20, 40_000, 40_021]
+    for v in xs:
         expected = sorted(w for w, d in oracle_distances(circ, v).items() if 0 < d <= 4)
-        assert pw._cache[v].typecode == "i"
         assert pw.row(v).tolist() == expected
         assert [pw.rank(v, w) for w in expected] == list(range(len(expected)))
         assert all(pw.contains(v, w) for w in expected)
         assert not pw.contains(v, (v + 21) % n) and pw.rank(v, (v + 21) % n) is None
         assert not pw.contains(v, v)
+    assert sorted(pw._cache) == sorted(xs)
+
+
+def test_close_pairs_need_a_group(rm_desk):
+    # the breadth-first reference answers scalar queries only
+    with pytest.raises(ArgumentError, match="group"):
+        PowerNeighborhoods(rm_desk).close_pairs([0, 1])
+    with pytest.raises(ArgumentError, match="group"):
+        shared_power_neighborhoods(circulant_graph(70, [1, 5])).close_pairs([])
 
 
 def test_close_pairs_span_several_chunks(rm_desk):
-    pw = PowerNeighborhoods(rm_desk, 4)
+    pw = shared_power_neighborhoods(rm_desk)
     assert 300 > graphs._PAIR_CHUNK // 300  # more than one chunk of positions
     rng = random.Random(12)
     centers = rng.sample(range(rm_desk.vertex_count), 2)
@@ -192,14 +134,14 @@ def test_close_pairs_span_several_chunks(rm_desk):
 
 
 def test_close_pairs_of_short_lists(rm_desk):
-    pw = PowerNeighborhoods(rm_desk, 4)
+    pw = shared_power_neighborhoods(rm_desk)
     assert _listed(pw.close_pairs([])) == []
     assert _listed(pw.close_pairs([17])) == []
     assert _listed(pw.close_pairs([17, 17])) == []
 
 
 def test_close_pairs_reject_out_of_range_ids(rm_desk):
-    pw = PowerNeighborhoods(rm_desk, 4)
+    pw = shared_power_neighborhoods(rm_desk)
     with pytest.raises(ArgumentError):
         pw.close_pairs([0, rm_desk.vertex_count])
     with pytest.raises(ArgumentError):
@@ -215,20 +157,16 @@ def test_lps_hosts_are_built_with_the_group_metric():
         pw = shared_power_neighborhoods(g)
         assert pw._group is not None and len(pw._group.ball) == 936
         assert shared_power_neighborhoods(g) is pw
-    assert PowerNeighborhoods(cached_lps_graph(5, 29), 4)._group is None
+    assert PowerNeighborhoods(cached_lps_graph(5, 29))._group is None
 
 
 def test_group_rows_match_bfs_rows_on_every_vertex(rm_desk):
     group = shared_power_neighborhoods(rm_desk)
-    bfs = PowerNeighborhoods(rm_desk, 4)  # made directly: rows by BFS
-    n = rm_desk.vertex_count
-    for lo in range(0, n, 256):
-        vs = list(range(lo, min(lo + 256, n)))
-        bfs.close_pairs(vs)  # fills the rows of vs in groups
-        for v in vs:
-            assert np.array_equal(group.row(v), bfs.row(v))
-        bfs._cache.clear()
-    assert not group._cache
+    seen = 0
+    for v, row in oracle_ball_rows(rm_desk, 4):
+        assert np.array_equal(group.row(v), row)
+        seen += 1
+    assert seen == rm_desk.vertex_count and not group._cache
 
 
 def test_group_ranks_index_each_neighbourhood_by_the_ball(rm_desk):
@@ -250,7 +188,7 @@ def test_group_ranks_index_each_neighbourhood_by_the_ball(rm_desk):
 
 def test_group_metric_matches_bfs_on_a_larger_host():
     g = build_lps_graph(5, 61)
-    pw, bfs = shared_power_neighborhoods(g), PowerNeighborhoods(g, 4)
+    pw, bfs = shared_power_neighborhoods(g), PowerNeighborhoods(g)
     n = g.vertex_count
     rng = random.Random(61)
     for v in rng.sample(range(n), 25):
