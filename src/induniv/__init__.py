@@ -17,7 +17,6 @@ from .errors import (
     DecompositionError,
     EmbeddingFailureError,
     ExhaustedSearchError,
-    InfeasibleBuildError,
     IntegrityError,
     LayoutError,
     PropertyFailureError,
@@ -68,13 +67,14 @@ from .gamma import (
     DeskConfig,
     GammaParams,
     GammaVertex,
-    Profile,
+    ProductSizes,
     adjacency_from_labels,
     decode_label,
     encode_label,
     gamma_adjacent,
     gamma_vertex_count,
     make_gamma_params,
+    paper_sizes,
 )
 from .embedder import (
     EmbeddingResult,

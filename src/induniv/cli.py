@@ -2,8 +2,7 @@
 
 JSON goes to stdout (or --output); --table renders a plain-text view for
 humans. Exit codes: 0 success, 2 property failure (violations found, failed
-certificates), 1 usage or argument errors. The walk budget can be overridden
-through INDUNIV_WALK_BUDGET.
+certificates), 1 usage or argument errors.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ import sys
 from functools import lru_cache
 
 from .errors import ArgumentError, ArtifactError, CodecError
-from .gamma import (
-    DeskConfig,
-    Profile,
-    count_log10,
-    decode_label,
-    gamma_vertex_count,
-    make_gamma_params,
-)
+from .gamma import DeskConfig, decode_label, gamma_vertex_count, make_gamma_params, paper_sizes
 from .graphs import Graph, dump_edge_list, format_edge_list, load_edge_list
 from .harness import FamilySpec, size_report, sweep_step, universality_sweep
 from .embedder import EmbedCertificate, EmbeddingResult, embed, verify_induced
@@ -81,7 +73,8 @@ def build_parser() -> _Parser:
     p = add_parser("gamma-params", help="product-graph parameters")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--profile", default="desk", choices=["paper", "desk"])
+    p.add_argument("--profile", default="desk", choices=["paper", "desk"],
+                   help="desk: the built hosts; paper: the paper's constants, a formula")
     p.add_argument("--rm", type=_pq, default=None, help="R_m primes as 'p,q'")
     p.add_argument("--rz", type=_pq, default=None, help="R_z primes as 'p,q'")
 
@@ -117,20 +110,7 @@ def _desk_config(args) -> DeskConfig:
         kwargs["rz_pq"] = args.rm
     if getattr(args, "rz", None):
         kwargs["rz_pq"] = args.rz
-    walk_budget = _env_int("INDUNIV_WALK_BUDGET")
-    if walk_budget is not None:
-        kwargs["walk_budget"] = walk_budget
     return DeskConfig(**kwargs)
-
-
-def _env_int(name: str) -> int | None:
-    text = os.environ.get(name)
-    if not text:
-        return None
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"{name} must be an integer, got {text!r}") from exc
 
 
 def _cmd_build_expander(args) -> tuple[int, dict]:
@@ -176,15 +156,14 @@ def _cmd_layout(args) -> tuple[int, dict]:
 
 def _cmd_gamma_params(args) -> tuple[int, dict]:
     if args.profile == "paper":
-        params = make_gamma_params(args.delta, args.n, Profile.PAPER)
+        sizes = paper_sizes(args.delta, args.n)
+        payload = {**sizes.to_json(), "desk": None, "certificates": {}}
     else:
-        params = make_gamma_params(
-            args.delta, args.n, Profile.DESK, _desk_config(args))
-    payload = params.to_json()
-    count = gamma_vertex_count(params)
-    payload["vertex_count_log10"] = count_log10(count)
-    if isinstance(count, int):
-        payload["vertex_count"] = str(count)
+        sizes = make_gamma_params(args.delta, args.n, _desk_config(args))
+        payload = sizes.to_json()
+    count = gamma_vertex_count(sizes)
+    payload.update(profile=args.profile, vertex_count_log10=count.log10(),
+                   vertex_count_mantissa=count.mantissa, vertex_count_exp2=count.exp2)
     return 0, payload
 
 
@@ -200,8 +179,7 @@ def _embedding_payload(result: EmbeddingResult, params, h: Graph, args) -> dict:
 
 def _cmd_embed(args) -> tuple[int, dict]:
     h = load_edge_list(args.input)
-    params = make_gamma_params(
-        args.delta, max(h.vertex_count, 1), Profile.DESK, _desk_config(args))
+    params = make_gamma_params(args.delta, max(h.vertex_count, 1), _desk_config(args))
     result = embed(h, args.delta, params)
     return 0, _embedding_payload(result, params, h, args)
 
@@ -211,8 +189,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         with open(args.embedding, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         meta = doc["params"]
-        params = make_gamma_params(
-            meta["delta"], meta["n"], Profile.DESK, DeskConfig.from_json(meta))
+        params = make_gamma_params(meta["delta"], meta["n"], DeskConfig.from_json(meta))
         recorded, labels = doc["params_digest"], doc["gamma"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             ArgumentError) as exc:
@@ -244,7 +221,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_sweep(args) -> tuple[int, dict]:
     if args.jobs < 1:
         raise ArgumentError("--jobs must be >= 1")
-    params = make_gamma_params(args.delta, args.n, Profile.DESK, _desk_config(args))
+    params = make_gamma_params(args.delta, args.n, _desk_config(args))
     spec = FamilySpec(n=args.n, delta=args.delta)
     if args.jobs == 1:
         report = universality_sweep(spec, params)
@@ -278,7 +255,7 @@ def _worker_params(delta, n, desk_json):
     """The sweep's parameters rebuilt in a worker; the expanders they name
     are cached per process, so only the first call builds them."""
     cfg = DeskConfig.from_json(json.loads(desk_json))
-    return make_gamma_params(delta, n, Profile.DESK, cfg)
+    return make_gamma_params(delta, n, cfg)
 
 
 def _cmd_size_report(args) -> tuple[int, dict]:
@@ -359,6 +336,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:  # console entry point
+    # the mantissa of a vertex count passes the 4,300 digits Python writes
+    # in decimal by default once delta is in the hundreds
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(run())
 
 

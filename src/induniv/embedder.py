@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (
     ArgumentError,
     EmbeddingFailureError,
-    InfeasibleBuildError,
     IntegrityError,
     PropertyFailureError,
     ScheduleOverflowError,
@@ -53,7 +52,6 @@ from .errors import (
 from .gamma import (
     GammaParams,
     GammaVertex,
-    Profile,
     _member,
     adjacent_pairs,
     block_link,
@@ -68,6 +66,7 @@ from .thin import (
     layout_thin,
     thin_decompose,
 )
+from . import walks
 from .walks import ConstraintSchedule, WalkParams, build_walk_map, prefix_limit
 
 LOCAL_WINDOW = 8  # layout gap under which coordinate images must differ
@@ -495,15 +494,12 @@ def embed(
     params: GammaParams,
 ) -> EmbeddingResult:
     """Full pipeline with verification gates: one attempt, its walks held
-    to ``params.desk.walk_budget``.
+    to ``walks.SEARCH_BUDGET`` steps each.
 
     The walks are deterministic, so a failed attempt would fail again. Its
     error is raised as an EmbeddingFailureError whose ``trail`` holds one
     entry: the walk budget, the parameter digest and the error.
     """
-    if params.profile == Profile.PAPER:
-        raise InfeasibleBuildError(
-            "paper-profile parameters are formula-only; embedding needs desk parameters")
     if delta != params.delta:
         raise ArgumentError(
             f"embedding delta {delta} does not match parameter delta {params.delta}")
@@ -525,7 +521,7 @@ def embed(
         return _attempt(h, dec, layouts, params)
     except (WalkStuckError, PropertyFailureError, ScheduleOverflowError) as exc:
         raise EmbeddingFailureError("the embedding attempt failed", trail=[{
-            "budget": params.desk.walk_budget,
+            "budget": walks.SEARCH_BUDGET,
             "params_digest": params.digest(),
             "error": exc.to_json(),
         }]) from exc
@@ -603,7 +599,7 @@ def _walk_stage(
 
     A walk on the host under ``schedule`` (plus the ``late`` avoidance
     constraints, see ``build_walk_map``) is read through the part's layout;
-    a walk stuck past ``params.desk.walk_budget`` is tagged with ``stage``.
+    a walk stuck past ``walks.SEARCH_BUDGET`` steps is tagged with ``stage``.
     The map is a homomorphism into the 4th power when the list is empty: the
     layout stretches no edge past 4 and the walk is locally a path, but that
     is checked, not assumed.
@@ -612,7 +608,7 @@ def _walk_stage(
     wp = WalkParams.for_graph(host, usage_cap=params.usage_cap_for(n),
                               sigma_cap=params.sigma_cap_for(n))
     try:
-        wm = build_walk_map(host, schedule, wp, search_budget=params.desk.walk_budget,
+        wm = build_walk_map(host, schedule, wp, search_budget=walks.SEARCH_BUDGET,
                             extra_avoid=late)
     except WalkStuckError as exc:
         exc.payload["stage"] = stage

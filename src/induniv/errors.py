@@ -76,10 +76,6 @@ class CertificationError(ArtifactError):
     """A built LPS expander failed its certificate checks."""
 
 
-class InfeasibleBuildError(ArtifactError):
-    """The requested object is astronomically large by design and not built."""
-
-
 class CodecError(ArtifactError):
     """Malformed label or out-of-range field during encode/decode."""
 

@@ -27,14 +27,15 @@ per-coordinate close pairs, with the same witnesses. The rule reads a vertex onl
 the strict parse that ``decode_label`` makes, which cuts and range-checks
 only the x and u fields; the scan then reads at most one bit of each subset
 mask, and only at a block whose x-pair is close, straight from the parsed
-bytes. The graph itself is never materialized: with
-paper-scale constants even one subset coordinate is astronomically wide, so
-everything is served by (params, oracle, codec).
+bytes. The graph itself is never materialized: even at desk scale one
+subset coordinate is thousands of bits wide, so everything is served by
+(params, oracle, codec).
 
-Two profiles: PAPER keeps the literal constants (d = 734 and friends) and is
-formula-only, refusing to build graphs; DESK builds real certified expanders
-at desk scale and enforces every downstream contract by explicit
-verification.
+``make_gamma_params`` builds the desk construction: real certified
+expanders, with every downstream contract enforced by explicit
+verification. The paper's literal constants (d = 734 and friends) are a
+formula only, ``paper_sizes``, whose sizes and vertex count are exact but
+whose graphs are never built.
 """
 
 from __future__ import annotations
@@ -45,20 +46,13 @@ import math
 import numbers
 from binascii import a2b_hex
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import cached_property, lru_cache
 from operator import ge, itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    CertificationError,
-    CodecError,
-    ExhaustedSearchError,
-    InfeasibleBuildError,
-)
+from .errors import ArgumentError, CertificationError, CodecError, ExhaustedSearchError
 from .graphs import Graph, PowerNeighborhoods, shared_power_neighborhoods
 from .lps import (
     ExpanderCertificate,
@@ -66,6 +60,7 @@ from .lps import (
     cached_lps_certificate,
     cached_lps_graph,
     find_lps_params,
+    integer_cbrt,
 )
 from .walks import step_for
 
@@ -77,49 +72,33 @@ PAPER_Z = 160 * PAPER_D**5
 RANK_CONVENTION = "psl2-ball-index"
 
 
-class Profile(Enum):
-    PAPER = "paper"
-    DESK = "desk"
-
-
 # -- parameters ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DeskConfig:
-    """The desk profile's two expander hosts, as LPS primes (p, q) with one
-    p, so both are (p+1)-regular, and the walk search budget. Every cap of
-    the construction follows from these and from (delta, n); see
-    ``GammaParams``."""
+    """The two expander hosts, as LPS primes (p, q) with one p, so both are
+    (p+1)-regular. Every cap of the construction follows from these and from
+    (delta, n); see ``GammaParams``."""
 
     rm_pq: tuple[int, int] = (5, 29)
     rz_pq: tuple[int, int] = (5, 29)
-    walk_budget: int = 200_000
 
     def to_json(self) -> dict:
-        return {
-            "rm_pq": list(self.rm_pq),
-            "rz_pq": list(self.rz_pq),
-            "walk_budget": self.walk_budget,
-        }
+        return {"rm_pq": list(self.rm_pq), "rz_pq": list(self.rz_pq)}
 
     def __post_init__(self):
         # the fields also come from embedding files, where a wrong type would
         # otherwise show only as a parameter digest that does not match
-        def reject(name: str, want: str):
-            raise ArgumentError(
-                f"desk config field {name} must be {want}, got {getattr(self, name)!r}")
-
         for name in ("rm_pq", "rz_pq"):
             pq = getattr(self, name)
             if not (isinstance(pq, tuple) and len(pq) == 2 and all(map(_is_int, pq))):
-                reject(name, "a pair of integers")
+                raise ArgumentError(
+                    f"desk config field {name} must be a pair of integers, got {pq!r}")
         if self.rm_pq[0] != self.rz_pq[0]:
             raise ArgumentError(
                 f"desk config fields rm_pq and rz_pq must share p (the hosts' degree "
                 f"is p+1), got {self.rm_pq!r} and {self.rz_pq!r}")
-        if not (_is_int(self.walk_budget) and self.walk_budget >= 0):
-            reject("walk_budget", "a nonnegative integer")
 
     @classmethod
     def from_json(cls, doc: dict) -> "DeskConfig":
@@ -137,27 +116,34 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_sizes(delta: int, n: int) -> None:
+    for name, value in (("delta", delta), ("n", n)):
+        if not _is_int(value):
+            raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if delta < 2:
+        raise ArgumentError(f"delta must be >= 2, got {delta}")
+    if n < 1:
+        raise ArgumentError(f"n must be >= 1, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
-class GammaParams:
-    """Everything needed to answer adjacency queries on the product graph."""
+class ProductSizes:
+    """The sizes of the product graph at (delta, n): the expander degree d,
+    the paper's z and m, and the orders ell_m and ell_z of R_m and R_z. The
+    label's field widths and the vertex count (``gamma_vertex_count``)
+    follow from them. ``paper_sizes`` gives the paper's; ``GammaParams``
+    adds the hosts that realize a desk construction."""
 
     delta: int
     n: int
-    profile: Profile
     d: int
     z: int
     m: int
     ell_m: int
     ell_z: int
-    r_m: Graph | None
-    r_z: Graph | None
-    rm_pow: PowerNeighborhoods | None
-    rz_pow: PowerNeighborhoods | None
-    desk: DeskConfig | None
-    certificates: dict[str, ExpanderCertificate] = field(default_factory=dict)
 
-    # Widths and the label layout are computed on first use and then held;
-    # the codec and the oracle read them on every call.
+    # Widths are computed on first use and then held; the codec and the
+    # oracle read them on every call.
 
     @property
     def subset_universe(self) -> int:
@@ -167,14 +153,6 @@ class GammaParams:
     def subset_bits(self) -> int:
         # the universe {0, ..., 4d^4} has 4d^4 + 1 members
         return self.subset_universe + 1
-
-    @property
-    def q_m(self) -> int:
-        return step_for(self.ell_m)
-
-    @property
-    def q_z(self) -> int:
-        return step_for(self.ell_z)
 
     @cached_property
     def x_bits(self) -> int:
@@ -187,6 +165,40 @@ class GammaParams:
     @cached_property
     def label_bits(self) -> int:
         return self.x_bits + (self.delta - 1) * (self.x_bits + self.subset_bits + self.u_bits)
+
+    def to_json(self) -> dict:
+        return {
+            "schema": "induniv/gamma-params-v1",
+            "delta": self.delta,
+            "n": self.n,
+            "d": self.d,
+            "z": self.z,
+            "m": self.m,
+            "ell_m": self.ell_m,
+            "ell_z": self.ell_z,
+            "label_bits": self.label_bits,
+        }
+
+
+@dataclass(frozen=True, eq=False)
+class GammaParams(ProductSizes):
+    """Everything needed to answer adjacency queries on the product graph:
+    the sizes of a desk construction and the certified hosts behind them."""
+
+    r_m: Graph
+    r_z: Graph
+    rm_pow: PowerNeighborhoods
+    rz_pow: PowerNeighborhoods
+    desk: DeskConfig
+    certificates: dict[str, ExpanderCertificate] = field(default_factory=dict)
+
+    @property
+    def q_m(self) -> int:
+        return step_for(self.ell_m)
+
+    @property
+    def q_z(self) -> int:
+        return step_for(self.ell_z)
 
     @cached_property
     def label_layout(self) -> LabelLayout:
@@ -206,30 +218,20 @@ class GammaParams:
         payload = {
             "delta": self.delta,
             "n": self.n,
-            "profile": self.profile.value,
             "d": self.d,
             "z": self.z,
             "m": self.m,
             "ell_m": self.ell_m,
             "ell_z": self.ell_z,
-            "desk": self.desk.to_json() if self.desk else None,
+            "desk": self.desk.to_json(),
             "ranks": RANK_CONVENTION,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
     def to_json(self) -> dict:
         return {
-            "schema": "induniv/gamma-params-v1",
-            "delta": self.delta,
-            "n": self.n,
-            "profile": self.profile.value,
-            "d": self.d,
-            "z": self.z,
-            "m": self.m,
-            "ell_m": self.ell_m,
-            "ell_z": self.ell_z,
-            "label_bits": self.label_bits,
-            "desk": self.desk.to_json() if self.desk else None,
+            **super().to_json(),
+            "desk": self.desk.to_json(),
             "certificates": {k: c.to_json() for k, c in self.certificates.items()},
         }
 
@@ -237,31 +239,15 @@ class GammaParams:
 def make_gamma_params(
     delta: int,
     n: int,
-    profile: Profile | str = Profile.DESK,
     overrides: DeskConfig | dict | None = None,
 ) -> GammaParams:
-    """Compute constants per profile and, for DESK, build certified expanders.
-
-    PAPER keeps d = 734, z = 160 d^5, m = 800 delta d^8 sqrt(n) and resolves
-    the two prime searches so sizes are exact, but refuses to build graphs.
-    DESK builds the two LPS expanders whose primes the desk config names,
-    both (p+1)-regular, and derives every cap from their actual sizes; a
-    failing certificate raises CertificationError. Graphs and certificates
+    """Build the two certified LPS expanders whose primes the desk config
+    names, both (p+1)-regular, and derive every cap from their actual sizes;
+    a failing certificate raises CertificationError. Graphs and certificates
     come from lru caches, so equal primes give R_m and R_z one graph and one
     metric.
     """
-    for name, value in (("delta", delta), ("n", n)):
-        if not _is_int(value):
-            raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    if delta < 2:
-        raise ArgumentError(f"delta must be >= 2, got {delta}")
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
-    profile = Profile(profile) if not isinstance(profile, Profile) else profile
-
-    if profile == Profile.PAPER:
-        return _paper_params(delta, n)
-
+    _check_sizes(delta, n)
     cfg = overrides
     if not isinstance(cfg, DeskConfig):
         unknown = sorted(map(str, set(cfg or ()) - {f.name for f in fields(DeskConfig)}))
@@ -281,7 +267,6 @@ def make_gamma_params(
     return GammaParams(
         delta=delta,
         n=n,
-        profile=profile,
         d=rm_graph.degree(0),
         z=rz_graph.vertex_count,
         m=rm_graph.vertex_count,
@@ -299,21 +284,21 @@ def make_gamma_params(
 @lru_cache(maxsize=32)
 def _paper_qz() -> LpsParams:
     # the small block does not depend on delta or n
-    from .lps import integer_cbrt
-
     return find_lps_params(
         PAPER_D - 1, 1, extra_test=lambda q: q**3 > 8 * PAPER_Z,
         search_ceiling=10**9, min_q=integer_cbrt(8 * PAPER_Z))
 
 
-def _paper_params(delta: int, n: int) -> GammaParams:
-    from .lps import integer_cbrt
-
+def paper_sizes(delta: int, n: int) -> ProductSizes:
+    """The paper's sizes at (delta, n), a formula: d = 734, z = 160 d^5,
+    m = 800 delta d^8 sqrt(n), and the two prime searches resolved so that
+    ell_m and ell_z are exact. No graph is built; at these sizes even one
+    subset coordinate is astronomically wide."""
+    _check_sizes(delta, n)
     d = PAPER_D
     m = 5 * 160 * delta * d**8 * math.isqrt(n)
-    rcm = 4 * (d - 1)
     qm = find_lps_params(
-        d - 1, 1, residue_class_modulus=rcm,
+        d - 1, 1, residue_class_modulus=4 * (d - 1),
         extra_test=lambda q: q**3 > 8 * m, search_ceiling=10**14,
         min_q=integer_cbrt(8 * m))
     if qm.q**3 >= 64 * m:
@@ -324,22 +309,8 @@ def _paper_params(delta: int, n: int) -> GammaParams:
     if not m <= ell_m <= 32 * m:
         raise ExhaustedSearchError(
             f"large block size {ell_m} escapes [m, 32 m] for m={m}")
-    qz = _paper_qz()
-    return GammaParams(
-        delta=delta,
-        n=n,
-        profile=Profile.PAPER,
-        d=d,
-        z=PAPER_Z,
-        m=m,
-        ell_m=ell_m,
-        ell_z=qz.vertex_count,
-        r_m=None,
-        r_z=None,
-        rm_pow=None,
-        rz_pow=None,
-        desk=None,
-    )
+    return ProductSizes(delta=delta, n=n, d=d, z=PAPER_Z, m=m, ell_m=ell_m,
+                        ell_z=_paper_qz().vertex_count)
 
 
 # -- vertices and the adjacency oracle ----------------------------------------
@@ -374,11 +345,6 @@ class GammaVertex:
 
 
 def validate_vertex(v: GammaVertex, params: GammaParams) -> None:
-    # only paper-profile parameters lack the metric; this runs on every
-    # oracle call, and Profile.PAPER is a slow descriptor lookup on 3.11
-    if params.rm_pow is None:
-        raise InfeasibleBuildError(
-            "paper-profile parameters are formula-only; no vertices exist to query")
     ell_m, ell_z, width = params.ell_m, params.ell_z, params.subset_bits
     if len(v.blocks) != params.delta - 1 or not 0 <= v.x1 < ell_m:
         _reject_vertex(v, params)
@@ -533,8 +499,9 @@ def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 class ScaledCount:
     """Exact integer of the form mantissa * 2**exp2.
 
-    Paper-scale vertex counts have subset factors wider than memory allows,
-    so the power of two is kept factored; nothing is rounded.
+    The subset factors of a vertex count are powers of two too wide to
+    write out (thousands of bits at desk scale, trillions in the paper), so
+    the power of two is kept factored; nothing is rounded.
     """
 
     mantissa: int
@@ -543,9 +510,6 @@ class ScaledCount:
     def log10(self) -> float:
         return math.log10(self.mantissa) + self.exp2 * math.log10(2.0)
 
-    def log2(self) -> float:
-        return math.log2(self.mantissa) + self.exp2
-
     def ratio_log10(self, other: "ScaledCount") -> float:
         return self.log10() - other.log10()
 
@@ -553,24 +517,10 @@ class ScaledCount:
         return f"ScaledCount(log10={self.log10():.3f})"
 
 
-def gamma_vertex_count(params: GammaParams) -> int | ScaledCount:
-    """|V| = ell_m * (ell_m * 2^(4d^4+1) * ell_z)^(delta-1), exactly.
-
-    Desk parameters return a plain integer. Paper parameters return a
-    ScaledCount because the binary expansion alone would not fit in memory.
-    """
-    width = params.subset_bits
-    mant = params.ell_m * (params.ell_m * params.ell_z) ** (params.delta - 1)
-    exp2 = width * (params.delta - 1)
-    if params.profile == Profile.DESK and exp2 <= 10**6:
-        return mant << exp2
-    return ScaledCount(mantissa=mant, exp2=exp2)
-
-
-def count_log10(count: int | ScaledCount) -> float:
-    if isinstance(count, ScaledCount):
-        return count.log10()
-    return math.log10(count)
+def gamma_vertex_count(sizes: ProductSizes) -> ScaledCount:
+    """|V| = ell_m * (ell_m * 2^(4d^4+1) * ell_z)^(delta-1), exactly."""
+    return ScaledCount(mantissa=sizes.ell_m * (sizes.ell_m * sizes.ell_z) ** (sizes.delta - 1),
+                       exp2=sizes.subset_bits * (sizes.delta - 1))
 
 
 # -- label codec ---------------------------------------------------------------
@@ -659,8 +609,6 @@ class _ParsedLabel:
     __slots__ = ("raw", "layout", "coords")
 
     def __init__(self, label: str, params: GammaParams):
-        if params.rm_pow is None:  # paper-profile parameters build no expanders
-            raise InfeasibleBuildError("paper-profile parameters carry no labels")
         if len(label) < 8:
             raise CodecError("label shorter than its width header")
         layout = params.label_layout

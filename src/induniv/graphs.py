@@ -10,6 +10,7 @@ arithmetic on an LPS host and by breadth-first rows on any other graph.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from bisect import bisect_left
 from collections import deque
@@ -163,7 +164,12 @@ class Graph:
                     yield (u, v)
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not (0 <= v < self.vertex_count):
+        # any integer type, numpy's among them, reads through __index__
+        try:
+            ok = 0 <= operator.index(v) < self.vertex_count
+        except TypeError:
+            ok = False
+        if not ok:
             raise ArgumentError(f"vertex id {v!r} out of range [0, {self.vertex_count})")
 
     def __eq__(self, other) -> bool:

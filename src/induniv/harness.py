@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ArgumentError, ArtifactError, BudgetError
-from .gamma import GammaParams, Profile, count_log10, gamma_vertex_count, make_gamma_params
+from .gamma import GammaParams, gamma_vertex_count, paper_sizes
 from .graphs import Graph
 from .embedder import embed, verify_induced
 
@@ -136,8 +136,6 @@ def universality_sweep(spec: FamilySpec, params: GammaParams) -> SweepReport:
 
     Failures are data, not exceptions.
     """
-    if params.profile != Profile.DESK:
-        raise ArgumentError("universality sweeps need desk parameters")
     if spec.delta > params.delta:
         raise ArgumentError(
             f"family delta {spec.delta} exceeds parameter delta {params.delta}")
@@ -163,7 +161,7 @@ def sweep_step(idx: int, h: Graph, params: GammaParams) -> dict | None:
 
 
 def size_report(delta_list: list[int], n_list: list[int]) -> dict:
-    """Formula-level scaling table for paper-profile vertex counts.
+    """Formula-level scaling table for the paper's vertex counts.
 
     For each delta and n: log10 of the count, log10 of the n^(delta/2)
     reference curve (the counting lower bound up to its constant), and their
@@ -181,8 +179,7 @@ def size_report(delta_list: list[int], n_list: list[int]) -> dict:
     for delta in delta_list:
         ratios = []
         for n in n_list:
-            params = make_gamma_params(delta, n, Profile.PAPER)
-            c_log10 = count_log10(gamma_vertex_count(params))
+            c_log10 = gamma_vertex_count(paper_sizes(delta, n)).log10()
             ref_log10 = (delta / 2) * math.log10(n)
             rows.append({
                 "delta": delta,

@@ -81,7 +81,8 @@ def legendre_symbol(a: int, p: int) -> int:
 def sqrt_minus_one(q: int) -> int:
     """Smallest x with x^2 = -1 (mod q); exists for primes q = 1 (mod 4).
 
-    Exhaustive scan: q stays small in every profile that builds graphs.
+    Exhaustive scan: q stays small wherever a graph is built (the paper's
+    sizes are a formula only).
     """
     for x in range(2, q):
         if x * x % q == q - 1:

@@ -41,6 +41,8 @@ from .errors import ArgumentError, BudgetError, IntegrityError, WalkStuckError
 from .graphs import RADIUS, Graph, shared_power_neighborhoods
 
 _MASK64 = (1 << 64) - 1
+# steps a walk search may take, an embedding's walks each held to it
+SEARCH_BUDGET = 200_000
 
 
 def _mix(w: int, t: int) -> int:
@@ -172,7 +174,7 @@ def build_walk_map(
     f_graph: Graph,
     schedule: ConstraintSchedule,
     params: WalkParams,
-    search_budget: int = 200_000,
+    search_budget: int = SEARCH_BUDGET,
     extra_avoid: Mapping[int, Iterable[int]] | None = None,
 ) -> WalkMap:
     """Deterministic backtracking construction of a walk map.

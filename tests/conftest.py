@@ -12,9 +12,9 @@ def rm_desk():
 
 @pytest.fixture(scope="session")
 def desk_params2(rm_desk):
-    return make_gamma_params(2, 30, "desk")
+    return make_gamma_params(2, 30)
 
 
 @pytest.fixture(scope="session")
 def desk_params3(rm_desk):
-    return make_gamma_params(3, 30, "desk")
+    return make_gamma_params(3, 30)

@@ -124,17 +124,26 @@ def random_close_gamma_pair(
     """A pair biased toward adjacency: coordinates drawn inside balls and
     subset masks granting the mutual ranks."""
     a = random_gamma_vertex(rng, params)
-    x1b = int(rng.choice(params.rm_pow.row(a.x1)))
+    x1b = _draw_close(rng, params.rm_pow, a.x1)
     blocks = []
     for (xa, mask_a, ua) in a.blocks:
-        row = params.rm_pow.row(xa)
-        xb = int(rng.choice(row))
+        xb = _draw_close(rng, params.rm_pow, xa)
         ra = params.rm_pow.rank(xa, xb)
         rb = params.rm_pow.rank(xb, xa)
         mask_b = rng.getrandbits(params.subset_bits) | (1 << rb)
         mask_a |= 1 << ra
-        ub = int(rng.choice(params.rz_pow.row(ua)))
+        ub = _draw_close(rng, params.rz_pow, ua)
         blocks.append(((xa, mask_a, ua), (xb, mask_b, ub)))
     a = GammaVertex(x1=a.x1, blocks=tuple(b[0] for b in blocks))
     b = GammaVertex(x1=x1b, blocks=tuple(b[1] for b in blocks))
     return a, b
+
+
+def _draw_close(rng: random.Random, metric, x: int) -> int:
+    """A uniform draw from the radius-4 row of x on an LPS host: M_x * b for
+    one uniform element b of the identity's ball B, since b -> M_x * b maps
+    B one to one onto the row."""
+    ball = metric._group
+    b = ball.ball[rng.randrange(len(ball.ball))]
+    elements = ball.group.elements
+    return int(ball.group.product_ids(elements[x], elements[b])[0])

@@ -17,8 +17,7 @@ from induniv.gamma import (
     encode_label,
     gamma_adjacent,
     gamma_vertex_count,
-    count_log10,
-    make_gamma_params,
+    paper_sizes,
 )
 from induniv.graphs import Graph, circulant_graph, complete_graph
 from induniv.harness import FamilySpec, enumerate_family, universality_sweep
@@ -169,9 +168,8 @@ def test_criterion_7_size_scaling():
     for delta in (2, 3, 4, 5):
         ratios = []
         for k in range(2, 9):
-            params = make_gamma_params(delta, 10**k, "paper")
-            ratios.append(
-                count_log10(gamma_vertex_count(params)) - (delta / 2) * k)
+            sizes = paper_sizes(delta, 10**k)
+            ratios.append(gamma_vertex_count(sizes).log10() - (delta / 2) * k)
         ok &= (max(ratios) - min(ratios)) <= 4.0  # a factor of 10^4
     _report(7, "size scaling at formula level", ok, time.time() - t0, 1)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import induniv
-from induniv import cli, harness, lps
+from induniv import cli, harness, lps, walks
 from induniv.cli import _worker_params, run
 from induniv.embedder import embed
 from induniv.gamma import (
@@ -70,6 +71,16 @@ def test_decompose_a_long_cubic_ring(capsys, tmp_path):
     assert len(doc["multiplicity"]) == 1050
 
 
+# what gamma-params printed for the paper's constants at delta 3, n = 10^6
+# while they were a parameter profile
+PAPER_D3_N1E6 = {
+    "schema": "induniv/gamma-params-v1", "delta": 3, "n": 1000000, "profile": "paper",
+    "d": 734, "z": 34087902753827840, "m": 202199334117814402155110400000,
+    "ell_m": 808816012647616448236169299320, "ell_z": 136352081674210080,
+    "label_bits": 2322064220704, "desk": None, "certificates": {},
+    "vertex_count_log10": 699010982289.3774}
+
+
 def test_gamma_params_paper(capsys):
     code, doc = invoke(capsys, [
         "gamma-params", "--delta", "3", "--n", "1000000", "--profile", "paper"])
@@ -77,6 +88,10 @@ def test_gamma_params_paper(capsys):
     assert doc["profile"] == "paper"
     assert doc["m"] == 5 * 160 * 3 * 734**8 * 1000
     assert doc["vertex_count_log10"] > 10**9  # astronomically large, by design
+    assert {k: doc[k] for k in PAPER_D3_N1E6} == PAPER_D3_N1E6
+    count = doc["vertex_count_mantissa"], doc["vertex_count_exp2"]
+    assert count == (doc["ell_m"] ** 3 * doc["ell_z"] ** 2, 2 * (4 * 734**4 + 1))
+
 
 
 def test_gamma_params_desk(capsys, rm_desk):
@@ -85,7 +100,24 @@ def test_gamma_params_desk(capsys, rm_desk):
     assert code == 0
     assert doc["d"] == 6 and doc["ell_m"] == 12180
     assert doc["certificates"]["r_m"]["all_ok"]
-    assert int(doc["vertex_count"]) == 12180**2 * 2**5185 * 12180
+    assert doc["vertex_count_mantissa"] << doc["vertex_count_exp2"] == \
+        12180**2 * 2**5185 * 12180
+
+
+@pytest.mark.parametrize("argv", [
+    *(["--delta", str(delta), "--n", "30"] for delta in range(2, 7)),
+    ["--delta", "3", "--n", "1000000", "--profile", "paper"],
+], ids=["desk-2", "desk-3", "desk-4", "desk-5", "desk-6", "paper"])
+def test_gamma_params_prints_the_exact_count(capsys, rm_desk, argv):
+    # from delta 4 on, the count written out in decimal passes the 4,300
+    # digits Python converts by default, so the count is printed factored
+    code, doc = invoke(capsys, ["gamma-params", *argv])
+    assert code == 0 and isinstance(doc, dict)
+    delta, ell_m, ell_z = doc["delta"], doc["ell_m"], doc["ell_z"]
+    assert doc["vertex_count_mantissa"] == ell_m * (ell_m * ell_z) ** (delta - 1)
+    assert doc["vertex_count_exp2"] == (delta - 1) * (4 * doc["d"] ** 4 + 1)
+    assert doc["vertex_count_log10"] == pytest.approx(
+        math.log10(doc["vertex_count_mantissa"]) + doc["vertex_count_exp2"] * math.log10(2))
 
 
 def test_hosts_of_different_degrees_are_a_usage_error(capsys):
@@ -117,7 +149,7 @@ def test_verify_detects_tamper(capsys, c6_file, tmp_path, rm_desk):
     invoke(capsys, ["embed", "--input", c6_file, "--delta", "2",
                     "--emit-labels", "--output", emb])
     doc = json.load(open(emb))
-    params = make_gamma_params(doc["params"]["delta"], doc["params"]["n"], "desk")
+    params = make_gamma_params(doc["params"]["delta"], doc["params"]["n"])
     v0 = decode_label(doc["gamma"][0], params)
     x, mask, u = v0.blocks[0]
     low = mask & -mask
@@ -264,6 +296,27 @@ def test_verify_rejects_files_written_with_the_nine_field_config(
 ROW_RANK_DIGEST = "eee9c14b94e9715d"
 
 
+# the params block and digest of an embedding of C6 at delta 2 written while
+# the desk config also held the walk search budget
+WALK_BUDGET_PARAMS = {
+    "delta": 2, "n": 6, "rm_pq": [5, 29], "rz_pq": [5, 29], "walk_budget": 200000}
+WALK_BUDGET_DIGEST = "15ed09f966632079"
+
+
+def test_verify_rejects_files_written_with_a_walk_budget(capsys, c6_file, tmp_path, rm_desk):
+    emb = tmp_path / "emb.json"
+    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
+                "--output", str(emb)]) == 0
+    doc = json.loads(emb.read_text())
+    assert doc["params_digest"] != WALK_BUDGET_DIGEST
+    emb.write_text(json.dumps(
+        {**doc, "params": WALK_BUDGET_PARAMS, "params_digest": WALK_BUDGET_DIGEST}))
+    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CodecError" and "digest" in error["message"]
+    assert error["recorded"] == WALK_BUDGET_DIGEST and error["rebuilt"] == doc["params_digest"]
+
+
 def test_verify_rejects_files_written_with_row_ranks(capsys, c6_file, tmp_path, rm_desk):
     emb = tmp_path / "emb.json"
     assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
@@ -305,7 +358,7 @@ def test_parallel_sweep_labels_match_the_serial_ones(capsys, monkeypatch, rm_des
 
 
 def test_worker_params_keep_every_desk_field(rm_desk):
-    cfg = DeskConfig(walk_budget=123_456)
+    cfg = DeskConfig(rz_pq=(5, 61))
     assert DeskConfig.from_json(cfg.to_json()) == cfg
     assert _worker_params(2, 5, json.dumps(cfg.to_json())).desk == cfg
 
@@ -315,7 +368,7 @@ def test_embed_failure_reports_its_retry_trail(capsys, tmp_path, monkeypatch, rm
     # in the one attempt that embed makes
     path = tmp_path / "c100.txt"
     dump_edge_list(cycle_graph(100), path)
-    monkeypatch.setenv("INDUNIV_WALK_BUDGET", "60")
+    monkeypatch.setattr(walks, "SEARCH_BUDGET", 60)
     assert run(["embed", "--input", str(path), "--delta", "2"]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "EmbeddingFailureError"
@@ -334,6 +387,18 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["rows"]
+
+
+def test_python_dash_m_prints_a_count_past_the_decimal_digit_limit():
+    env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "induniv", "gamma-params", "--profile", "paper",
+         "--delta", "120", "--n", "30"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # read the integers as text: this process keeps Python's 4,300-digit limit
+    doc = json.loads(done.stdout, parse_int=str)
+    assert len(doc["vertex_count_mantissa"]) > 4300 and doc["vertex_count_exp2"].isdigit()
 
 
 def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
@@ -396,7 +461,7 @@ def _with_params(doc, **fields):
     return json.dumps({**doc, "params": {**doc["params"], **fields}})
 
 
-@pytest.mark.parametrize("field, value", [("delta", 2.5), ("n", "6"), ("walk_budget", "x")])
+@pytest.mark.parametrize("field, value", [("delta", 2.5), ("n", "6")])
 def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_desk, field, value):
     emb = tmp_path / "emb.json"
     assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
@@ -408,23 +473,20 @@ def test_a_parameter_of_the_wrong_type_is_named(capsys, tmp_path, c6_file, rm_de
     assert field in error["message"] and "digest" not in error["message"]
 
 
-@pytest.mark.parametrize("env, command, edge_list, edit, code, kind", [
-    ({}, "decompose", "2 1\n1 x\n", None, 1, "ArgumentError"),
-    ({"INDUNIV_WALK_BUDGET": "abc"}, "embed", None, None, 1, "UsageError"),
-    ({"INDUNIV_WALK_BUDGET": "-5"}, "embed", None, None, 1, "ArgumentError"),
-    ({}, "verify", None, lambda doc: json.dumps(doc)[:-1], 2, "CodecError"),
-    ({}, "verify", None, lambda doc: json.dumps(
+@pytest.mark.parametrize("command, edge_list, edit, code, kind", [
+    ("decompose", "2 1\n1 x\n", None, 1, "ArgumentError"),
+    ("verify", None, lambda doc: json.dumps(doc)[:-1], 2, "CodecError"),
+    ("verify", None, lambda doc: json.dumps(
         {**doc, "params": {k: v for k, v in doc["params"].items() if k != "delta"}}),
      2, "CodecError"),
-    ({}, "verify", None, lambda doc: json.dumps({**doc, "gamma": [7] + doc["gamma"][1:]}),
+    ("verify", None, lambda doc: json.dumps({**doc, "gamma": [7] + doc["gamma"][1:]}),
      2, "CodecError"),
-    ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=5), 2, "CodecError"),
-    ({}, "verify", None, lambda doc: _with_params(doc, rm_pq=[5]), 2, "CodecError"),
-], ids=["edge-line", "walk-budget", "negative-walk-budget", "not-json", "no-delta",
-        "label-not-a-string", "rm-pq-int", "rm-pq-single"])
+    ("verify", None, lambda doc: _with_params(doc, rm_pq=5), 2, "CodecError"),
+    ("verify", None, lambda doc: _with_params(doc, rm_pq=[5]), 2, "CodecError"),
+], ids=["edge-line", "not-json", "no-delta", "label-not-a-string", "rm-pq-int",
+        "rm-pq-single"])
 def test_malformed_input_ends_in_a_json_error(
-        capsys, tmp_path, monkeypatch, c6_file, rm_desk, env, command, edge_list, edit,
-        code, kind):
+        capsys, tmp_path, c6_file, rm_desk, command, edge_list, edit, code, kind):
     graph = c6_file
     if edge_list is not None:
         graph = str(tmp_path / "bad.txt")
@@ -436,7 +498,5 @@ def test_malformed_input_ends_in_a_json_error(
                     "--output", str(emb)]) == 0
         emb.write_text(edit(json.loads(emb.read_text())))
         argv = ["verify", "--embedding", str(emb), "--input", c6_file]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     assert run(argv) == code
     assert json.loads(capsys.readouterr().err)["error"]["type"] == kind

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from induniv import walks
 from induniv.embedder import (
     CONFLICT_GAP,
     EmbeddingResult,
@@ -17,13 +18,9 @@ from induniv.embedder import (
     embed,
     verify_induced,
 )
-from induniv.errors import (
-    ArgumentError,
-    EmbeddingFailureError,
-    InfeasibleBuildError,
-)
+from induniv.errors import ArgumentError, EmbeddingFailureError
 from induniv.gamma import (
-    GammaParams, GammaVertex, Profile, encode_label, gamma_adjacent, make_gamma_params)
+    GammaParams, GammaVertex, encode_label, gamma_adjacent, make_gamma_params)
 from induniv.graphs import (
     Graph, circulant_graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
     path_graph)
@@ -67,7 +64,7 @@ def test_twin_parts_are_laid_out_once(monkeypatch):
     monkeypatch.setattr(embedder, "layout_thin",
                         lambda part, n: calls.append(part) or layout(part, n))
     h = circulant_graph(40, (1, 2))
-    result = embed(h, 4, make_gamma_params(4, 40, "desk"))
+    result = embed(h, 4, make_gamma_params(4, 40))
     parts = result.homs.decomposition.parts
     assert len(calls) == 2 and parts[0] is parts[1] and parts[2] is parts[3]
     assert result.homs.layouts[0] is result.homs.layouts[1]
@@ -99,9 +96,6 @@ def test_embed_argument_errors(desk_params3):
         embed(complete_graph(5), 3, desk_params3)  # max degree 4 > 3
     with pytest.raises(ArgumentError):
         embed(cycle_graph(4), 2, desk_params3)  # delta mismatch
-    paper = make_gamma_params(2, 100, Profile.PAPER)
-    with pytest.raises(InfeasibleBuildError):
-        embed(cycle_graph(4), 2, paper)
 
 
 def test_embed_capacity_check(desk_params2):
@@ -136,7 +130,7 @@ def test_labels_match_their_golden_digest(h, delta, digest, coord_digest):
     # the first 16 hex digits of sha256 over the newline-joined labels, the
     # same under every PYTHONHASHSEED; each input has conflict pairs, so its
     # shield walks run with schedules
-    params = make_gamma_params(delta, h.vertex_count, "desk")
+    params = make_gamma_params(delta, h.vertex_count)
     result = embed(h, delta, params)
     assert any(cs for conflicts in result.homs.conflicts.values() for cs in conflicts.values())
     text = "\n".join(encode_label(v, params) for v in result.gamma)
@@ -291,13 +285,12 @@ def test_verify_induced_detects_shield_tamper(desk_params2):
                 or report.ok is False
 
 
-def test_retry_trail_on_failure():
+def test_retry_trail_on_failure(monkeypatch, desk_params2):
     # an impossible host: delta-2 parameters with a path that cannot fail is
     # hard to fabricate, so force failure through a zero walk budget
-    h = cycle_graph(8)
-    starved = make_gamma_params(2, 30, "desk", {"walk_budget": 0})
+    monkeypatch.setattr(walks, "SEARCH_BUDGET", 0)
     with pytest.raises(EmbeddingFailureError) as err:
-        embed(h, 2, starved)
+        embed(cycle_graph(8), 2, desk_params2)
     assert err.value.trail
 
 
@@ -337,7 +330,7 @@ def test_overflow_moves_on_without_a_larger_budget(monkeypatch):
     # a zero schedule cap overflows at the first scheduled entry, whatever the
     # walk budget, and the one attempt records it
     monkeypatch.setattr(GammaParams, "sigma_cap_for", lambda self, n: 0)
-    tight = make_gamma_params(2, 40, "desk")
+    tight = make_gamma_params(2, 40)
     with pytest.raises(EmbeddingFailureError) as err:
         embed(cycle_graph(40), 2, tight)
     assert [t["error"]["type"] for t in err.value.trail] == ["ScheduleOverflowError"]
@@ -347,7 +340,7 @@ def test_conflict_sets_pass_their_own_bound():
     # the conflict sets and their check read one layout gap; on this input
     # the closest conflict pair sits just past it
     h = circulant_graph(40, (1, 2))
-    params = make_gamma_params(4, h.vertex_count, "desk")
+    params = make_gamma_params(4, h.vertex_count)
     homs = embed(h, 4, params).homs
     gaps = []
     for i, layout in enumerate(homs.layouts[1:], start=2):
@@ -394,7 +387,7 @@ def test_oracle_agreement_names_the_disagreeing_pair(desk_params2):
 def test_anchor_walk_spreads_over_the_expander():
     # a walk that circles a few vertices of R_m overflows the schedules built from it
     n = 200
-    params = make_gamma_params(2, n, "desk")
+    params = make_gamma_params(2, n)
     part = thin_decompose(cycle_graph(n), 2).parts[0]
     f1 = build_f1(part, layout_thin(part, n), params)
     assert len(set(f1)) >= n // 2
@@ -429,7 +422,7 @@ SCALE_BUDGET_S = 20.0
     (4, random_bounded_graph(random.Random(4), 128, 4)),
 ], ids=["c400", "p400", "2reg400", "circ128-1-2", "circ128-1-7", "rand128-d4"])
 def test_spread_walks_embed_past_the_old_frontier(delta, h):
-    params = make_gamma_params(delta, h.vertex_count, "desk")
+    params = make_gamma_params(delta, h.vertex_count)
     start = time.perf_counter()
     result = embed(h, delta, params)
     assert result.certificate.ok and verify_induced(h, result, params).ok

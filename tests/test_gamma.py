@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from induniv.errors import ArgumentError, CertificationError, CodecError, InfeasibleBuildError
+from induniv.errors import ArgumentError, CertificationError, CodecError
 from induniv.gamma import (
     DeskConfig,
     GammaVertex,
     PAPER_D,
     PAPER_Z,
     PowerNeighborhoods,
-    Profile,
     ScaledCount,
     adjacency_from_labels,
-    count_log10,
     decode_label,
     encode_label,
     gamma_adjacent,
     gamma_adjacent_witness,
     gamma_vertex_count,
     make_gamma_params,
+    paper_sizes,
     shared_power_neighborhoods,
     validate_vertex,
 )
@@ -232,22 +231,13 @@ def test_metric_lives_as_long_as_its_graph(desk_params2):
 
 
 def test_paper_params_constants():
-    p = make_gamma_params(3, 10**6, Profile.PAPER)
+    p = paper_sizes(3, 10**6)
     assert p.d == PAPER_D == 734
     assert p.z == PAPER_Z == 160 * 734**5
     assert p.m == 5 * 160 * 3 * 734**8 * 1000
     assert p.m <= p.ell_m <= 32 * p.m
     assert p.ell_z >= p.z
-    assert p.r_m is None and p.r_z is None
-
-
-def test_paper_params_refuse_queries():
-    p = make_gamma_params(2, 100, Profile.PAPER)
-    v = GammaVertex(x1=0, blocks=((0, 0, 0),))
-    with pytest.raises(InfeasibleBuildError):
-        gamma_adjacent(v, v, p)
-    with pytest.raises(InfeasibleBuildError):
-        decode_label("0" * 16, p)
+    assert not hasattr(p, "r_m") and not hasattr(p, "r_z")
 
 
 def test_desk_params_shapes(desk_params3):
@@ -267,21 +257,21 @@ def test_desk_rejects_uncertifiable_substitute(monkeypatch):
     assert not failing.all_ok
     monkeypatch.setattr(gamma, "cached_lps_certificate", lambda p, q: failing)
     with pytest.raises(CertificationError, match="r_m failed certification"):
-        make_gamma_params(2, 10, Profile.DESK)
+        make_gamma_params(2, 10)
 
 
 def test_desk_hosts_must_share_their_degree():
     with pytest.raises(ArgumentError, match="fields rm_pq and rz_pq must share p"):
         DeskConfig(rz_pq=(13, 17))
     with pytest.raises(ArgumentError, match="fields rm_pq and rz_pq must share p"):
-        make_gamma_params(2, 10, "desk", {"rm_pq": (13, 17)})
+        make_gamma_params(2, 10, {"rm_pq": (13, 17)})
 
 
 def test_default_hosts_share_one_graph_and_one_metric(desk_params2):
     # only the lru caches keep R_m and R_z one graph, so check they do
     p = desk_params2
     assert p.r_m is p.r_z and p.rm_pow is p.rz_pow
-    other = make_gamma_params(2, 30, "desk", {"rz_pq": (5, 61)})
+    other = make_gamma_params(2, 30, {"rz_pq": (5, 61)})
     assert other.r_m is p.r_m and other.rm_pow is p.rm_pow
     assert other.r_z is not other.r_m and other.rz_pow is not other.rm_pow
     assert other.ell_z == 61 * (61**2 - 1) // 2
@@ -289,9 +279,9 @@ def test_default_hosts_share_one_graph_and_one_metric(desk_params2):
 
 def test_param_validation():
     with pytest.raises(ArgumentError):
-        make_gamma_params(1, 10, Profile.PAPER)
+        paper_sizes(1, 10)
     with pytest.raises(ArgumentError):
-        make_gamma_params(2, 0, Profile.PAPER)
+        paper_sizes(2, 0)
 
 
 def test_delta_two_has_single_block(desk_params2):
@@ -307,12 +297,12 @@ def test_delta_two_has_single_block(desk_params2):
 def test_desk_vertex_count_exact(desk_params2):
     p = desk_params2
     count = gamma_vertex_count(p)
-    assert isinstance(count, int)
-    assert count == p.ell_m**2 * 2**5185 * p.ell_z
+    assert (count.mantissa, count.exp2) == (p.ell_m**2 * p.ell_z, 5185)
+    assert count.mantissa << count.exp2 == p.ell_m**2 * 2**5185 * p.ell_z
 
 
 def test_paper_count_is_scaled():
-    p = make_gamma_params(3, 10**4, Profile.PAPER)
+    p = paper_sizes(3, 10**4)
     count = gamma_vertex_count(p)
     assert isinstance(count, ScaledCount)
     expected_log10 = (
@@ -324,8 +314,8 @@ def test_paper_count_is_scaled():
 def test_paper_count_ratio_under_quadrupling():
     # four times the capacity costs at most a bounded factor per coordinate
     for delta in (2, 3):
-        a = gamma_vertex_count(make_gamma_params(delta, 10**4, Profile.PAPER))
-        b = gamma_vertex_count(make_gamma_params(delta, 4 * 10**4, Profile.PAPER))
+        a = gamma_vertex_count(paper_sizes(delta, 10**4))
+        b = gamma_vertex_count(paper_sizes(delta, 4 * 10**4))
         ratio_log10 = b.ratio_log10(a)
         bound = delta * math.log10(64) + (delta / 2) * math.log10(2)
         assert 0 <= ratio_log10 <= bound
@@ -461,7 +451,7 @@ def test_codec_errors(desk_params2):
 
 @lru_cache(maxsize=None)
 def _codec_params(delta):
-    return make_gamma_params(delta, 30, "desk")
+    return make_gamma_params(delta, 30)
 
 
 def _draw_vertex(draw, params):
@@ -661,8 +651,7 @@ def test_label_adjacency_agrees_with_oracle(desk_params2):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rm_pq", 5), ("rm_pq", [5]), ("rz_pq", [5, "29"]), ("walk_budget", 2.5),
-    ("walk_budget", True), ("walk_budget", -5),
+    ("rm_pq", 5), ("rm_pq", [5]), ("rz_pq", [5, "29"]),
 ])
 def test_desk_config_rejects_a_field_of_the_wrong_type(field, value):
     with pytest.raises(ArgumentError, match=f"desk config field {field} must be"):
@@ -670,25 +659,27 @@ def test_desk_config_rejects_a_field_of_the_wrong_type(field, value):
     if isinstance(value, list):
         value = tuple(value)
     with pytest.raises(ArgumentError, match=f"desk config field {field} must be"):
-        make_gamma_params(2, 30, "desk", {field: value})
+        make_gamma_params(2, 30, {field: value})
 
 
-@pytest.mark.parametrize("overrides", [{"sigma_cap": 3}, {"walk_budget": 10, 7: 1}])
+@pytest.mark.parametrize("overrides", [{"sigma_cap": 3}, {"rm_pq": (5, 29), 7: 1}])
 def test_desk_overrides_name_a_key_that_is_not_a_field(overrides):
-    bad = next(k for k in overrides if k != "walk_budget")
+    bad = next(k for k in overrides if k != "rm_pq")
     with pytest.raises(ArgumentError, match=f"desk config has no field {bad}$"):
-        make_gamma_params(2, 30, "desk", overrides)
+        make_gamma_params(2, 30, overrides)
 
 
 def test_desk_config_takes_json_numbers():
+    # a key that is no longer a field, as in older embedding files, is ignored
     cfg = DeskConfig.from_json({"walk_budget": 0, "rm_pq": [5, 29]})
-    assert (cfg.walk_budget, cfg.rm_pq, cfg.rz_pq) == (0, (5, 29), (5, 29))
+    assert (cfg.rm_pq, cfg.rz_pq) == ((5, 29), (5, 29)) and cfg == DeskConfig()
 
 
-def test_desk_config_holds_the_hosts_and_the_walk_budget(desk_params2):
-    # every cap follows from the hosts and (delta, n); none is configured
-    assert list(DeskConfig().to_json()) == ["rm_pq", "rz_pq", "walk_budget"]
-    assert list(desk_params2.to_json()["desk"]) == ["rm_pq", "rz_pq", "walk_budget"]
+def test_desk_config_holds_only_the_hosts(desk_params2):
+    # every cap, and the walk search budget, follows from the hosts and
+    # (delta, n); none is configured
+    assert list(DeskConfig().to_json()) == ["rm_pq", "rz_pq"]
+    assert list(desk_params2.to_json()["desk"]) == ["rm_pq", "rz_pq"]
     assert desk_params2.sigma_cap_for(30) == max(2 * desk_params2.d, 4 * 5 + 4)
     assert desk_params2.usage_cap_for(30) == 40
 
@@ -697,7 +688,7 @@ def test_desk_config_holds_the_hosts_and_the_walk_budget(desk_params2):
 def test_params_reject_sizes_that_are_not_integers(delta, n):
     name = "delta" if not isinstance(delta, int) or isinstance(delta, bool) else "n"
     with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
-        make_gamma_params(delta, n, "desk")
+        make_gamma_params(delta, n)
 
 
 def test_params_digest_distinguishes_configs(desk_params2, desk_params3):
@@ -705,4 +696,4 @@ def test_params_digest_distinguishes_configs(desk_params2, desk_params3):
 
 
 def test_count_log10_plain_int():
-    assert count_log10(1000) == pytest.approx(3.0)
+    assert ScaledCount(mantissa=1000, exp2=0).log10() == pytest.approx(3.0)

@@ -46,6 +46,23 @@ def test_rejects_self_loops_and_bad_ids():
         Graph(-1)
 
 
+def test_vertex_ids_may_be_any_integer_type():
+    g = circulant_graph(40, [1, 3])
+    lps = cached_lps_graph(5, 29)
+    for v in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert g.neighbors(v) == g.neighbors(3) and g.degree(v) == 4
+        assert g.has_edge(v, np.int64(4)) and g.bfs_distances(v) == g.bfs_distances(3)
+        # the reference metric and the group metric alike
+        assert PowerNeighborhoods(g).row(v).tolist() == PowerNeighborhoods(g).row(3).tolist()
+        assert shared_power_neighborhoods(lps).row(v).tolist() == \
+            shared_power_neighborhoods(lps).row(3).tolist()
+    for bad in (3.0, "3", None, np.float64(3.0), 40, np.int64(-1)):
+        with pytest.raises(ArgumentError, match=r"vertex id .* out of range \[0, 40\)"):
+            g.neighbors(bad)
+        with pytest.raises(ArgumentError, match=r"out of range \[0, 40\)"):
+            PowerNeighborhoods(g).row(bad)
+
+
 def test_duplicate_edges_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1

@@ -157,7 +157,7 @@ def test_fuzzed_labels_verify_like_the_reference(desk_params2, desk_params3):
     rng = random.Random(77)
     witnesses = set()
     missing = 0
-    desk_params4 = make_gamma_params(4, 30, "desk")
+    desk_params4 = make_gamma_params(4, 30)
     for params, n, balls in ((desk_params3, 40, 2), (desk_params2, 90, 2),
                              (desk_params3, 150, 2), (desk_params3, 60, 1),
                              (desk_params4, 120, 1)):
@@ -306,7 +306,7 @@ def test_tampered_edge_witnesses_check_like_the_reference(desk_params3):
 
 
 def test_verify_makes_no_per_pair_oracle_calls(monkeypatch):
-    params = make_gamma_params(2, 40, "desk")
+    params = make_gamma_params(2, 40)
     h = cycle_graph(40)
     result = embed(h, 2, params)
     calls = []
@@ -355,11 +355,11 @@ def test_desk_metric_holds_no_rows():
     # nor a 2048-vertex verify leaves a per-vertex row behind
     metrics = []
     for h, delta in ((cycle_graph(100), 2), (circulant_graph(40, (1, 2)), 4)):
-        params = make_gamma_params(delta, h.vertex_count, "desk")
+        params = make_gamma_params(delta, h.vertex_count)
         assert verify_induced(h, embed(h, delta, params), params).ok
         metrics += [params.rm_pow, params.rz_pow]
     n = 2048
-    params = make_gamma_params(2, n, "desk")
+    params = make_gamma_params(2, n)
     verify_induced(path_graph(n), _rebuilt(_walk_labelling(params, n)), params)
     for pw in metrics + [params.rm_pow, params.rz_pow]:
         assert pw._group is not None and not pw._cache
@@ -383,7 +383,7 @@ def _embed_keeping_tables(monkeypatch, h, delta, params):
     (4, circulant_graph(40, (1, 2))),
 ], ids=["d2", "d3", "d4"])
 def test_induced_check_reads_the_attempt_tables(monkeypatch, delta, h):
-    params = make_gamma_params(delta, h.vertex_count, "desk")
+    params = make_gamma_params(delta, h.vertex_count)
     result, close = _embed_keeping_tables(monkeypatch, h, delta, params)
     scans = []
     close_pairs = type(params.rm_pow).close_pairs
