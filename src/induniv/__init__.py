@@ -48,8 +48,6 @@ from .lps import (
 )
 from .walks import (
     ConstraintSchedule,
-    WalkMap,
-    WalkParams,
     build_walk_map,
     count_q_expanding,
     is_q_expanding,

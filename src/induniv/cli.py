@@ -301,6 +301,10 @@ def _parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    # the mantissa of a vertex count passes the 4,300 digits Python writes
+    # in decimal by default once delta is in the hundreds
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
         code, payload = _HANDLERS[args.command](args)
@@ -336,10 +340,6 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:  # console entry point
-    # the mantissa of a vertex count passes the 4,300 digits Python writes
-    # in decimal by default once delta is in the hundreds
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     raise SystemExit(run())
 
 

@@ -18,10 +18,10 @@ expander, built with the conflict pairs as separation constraints.
 The anchor map, the coordinate maps into the large expander R_m and the
 shield maps into the small expander R_z are one walk stage (``_walk_stage``):
 a constrained walk on the host, read through the part's layout and checked
-to be a homomorphism into the host's 4th power. Maps into R_m are also
-checked for well-distribution. A schedule may only name indices a full block
-behind (``walks.prefix_limit``); a shield conflict closer than that goes to
-the walk as a direct avoidance constraint.
+to be a homomorphism into the host's 4th power. The walk itself is checked
+for well-distribution (the usage cap) before it is returned. A schedule may
+only name indices a full block behind (``walks.prefix_limit``); a shield
+conflict closer than that goes to the walk as a direct avoidance constraint.
 
 The assembled embedding is certified: every property is re-verified from its
 definition, and the final induced check decides oracle adjacency for every
@@ -30,9 +30,11 @@ decided only in ``gamma``: the induced check compares the oracle's batched
 form (``gamma.adjacent_pairs``, built from close-pair sets instead of
 visiting all pairs) with the input, and the edge-witness check asks the
 rule's block test (``gamma.block_link``) about each edge at its two parts.
-The certificate also asks the scalar public label oracle about every pair,
-so the batched verdict and the oracle are held to agree. Nothing is accepted
-on the strength of the construction alone.
+The certificate also decides every pair once more with the scalar rule,
+``gamma.gamma_adjacent_witness`` on the assembled vertices (the x-scan that
+``adjacency_from_labels`` runs on parsed labels), so the batched verdict and
+the scalar rule are held to agree; no label is encoded or parsed there.
+Nothing is accepted on the strength of the construction alone.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .thin import (
     thin_decompose,
 )
 from . import walks
-from .walks import ConstraintSchedule, WalkParams, build_walk_map, prefix_limit
+from .walks import ConstraintSchedule, build_walk_map, prefix_limit
 
 LOCAL_WINDOW = 8  # layout gap under which coordinate images must differ
 CONFLICT_GAP = 4  # conflict pairs sit more than this many layout slots apart
@@ -217,8 +219,8 @@ def build_f1(
     """
     assignment, broken = _walk_stage(
         "f1", part, layout, params.r_m, params.rm_pow,
-        ConstraintSchedule.empty(len(layout.phi)), params)
-    _require_clean("f1", broken + _check_usage(assignment, params))
+        ConstraintSchedule(len(layout.phi)), params)
+    _require_clean("f1", broken)
     return assignment
 
 
@@ -282,8 +284,7 @@ def build_fi(
     assignment, broken = _walk_stage(
         f"f{i}", part, layout, params.r_m, params.rm_pow, schedule, params)
     conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params, close)
-    _require_clean(f"f{i}", broken + _check_usage(assignment, params)
-                   + _check_anchor_distinct(coord_maps[0], assignment)
+    _require_clean(f"f{i}", broken + _check_anchor_distinct(coord_maps[0], assignment)
                    + _check_window_distinct(layout, assignment)
                    + _check_conflict_bound(conflicts, layout, params))
     return assignment, conflicts
@@ -469,11 +470,13 @@ def check_edge_witnesses(
 def check_oracle_agreement(
     h: Graph, result: EmbeddingResult, params: GammaParams
 ) -> list[str]:
-    """Every pair decoded by the public label oracle, one call per pair,
-    must agree with the input. ``verify_induced`` decides the same question
-    from batched close-pair sets; this check ties the emitted labels to the
-    oracle that decodes them, so a drift between the two is caught when the
-    embedding is built."""
+    """Every pair of assembled vertices, decided one call per pair by the
+    scalar rule ``gamma_adjacent_witness``, must agree with the input.
+    ``verify_induced`` decides the same question from batched close-pair
+    sets; this check holds the batched form to the scalar x-scan, which
+    ``adjacency_from_labels`` also runs, so a drift between the two is caught
+    when the embedding is built. It works on the ``GammaVertex`` values and
+    encodes or parses no label."""
     n = h.vertex_count
     gamma = result.gamma
     if len(gamma) != n:
@@ -598,23 +601,23 @@ def _walk_stage(
     edges it fails to send into the host's 4th power.
 
     A walk on the host under ``schedule`` (plus the ``late`` avoidance
-    constraints, see ``build_walk_map``) is read through the part's layout;
-    a walk stuck past ``walks.SEARCH_BUDGET`` steps is tagged with ``stage``.
-    The map is a homomorphism into the 4th power when the list is empty: the
-    layout stretches no edge past 4 and the walk is locally a path, but that
-    is checked, not assumed.
+    constraints, see ``build_walk_map``), its block length the host's and
+    its caps the embedding's for n vertices, is read through the part's
+    layout; the walk has checked its own well-distribution. A walk stuck
+    past ``walks.SEARCH_BUDGET`` steps is tagged with ``stage``. The map is a
+    homomorphism into the 4th power when the list is empty: the layout
+    stretches no edge past 4 and the walk is locally a path, but that is
+    checked, not assumed.
     """
     n = len(layout.phi)
-    wp = WalkParams.for_graph(host, usage_cap=params.usage_cap_for(n),
-                              sigma_cap=params.sigma_cap_for(n))
     try:
-        wm = build_walk_map(host, schedule, wp, search_budget=walks.SEARCH_BUDGET,
-                            extra_avoid=late)
+        values = build_walk_map(host, schedule, usage_cap=params.usage_cap_for(n),
+                                sigma_cap=params.sigma_cap_for(n), extra_avoid=late)
     except WalkStuckError as exc:
         exc.payload["stage"] = stage
         exc.stage = stage
         raise
-    assignment = tuple(wm.values[t] for t in layout.phi)
+    assignment = tuple(values[t] for t in layout.phi)
     broken = [f"edge ({u}, {v}) maps to non-adjacent images "
               f"({assignment[u]}, {assignment[v]})"
               for u, v in part.edges()
@@ -627,16 +630,6 @@ def _require_clean(stage: str, violations: list[str]) -> None:
     if violations:
         raise PropertyFailureError(
             f"stage {stage} failed verification", stage=stage, violations=violations)
-
-
-def _check_usage(assignment: tuple[int, ...], params: GammaParams) -> list[str]:
-    """Well-distribution of a map into R_m: no image used past the cap."""
-    cap = params.usage_cap_for(len(assignment))
-    usage: dict[int, int] = {}
-    for img in assignment:
-        usage[img] = usage.get(img, 0) + 1
-    return [f"image {img} used {c} times, well-distribution cap {cap}"
-            for img, c in sorted(usage.items()) if c > cap]
 
 
 def _check_anchor_distinct(

@@ -535,9 +535,6 @@ class PathPowerLayout:
     phi: tuple[int, ...]
     n: int
 
-    def position(self, v: int) -> int:
-        return self.phi[v]
-
     def order(self) -> list[int]:
         inv = [-1] * len(self.phi)
         for v, t in enumerate(self.phi):

@@ -9,8 +9,11 @@ host graph F subject to three properties:
   * blocks  -- every window (f(kq), ..., f(kq + min(2q, n-kq) - 1)) is a path,
     so the whole sequence is a walk that is locally self-avoiding.
 
-The schedule may only constrain an index against indices at least one full
-block behind it, which is what makes the block-by-block construction sound.
+The block length q comes from the host, q = ceil(log10 ell) for a host
+with ell vertices (``step_for``), as in the walk lemma of Alon-Capalbo; the
+caller gives only the two caps. The schedule may only constrain an index
+against indices at least one full block behind it, which is what makes the
+block-by-block construction sound.
 The builder is a deterministic depth-first search with backtracking; its
 output is always re-verified before being returned, never assumed correct.
 Each step tries the neighbours of the last vertex in order of how often the
@@ -29,8 +32,6 @@ breadth-first reference, which keeps the row of each vertex asked about.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
 from collections import Counter
@@ -71,42 +72,11 @@ def prefix_limit(t, q: int):
 
 
 @dataclass(frozen=True)
-class WalkParams:
-    """The walk construction's sizes for one host graph: its vertex count,
-    the block length and the two caps. The caps are the embedding's
-    (``GammaParams.usage_cap_for`` and ``sigma_cap_for``)."""
-
-    ell: int
-    step: int
-    usage_cap: int
-    sigma_cap: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ArgumentError("ell must be >= 1")
-        if self.step < 1:
-            raise ArgumentError("step must be >= 1")
-        if self.usage_cap < 1:
-            raise ArgumentError("usage_cap must be >= 1")
-        if self.sigma_cap < 0:
-            raise ArgumentError("sigma_cap must be >= 0")
-
-    @classmethod
-    def for_graph(cls, f: Graph, usage_cap: int, sigma_cap: int) -> "WalkParams":
-        ell = f.vertex_count
-        return cls(ell=ell, step=step_for(ell), usage_cap=usage_cap, sigma_cap=sigma_cap)
-
-
-@dataclass(frozen=True)
 class ConstraintSchedule:
     """Per-index sets of earlier indices whose images must stay far away."""
 
     n: int
     sigma: dict[int, frozenset[int]] = field(default_factory=dict)
-
-    @classmethod
-    def empty(cls, n: int) -> "ConstraintSchedule":
-        return cls(n=n, sigma={})
 
     @classmethod
     def from_sets(cls, n: int, sets: Mapping[int, Iterable[int]]) -> "ConstraintSchedule":
@@ -115,9 +85,9 @@ class ConstraintSchedule:
     def at(self, t: int) -> frozenset[int]:
         return self.sigma.get(t, frozenset())
 
-    def problems(self, params: WalkParams) -> list[str]:
-        """Violations of the schedule invariants, empty when valid."""
-        q = params.step
+    def problems(self, q: int, sigma_cap: int) -> list[str]:
+        """Violations of the schedule invariants for block length q and at
+        most ``sigma_cap`` entries per index, empty when valid."""
         out = []
         for t, targets in sorted(self.sigma.items()):
             if not 0 <= t < self.n:
@@ -127,28 +97,9 @@ class ConstraintSchedule:
             bad = [x for x in targets if x > limit or x < 0]
             if bad:
                 out.append(f"sigma({t}) reaches {sorted(bad)} past the prefix limit {limit}")
-            if len(targets) > params.sigma_cap:
-                out.append(f"sigma({t}) has {len(targets)} entries, cap {params.sigma_cap}")
+            if len(targets) > sigma_cap:
+                out.append(f"sigma({t}) has {len(targets)} entries, cap {sigma_cap}")
         return out
-
-    def digest(self) -> str:
-        payload = json.dumps(
-            {"n": self.n, "sigma": {str(t): sorted(s) for t, s in sorted(self.sigma.items())}},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class WalkMap:
-    """A built assignment together with the schedule it satisfies."""
-
-    values: tuple[int, ...]
-    schedule: ConstraintSchedule
-    usage: dict[int, int]
-
-    def to_json(self) -> dict:
-        return {"values": list(self.values), "schedule_digest": self.schedule.digest()}
 
 
 @dataclass(frozen=True)
@@ -158,26 +109,21 @@ class WalkViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class WalkReport:
-    violations: tuple[WalkViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def of_kind(self, kind: str) -> list[WalkViolation]:
-        return [v for v in self.violations if v.kind == kind]
-
-
 def build_walk_map(
-    f_graph: Graph,
+    host: Graph,
     schedule: ConstraintSchedule,
-    params: WalkParams,
-    search_budget: int = SEARCH_BUDGET,
+    *,
+    usage_cap: int,
+    sigma_cap: int,
     extra_avoid: Mapping[int, Iterable[int]] | None = None,
-) -> WalkMap:
-    """Deterministic backtracking construction of a walk map.
+) -> tuple[int, ...]:
+    """Deterministic backtracking construction of a walk map: the image of
+    each index 0..n-1, with n = ``schedule.n``.
+
+    The block length is the host's, ``step_for(host.vertex_count)``; the
+    caps are the embedding's (``GammaParams.usage_cap_for`` and
+    ``sigma_cap_for``). The search takes at most ``SEARCH_BUDGET`` steps,
+    read when the call starts.
 
     ``extra_avoid`` adds separation constraints against earlier indices that
     the schedule invariant cannot express (targets inside the current or
@@ -185,26 +131,28 @@ def build_walk_map(
     property those constraints serve.
 
     Raises WalkStuckError with the stuck position and a resumable prefix when
-    the budget runs out, and ArgumentError on invalid schedules.
+    the budget runs out, and ArgumentError on invalid caps or schedules.
     """
-    if f_graph.vertex_count != params.ell:
-        raise ArgumentError(
-            f"params.ell={params.ell} does not match host graph size {f_graph.vertex_count}")
-    if not f_graph.is_connected():
+    if usage_cap < 1:
+        raise ArgumentError("usage_cap must be >= 1")
+    if sigma_cap < 0:
+        raise ArgumentError("sigma_cap must be >= 0")
+    if not host.is_connected():
         raise ArgumentError("walk host graph must be connected")
-    issues = schedule.problems(params)
+    ell = host.vertex_count
+    q = step_for(ell)
+    issues = schedule.problems(q, sigma_cap)
     if issues:
         raise ArgumentError("invalid schedule: " + "; ".join(issues))
     n = schedule.n
     if n < 0:
         raise ArgumentError("schedule length must be non-negative")
     if n == 0:
-        return WalkMap(values=(), schedule=schedule, usage={})
+        return ()
 
-    q = params.step
-    cap = params.usage_cap
-    close = shared_power_neighborhoods(f_graph).contains
-    adj = f_graph._adj  # the host's sorted neighbour tuples, read without id checks
+    budget = SEARCH_BUDGET
+    close = shared_power_neighborhoods(host).contains
+    adj = host._adj  # the host's sorted neighbour tuples, read without id checks
     n_pad = ((n + q - 1) // q) * q
 
     late: dict[int, tuple[int, ...]] = {}
@@ -231,7 +179,7 @@ def build_walk_map(
         Made once when t is reached: the positions before t keep their
         images while t is being filled."""
         if t == 0:
-            order = iter(range(params.ell))
+            order = iter(range(ell))
         else:
             order = iter(sorted(adj[values[t - 1]],
                                 key=lambda w: (usage.get(w, 0), _mix(w, t))))
@@ -244,16 +192,16 @@ def build_walk_map(
         placed = False
         for w in order:
             spent += 1
-            if spent > search_budget:
+            if spent > budget:
                 raise WalkStuckError(
                     "walk search budget exhausted",
                     position=t,
                     state=tuple(values),
-                    budget=search_budget,
+                    budget=budget,
                     scheduled_targets=len(schedule.at(t)),
-                    at_cap=sum(1 for u in usage.values() if u >= cap),
+                    at_cap=sum(1 for u in usage.values() if u >= usage_cap),
                 )
-            if usage.get(w, 0) >= cap or w in window:
+            if usage.get(w, 0) >= usage_cap or w in window:
                 continue
             for t2 in targets:
                 x = values[t2]
@@ -270,54 +218,54 @@ def build_walk_map(
             if t == 0:
                 raise WalkStuckError(
                     "no feasible starting vertex", position=0, state=(),
-                    budget=search_budget)
+                    budget=budget)
             frames.pop()
             prev = values.pop()
             usage[prev] -= 1
 
     final = tuple(values[:n])
-    wm = WalkMap(values=final, schedule=schedule, usage=dict(Counter(final)))
-    report = verify_walk_map(f_graph, schedule, params, wm)
-    if not report.ok:
+    violations = verify_walk_map(host, schedule, final, usage_cap)
+    if violations:
         raise IntegrityError(
             "walk builder produced a map failing its own verification",
-            violations=[v.detail for v in report.violations],
+            violations=[v.detail for v in violations],
         )
-    return wm
+    return final
 
 
 def verify_walk_map(
-    f_graph: Graph,
+    host: Graph,
     schedule: ConstraintSchedule,
-    params: WalkParams,
-    wm: WalkMap,
-) -> WalkReport:
-    """Recheck of the usage, separation and block properties from the map.
+    values: Sequence[int],
+    usage_cap: int,
+) -> tuple[WalkViolation, ...]:
+    """Recheck of the usage, separation and block properties of ``values``,
+    the image of each index, with the host's block length. Empty when the
+    map is clean.
 
     Recomputes the usage histogram, radius-4 closeness of every scheduled
     pair (through the shared metric, which the tests hold to BFS), and
     path-ness of every block window from scratch. Raises ArgumentError on a
     value that is not a vertex of the host.
     """
-    vals = wm.values
-    for v in vals:
-        f_graph._check_vertex(v)
-    close = shared_power_neighborhoods(f_graph).contains
-    adj = f_graph._adj  # the host's sorted neighbour tuples, read without id checks
-    n = len(vals)
+    for v in values:
+        host._check_vertex(v)
+    close = shared_power_neighborhoods(host).contains
+    adj = host._adj  # the host's sorted neighbour tuples, read without id checks
+    n = len(values)
     out: list[WalkViolation] = []
 
-    counts = Counter(vals)
+    counts = Counter(values)
     for v, c in sorted(counts.items()):
-        if c > params.usage_cap:
+        if c > usage_cap:
             out.append(WalkViolation(
-                "usage", (v,), f"vertex {v} used {c} times, cap {params.usage_cap}"))
+                "usage", (v,), f"vertex {v} used {c} times, cap {usage_cap}"))
 
     for t in sorted(t for t in schedule.sigma if 0 <= t < n):
         for t2 in sorted(schedule.sigma[t]):
             if t2 >= n:
                 continue
-            a, b = vals[t], vals[t2]
+            a, b = values[t], values[t2]
             if a == b:
                 out.append(WalkViolation(
                     "separation", (t, t2), f"indices {t},{t2} share image {a}"))
@@ -325,15 +273,15 @@ def verify_walk_map(
             if close(a, b):
                 out.append(WalkViolation(
                     "separation", (t, t2),
-                    f"images of {t},{t2} are at distance {f_graph.distance(a, b)} "
+                    f"images of {t},{t2} are at distance {host.distance(a, b)} "
                     f"<= {RADIUS}"))
 
-    q = params.step
+    q = step_for(host.vertex_count)
     k = 0
     while k * q < n:
         start = k * q
         width = min(2 * q, n - start)
-        window = vals[start:start + width]
+        window = values[start:start + width]
         if len(set(window)) != len(window):
             out.append(WalkViolation(
                 "blocks", (k,), f"window at block {k} repeats a vertex: {window}"))
@@ -345,7 +293,7 @@ def verify_walk_map(
                         f"window at block {k} breaks adjacency at offset {i}"))
                     break
         k += 1
-    return WalkReport(violations=tuple(out))
+    return tuple(out)
 
 
 # -- expanding vertices -------------------------------------------------------

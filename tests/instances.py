@@ -14,13 +14,15 @@ import random
 from induniv.errors import ArgumentError
 from induniv.gamma import GammaParams, GammaVertex
 from induniv.graphs import RADIUS, Graph
-from induniv.walks import ConstraintSchedule, WalkMap, WalkParams, prefix_limit
+from induniv.walks import ConstraintSchedule, prefix_limit, step_for
 
 
 def random_walk_instance(
     rng: random.Random,
-) -> tuple[Graph, ConstraintSchedule, WalkParams]:
-    """A host graph and schedule on which the walk construction must succeed.
+) -> tuple[Graph, ConstraintSchedule, dict[str, int]]:
+    """A host graph, a schedule and the walk's caps (``usage_cap`` and
+    ``sigma_cap``, as keywords of ``build_walk_map``) on which the walk
+    construction must succeed.
 
     Hosts are cycles with a few short chords: radius-4 balls stay small
     relative to the graph, so separation constraints leave room. Feasibility
@@ -38,9 +40,8 @@ def random_walk_instance(
             edges.append((min(a, b), max(a, b)))
     host = Graph(ell, edges)
     n = rng.randrange(20, ell - 5)
-    wp = WalkParams.for_graph(
-        host, usage_cap=max(4, math.ceil(n / ell) + 3), sigma_cap=max(2, ell // 12))
-    q = wp.step
+    caps = {"usage_cap": max(4, math.ceil(n / ell) + 3), "sigma_cap": max(2, ell // 12)}
+    q = step_for(ell)
     gap = max(8, 2 * q + 2)
     sets: dict[int, set[int]] = {}
     for t in range(gap, n):
@@ -55,19 +56,19 @@ def random_walk_instance(
             if not witness_ok:
                 continue
             picks = {rng.choice(witness_ok) for _ in range(rng.randrange(1, 3))}
-            sets[t] = set(itertools.islice(picks, wp.sigma_cap))
-    return host, ConstraintSchedule.from_sets(n, sets), wp
+            sets[t] = set(itertools.islice(picks, caps["sigma_cap"]))
+    return host, ConstraintSchedule.from_sets(n, sets), caps
 
 
 def inject_walk_fault(
     rng: random.Random,
     host: Graph,
     schedule: ConstraintSchedule,
-    wm: WalkMap,
+    walk: tuple[int, ...],
     kind: str,
-) -> WalkMap:
+) -> tuple[int, ...]:
     """Corrupt a verified walk map so the named property must fail."""
-    values = list(wm.values)
+    values = list(walk)
     n = len(values)
     if kind == "separation":
         constrained = [t for t in range(n) if schedule.at(t)]
@@ -83,7 +84,7 @@ def inject_walk_fault(
             values[t] = v
     else:
         raise ArgumentError(f"unknown fault kind {kind!r}")
-    return WalkMap(values=tuple(values), schedule=schedule, usage=wm.usage)
+    return tuple(values)
 
 
 def random_bounded_graph(rng: random.Random, n: int, delta: int) -> Graph:

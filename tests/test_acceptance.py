@@ -29,6 +29,7 @@ from induniv.thin import (
     validate_decomposition,
     validate_layout,
 )
+from induniv import walks
 from induniv.walks import build_walk_map, is_q_expanding, verify_walk_map
 from instances import (
     inject_walk_fault,
@@ -94,22 +95,23 @@ def test_criterion_2_expanding_oracle_equivalence():
     _report(2, "expanding-vertex oracle equivalence", ok, time.time() - t0, 60)
 
 
-def test_criterion_3_walk_lemma_properties():
+def test_criterion_3_walk_lemma_properties(monkeypatch):
     t0 = time.time()
     rng = random.Random(31)
+    monkeypatch.setattr(walks, "SEARCH_BUDGET", 1_000_000)
     built = verified = detected = injected = 0
     for i in range(500):
-        host, schedule, wp = random_walk_instance(rng)
-        wm = build_walk_map(host, schedule, wp, search_budget=1_000_000)
+        host, schedule, caps = random_walk_instance(rng)
+        walk = build_walk_map(host, schedule, **caps)
         built += 1
-        if verify_walk_map(host, schedule, wp, wm).ok:
+        if not verify_walk_map(host, schedule, walk, caps["usage_cap"]):
             verified += 1
         kind = ("separation", "blocks", "usage")[i % 3]
         if kind == "separation" and not schedule.sigma:
             kind = "blocks"
         injected += 1
-        bad = inject_walk_fault(rng, host, schedule, wm, kind)
-        if verify_walk_map(host, schedule, wp, bad).of_kind(kind):
+        bad = inject_walk_fault(rng, host, schedule, walk, kind)
+        if any(v.kind == kind for v in verify_walk_map(host, schedule, bad, caps["usage_cap"])):
             detected += 1
     ok = built == verified == 500 and detected == injected == 500
     _report(3, "walk construction properties", ok, time.time() - t0, 180)

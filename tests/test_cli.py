@@ -396,9 +396,28 @@ def test_python_dash_m_prints_a_count_past_the_decimal_digit_limit():
          "--delta", "120", "--n", "30"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    # read the integers as text: this process keeps Python's 4,300-digit limit
+    # read the integers as text, whatever this process's digit limit is
     doc = json.loads(done.stdout, parse_int=str)
     assert len(doc["vertex_count_mantissa"]) > 4300 and doc["vertex_count_exp2"].isdigit()
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["json", "table"])
+def test_run_writes_a_count_past_the_decimal_digit_limit(tmp_path, table):
+    # called in-process, as a library caller would, not through main
+    out = tmp_path / "paper.txt"
+    argv = ["gamma-params", "--profile", "paper", "--delta", "120", "--n", "30",
+            "--output", str(out)]
+    assert run(argv + ["--table"] * table) == 0
+    text = out.read_text()
+    if table:
+        fields = dict(line.split(": ", 1) for line in text.splitlines())
+        mantissa, ell_m, ell_z = (int(fields[k]) for k in ("vertex_count_mantissa",
+                                                          "ell_m", "ell_z"))
+    else:
+        doc = json.loads(text)
+        mantissa, ell_m, ell_z = doc["vertex_count_mantissa"], doc["ell_m"], doc["ell_z"]
+        assert isinstance(mantissa, int)
+    assert mantissa == ell_m * (ell_m * ell_z) ** 119 and len(str(mantissa)) > 4300
 
 
 def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):
