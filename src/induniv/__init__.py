@@ -54,7 +54,6 @@ from .walks import (
     verify_walk_map,
 )
 from .thin import (
-    PathPowerLayout,
     ThinDecomposition,
     is_thin,
     layout_thin,

@@ -68,7 +68,6 @@ def build_parser() -> _Parser:
 
     p = add_parser("layout", help="stretch-4 path layout of a thin graph")
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, default=None)
 
     p = add_parser("gamma-params", help="product-graph parameters")
     p.add_argument("--delta", type=int, required=True)
@@ -146,12 +145,8 @@ def _cmd_decompose(args) -> tuple[int, dict]:
 
 
 def _cmd_layout(args) -> tuple[int, dict]:
-    g = load_edge_list(args.input)
-    n = args.n if args.n is not None else g.vertex_count
-    layout = layout_thin(g, n)
-    payload = {"schema": "induniv/layout-v1"}
-    payload.update(layout.to_json())
-    return 0, payload
+    phi = layout_thin(load_edge_list(args.input))
+    return 0, {"schema": "induniv/layout-v1", "phi": list(phi)}
 
 
 def _cmd_gamma_params(args) -> tuple[int, dict]:

@@ -62,12 +62,7 @@ from .gamma import (
     gamma_adjacent_witness,
 )
 from .graphs import Graph
-from .thin import (
-    PathPowerLayout,
-    ThinDecomposition,
-    layout_thin,
-    thin_decompose,
-)
+from .thin import ThinDecomposition, layout_thin, thin_decompose
 from . import walks
 from .walks import ConstraintSchedule, build_walk_map, prefix_limit
 
@@ -79,6 +74,7 @@ CONFLICT_GAP = 4  # conflict pairs sit more than this many layout slots apart
 class HomomorphismSet:
     """All per-part maps of one embedding attempt.
 
+    ``layouts[i]`` is the layout phi of part i+1 (``thin.layout_thin``);
     ``coord[i]`` maps every vertex into the large expander for part i+1;
     ``shield[i]`` maps into the small expander for parts 2..delta (1-based
     part index as key). ``label_sets[i][h]`` is the bitmask of neighbor
@@ -86,7 +82,7 @@ class HomomorphismSet:
     """
 
     decomposition: ThinDecomposition
-    layouts: tuple[PathPowerLayout, ...]
+    layouts: tuple[tuple[int, ...], ...]
     coord: tuple[tuple[int, ...], ...]
     shield: dict[int, tuple[int, ...]]
     label_sets: dict[int, tuple[int, ...]]
@@ -208,7 +204,7 @@ class CloseSets:
 
 def build_f1(
     part: Graph,
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     params: GammaParams,
 ) -> tuple[int, ...]:
     """Anchor coordinate map: an unconstrained walk read through the layout.
@@ -218,8 +214,8 @@ def build_f1(
     still verified, not assumed.
     """
     assignment, broken = _walk_stage(
-        "f1", part, layout, params.r_m, params.rm_pow,
-        ConstraintSchedule(len(layout.phi)), params)
+        "f1", part, phi, params.r_m, params.rm_pow,
+        ConstraintSchedule(len(phi)), params)
     _require_clean("f1", broken)
     return assignment
 
@@ -228,7 +224,7 @@ def compute_sigma_i(
     i: int,
     h: Graph,
     coord_maps: list[tuple[int, ...]],
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     params: GammaParams,
     close: CloseSets | None = None,
 ) -> ConstraintSchedule:
@@ -251,7 +247,7 @@ def compute_sigma_i(
     keys = close.union(coord_maps)
     keys = np.concatenate([keys[~_member(close.edge_keys(h), keys)],
                            _pair_keys(_collisions(coord_maps[0]), n)])
-    phi = np.asarray(layout.phi, dtype=np.int64)
+    phi = np.asarray(phi, dtype=np.int64)
     ta, tb = phi[keys // n], phi[keys % n]
     a_due = tb <= prefix_limit(ta, q)
     b_due = ta <= prefix_limit(tb, q)
@@ -272,7 +268,7 @@ def compute_sigma_i(
 def build_fi(
     i: int,
     part: Graph,
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     schedule: ConstraintSchedule,
     params: GammaParams,
     *,
@@ -282,11 +278,11 @@ def build_fi(
 ) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
     """Coordinate map for part i and its conflict sets, both verified."""
     assignment, broken = _walk_stage(
-        f"f{i}", part, layout, params.r_m, params.rm_pow, schedule, params)
-    conflicts = compute_bad_sets(i, h, coord_maps + [assignment], layout, params, close)
+        f"f{i}", part, phi, params.r_m, params.rm_pow, schedule, params)
+    conflicts = compute_bad_sets(i, h, coord_maps + [assignment], phi, params, close)
     _require_clean(f"f{i}", broken + _check_anchor_distinct(coord_maps[0], assignment)
-                   + _check_window_distinct(layout, assignment)
-                   + _check_conflict_bound(conflicts, layout, params))
+                   + _check_window_distinct(phi, assignment)
+                   + _check_conflict_bound(conflicts, phi, params))
     return assignment, conflicts
 
 
@@ -294,7 +290,7 @@ def compute_bad_sets(
     i: int,
     h: Graph,
     coord_maps: list[tuple[int, ...]],
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     params: GammaParams,
     close: CloseSets | None = None,
 ) -> dict[int, frozenset[int]]:
@@ -311,7 +307,7 @@ def compute_bad_sets(
     keys = close.of(coord_maps[i - 1])
     keys = keys[_member(close.union(coord_maps[: i - 1]), keys)]
     keys = keys[~_member(close.edge_keys(h), keys)]
-    phi = np.asarray(layout.phi, dtype=np.int64)
+    phi = np.asarray(phi, dtype=np.int64)
     a, b = keys // n, keys % n
     far = np.abs(phi[a] - phi[b]) > CONFLICT_GAP
     out: dict[int, set[int]] = {v: set() for v in range(n)}
@@ -324,7 +320,7 @@ def compute_bad_sets(
 def build_ri(
     i: int,
     part: Graph,
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     conflicts: dict[int, frozenset[int]],
     params: GammaParams,
 ) -> tuple[int, ...]:
@@ -335,14 +331,13 @@ def build_ri(
     direct avoidance constraints during the search. The separation property
     is then verified outright.
     """
-    n = len(layout.phi)
-    pos = layout.phi
+    n = len(phi)
     q = params.q_z
     sched_sets: dict[int, set[int]] = {}
     late: dict[int, set[int]] = {}
     for a in range(n):
         for b in conflicts.get(a, ()):  # type: ignore[union-attr]
-            ta, tb = pos[a], pos[b]
+            ta, tb = phi[a], phi[b]
             if tb < ta:
                 due = sched_sets if tb <= prefix_limit(ta, q) else late
                 due.setdefault(ta, set()).add(tb)
@@ -354,7 +349,7 @@ def build_ri(
                 f"shield schedule at {t} has {len(entries)} entries, cap {cap}",
                 position=t, size=len(entries), cap=cap)
     assignment, broken = _walk_stage(
-        f"r{i}", part, layout, params.r_z, params.rz_pow,
+        f"r{i}", part, phi, params.r_z, params.rz_pow,
         ConstraintSchedule.from_sets(n, sched_sets), params, late)
     _require_clean(f"r{i}", broken + _check_conflict_shielded(conflicts, assignment, params))
     return assignment
@@ -514,10 +509,10 @@ def embed(
             f"{h.vertex_count} vertices exceed the parameter capacity {params.n}")
 
     dec = thin_decompose(h, delta)
-    laid: dict[Graph, PathPowerLayout] = {}  # the even route's twin parts are one graph
+    laid: dict[Graph, tuple[int, ...]] = {}  # the even route's twin parts are one graph
     for part in dec.parts:
         if part not in laid:
-            laid[part] = layout_thin(part, h.vertex_count)
+            laid[part] = layout_thin(part)
     layouts = tuple(laid[part] for part in dec.parts)
 
     try:
@@ -536,7 +531,7 @@ def embed(
 def _attempt(
     h: Graph,
     dec: ThinDecomposition,
-    layouts: tuple[PathPowerLayout, ...],
+    layouts: tuple[tuple[int, ...], ...],
     params: GammaParams,
 ) -> EmbeddingResult:
     # a stage that fails its checks raises, so every logged stage is green
@@ -548,16 +543,16 @@ def _attempt(
     conflicts_all: dict[int, dict[int, frozenset[int]]] = {}
     close = CloseSets(params.rm_pow, h.vertex_count)
     for i in range(2, params.delta + 1):
-        part, layout = dec.parts[i - 1], layouts[i - 1]
-        schedule = compute_sigma_i(i, h, coord, layout, params, close)
-        fi, conflicts = build_fi(i, part, layout, schedule, params,
+        part, phi = dec.parts[i - 1], layouts[i - 1]
+        schedule = compute_sigma_i(i, h, coord, phi, params, close)
+        fi, conflicts = build_fi(i, part, phi, schedule, params,
                                  h=h, coord_maps=coord, close=close)
         coord.append(fi)
         stage_log.append(
             f"f{i}: homomorphism, well-distribution, anchor-distinct, "
             "window-distinct, conflict-bound")
         conflicts_all[i] = conflicts
-        shield[i] = build_ri(i, part, layout, conflicts, params)
+        shield[i] = build_ri(i, part, phi, conflicts, params)
         stage_log.append(f"r{i}: homomorphism, conflict-shielded")
         label_sets[i] = build_label_sets(i, part, coord[i - 1], params)
 
@@ -590,7 +585,7 @@ def _attempt(
 def _walk_stage(
     stage: str,
     part: Graph,
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     host: Graph,
     host_pow,
     schedule: ConstraintSchedule,
@@ -609,7 +604,7 @@ def _walk_stage(
     stretches no edge past 4 and the walk is locally a path, but that is
     checked, not assumed.
     """
-    n = len(layout.phi)
+    n = len(phi)
     try:
         values = build_walk_map(host, schedule, usage_cap=params.usage_cap_for(n),
                                 sigma_cap=params.sigma_cap_for(n), extra_avoid=late)
@@ -617,7 +612,7 @@ def _walk_stage(
         exc.payload["stage"] = stage
         exc.stage = stage
         raise
-    assignment = tuple(values[t] for t in layout.phi)
+    assignment = tuple(values[t] for t in phi)
     broken = [f"edge ({u}, {v}) maps to non-adjacent images "
               f"({assignment[u]}, {assignment[v]})"
               for u, v in part.edges()
@@ -640,9 +635,8 @@ def _check_anchor_distinct(
 
 
 def _check_window_distinct(
-    layout: PathPowerLayout, assignment: tuple[int, ...]
+    phi: tuple[int, ...], assignment: tuple[int, ...]
 ) -> list[str]:
-    phi = layout.phi
     return [f"vertices {a}, {b} sit within {LOCAL_WINDOW} layout slots "
             f"but share image {assignment[a]}" for a, b in _collisions(assignment)
             if abs(phi[a] - phi[b]) <= LOCAL_WINDOW]
@@ -665,7 +659,7 @@ def _collisions(values) -> list[tuple[int, int]]:
 
 def _check_conflict_bound(
     conflicts: dict[int, frozenset[int]],
-    layout: PathPowerLayout,
+    phi: tuple[int, ...],
     params: GammaParams,
 ) -> list[str]:
     out = []
@@ -673,9 +667,9 @@ def _check_conflict_bound(
         if len(cs) > params.d:
             out.append(f"conflict set of {v} has {len(cs)} members, cap {params.d}")
         for w in sorted(cs):
-            if abs(layout.phi[v] - layout.phi[w]) <= CONFLICT_GAP:
+            if abs(phi[v] - phi[w]) <= CONFLICT_GAP:
                 out.append(
-                    f"conflict pair ({v}, {w}) sits {abs(layout.phi[v] - layout.phi[w])} "
+                    f"conflict pair ({v}, {w}) sits {abs(phi[v] - phi[w])} "
                     f"slots apart, need more than {CONFLICT_GAP}")
     return out
 

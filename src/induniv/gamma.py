@@ -283,10 +283,9 @@ def make_gamma_params(
 
 @lru_cache(maxsize=32)
 def _paper_qz() -> LpsParams:
-    # the small block does not depend on delta or n
+    # the small block does not depend on delta or n; q^3 > 8 z
     return find_lps_params(
-        PAPER_D - 1, 1, extra_test=lambda q: q**3 > 8 * PAPER_Z,
-        search_ceiling=10**9, min_q=integer_cbrt(8 * PAPER_Z))
+        PAPER_D - 1, 1, search_ceiling=10**9, min_q=integer_cbrt(8 * PAPER_Z) + 1)
 
 
 def paper_sizes(delta: int, n: int) -> ProductSizes:
@@ -298,9 +297,8 @@ def paper_sizes(delta: int, n: int) -> ProductSizes:
     d = PAPER_D
     m = 5 * 160 * delta * d**8 * math.isqrt(n)
     qm = find_lps_params(
-        d - 1, 1, residue_class_modulus=4 * (d - 1),
-        extra_test=lambda q: q**3 > 8 * m, search_ceiling=10**14,
-        min_q=integer_cbrt(8 * m))
+        d - 1, 1, residue_class_modulus=4 * (d - 1), search_ceiling=10**14,
+        min_q=integer_cbrt(8 * m) + 1)  # q^3 > 8 m
     if qm.q**3 >= 64 * m:
         raise ExhaustedSearchError(
             f"no admissible prime inside (2 m^(1/3), 4 m^(1/3)) for m={m}",

@@ -97,10 +97,6 @@ def _enumerate_classes(n: int, delta: int) -> Iterator[Graph]:
     yield from (level[k] for k in sorted(level))
 
 
-def count_family(spec: FamilySpec) -> int:
-    return sum(1 for _ in enumerate_family(spec))
-
-
 # -- universality sweep ---------------------------------------------------------
 
 

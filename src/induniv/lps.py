@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .graphs import Graph, PowerNeighborhoods
 
-_DENSE_EIGEN = 64  # graphs up to this size get a dense eigenvalue solve
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
 _LANCZOS_SEED = 20080101  # seeds the fixed Lanczos start vector
 EIGEN_TOLERANCE = 1e-4  # certified lambda_2 may exceed 2 sqrt(d - 1) by this
@@ -156,15 +154,13 @@ def find_lps_params(
     min_vertices: int,
     residue_class_modulus: int = 4,
     search_ceiling: int = 10**12,
-    extra_test: Callable[[int], bool] | None = None,
     min_q: int = 0,
 ) -> LpsParams:
     """Smallest admissible q giving at least ``min_vertices`` vertices.
 
     With ``residue_class_modulus > 4`` the search is restricted to
     q = 1 (mod residue_class_modulus), the arithmetic progression used to
-    guarantee quadratic residuosity for q = 1 (mod 4(p)). ``extra_test``
-    narrows the search further (e.g. to a prime window) and ``min_q`` lets a
+    guarantee quadratic residuosity for q = 1 (mod 4(p)). ``min_q`` lets a
     caller jump straight to a known lower bound.
     """
     p = degree_minus_one
@@ -184,7 +180,6 @@ def find_lps_params(
             q != p
             and q * q > 4 * p
             and q * (q * q - 1) // 2 >= min_vertices
-            and (extra_test is None or extra_test(q))
             and is_prime(q)
             and legendre_symbol(p, q) == 1
         ):
@@ -464,9 +459,9 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
 
     The trivial eigenvalues of a connected d-regular graph are +d, with the
     all-ones eigenvector, and, when the graph is bipartite, -d, with the
-    vector that is +1 on one side and -1 on the other. Graphs of at most
-    ``_DENSE_EIGEN`` vertices take a dense solve. Larger ones take a Lanczos
-    iteration over ``g.neighbor_table()`` from a fixed start vector, with the
+    vector that is +1 on one side and -1 on the other. A graph with no other
+    eigenvalue (K1 and K2) gives 0.0. Any other takes a Lanczos iteration
+    over ``g.neighbor_table()`` from a fixed start vector, with the
     trivial eigenvectors projected out at every step, so its extreme Ritz
     values approach the smallest and largest of the rest of the spectrum.
     It stops once the residual bound beta * |s| of both is at most
@@ -489,23 +484,12 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     n = g.vertex_count
     bipartite = g.is_bipartite()
     table = g.neighbor_table()
-    if n <= _DENSE_EIGEN:
-        a = np.zeros((n, n))
-        a[np.arange(n).repeat(d), table.reshape(-1)] = 1.0
-        vals = list(np.linalg.eigvalsh(a))
-        slack = max(10 * tolerance, 1e-9) * max(d, 1)
-        vals.sort(key=abs, reverse=True)
-        for t in [d] + ([-d] if bipartite else []):
-            for i, v in enumerate(vals):
-                if abs(v - t) <= slack:
-                    vals.pop(i)
-                    break
-        return float(max((abs(v) for v in vals), default=0.0))
-
     trivial = [np.full(n, 1 / math.sqrt(n))]
     if bipartite:
         side = np.array(g.bfs_distances(0)) % 2
         trivial.append((1 - 2 * side) / math.sqrt(n))
+    if n <= len(trivial):
+        return 0.0
     columns = np.ascontiguousarray(table.T)
     # uniform on [-1, 1), drawn from the stdlib: numpy.random would cost
     # every process some 6 MB of resident memory

@@ -99,10 +99,6 @@ class ThinDecomposition:
     parts: tuple[Graph, ...]
     multiplicity: dict[tuple[int, int], tuple[int, int]]
 
-    @property
-    def delta(self) -> int:
-        return len(self.parts)
-
     def to_json(self) -> dict:
         return {
             "parts": [sorted(p.edges()) for p in self.parts],
@@ -112,20 +108,12 @@ class ThinDecomposition:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_decomposition(h: Graph, dec: ThinDecomposition) -> DecompositionReport:
+def validate_decomposition(h: Graph, dec: ThinDecomposition) -> tuple[str, ...]:
     """Independent recheck: thin parts, spanning, every edge in exactly the
-    two parts its multiplicity names and in no others. A part that occurs
-    twice (the even route's twin parts) is read and thin-checked once, and
-    membership is read from each part's edge set."""
+    two parts its multiplicity names and in no others; the violations, none
+    when the decomposition is valid. A part that occurs twice (the even
+    route's twin parts) is read and thin-checked once, and membership is
+    read from each part's edge set."""
     out: list[str] = []
     h_edges = set(h.edges())
     seen: dict[Graph, tuple[ThinReport, set[tuple[int, int]]]] = {}
@@ -157,7 +145,7 @@ def validate_decomposition(h: Graph, dec: ThinDecomposition) -> DecompositionRep
             out.append(f"edge ({u}, {v}) lies in {len(members)} parts {members}, want 2")
         elif named is None or tuple(sorted(named)) != members:
             out.append(f"edge ({u}, {v}) multiplicity {named} != actual {members}")
-    return DecompositionReport(violations=tuple(out))
+    return tuple(out)
 
 
 def thin_decompose(h: Graph, delta: int) -> ThinDecomposition:
@@ -183,11 +171,11 @@ def thin_decompose(h: Graph, delta: int) -> ThinDecomposition:
     if delta % 2 == 0:
         dec = _decompose_even(h, delta)
     else:
-        dec = _decompose_search(h, delta, _SEARCH_BUDGET)
-    report = validate_decomposition(h, dec)
-    if not report.ok:
+        dec = _decompose_search(h, delta)
+    violations = validate_decomposition(h, dec)
+    if violations:
         raise DecompositionError(
-            "decomposition failed validation", violations=list(report.violations))
+            "decomposition failed validation", violations=list(violations))
     return dec
 
 
@@ -439,7 +427,7 @@ def _kempe_colouring(n: int, edges: list[tuple[int, int]], colours: int) -> list
     return colour
 
 
-def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
+def _decompose_search(h: Graph, delta: int) -> ThinDecomposition:
     """Backtracking over per-edge part pairs with incremental thinness pruning.
 
     Thinness is hereditary under edge deletion, so a partial part that is
@@ -458,11 +446,13 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
     the matchings of colours p - 1 and p - 2, so every prefix of every part
     has maximum degree 2 and is thin, and the first descent never
     backtracks. Only the edges left uncoloured (class-2 pieces such as the
-    Petersen graph) can make it search, and it gives up after ``budget``
-    tries. The search runs on an explicit stack: ``tries[pos]`` counts the
-    pairs the edge at depth pos has tried and ``refused[pos]`` holds the
-    parts that cannot take it at that node.
+    Petersen graph) can make it search, and it gives up after
+    ``_SEARCH_BUDGET`` tries, read once per call. The search runs on an
+    explicit stack: ``tries[pos]`` counts the pairs the edge at depth pos
+    has tried and ``refused[pos]`` holds the parts that cannot take it at
+    that node.
     """
+    budget = _SEARCH_BUDGET
     n = h.vertex_count
     h_edges = list(h.edges())
     edges = [h_edges[i] for i in _bfs_edge_order(n, h_edges)]
@@ -524,30 +514,10 @@ def _decompose_search(h: Graph, delta: int, budget: int) -> ThinDecomposition:
 # -- layouts into the 4-th power of a path ------------------------------------
 
 
-@dataclass(frozen=True)
-class PathPowerLayout:
-    """Injective placement of the vertices on 0..n-1 with edge stretch <= 4.
-
-    Positions form an initial segment: vertex v sits at ``phi[v]`` and the
-    inverse ordering lists the vertex at each slot.
-    """
-
-    phi: tuple[int, ...]
-    n: int
-
-    def order(self) -> list[int]:
-        inv = [-1] * len(self.phi)
-        for v, t in enumerate(self.phi):
-            inv[t] = v
-        return inv
-
-    def to_json(self) -> dict:
-        return {"phi": list(self.phi), "n": self.n}
-
-
-def layout_thin(g: Graph, n: int) -> PathPowerLayout:
-    """Layout of a thin graph into the 4-th power of a path, validated
-    before return.
+def layout_thin(g: Graph) -> tuple[int, ...]:
+    """Layout phi of a thin graph into the 4-th power of a path, validated
+    before return: vertex v sits at slot ``phi[v]``, the slots are
+    0..|V|-1, and every edge is stretched at most 4.
 
     Every component, whatever its shape, is ordered by ``_deadline_order``
     and the components take consecutive runs of slots. Alon and Capalbo show
@@ -558,29 +528,27 @@ def layout_thin(g: Graph, n: int) -> PathPowerLayout:
     rep, comps = _classify(g)
     if not rep:
         raise ArgumentError(f"layout requires a thin graph: {rep.reason}")
-    if g.vertex_count > n:
-        raise ArgumentError(f"{g.vertex_count} vertices do not fit into {n} slots")
 
     order = [v for comp in comps for v in _deadline_order(g, comp)]
-    phi = [-1] * g.vertex_count
+    slots = [-1] * g.vertex_count
     for t, v in enumerate(order):
-        phi[v] = t
-    layout = PathPowerLayout(phi=tuple(phi), n=n)
-    problems = validate_layout(g, layout)
+        slots[v] = t
+    phi = tuple(slots)
+    problems = validate_layout(g, phi)
     if problems:
         raise LayoutError("layout failed validation", violations=problems)
-    return layout
+    return phi
 
 
-def validate_layout(g: Graph, layout: PathPowerLayout) -> list[str]:
+def validate_layout(g: Graph, phi: tuple[int, ...]) -> list[str]:
     out = []
-    if len(layout.phi) != g.vertex_count:
+    if len(phi) != g.vertex_count:
         out.append("phi length does not match the vertex count")
         return out
-    if sorted(layout.phi) != list(range(g.vertex_count)):
+    if sorted(phi) != list(range(g.vertex_count)):
         out.append("phi is not a bijection onto an initial segment")
     for u, v in g.edges():
-        stretch = abs(layout.phi[u] - layout.phi[v])
+        stretch = abs(phi[u] - phi[v])
         if stretch > 4:
             out.append(f"edge ({u}, {v}) stretched to {stretch} > 4")
     return out

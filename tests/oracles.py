@@ -25,7 +25,6 @@ from induniv.lps import (
     quaternion_norm_solutions,
     sqrt_minus_one,
 )
-from induniv.thin import PathPowerLayout
 from induniv.walks import ConstraintSchedule
 
 
@@ -249,6 +248,14 @@ def oracle_is_thin(g: Graph) -> bool:
     return True
 
 
+def layout_order(phi: tuple[int, ...]) -> list[int]:
+    """The vertex at each slot of a layout phi: the inverse of phi."""
+    order = [-1] * len(phi)
+    for v, t in enumerate(phi):
+        order[t] = v
+    return order
+
+
 def oracle_first_layout(g: Graph, comp: list[int]) -> list[int] | None:
     """The first stretch-4 order of comp found by a depth-first search that
     tries the unplaced vertices in increasing order at every slot, takes a
@@ -330,7 +337,7 @@ def oracle_sigma_i(
     i: int,
     h: Graph,
     coord_maps: list[tuple[int, ...]],
-    layout: PathPowerLayout,
+    layout: tuple[int, ...],
     params: GammaParams,
 ) -> ConstraintSchedule:
     """Constraint schedule for coordinate map i from the earlier maps.
@@ -344,7 +351,7 @@ def oracle_sigma_i(
     if i < 2:
         raise ArgumentError("constraint schedules start at the second coordinate")
     n = h.vertex_count
-    order = layout.order()
+    order = layout_order(layout)
     q = params.q_m
     rm_pow = params.rm_pow
     anchor = coord_maps[0]
@@ -378,7 +385,7 @@ def oracle_bad_sets(
     i: int,
     h: Graph,
     coord_maps: list[tuple[int, ...]],
-    layout: PathPowerLayout,
+    layout: tuple[int, ...],
     params: GammaParams,
 ) -> dict[int, frozenset[int]]:
     """Exact conflict sets for coordinate i, straight from the definition.
@@ -396,7 +403,7 @@ def oracle_bad_sets(
         for b in range(a + 1, n):
             if h.has_edge(a, b):
                 continue
-            if abs(layout.phi[a] - layout.phi[b]) <= 4:
+            if abs(layout[a] - layout[b]) <= 4:
                 continue
             if not rm_pow.contains(last[a], last[b]):
                 continue
@@ -514,13 +521,13 @@ def oracle_anchor_distinct(
 
 
 def oracle_window_distinct(
-    layout: PathPowerLayout, assignment: tuple[int, ...]
+    layout: tuple[int, ...], assignment: tuple[int, ...]
 ) -> list[str]:
     out = []
     n = len(assignment)
     for a in range(n):
         for b in range(a + 1, n):
-            if abs(layout.phi[a] - layout.phi[b]) <= LOCAL_WINDOW \
+            if abs(layout[a] - layout[b]) <= LOCAL_WINDOW \
                     and assignment[a] == assignment[b]:
                 out.append(
                     f"vertices {a}, {b} sit within {LOCAL_WINDOW} layout slots "

@@ -58,7 +58,9 @@ def test_decompose_and_layout(capsys, c6_file):
 
     code, doc = invoke(capsys, ["layout", "--input", c6_file])
     assert code == 0
+    assert sorted(doc) == ["phi", "schema"]  # no slot count: it is len(phi)
     assert sorted(doc["phi"]) == list(range(6))
+    assert invoke(capsys, ["layout", "--input", c6_file, "--n", "6"])[0] == 1
 
 
 def test_decompose_a_long_cubic_ring(capsys, tmp_path):

@@ -26,6 +26,7 @@ from induniv.graphs import (
     path_graph)
 from induniv.thin import layout_thin, thin_decompose
 from instances import random_bounded_graph
+from oracles import layout_order
 
 
 def test_single_edge_delta_two(desk_params2):
@@ -62,7 +63,7 @@ def test_twin_parts_are_laid_out_once(monkeypatch):
     calls = []
     layout = embedder.layout_thin
     monkeypatch.setattr(embedder, "layout_thin",
-                        lambda part, n: calls.append(part) or layout(part, n))
+                        lambda part: calls.append(part) or layout(part))
     h = circulant_graph(40, (1, 2))
     result = embed(h, 4, make_gamma_params(4, 40))
     parts = result.homs.decomposition.parts
@@ -143,7 +144,7 @@ def test_labels_match_their_golden_digest(h, delta, digest, coord_digest):
 def test_anchor_map_is_homomorphism(desk_params2):
     h = cycle_graph(8)
     dec = thin_decompose(h, 2)
-    layout = layout_thin(dec.parts[0], 8)
+    layout = layout_thin(dec.parts[0])
     f1 = build_f1(dec.parts[0], layout, desk_params2)
     rm_pow = desk_params2.rm_pow
     for u, v in dec.parts[0].edges():
@@ -154,7 +155,7 @@ def test_schedule_empty_for_tiny_instances(desk_params2):
     # below two blocks every constraint window is empty
     h = cycle_graph(6)
     dec = thin_decompose(h, 2)
-    layout = layout_thin(dec.parts[0], 6)
+    layout = layout_thin(dec.parts[0])
     f1 = build_f1(dec.parts[0], layout, desk_params2)
     sched = compute_sigma_i(2, h, [f1], layout, desk_params2)
     assert sched.sigma == {}
@@ -164,8 +165,8 @@ def test_compute_sigma_collision_entries(desk_params2):
     # force an anchor collision far apart and check it lands in the schedule
     h = empty_graph(30)
     dec = thin_decompose(h, 2)
-    layout = layout_thin(dec.parts[0], 30)
-    order = layout.order()
+    layout = layout_thin(dec.parts[0])
+    order = layout_order(layout)
     f1 = [0] * 30
     # distinct images except positions 0 and 25 share one
     row = [int(x) for x in desk_params2.rm_pow.row(0)[:40]]
@@ -180,7 +181,7 @@ def test_compute_sigma_collision_entries(desk_params2):
 def test_bad_sets_empty_when_images_far(desk_params2):
     h = cycle_graph(8)
     dec = thin_decompose(h, 2)
-    layout = layout_thin(dec.parts[0], 8)
+    layout = layout_thin(dec.parts[0])
     far: list[int] = []
     for v in range(12180):
         if all(not desk_params2.rm_pow.contains(v, w) for w in far):
@@ -206,7 +207,7 @@ def test_bad_sets_match_definition(desk_params3):
                 continue
             member = (
                 not h.has_edge(a, b)
-                and abs(layout.phi[a] - layout.phi[b]) > 4
+                and abs(layout[a] - layout[b]) > 4
                 and rm_pow.contains(coord[1][a], coord[1][b])
                 and rm_pow.contains(coord[0][a], coord[0][b])
             )
@@ -217,9 +218,9 @@ def test_shield_map_separates_conflicts(desk_params2):
     # synthetic conflict pair far apart in the layout
     h = empty_graph(20)
     dec = thin_decompose(h, 2)
-    layout = layout_thin(dec.parts[0], 20)
+    layout = layout_thin(dec.parts[0])
     conflicts = {v: frozenset() for v in range(20)}
-    a, b = layout.order()[0], layout.order()[15]
+    a, b = layout.index(0), layout.index(15)  # the vertices at slots 0 and 15
     conflicts[a] = frozenset({b})
     conflicts[b] = frozenset({a})
     r2 = build_ri(2, dec.parts[0], layout, conflicts, desk_params2)
@@ -347,7 +348,7 @@ def test_conflict_sets_pass_their_own_bound():
         conflicts = compute_bad_sets(i, h, list(homs.coord[:i]), layout, params)
         assert conflicts == homs.conflicts[i]
         assert _check_conflict_bound(conflicts, layout, params) == []
-        gaps += [abs(layout.phi[v] - layout.phi[w]) for v, cs in conflicts.items() for w in cs]
+        gaps += [abs(layout[v] - layout[w]) for v, cs in conflicts.items() for w in cs]
     assert min(gaps) == CONFLICT_GAP + 1
 
 
@@ -389,7 +390,7 @@ def test_anchor_walk_spreads_over_the_expander():
     n = 200
     params = make_gamma_params(2, n)
     part = thin_decompose(cycle_graph(n), 2).parts[0]
-    f1 = build_f1(part, layout_thin(part, n), params)
+    f1 = build_f1(part, layout_thin(part), params)
     assert len(set(f1)) >= n // 2
 
 

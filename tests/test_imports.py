@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is read somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every private module-level name is read somewhere in the package, and every
+public one is read there or exported from the package's ``__init__``.
 
 The package's ``__init__`` re-exports what it imports, so the import check
 leaves it out.
@@ -45,10 +46,11 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private names (one leading underscore) that a module of
-    ``sources`` binds at its top level and that no module reads: by name,
-    as an attribute or in an import."""
+def unread_names(sources: dict[str, str], *, private: bool) -> list[str]:
+    """The private names (one leading underscore), or else the public ones,
+    that a module of ``sources`` binds at its top level and that no module
+    reads: by name, as an attribute or in an import. An import in
+    ``__init__`` reads the names it exports."""
     bound: list[tuple[str, str]] = []
     read: set[str] = set()
     for module, source in sources.items():
@@ -63,7 +65,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             bound.extend((module, name) for name in targets
-                         if name.startswith("_") and not name.startswith("__"))
+                         if name.startswith("_") == private and not name.startswith("__"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -80,8 +82,23 @@ def test_the_checker_sees_unread_private_names():
         "b": "from .a import _f\nclass _C:\n    pass\ndef g(m):\n    return m._D\n",
         "c": "_D: int = 4\n_E = 5\n",
     }
-    assert unread_private_names(sources) == ["a: _unread", "b: _C", "c: _E"]
+    assert unread_names(sources, private=True) == ["a: _unread", "b: _C", "c: _E"]
 
 
 def test_package_reads_every_private_name():
-    assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+    assert unread_names({p.stem: p.read_text() for p in PACKAGE}, private=True) == []
+
+
+def test_the_checker_sees_unread_public_names():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": "K = 1\nunread = 2\n_private = 3\ndef exported():\n    return K\n",
+        "b": "from .a import K\nclass C:\n    pass\ndef g(m):\n    return m.D\n",
+        "c": "D: int = 4\nE = 5\n",
+    }
+    assert unread_names(sources, private=False) == ["a: unread", "b: C", "b: g", "c: E"]
+
+
+def test_package_reads_every_public_name():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_names(sources, private=False) == []

@@ -144,6 +144,14 @@ def test_second_eigenvalue_c6():
     assert second_eigenvalue(cycle_graph(6)) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_second_eigenvalue_of_k1_and_k2_is_zero():
+    # every eigenvalue is trivial: K1's 0 (K1 counts as bipartite) and K2's +-1
+    for g in (complete_graph(1), complete_graph(2)):
+        assert second_eigenvalue(g) == 0.0 == oracle_second_eigenvalue(g)
+    # three vertices leave the iteration one nontrivial eigenvalue
+    assert second_eigenvalue(complete_graph(3)) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_second_eigenvalue_matches_dense_oracle_midsize():
     g = circulant_graph(120, (1, 3, 9))
     assert second_eigenvalue(g) == pytest.approx(oracle_second_eigenvalue(g), abs=1e-5)

@@ -29,7 +29,6 @@ from induniv.gamma import (
     GammaVertex, adjacent_pairs, gamma_adjacent_witness, make_gamma_params)
 from induniv.graphs import Graph, circulant_graph, cycle_graph, disjoint_union, path_graph
 from induniv.harness import FamilySpec, enumerate_family
-from induniv.thin import PathPowerLayout
 from oracles import (
     oracle_anchor_distinct,
     oracle_bad_sets,
@@ -106,7 +105,7 @@ def _ball_map(rng, pw, centers, n):
 def _random_layout(rng, n):
     phi = list(range(n))
     rng.shuffle(phi)
-    return PathPowerLayout(phi=tuple(phi), n=n)
+    return tuple(phi)
 
 
 def _random_graph(rng, n, m):

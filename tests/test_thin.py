@@ -20,6 +20,7 @@ from induniv.graphs import (
     path_graph,
 )
 from induniv.harness import FamilySpec, enumerate_family
+from induniv import thin
 from induniv.thin import (
     ThinDecomposition,
     _bfs_edge_order,
@@ -34,7 +35,8 @@ from induniv.thin import (
     validate_layout,
 )
 from instances import random_bounded_graph
-from oracles import oracle_first_decomposition, oracle_first_layout, oracle_is_thin
+from oracles import (
+    layout_order, oracle_first_decomposition, oracle_first_layout, oracle_is_thin)
 
 
 # -- recognition ---------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_forced_two_cover_on_cycle():
 
 def test_k4_three_parts():
     dec = thin_decompose(complete_graph(4), 3)
-    assert validate_decomposition(complete_graph(4), dec).ok
+    assert not validate_decomposition(complete_graph(4), dec)
     assert all(p.max_degree() <= 3 for p in dec.parts)
 
 
@@ -105,7 +107,7 @@ def test_empty_graph_decomposes_trivially():
     dec = thin_decompose(empty_graph(6), 4)
     assert len(dec.parts) == 4
     assert all(p.edge_count == 0 and p.vertex_count == 6 for p in dec.parts)
-    assert validate_decomposition(empty_graph(6), dec).ok
+    assert not validate_decomposition(empty_graph(6), dec)
 
 
 def test_precondition_checks():
@@ -144,7 +146,7 @@ def test_degree_sum_invariant():
 def test_even_petersen_parts_two_regular_on_regular_input(g):
     assert set(g.degrees()) == {4}
     dec = thin_decompose(g, 4)
-    assert validate_decomposition(g, dec).ok
+    assert not validate_decomposition(g, dec)
     assert all(set(p.degrees()) == {2} for p in dec.parts)
 
 
@@ -153,7 +155,7 @@ def test_even_petersen_on_a_long_cycle_power():
     # multigraph run through hundreds of vertices
     g = circulant_graph(1000, (1, 2))
     dec = thin_decompose(g, 4)
-    assert validate_decomposition(g, dec).ok
+    assert not validate_decomposition(g, dec)
     assert all(set(p.degrees()) == {2} for p in dec.parts)
 
 
@@ -161,14 +163,24 @@ def test_even_petersen_delta_six():
     g = circulant_graph(12, (1, 2, 3))
     assert set(g.degrees()) == {6}
     dec = thin_decompose(g, 6)
-    assert validate_decomposition(g, dec).ok
+    assert not validate_decomposition(g, dec)
     assert all(set(p.degrees()) == {2} for p in dec.parts)
 
 
-def test_search_budget_error_carries_partial():
+def test_search_budget_error_carries_partial(monkeypatch):
+    monkeypatch.setattr(thin, "_SEARCH_BUDGET", 2)
     with pytest.raises(DecompositionError) as err:
-        _decompose_search(complete_graph(4), 3, 2)
+        _decompose_search(complete_graph(4), 3)
     assert "budget" in str(err.value)
+
+
+def test_search_reads_its_budget_at_call_time(monkeypatch):
+    h = _petersen()  # class 2: the search has to try pairs
+    monkeypatch.setattr(thin, "_SEARCH_BUDGET", 7)
+    with pytest.raises(DecompositionError) as err:
+        _decompose_search(h, 3)
+    assert err.value.payload["budget"] == 7
+    assert len(err.value.payload["assigned"]) < h.edge_count
 
 
 @pytest.mark.parametrize("h,delta", [
@@ -185,8 +197,8 @@ def test_validator_fault_injection_missing_edge(h, delta):
     parts = list(dec.parts)
     parts[i] = Graph(h.vertex_count, [e for e in parts[i].edges() if e != edge])
     bad = ThinDecomposition(parts=tuple(parts), multiplicity=dec.multiplicity)
-    report = validate_decomposition(h, bad)
-    assert len([v for v in report.violations if "lies in 1 parts" in v]) == 1
+    violations = validate_decomposition(h, bad)
+    assert len([v for v in violations if "lies in 1 parts" in v]) == 1
 
 
 def test_validator_fault_injection_degree_bump():
@@ -196,15 +208,14 @@ def test_validator_fault_injection_degree_bump():
     extra = (0, 5)
     part0 = Graph(6, list(dec.parts[0].edges()) + [extra])
     bad = ThinDecomposition(parts=(part0, dec.parts[1]), multiplicity=dec.multiplicity)
-    report = validate_decomposition(h, bad)
-    assert not report.ok
+    assert validate_decomposition(h, bad)
 
 
 def test_decompose_every_subcubic_class_up_to_six():
     for n in range(1, 7):
         for h in enumerate_family(FamilySpec(n, 3)):
             dec = thin_decompose(h, 3)
-            assert validate_decomposition(h, dec).ok
+            assert not validate_decomposition(h, dec)
 
 
 def _random_subcubic(rng: random.Random, n: int, keep: float) -> Graph:
@@ -293,14 +304,15 @@ def test_kempe_colouring_is_proper():
 
 
 @pytest.mark.parametrize("n", [52, 100, 500, 2000])
-def test_random_subcubic_graphs_decompose_along_the_colouring(n):
+def test_random_subcubic_graphs_decompose_along_the_colouring(n, monkeypatch):
     # a proper colouring leaves nothing to search, and random subcubic graphs
     # leave at most a few edges uncoloured, so twice the edge count is ample
     rng = random.Random(n)
     for keep in (1.0, 1.0, 0.9):
         h = _random_subcubic(rng, n, keep)
-        dec = _decompose_search(h, 3, 2 * h.edge_count)
-        assert validate_decomposition(h, dec).ok
+        monkeypatch.setattr(thin, "_SEARCH_BUDGET", 2 * h.edge_count)
+        dec = _decompose_search(h, 3)
+        assert not validate_decomposition(h, dec)
 
 
 @pytest.mark.parametrize("h", [_petersen(), _bridged_cubic()], ids=["petersen", "bridged"])
@@ -309,7 +321,7 @@ def test_class_two_graphs_decompose_through_the_search(h):
     colours = _kempe_colouring(h.vertex_count, _simple_bfs_order(h), 3)
     assert None in colours  # no proper 3-edge-colouring exists
     dec = thin_decompose(h, 3)
-    assert validate_decomposition(h, dec).ok
+    assert not validate_decomposition(h, dec)
     assert dec.multiplicity == oracle_first_decomposition(h, 3, _simple_bfs_order(h), colours)
 
 
@@ -318,11 +330,11 @@ def test_long_cubic_rings_decompose_and_lay_out():
     # recursion limit of a search that recursed once per edge
     h = circulant_graph(700, (1, 350))
     dec = thin_decompose(h, 3)
-    assert validate_decomposition(h, dec).ok
+    assert not validate_decomposition(h, dec)
     for part in dec.parts:
-        assert validate_layout(part, layout_thin(part, 700)) == []
+        assert validate_layout(part, layout_thin(part)) == []
     h = _random_subcubic(random.Random(1000), 1000, 1.0)
-    assert validate_decomposition(h, thin_decompose(h, 3)).ok
+    assert not validate_decomposition(h, thin_decompose(h, 3))
 
 
 @pytest.mark.parametrize("h", [
@@ -333,7 +345,7 @@ def test_delta_five_decomposes_along_the_colouring(h):
     # the lexicographic search alone runs out of its budget on these
     start = time.perf_counter()
     dec = thin_decompose(h, 5)
-    assert validate_decomposition(h, dec).ok
+    assert not validate_decomposition(h, dec)
     assert time.perf_counter() - start < 5
 
 
@@ -353,7 +365,7 @@ def test_delta_five_decomposition_is_the_plain_search_result():
 def test_decompose_every_class_at_higher_delta(delta, top):
     for n in range(1, top + 1):
         for h in enumerate_family(FamilySpec(n, delta)):
-            assert validate_decomposition(h, thin_decompose(h, delta)).ok
+            assert not validate_decomposition(h, thin_decompose(h, delta))
 
 
 def _out_in_multigraph(h: Graph, delta: int) -> list[tuple[int, int]]:
@@ -398,8 +410,8 @@ def test_no_decomposition_route_recurses():
         "sys.setrecursionlimit(100)\n"
         "decs = [(h, thin_decompose(h, delta)) for h, delta in cases]\n"
         "print([len(dec.multiplicity) for _, dec in decs])\n"
-        "print(sum(len(layout_thin(p, h.vertex_count).phi) for h, dec in decs for p in dec.parts))\n"
-        "print(len(layout_thin(tailed, tailed.vertex_count).phi))\n")
+        "print(sum(len(layout_thin(p)) for _, dec in decs for p in dec.parts))\n"
+        "print(len(layout_thin(tailed)))\n")
     src = str(Path(induniv.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          input=format_edge_list(tailed),
@@ -426,7 +438,7 @@ def test_every_thin_random_component_lays_out():
                     part = _component_graph(g, comp)
                     if not is_thin(part):
                         continue
-                    assert validate_layout(part, layout_thin(part, len(comp))) == [], \
+                    assert validate_layout(part, layout_thin(part)) == [], \
                         sorted(part.edges())
                     if len(comp) <= 14:
                         assert oracle_first_layout(g, comp) is not None
@@ -444,64 +456,58 @@ def _relabelled(g: Graph) -> Graph:
 
 
 def test_path_layout_is_identity():
-    lay = layout_thin(path_graph(6), 6)
-    assert lay.phi == tuple(range(6))
+    assert layout_thin(path_graph(6)) == tuple(range(6))
     # relabelled, the walk starts at the lower-id end, 6 (the other is 7)
     g = _relabelled(path_graph(9))
-    assert layout_thin(g, 9).order() == [6, 8, 0, 2, 4, 3, 1, 5, 7]
+    assert layout_order(layout_thin(g)) == [6, 8, 0, 2, 4, 3, 1, 5, 7]
 
 
 def test_cycle_zigzag_layout():
-    lay = layout_thin(cycle_graph(5), 5)
-    assert lay.phi == (0, 2, 4, 3, 1)
-    assert max(abs(lay.phi[u] - lay.phi[v]) for u, v in cycle_graph(5).edges()) <= 2
+    phi = layout_thin(cycle_graph(5))
+    assert phi == (0, 2, 4, 3, 1)
+    assert max(abs(phi[u] - phi[v]) for u, v in cycle_graph(5).edges()) <= 2
     # relabelled as 0 2 5 1 4 6 7 3: from 0, its larger neighbour 3 second,
     # then the two arcs in turn
     g = _relabelled(cycle_graph(8))
-    lay = layout_thin(g, 8)
-    assert lay.order() == [0, 3, 2, 7, 5, 6, 1, 4]
-    assert max(abs(lay.phi[u] - lay.phi[v]) for u, v in g.edges()) <= 2
+    phi = layout_thin(g)
+    assert layout_order(phi) == [0, 3, 2, 7, 5, 6, 1, 4]
+    assert max(abs(phi[u] - phi[v]) for u, v in g.edges()) <= 2
 
 
 def test_cycle_with_pendants_layout():
     g = Graph(8, list(cycle_graph(6).edges()) + [(0, 6), (3, 7)])
-    lay = layout_thin(g, 8)
-    assert validate_layout(g, lay) == []
+    assert validate_layout(g, layout_thin(g)) == []
 
 
-def test_layout_requires_thin_and_capacity():
+def test_layout_requires_a_thin_graph():
     with pytest.raises(ArgumentError):
-        layout_thin(complete_graph(4), 10)
-    with pytest.raises(ArgumentError):
-        layout_thin(path_graph(5), 4)
+        layout_thin(complete_graph(4))
 
 
 def test_layout_fallback_components():
     theta = Graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
-    assert validate_layout(theta, layout_thin(theta, 5)) == []
+    assert validate_layout(theta, layout_thin(theta)) == []
     spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    assert validate_layout(spider, layout_thin(spider, 7)) == []
+    assert validate_layout(spider, layout_thin(spider)) == []
     dumbbell = Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
                          (4, 5), (5, 6), (6, 7), (7, 5)])
-    assert validate_layout(dumbbell, layout_thin(dumbbell, 8)) == []
+    assert validate_layout(dumbbell, layout_thin(dumbbell)) == []
 
 
 def test_layout_multi_component_disjoint_intervals():
     g = disjoint_union(cycle_graph(4), path_graph(3))
-    lay = layout_thin(g, 7)
-    assert validate_layout(g, lay) == []
-    assert sorted(lay.phi) == list(range(7))
+    phi = layout_thin(g)
+    assert validate_layout(g, phi) == []
+    assert sorted(phi) == list(range(7))
 
 
 def test_layout_classifies_each_component_once(monkeypatch):
-    from induniv import thin
-
     sizes = []
     rule = thin._thin_rule
     monkeypatch.setattr(thin, "_thin_rule",
                         lambda size, *counts: sizes.append(size) or rule(size, *counts))
     g = disjoint_union(cycle_graph(10), path_graph(7))
-    assert validate_layout(g, layout_thin(g, 17)) == []
+    assert validate_layout(g, layout_thin(g)) == []
     assert sorted(sizes) == [7, 10]
 
 
@@ -509,8 +515,7 @@ def test_layout_every_thin_subcubic_class():
     for n in range(1, 9):
         for g in enumerate_family(FamilySpec(n, 3)):
             if is_thin(g):
-                lay = layout_thin(g, n)
-                assert validate_layout(g, lay) == []
+                assert validate_layout(g, layout_thin(g)) == []
 
 
 def test_layout_places_a_long_tadpole():
@@ -518,7 +523,7 @@ def test_layout_places_a_long_tadpole():
     # into the walk down the tail
     g = Graph(1200, [(i, i + 1) for i in range(1199)] + [(1197, 1199)])
     assert is_thin(g)
-    assert validate_layout(g, layout_thin(g, 1200)) == []
+    assert validate_layout(g, layout_thin(g)) == []
 
 
 class _Shape:
@@ -603,13 +608,14 @@ def test_large_few_branch_shapes_lay_out_at_once(make):
     g = make()
     assert 2000 <= g.vertex_count <= 3003 and is_thin(g)
     start = time.perf_counter()
-    lay = layout_thin(g, g.vertex_count)
+    phi = layout_thin(g)
     assert time.perf_counter() - start < 0.5
-    assert validate_layout(g, lay) == []
+    assert validate_layout(g, phi) == []
 
 
 def test_layout_order_inverse():
     g = cycle_graph(6)
-    lay = layout_thin(g, 6)
-    order = lay.order()
-    assert all(lay.phi[order[t]] == t for t in range(6))
+    phi = layout_thin(g)
+    order = layout_order(phi)
+    assert sorted(order) == list(range(6))
+    assert all(phi[order[t]] == t for t in range(6))
