@@ -151,6 +151,9 @@ def _cmd_layout(args) -> tuple[int, dict]:
 
 def _cmd_gamma_params(args) -> tuple[int, dict]:
     if args.profile == "paper":
+        for option in ("rm", "rz"):
+            if getattr(args, option) is not None:
+                raise UsageError(f"--{option} names a desk host; --profile paper builds none")
         sizes = paper_sizes(args.delta, args.n)
         payload = {**sizes.to_json(), "desk": None, "certificates": {}}
     else:

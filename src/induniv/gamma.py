@@ -7,16 +7,16 @@ R_z, and X_i is a subset of neighbor ranks in the 4-th power of R_m. Two
 vertices are adjacent iff some pair of coordinates j < i has both x-pairs
 close in R_m (within distance 4), mutually listed neighbor ranks at i, and
 close u-coordinates in R_z. Closeness and ranks both come from the host's
-one radius-4 metric, ``graphs.PowerNeighborhoods`` (re-exported here with
+radius-4 metric, ``lps.PowerNeighborhoods`` (re-exported here with
 ``shared_power_neighborhoods``). A desk host is the LPS Cayley graph of
-PSL(2, q), whose build gives it a metric decided by group arithmetic
-(``lps.Psl2Ball``): y is close to x iff x^-1 y lies in the identity's
-distance-<=4 neighborhood B, and the rank of y seen from x is the index of
-x^-1 y in B, listed by vertex id. So the metric holds no per-vertex rows,
-and it is the only one that answers ``close_pairs``, on which the batched
-pair checks (``adjacent_pairs``, ``close_pair_ranks``) rest. A graph without
-a group gets the breadth-first reference metric, which serves scalar queries
-only.
+PSL(2, q), whose build attaches that metric, decided by group arithmetic:
+y is close to x iff x^-1 y lies in the identity's distance-<=4
+neighborhood B, and the rank of y seen from x is the index of x^-1 y in B,
+listed by vertex id. So the metric holds no per-vertex rows, and it alone
+answers ``close_pairs``, on which the batched pair checks
+(``adjacent_pairs``, ``close_pair_ranks``) rest. A graph without a group
+gets the breadth-first reference, ``graphs.BfsNeighborhoods``, which serves
+scalar queries only.
 
 The rule's test at one block, ``block_link``, is written once; the scalar
 oracle ``gamma_adjacent_witness`` answers one pair with it, and
@@ -53,10 +53,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, CertificationError, CodecError, ExhaustedSearchError
-from .graphs import Graph, PowerNeighborhoods, shared_power_neighborhoods
+from .graphs import Graph, shared_power_neighborhoods
 from .lps import (
     ExpanderCertificate,
     LpsParams,
+    PowerNeighborhoods,
     cached_lps_certificate,
     cached_lps_graph,
     find_lps_params,

@@ -2,16 +2,17 @@
 
 Vertices are dense integer ids ``0..n-1``. Neighbor lists are kept sorted,
 which makes every ordering derived from them (vertex ranks, layouts)
-deterministic. Closeness is always "within distance 4" (``RADIUS``): each
-graph holds one such metric, ``PowerNeighborhoods``, decided by group
-arithmetic on an LPS host and by breadth-first rows on any other graph.
+deterministic. Closeness is always "within distance 4" (``RADIUS``). An LPS
+host carries its metric, ``lps.PowerNeighborhoods``, which its build attaches
+and which decides closeness by group arithmetic; any other graph gets the
+breadth-first reference, ``BfsNeighborhoods``, from
+``shared_power_neighborhoods``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -22,21 +23,17 @@ from .errors import ArgumentError
 
 INF = math.inf
 RADIUS = 4  # "close" in the product-graph oracle and in walk separation
-_PAIR_CHUNK = 1 << 16  # pair queries close_pairs answers at a time
-_METRIC_LOCK = threading.Lock()
 
 
 class Graph:
     """Simple undirected graph with canonical sorted adjacency lists.
 
-    Instances are immutable after construction. Connectivity and the radius-4
-    metric (``shared_power_neighborhoods``) are memoised on first use;
-    connectivity is a pure function of the adjacency, so a race at worst
-    computes it twice, and the metric is made under a lock, so every thread
-    shares one. A graph pickles as its vertex count and edges, except an LPS
-    host (one whose metric has a group), which pickles as the
-    ``lps.cached_lps_graph`` call that rebuilds it with its group. Self-loops
-    are rejected; duplicate edges are collapsed.
+    Instances are immutable after construction. Connectivity is memoised on
+    first use; it is a pure function of the adjacency, so a race at worst
+    computes it twice. A graph pickles as its vertex count and edges, except
+    an LPS host (one whose build attached its group metric to ``_metric``),
+    which pickles as the ``lps.cached_lps_graph`` call that rebuilds it with
+    that metric. Self-loops are rejected; duplicate edges are collapsed.
     """
 
     __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metric",
@@ -121,10 +118,9 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        metric = self._metric
-        if metric is not None and metric._group is not None:
+        if self._metric is not None:
             from .lps import cached_lps_graph  # lps imports this module
-            return cached_lps_graph, (self.max_degree() - 1, metric._group.group.q)
+            return cached_lps_graph, (self.max_degree() - 1, self._metric.group.q)
         return (type(self), (self.vertex_count, list(self.edges())))
 
     # -- basic accessors ---------------------------------------------------
@@ -346,26 +342,20 @@ class Graph:
 # -- the radius-4 power metric ----------------------------------------------
 
 
-class PowerNeighborhoods:
-    """Distance-<=4 (``RADIUS``) neighborhoods, the vertex itself left out,
-    and a fixed rank for each member of each.
+class BfsNeighborhoods:
+    """The breadth-first reference radius-4 metric, for graphs without a
+    group: distance-<=4 (``RADIUS``) neighborhoods, the vertex itself left
+    out, and a fixed rank for each member of each.
 
-    A metric made with a ``group`` is decided by it: ``group.rank(v, w)``,
-    ``group.row(v)`` and ``group.close_pairs(xs, chunk)`` answer every
-    query by arithmetic, and no per-vertex row is ever held. The build of an
-    LPS graph makes its shared metric so, with ``lps.Psl2Ball``, whose rank
-    of w seen from v is the index of v^-1 w in the identity's neighborhood.
-
-    Any other metric is the plain reference: the row of v is the sorted ids
-    that ``Graph.bfs_distances(v, cutoff=RADIUS)`` puts at distance 1 to 4,
-    made when v is first asked about and held in ``_cache`` as a tuple that
-    ``contains`` and ``rank`` bisect; the rank of w is its position there.
-    Only a group answers ``close_pairs``.
+    The row of v is the sorted ids that ``Graph.bfs_distances(v,
+    cutoff=RADIUS)`` puts at distance 1 to 4, made when v is first asked
+    about and held in ``_cache`` as a tuple that ``contains`` and ``rank``
+    bisect; the rank of w is its position there. It answers scalar queries
+    only; the batched ``close_pairs`` is the LPS metric's alone.
     """
 
-    def __init__(self, g: Graph, group=None):
+    def __init__(self, g: Graph):
         self.graph = g
-        self._group = group
         self._cache: dict[int, tuple[int, ...]] = {}
 
     def _row(self, v: int) -> tuple[int, ...]:
@@ -377,61 +367,24 @@ class PowerNeighborhoods:
 
     def row(self, v: int) -> np.ndarray:
         """The sorted neighborhood of v, as an array."""
-        if self._group is not None:
-            return self._group.row(v)
         return np.array(self._row(v), dtype=np.int64)
 
     def contains(self, v: int, w: int) -> bool:
         """True iff 0 < dist(v, w) <= 4, i.e. {v, w} is a power-graph edge."""
-        group = self._group
-        if group is not None:
-            return group.rank(v, w) is not None
-        row = self._row(v)
-        i = bisect_left(row, w)
-        return i < len(row) and row[i] == w
+        return self.rank(v, w) is not None
 
     def rank(self, v: int, w: int) -> int | None:
-        """The fixed rank of w in the neighborhood of v, None if absent."""
-        group = self._group
-        if group is not None:
-            return group.rank(v, w)
+        """The position of w in the row of v, None if absent."""
         row = self._row(v)
         i = bisect_left(row, w)
         return i if i < len(row) and row[i] == w else None
 
-    def close_pairs(self, xs: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every ordered pair of list positions whose images are close.
 
-        Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
-        with 0 < dist(xs[a], xs[b]) <= 4, the rank r of xs[b] seen from xs[a]
-        (what ``rank`` returns). The group answers a chunk of positions a at
-        a time, about ``_PAIR_CHUNK`` pairs (``lps.Psl2Ball.close_pairs``),
-        so no len(xs)^2 array is ever built. Raises ArgumentError on a metric
-        without a group, or on an id that is not a vertex.
-        """
-        if self._group is None:
-            raise ArgumentError("close_pairs needs a metric decided by a group (an LPS host)")
-        n = self.graph.vertex_count
-        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
-        if len(xs) and not (0 <= xs.min() and xs.max() < n):
-            bad = int(xs[(xs < 0) | (xs >= n)][0])
-            raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
-        return self._group.close_pairs(xs, _PAIR_CHUNK)
-
-
-def shared_power_neighborhoods(g: Graph) -> PowerNeighborhoods:
-    """The radius-4 metric of g, made on first use and held by g itself, so
-    it lives exactly as long as the graph and is never remade while it does.
-    An LPS graph's metric is made by its build and decided by its group;
-    made here, it is the BFS reference, holding the rows asked about."""
-    metric = g._metric
-    if metric is None:
-        with _METRIC_LOCK:  # one metric per graph, even when threads race
-            metric = g._metric
-            if metric is None:
-                metric = PowerNeighborhoods(g)
-                object.__setattr__(g, "_metric", metric)
-    return metric
+def shared_power_neighborhoods(g: Graph):
+    """The radius-4 metric of g: an LPS host's group metric, which its build
+    attached (``lps.PowerNeighborhoods``), or else a fresh breadth-first
+    reference (``BfsNeighborhoods``) holding the rows asked about."""
+    return g._metric if g._metric is not None else BfsNeighborhoods(g)
 
 
 # -- vertex sequences ------------------------------------------------------

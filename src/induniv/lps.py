@@ -16,6 +16,12 @@ vertex to any other: the graph is vertex-transitive, every vertex lies on a
 shortest cycle, and one BFS from a single vertex finds the girth.
 ``certify_expander`` relies on that only after checking both facts on the
 graph it is given.
+
+The same automorphisms decide the radius-4 metric: ``build_lps_graph``
+attaches ``PowerNeighborhoods`` to every graph it builds, which answers
+closeness, ranks, rows and batched close pairs by products in PSL(2, q)
+against the identity's ball, and holds no per-vertex rows. Graphs without a
+group have only the breadth-first reference, ``graphs.BfsNeighborhoods``.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from .errors import (
     ConvergenceError,
     ExhaustedSearchError,
 )
-from .graphs import Graph, PowerNeighborhoods
+from .graphs import BfsNeighborhoods, Graph
 
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
 _LANCZOS_SEED = 20080101  # seeds the fixed Lanczos start vector
 EIGEN_TOLERANCE = 1e-4  # certified lambda_2 may exceed 2 sqrt(d - 1) by this
+_PAIR_CHUNK = 1 << 16  # pair queries close_pairs answers at a time
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -300,23 +307,24 @@ class Psl2:
         return self.product_ids(s, m) if left else self.product_ids(m, s)
 
 
-class Psl2Ball:
-    """The radius-k metric of an LPS graph, decided by arithmetic in
-    PSL(2, q) instead of by stored neighbourhoods.
+class PowerNeighborhoods:
+    """The radius-4 (``graphs.RADIUS``) metric of an LPS graph: its
+    distance-<=4 neighbourhoods, the vertex itself left out, and a fixed
+    rank for each member of each, decided by arithmetic in PSL(2, q) instead
+    of by stored neighbourhoods.
 
     The graph joins M to M*S for each generator S, so left multiplication by
-    M is an automorphism carrying the identity e to M: the distance-<=k
-    neighbourhood of M is M*B, B being that of e (e left out), and
-    0 < dist(M, N) <= k exactly when M^-1 N lies in B. ``ball`` holds B's
-    vertex ids, ascending, as the graph's breadth-first row of e lists
-    them (``build_lps_graph``). The rank of N seen from M is the
-    index of M^-1 N in ``ball``: a fixed bijection from each neighbourhood
-    onto range(len(ball)). M^-1 is the adjugate (d, -b, -c, a) of
-    M = (a, b, c, d) up to a scalar, which the projective canonical form
-    absorbs. Scalar queries look the key of the product up in a dict of B's
-    keys; ``close_pairs`` looks whole blocks of keys up in a dense table
-    over the range of keys (two bytes for each of 2 q^3, about four a
-    vertex). Nothing grows with the vertices queried.
+    M is an automorphism carrying the identity e to M: the neighbourhood of
+    M is M*B, B being that of e, and 0 < dist(M, N) <= 4 exactly when
+    M^-1 N lies in B. ``ball`` holds B's vertex ids, ascending, as the
+    graph's breadth-first row of e lists them (``build_lps_graph``). The
+    rank of N seen from M is the index of M^-1 N in ``ball``: a fixed
+    bijection from each neighbourhood onto range(len(ball)). M^-1 is the
+    adjugate (d, -b, -c, a) of M = (a, b, c, d) up to a scalar, which the
+    projective canonical form absorbs. Scalar queries look the key of the
+    product up in a dict of B's keys; ``close_pairs`` looks whole blocks of
+    keys up in a dense table over the range of keys (two bytes for each of
+    2 q^3, about four a vertex). Nothing grows with the vertices queried.
     """
 
     def __init__(self, group: Psl2, ball: np.ndarray):
@@ -337,15 +345,15 @@ class Psl2Ball:
         return self.group.elements.tolist()
 
     @cached_property
-    def rank(self):
-        """The scalar query ``rank(v, w)``: the index of M_v^-1 M_w in
-        ``ball``, None when it is not there or w is not a vertex id; raises
-        ArgumentError when v is not one. A closure over the tables, so a
-        query reads no attribute; made by the first one."""
+    def _rank_of(self):
+        """The scalar arithmetic behind ``rank`` and ``contains``: the index
+        of M_v^-1 M_w in ``ball``, None when it is not there or w is not a
+        vertex id; raises ArgumentError when v is not one. A closure over
+        the tables, so a query reads no attribute; made by the first one."""
         q, n, index, entries = self._q, self._n, self._rank, self._entries
         inverse = self.group._inverse.tolist()
 
-        def rank(v: int, w: int) -> int | None:
+        def rank_of(v: int, w: int) -> int | None:
             if not (0 <= v < n and 0 <= w < n):
                 if 0 <= v < n:
                     return None
@@ -362,7 +370,15 @@ class Psl2Ball:
                 key = (q + (a * g - c * e) * s % q) * q + (a * h - c * f) * s % q
             return index.get(key)
 
-        return rank
+        return rank_of
+
+    def contains(self, v: int, w: int) -> bool:
+        """True iff 0 < dist(v, w) <= 4, i.e. {v, w} is a power-graph edge."""
+        return self._rank_of(v, w) is not None
+
+    def rank(self, v: int, w: int) -> int | None:
+        """The fixed rank of w in the neighbourhood of v, None if absent."""
+        return self._rank_of(v, w)
 
     def row(self, v: int) -> np.ndarray:
         """The sorted ids of M_v * B, computed, not kept."""
@@ -370,15 +386,26 @@ class Psl2Ball:
             raise ArgumentError(f"vertex id {v!r} out of range [0, {self._n})")
         return np.sort(self.group.product_ids(self._entries[v], self._columns))
 
-    def close_pairs(self, xs: np.ndarray, chunk: int) -> tuple[np.ndarray, ...]:
-        """``PowerNeighborhoods.close_pairs`` for an int64 array of vertex
-        ids: the adjugates of a block of positions times every image, about
-        ``chunk`` products a block, in int32."""
-        q, size = self._q, len(xs)
+    def close_pairs(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ordered pair of list positions whose images are close.
+
+        Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
+        with 0 < dist(xs[a], xs[b]) <= 4, the rank r of xs[b] seen from xs[a]
+        (what ``rank`` returns). The adjugates of a block of positions are
+        multiplied by every image, about ``_PAIR_CHUNK`` products a block in
+        int32, so no len(xs)^2 array is ever built. Raises ArgumentError on
+        an id that is not a vertex.
+        """
+        q, n = self._q, self._n
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+        size = len(xs)
+        if size and not (0 <= xs.min() and xs.max() < n):
+            bad = int(xs[(xs < 0) | (xs >= n)][0])
+            raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
         e, f, g, h = cols = self.group.elements[xs].T.astype(np.int32, order="C")
         adj = np.stack([h, q - f, q - g, e])  # (d, -b, -c, a) mod q, per position
         found = [(np.zeros(0, dtype=np.int64),) * 3]
-        step = max(1, chunk // max(size, 1))
+        step = max(1, _PAIR_CHUNK // max(size, 1))
         for lo in range(0, size, step):
             ranks = self._ranks[self.group.product_keys(adj[:, lo:lo + step, None], cols)]
             hit = np.flatnonzero(ranks >= 0)
@@ -430,12 +457,12 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
             f"neighbour table is not an undirected graph: {exc}", p=p, q=q) from exc
     if g.max_degree() != p + 1:
         raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
-    # the identity's row in the BFS reference metric decides every other row
-    # by arithmetic; the shared radius-4 metric is the group's from the
-    # start, so no query can meet the graph without it and rank by rows
+    # the identity's breadth-first row decides every other row by
+    # arithmetic; the graph carries the group metric from the start, so no
+    # query can meet the graph without it and rank by rows
     identity = int(group._ids[q ** 3 + 1])  # the key of (1, 0, 0, 1)
-    ball = PowerNeighborhoods(g).row(identity)
-    object.__setattr__(g, "_metric", PowerNeighborhoods(g, Psl2Ball(group, ball)))
+    ball = BfsNeighborhoods(g).row(identity)
+    object.__setattr__(g, "_metric", PowerNeighborhoods(group, ball))
     return g
 
 

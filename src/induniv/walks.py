@@ -21,13 +21,15 @@ walk has used them so far, ties broken by a fixed integer mix of (vertex,
 position). So the walk spreads over the host, as the walk lemma of
 Alon-Capalbo needs, instead of circling a few vertices; walks that circle
 overflow the constraint schedules built from them.
-Builder and checker decide "within distance 4" through the host's shared
+Builder and checker decide "within distance 4" through the host's
 radius-4 metric (``graphs.shared_power_neighborhoods``), the same one the
-product-graph oracle uses. The host memoises that metric and its connectivity,
-so a call costs what its own walk costs, never a pass over the host. On an
-LPS host the metric is group arithmetic and holds no rows, so a walk's memory
-does not grow with the host vertices it visits; on any other host it is the
-breadth-first reference, which keeps the row of each vertex asked about.
+product-graph oracle uses. The host memoises its connectivity, so a call
+costs what its own walk costs, never a pass over the host. An LPS host
+carries its metric, ``lps.PowerNeighborhoods``, which is group arithmetic
+and holds no rows, so a walk's memory does not grow with the host vertices
+it visits; any other host gets a fresh breadth-first reference
+(``graphs.BfsNeighborhoods``) for each call, which keeps the row of each
+vertex that call asks about.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ def verify_walk_map(
     map is clean.
 
     Recomputes the usage histogram, radius-4 closeness of every scheduled
-    pair (through the shared metric, which the tests hold to BFS), and
+    pair (through the host's metric, which the tests hold to BFS), and
     path-ness of every block window from scratch. Raises ArgumentError on a
     value that is not a vertex of the host.
     """

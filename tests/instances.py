@@ -144,7 +144,6 @@ def _draw_close(rng: random.Random, metric, x: int) -> int:
     """A uniform draw from the radius-4 row of x on an LPS host: M_x * b for
     one uniform element b of the identity's ball B, since b -> M_x * b maps
     B one to one onto the row."""
-    ball = metric._group
-    b = ball.ball[rng.randrange(len(ball.ball))]
-    elements = ball.group.elements
-    return int(ball.group.product_ids(elements[x], elements[b])[0])
+    b = metric.ball[rng.randrange(len(metric.ball))]
+    elements = metric.group.elements
+    return int(metric.group.product_ids(elements[x], elements[b])[0])

@@ -95,6 +95,15 @@ def test_gamma_params_paper(capsys):
     assert count == (doc["ell_m"] ** 3 * doc["ell_z"] ** 2, 2 * (4 * 734**4 + 1))
 
 
+@pytest.mark.parametrize("option", ["--rm", "--rz"])
+def test_paper_profile_takes_no_host(capsys, option):
+    # the paper's sizes are a formula, so a desk host is never read
+    assert run(["gamma-params", "--profile", "paper", "--delta", "2", "--n", "10",
+                option, "5,61"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "UsageError" and option in err["message"] and not captured.out
+
 
 def test_gamma_params_desk(capsys, rm_desk):
     code, doc = invoke(capsys, [

@@ -25,9 +25,9 @@ from induniv.gamma import (
     shared_power_neighborhoods,
     validate_vertex,
 )
-from induniv import gamma, graphs
+from induniv import gamma, lps
 from induniv.embedder import embed
-from induniv.graphs import Graph, circulant_graph, cycle_graph, path_graph
+from induniv.graphs import BfsNeighborhoods, Graph, circulant_graph, cycle_graph, path_graph
 from induniv.lps import (
     LpsParams, build_lps_graph, cached_lps_graph, certify_expander, psl2)
 from instances import random_close_gamma_pair, random_gamma_vertex
@@ -49,7 +49,7 @@ from oracles import (
                                Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)]),
                                circulant_graph(70, [1, 5])])
 def test_power_neighborhoods_match_oracle(g):
-    pw = PowerNeighborhoods(g)
+    pw = BfsNeighborhoods(g)
     expected = oracle_power(g, 4)
     for u in range(g.vertex_count):
         for v in range(g.vertex_count):
@@ -62,7 +62,7 @@ def test_power_neighborhoods_match_oracle(g):
 
 def test_power_neighborhood_ranks_are_positions():
     g = cycle_graph(12)
-    pw = PowerNeighborhoods(g)
+    pw = BfsNeighborhoods(g)
     row = list(pw.row(0))
     for idx, w in enumerate(row):
         assert pw.rank(0, w) == idx
@@ -70,7 +70,7 @@ def test_power_neighborhood_ranks_are_positions():
 
 
 def test_rows_match_bfs_oracle(rm_desk):
-    pw = PowerNeighborhoods(rm_desk)
+    pw = BfsNeighborhoods(rm_desk)
     ell = rm_desk.vertex_count
     for v in random.Random(5).sample(range(ell), 12) + [0, ell - 1]:
         dist = oracle_distances(rm_desk, v)
@@ -86,7 +86,7 @@ def _listed(pairs):
 
 
 def test_rows_exist_only_for_the_vertices_asked_about(rm_desk):
-    pw = PowerNeighborhoods(rm_desk)
+    pw = BfsNeighborhoods(rm_desk)
     asked = random.Random(6).sample(range(rm_desk.vertex_count), 9)
     pw.row(asked[0])
     pw.contains(asked[1], asked[0])
@@ -103,7 +103,7 @@ def test_rows_past_two_byte_ids_match_bfs_oracle():
     # a host past 2**16 vertices, read at ids on both sides of 65,535
     n = 70_000
     circ = circulant_graph(n, [1, 5])
-    pw = PowerNeighborhoods(circ)
+    pw = BfsNeighborhoods(circ)
     xs = [65_535, 65_536, 65_540, 65_531, 65_556, 0, n - 1, n - 20, 40_000, 40_021]
     for v in xs:
         expected = sorted(w for w, d in oracle_distances(circ, v).items() if 0 < d <= 4)
@@ -117,15 +117,14 @@ def test_rows_past_two_byte_ids_match_bfs_oracle():
 
 def test_close_pairs_need_a_group(rm_desk):
     # the breadth-first reference answers scalar queries only
-    with pytest.raises(ArgumentError, match="group"):
-        PowerNeighborhoods(rm_desk).close_pairs([0, 1])
-    with pytest.raises(ArgumentError, match="group"):
-        shared_power_neighborhoods(circulant_graph(70, [1, 5])).close_pairs([])
+    for pw in (BfsNeighborhoods(rm_desk),
+               shared_power_neighborhoods(circulant_graph(70, [1, 5]))):
+        assert type(pw) is BfsNeighborhoods and not hasattr(pw, "close_pairs")
 
 
 def test_close_pairs_span_several_chunks(rm_desk):
     pw = shared_power_neighborhoods(rm_desk)
-    assert 300 > graphs._PAIR_CHUNK // 300  # more than one chunk of positions
+    assert 300 > lps._PAIR_CHUNK // 300  # more than one chunk of positions
     rng = random.Random(12)
     centers = rng.sample(range(rm_desk.vertex_count), 2)
     xs = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(300)]
@@ -154,9 +153,11 @@ def test_lps_hosts_are_built_with_the_group_metric():
     # no call made before the first query can leave an LPS host ranked by rows
     for g in (build_lps_graph(5, 29), cached_lps_graph(5, 29)):
         pw = shared_power_neighborhoods(g)
-        assert pw._group is not None and len(pw._group.ball) == 936
+        assert type(pw) is PowerNeighborhoods and len(pw.ball) == 936
         assert shared_power_neighborhoods(g) is pw
-    assert PowerNeighborhoods(cached_lps_graph(5, 29))._group is None
+    # the ball is the identity's breadth-first row
+    e = [tuple(m) for m in psl2(29).elements.tolist()].index((1, 0, 0, 1))
+    assert BfsNeighborhoods(g).row(e).tolist() == pw.ball.tolist()
 
 
 def test_group_rows_match_bfs_rows_on_every_vertex(rm_desk):
@@ -165,13 +166,13 @@ def test_group_rows_match_bfs_rows_on_every_vertex(rm_desk):
     for v, row in oracle_ball_rows(rm_desk, 4):
         assert np.array_equal(group.row(v), row)
         seen += 1
-    assert seen == rm_desk.vertex_count and not group._cache
+    assert seen == rm_desk.vertex_count
 
 
 def test_group_ranks_index_each_neighbourhood_by_the_ball(rm_desk):
     pw = shared_power_neighborhoods(rm_desk)
     e = [tuple(m) for m in psl2(29).elements.tolist()].index((1, 0, 0, 1))
-    ball = pw._group.ball.tolist()
+    ball = pw.ball.tolist()
     assert pw.row(e).tolist() == ball and [pw.rank(e, b) for b in ball] == list(range(936))
     n = rm_desk.vertex_count
     for v in random.Random(14).sample(range(n), 200) + [0, n - 1]:
@@ -187,7 +188,7 @@ def test_group_ranks_index_each_neighbourhood_by_the_ball(rm_desk):
 
 def test_group_metric_matches_bfs_on_a_larger_host():
     g = build_lps_graph(5, 61)
-    pw, bfs = shared_power_neighborhoods(g), PowerNeighborhoods(g)
+    pw, bfs = shared_power_neighborhoods(g), BfsNeighborhoods(g)
     n = g.vertex_count
     rng = random.Random(61)
     for v in rng.sample(range(n), 25):
@@ -198,33 +199,50 @@ def test_group_metric_matches_bfs_on_a_larger_host():
         for w in near + rim[:400] + rng.sample(range(n), 400) + [v]:
             assert pw.contains(v, w) == bfs.contains(v, w) == (0 < dist[w] <= 4)
         assert sorted(pw.rank(v, w) for w in near) == list(range(len(near)))
-    assert not pw._cache
 
 
 def test_group_close_pairs_match_scalar_queries(rm_desk):
     pw = shared_power_neighborhoods(rm_desk)
     n = rm_desk.vertex_count
     # ball members whose first entry is 0 take the rarer canonical branch
-    assert (psl2(29).elements[pw._group.ball, 0] == 0).any()
+    assert (psl2(29).elements[pw.ball, 0] == 0).any()
     rng = random.Random(15)
     centers = rng.sample(range(n), 3)
     clustered = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(300)]
-    assert 300 > graphs._PAIR_CHUNK // 300  # more than one chunk of positions
+    assert 300 > lps._PAIR_CHUNK // 300  # more than one chunk of positions
     for xs in (rng.sample(range(n), 400), clustered + centers, clustered[:40] * 2,
                [centers[0]] * 3, [], [17]):
         assert _listed(pw.close_pairs(xs)) == oracle_close_pairs(pw, xs)
     with pytest.raises(ArgumentError):
         pw.close_pairs([0, n])
-    assert not pw._cache
 
 
 def test_metric_lives_as_long_as_its_graph(desk_params2):
     p = desk_params2
-    others = [circulant_graph(40 + i, [1, 3]) for i in range(10)]
-    metrics = [shared_power_neighborhoods(g) for g in others]
-    assert all(shared_power_neighborhoods(g) is m for g, m in zip(others, metrics))
     assert shared_power_neighborhoods(p.r_m) is p.rm_pow
     assert shared_power_neighborhoods(p.r_z) is p.rz_pow
+
+
+def test_each_metric_query_is_one_call_of_its_class_method(monkeypatch):
+    # a traced run counts the scalar queries by wrapping these two methods
+    # on the class, so each query must be exactly one call of one of them,
+    # also once earlier queries have made whatever the metric makes lazily
+    assert type(make_gamma_params(2, 30).rm_pow) is gamma.PowerNeighborhoods
+    assert type(shared_power_neighborhoods(cycle_graph(40))) is BfsNeighborhoods
+    pw = shared_power_neighborhoods(cached_lps_graph(5, 29))
+    w = int(pw.row(3)[0])
+    r = pw.rank(3, w)
+    assert pw.contains(3, w) and r is not None
+    calls = {"contains": 0, "rank": 0}
+    for name in calls:
+        def counted(self, v, w, name=name, method=getattr(gamma.PowerNeighborhoods, name)):
+            calls[name] += 1
+            return method(self, v, w)
+        monkeypatch.setattr(gamma.PowerNeighborhoods, name, counted)
+    assert pw.contains(3, w) and calls == {"contains": 1, "rank": 0}
+    assert pw.rank(3, w) == r and calls == {"contains": 1, "rank": 1}
+    assert shared_power_neighborhoods(cached_lps_graph(5, 29)).contains(w, 3)
+    assert calls == {"contains": 2, "rank": 1}
 
 
 # -- parameters -------------------------------------------------------------------

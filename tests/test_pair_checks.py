@@ -26,7 +26,8 @@ from induniv.embedder import (
 )
 from induniv.errors import ArgumentError, ScheduleOverflowError
 from induniv.gamma import (
-    GammaVertex, adjacent_pairs, gamma_adjacent_witness, make_gamma_params)
+    GammaVertex, PowerNeighborhoods, adjacent_pairs, gamma_adjacent_witness,
+    make_gamma_params)
 from induniv.graphs import Graph, circulant_graph, cycle_graph, disjoint_union, path_graph
 from induniv.harness import FamilySpec, enumerate_family
 from oracles import (
@@ -361,7 +362,7 @@ def test_desk_metric_holds_no_rows():
     params = make_gamma_params(2, n)
     verify_induced(path_graph(n), _rebuilt(_walk_labelling(params, n)), params)
     for pw in metrics + [params.rm_pow, params.rz_pow]:
-        assert pw._group is not None and not pw._cache
+        assert type(pw) is PowerNeighborhoods
 
 
 def _embed_keeping_tables(monkeypatch, h, delta, params):
