@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import ArgumentError, ArtifactError, CodecError
 from .gamma import DeskConfig, decode_label, gamma_vertex_count, make_gamma_params, paper_sizes
 from .graphs import Graph, dump_edge_list, format_edge_list, load_edge_list
-from .harness import FamilySpec, size_report, sweep_step, universality_sweep
+from .harness import FamilySpec, size_report, universality_sweep
 from .embedder import EmbedCertificate, EmbeddingResult, embed, verify_induced
 from .lps import LpsParams, build_lps_graph, certify_expander
 from .thin import layout_thin, thin_decompose
@@ -93,8 +93,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--rm", type=_pq, default=None)
     p.add_argument("--rz", type=_pq, default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per graph and per processor")
 
     p = add_parser("size-report", help="formula-level scaling table")
     p.add_argument("--delta", type=_int_list, required=True)
@@ -217,43 +215,9 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
-    if args.jobs < 1:
-        raise ArgumentError("--jobs must be >= 1")
     params = make_gamma_params(args.delta, args.n, _desk_config(args))
-    spec = FamilySpec(n=args.n, delta=args.delta)
-    if args.jobs == 1:
-        report = universality_sweep(spec, params)
-    else:
-        report = _parallel_sweep(spec, params, args)
+    report = universality_sweep(FamilySpec(n=args.n, delta=args.delta), params)
     return (0 if report.ok else 2), report.to_json()
-
-
-def _parallel_sweep(spec, params, args):
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .harness import SweepReport, enumerate_family
-
-    desk = params.desk.to_json()
-    jobs = [(idx, sorted(g.edges()), g.vertex_count, params.delta, params.n, desk)
-            for idx, g in enumerate(enumerate_family(spec))]
-    # a fork pool starts all its workers at once, so ask for no more than
-    # there are graphs and processors
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return SweepReport.of(list(pool.map(_sweep_worker, jobs, chunksize=8)))
-
-
-def _sweep_worker(job):
-    idx, edges, nv, delta, n, desk = job
-    params = _worker_params(delta, n, json.dumps(desk, sort_keys=True))
-    return sweep_step(idx, Graph(nv, edges), params)
-
-
-def _worker_params(delta, n, desk_json):
-    """The sweep's parameters rebuilt in a worker; the expanders they name
-    are cached per process, so only the first call builds them."""
-    cfg = DeskConfig.from_json(json.loads(desk_json))
-    return make_gamma_params(delta, n, cfg)
 
 
 def _cmd_size_report(args) -> tuple[int, dict]:

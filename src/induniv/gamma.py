@@ -167,6 +167,11 @@ class ProductSizes:
     def label_bits(self) -> int:
         return self.x_bits + (self.delta - 1) * (self.x_bits + self.subset_bits + self.u_bits)
 
+    @cached_property
+    def label_header(self) -> str:
+        """The 8-hex-digit width header that starts every label."""
+        return format(self.label_bits, "08x")
+
     def to_json(self) -> dict:
         return {
             "schema": "induniv/gamma-params-v1",
@@ -240,7 +245,7 @@ class GammaParams(ProductSizes):
 def make_gamma_params(
     delta: int,
     n: int,
-    overrides: DeskConfig | dict | None = None,
+    desk: DeskConfig | None = None,
 ) -> GammaParams:
     """Build the two certified LPS expanders whose primes the desk config
     names, both (p+1)-regular, and derive every cap from their actual sizes;
@@ -249,13 +254,7 @@ def make_gamma_params(
     metric.
     """
     _check_sizes(delta, n)
-    cfg = overrides
-    if not isinstance(cfg, DeskConfig):
-        unknown = sorted(map(str, set(cfg or ()) - {f.name for f in fields(DeskConfig)}))
-        if unknown:
-            raise ArgumentError(f"desk config has no field {', '.join(unknown)}")
-        cfg = DeskConfig(**(cfg or {}))
-
+    cfg = desk or DeskConfig()
     rm_graph = cached_lps_graph(*cfg.rm_pq)
     rz_graph = cached_lps_graph(*cfg.rz_pq)
     certs = {"r_m": cached_lps_certificate(*cfg.rm_pq),
@@ -448,6 +447,8 @@ def adjacent_pairs(
     for v in vertices:
         validate_vertex(v, params)
     n = len(vertices)
+    if n < 2:  # no pair to find, whatever delta is
+        return {}
     adjacent: dict[tuple[int, int], tuple[int, int]] = {}
     earlier: list[np.ndarray] = []  # close keys a * n + b, a < b, of coordinates 1..i-1
     for i in range(1, params.delta + 1):
@@ -548,8 +549,6 @@ class LabelLayout:
     """
 
     delta: int
-    bits: int
-    header: str
     digits: int
     nbytes: int
     mask_fields: tuple[tuple[int, int, int, int], ...]
@@ -576,7 +575,7 @@ class LabelLayout:
         # the place of byte k, counted in bytes from the small integer's end
         place = {k: len(small) - 1 - pos for pos, k in enumerate(small)}
         cuts = tuple((8 * place[end - 1] + shift, mask) for _, end, shift, mask in coords)
-        return cls(delta, bits, format(bits, "08x"), digits, nbytes, tuple(fields[2::3]),
+        return cls(delta, digits, nbytes, tuple(fields[2::3]),
                    itemgetter(*small), cuts[0][0] + x_bits, cuts,
                    (ell_m,) * delta + (ell_z,) * (delta - 1))
 
@@ -590,7 +589,7 @@ def encode_label(v: GammaVertex, params: GammaParams) -> str:
     layout = params.label_layout
     payload_hex = acc.to_bytes(layout.nbytes, "big").hex()
     # an odd digit count drops the zero digit that fills the first byte
-    return layout.header + (payload_hex[1:] if layout.digits % 2 else payload_hex)
+    return params.label_header + (payload_hex[1:] if layout.digits % 2 else payload_hex)
 
 
 class _ParsedLabel:
@@ -598,7 +597,9 @@ class _ParsedLabel:
     ``x``, ``u`` and ``in_subset``.
 
     The parse checks the width header, parses the whole payload as hex in
-    one pass and checks its digit count. It then cuts the coordinates,
+    one pass and checks its digit count, all against ``label_bits`` before
+    the layout is read: a layout holds O(delta) fields, and an embedding
+    file names its own delta. It then cuts the coordinates,
     x_1..x_delta and u_2..u_delta into ``coords``, checks the pad bits and
     range-checks every coordinate. The subset fields need no check, since
     the layout bounds each to ``subset_bits`` bits: ``in_subset`` reads one
@@ -610,21 +611,21 @@ class _ParsedLabel:
     def __init__(self, label: str, params: GammaParams):
         if len(label) < 8:
             raise CodecError("label shorter than its width header")
-        layout = params.label_layout
+        bits = params.label_bits
         payload = label[8:]
         try:
             # the width header as encode_label writes it, else parsed strictly
-            total = layout.bits if label.startswith(layout.header) else int.from_bytes(
+            total = bits if label.startswith(params.label_header) else int.from_bytes(
                 a2b_hex(label[:8]), "big")
             raw = a2b_hex("0" + payload if len(payload) % 2 else payload)
         except ValueError as exc:  # binascii.Error is a ValueError
             raise CodecError(f"label is not hex: {exc}") from exc
-        if total != layout.bits:
+        if total != bits:
+            raise CodecError(f"label declares {total} bits, parameters want {bits}")
+        if len(payload) != (bits + 3) // 4:
             raise CodecError(
-                f"label declares {total} bits, parameters want {layout.bits}")
-        if len(payload) != layout.digits:
-            raise CodecError(
-                f"label payload has {len(payload)} hex digits, want {layout.digits}")
+                f"label payload has {len(payload)} hex digits, want {(bits + 3) // 4}")
+        layout = params.label_layout
         small = int.from_bytes(bytes(layout.small_bytes(raw)), "big")
         if small >> layout.pad_shift:
             raise CodecError("label payload wider than its declared width")

@@ -119,38 +119,31 @@ class SweepReport:
             "ok": self.ok,
         }
 
-    @classmethod
-    def of(cls, outcomes: list[dict | None]) -> "SweepReport":
-        """The report on the per-graph outcomes of ``sweep_step``."""
-        failures = [f for f in outcomes if f is not None]
-        return cls(total=len(outcomes), embedded=len(outcomes) - len(failures),
-                   failures=failures)
-
 
 def universality_sweep(spec: FamilySpec, params: GammaParams) -> SweepReport:
-    """Embed every family member; success means a clean induced re-check.
+    """Embed every family member; success means a clean certificate and a
+    clean induced re-check.
 
-    Failures are data, not exceptions.
+    Failures are data, not exceptions: each names the member's index and
+    edges, with the error it raised or the violations its check found.
     """
     if spec.delta > params.delta:
         raise ArgumentError(
             f"family delta {spec.delta} exceeds parameter delta {params.delta}")
-    return SweepReport.of([sweep_step(idx, h, params)
-                           for idx, h in enumerate(enumerate_family(spec))])
-
-
-def sweep_step(idx: int, h: Graph, params: GammaParams) -> dict | None:
-    """Embed one family member and re-check it: None when it embeds with a
-    clean certificate and induced check, else the failure record."""
-    edges = sorted(h.edges())
-    try:
-        result = embed(h, params.delta, params)
-        induced = verify_induced(h, result, params)
-    except ArtifactError as exc:
-        return {"index": idx, "edges": edges, "error": exc.to_json()}
-    if induced.ok and result.certificate.ok:
-        return None
-    return {"index": idx, "edges": edges, "violations": list(induced.violations)}
+    members = list(enumerate_family(spec))
+    failures = []
+    for idx, h in enumerate(members):
+        failure = {"index": idx, "edges": sorted(h.edges())}
+        try:
+            result = embed(h, params.delta, params)
+            induced = verify_induced(h, result, params)
+        except ArtifactError as exc:
+            failures.append({**failure, "error": exc.to_json()})
+            continue
+        if not (induced.ok and result.certificate.ok):
+            failures.append({**failure, "violations": list(induced.violations)})
+    return SweepReport(total=len(members), embedded=len(members) - len(failures),
+                       failures=failures)
 
 
 # -- size report -------------------------------------------------------------------

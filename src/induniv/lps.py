@@ -148,12 +148,16 @@ def integer_cbrt(n: int) -> int:
     """Largest integer c with c^3 <= n (exact, no float round-off)."""
     if n < 0:
         raise ArgumentError("integer_cbrt needs a non-negative argument")
-    c = round(n ** (1 / 3)) if n < 2**50 else round(n ** (1 / 3) * (1 + 1e-12))
-    while c**3 > n:
-        c -= 1
-    while (c + 1) ** 3 <= n:
-        c += 1
-    return c
+    if n == 0:
+        return 0
+    # integer Newton from above: the start 2^ceil(bits/3) exceeds the root,
+    # and each step stays at or above it until the value stops falling
+    c = 1 << -(-n.bit_length() // 3)
+    while True:
+        nxt = (2 * c + n // (c * c)) // 3
+        if nxt >= c:
+            return c
+        c = nxt
 
 
 def find_lps_params(

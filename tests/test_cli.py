@@ -8,12 +8,10 @@ from pathlib import Path
 import pytest
 
 import induniv
-from induniv import cli, harness, lps, walks
-from induniv.cli import _worker_params, run
+from induniv import harness, walks
+from induniv.cli import run
 from induniv.embedder import embed
-from induniv.gamma import (
-    DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params,
-    shared_power_neighborhoods)
+from induniv.gamma import DeskConfig, GammaVertex, decode_label, encode_label, make_gamma_params
 from induniv.graphs import circulant_graph, cycle_graph, dump_edge_list, parse_edge_list
 
 
@@ -105,6 +103,19 @@ def test_paper_profile_takes_no_host(capsys, option):
     assert err["type"] == "UsageError" and option in err["message"] and not captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma-params", "--profile", "paper", "--delta", "2", "--n", str(10**600)],
+    ["size-report", "--delta", "2", "--n-list", str(10**600)],
+], ids=["gamma-params", "size-report"])
+def test_paper_sizes_past_the_float_range_fail_as_json(capsys, argv):
+    # the host search is sized by an integer cube root of 8m, which must
+    # neither overflow a float nor step one at a time to its answer
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "ExhaustedSearchError"
+    assert not captured.out
+
+
 def test_gamma_params_desk(capsys, rm_desk):
     code, doc = invoke(capsys, [
         "gamma-params", "--delta", "2", "--n", "30", "--profile", "desk"])
@@ -180,40 +191,12 @@ def test_sweep_command(capsys, rm_desk):
     assert doc["embedded"] == doc["total"] == 4
 
 
-def test_sweep_parallel(capsys, rm_desk):
-    code, doc = invoke(capsys, ["sweep", "--n", "3", "--delta", "2", "--jobs", "2"])
-    assert code == 0
-    assert doc["embedded"] == doc["total"] == 4
-
-
-class _InProcessPool:
-    """A stand-in for ProcessPoolExecutor that records the workers asked
-    for and runs every job in this process."""
-
-    asked: list = []
-
-    def __init__(self, max_workers):
-        self.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-def test_sweep_asks_for_no_more_workers_than_graphs(capsys, monkeypatch, rm_desk):
-    # four graphs on three vertices: a pool of 10000 would fork 10000 processes
-    import concurrent.futures
-
-    monkeypatch.setattr(_InProcessPool, "asked", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    code, doc = invoke(capsys, ["sweep", "--n", "3", "--delta", "2", "--jobs", "10000"])
-    assert code == 0 and doc["embedded"] == doc["total"] == 4
-    assert _InProcessPool.asked == [min(4, os.cpu_count() or 1)]
+def test_sweep_has_no_jobs_option(capsys):
+    # the sweep runs in this process; the package starts no other
+    assert run(["sweep", "--n", "3", "--delta", "2", "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "UsageError" and "--jobs" in err["message"] and not captured.out
 
 
 def test_size_report_command(capsys):
@@ -341,37 +324,49 @@ def test_verify_rejects_files_written_with_row_ranks(capsys, c6_file, tmp_path, 
     assert error["recorded"] == ROW_RANK_DIGEST and error["rebuilt"] == doc["params_digest"]
 
 
-def _labels_step(idx, h, params):
-    """A sweep step that reports the labels of its embedding as a failure
-    record, so the report carries them."""
-    labels = [encode_label(v, params) for v in embed(h, params.delta, params).gamma]
-    return {"index": idx, "labels": labels}
+# a sweep in a fresh process, whose hosts are built afresh and whose metric
+# is asked about before the parameters are made; it prints the labels of
+# each embedding the sweep makes
+_FRESH_SWEEP = """
+import json
+from induniv import harness, lps
+from induniv.gamma import encode_label, make_gamma_params, shared_power_neighborhoods
+
+shared_power_neighborhoods(lps.cached_lps_graph(5, 29)).rank(0, 1)
+params = make_gamma_params(2, 4)
+labels, embed = [], harness.embed
+
+def recording_embed(h, delta, params):
+    result = embed(h, delta, params)
+    labels.append([encode_label(v, params) for v in result.gamma])
+    return result
+
+harness.embed = recording_embed
+assert harness.universality_sweep(harness.FamilySpec(4, 2), params).ok
+print(json.dumps(labels))
+"""
 
 
-def _rebuilding_params(delta, n, desk_json):
-    # a worker whose hosts are built afresh, and whose metric is asked
-    # about before the parameters are made
-    lps.cached_lps_graph.cache_clear()
-    lps.cached_lps_certificate.cache_clear()
-    cfg = DeskConfig.from_json(json.loads(desk_json))
-    shared_power_neighborhoods(lps.cached_lps_graph(*cfg.rm_pq)).rank(0, 1)
-    return _worker_params(delta, n, desk_json)
+def test_a_fresh_process_sweeps_to_the_labels_of_this_one(monkeypatch, rm_desk):
+    env = dict(os.environ, PYTHONPATH=str(Path(induniv.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    labels = []
+
+    def recording_embed(h, delta, params):
+        result = embed(h, delta, params)
+        labels.append([encode_label(v, params) for v in result.gamma])
+        return result
+
+    monkeypatch.setattr(harness, "embed", recording_embed)
+    assert harness.universality_sweep(harness.FamilySpec(4, 2), make_gamma_params(2, 4)).ok
+    assert len(labels) > 4 and json.loads(done.stdout) == labels
 
 
-def test_parallel_sweep_labels_match_the_serial_ones(capsys, monkeypatch, rm_desk):
-    monkeypatch.setattr(cli, "sweep_step", _labels_step)
-    monkeypatch.setattr(harness, "sweep_step", _labels_step)
-    monkeypatch.setattr(cli, "_worker_params", _rebuilding_params)
-    reports = [invoke(capsys, ["sweep", "--n", "4", "--delta", "2", "--jobs", jobs])[1]
-               for jobs in ("1", "2")]
-    assert reports[0]["total"] == len(reports[0]["failures"]) > 4
-    assert reports[0]["failures"] == reports[1]["failures"]
-
-
-def test_worker_params_keep_every_desk_field(rm_desk):
+def test_desk_config_round_trips_through_json():
     cfg = DeskConfig(rz_pq=(5, 61))
     assert DeskConfig.from_json(cfg.to_json()) == cfg
-    assert _worker_params(2, 5, json.dumps(cfg.to_json())).desk == cfg
 
 
 def test_embed_failure_reports_its_retry_trail(capsys, tmp_path, monkeypatch, rm_desk):

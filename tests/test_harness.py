@@ -74,9 +74,9 @@ def test_sweep_monotone_under_larger_shield_block(desk_params2):
     # replacing the shield expander with a strictly larger certified one
     # must not turn any success into failure
     pytest.importorskip("scipy")
-    from induniv.gamma import make_gamma_params
+    from induniv.gamma import DeskConfig, make_gamma_params
 
-    big = make_gamma_params(2, 30, {"rz_pq": (5, 61)})
+    big = make_gamma_params(2, 30, DeskConfig(rz_pq=(5, 61)))
     small_report = universality_sweep(FamilySpec(4, 2), desk_params2)
     big_report = universality_sweep(FamilySpec(4, 2), big)
     assert small_report.ok

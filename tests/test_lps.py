@@ -53,6 +53,12 @@ def test_integer_cbrt():
         assert c**3 <= n < (c + 1) ** 3
 
 
+def test_integer_cbrt_is_exact_past_the_float_range():
+    # n ** (1/3) overflows a float near 1.8e308, and its error grows with n
+    assert integer_cbrt(10**600) == 10**200
+    assert integer_cbrt(10**600 - 1) == 10**200 - 1
+
+
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_quaternion_solution_count(p):
     assert len(quaternion_norm_solutions(p)) == p + 1
