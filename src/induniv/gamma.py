@@ -28,7 +28,7 @@ the strict parse that ``decode_label`` makes, which cuts and range-checks
 only the x and u fields; the scan then reads at most one bit of each subset
 mask, and only at a block whose x-pair is close, straight from the parsed
 bytes. The graph itself is never materialized: even at desk scale one
-subset coordinate is thousands of bits wide, so everything is served by
+subset coordinate is hundreds of bits wide, so everything is served by
 (params, oracle, codec).
 
 ``make_gamma_params`` builds the desk construction: real certified
@@ -148,11 +148,13 @@ class ProductSizes:
 
     @property
     def subset_universe(self) -> int:
+        """The largest rank a subset may hold: the paper's 4 d^4."""
         return 4 * self.d**4
 
     @cached_property
     def subset_bits(self) -> int:
-        # the universe {0, ..., 4d^4} has 4d^4 + 1 members
+        # the universe {0, ..., subset_universe} has subset_universe + 1
+        # members: 4 d^4 + 1 in the paper, |B_4| in a desk construction
         return self.subset_universe + 1
 
     @cached_property
@@ -199,6 +201,13 @@ class GammaParams(ProductSizes):
     certificates: dict[str, ExpanderCertificate] = field(default_factory=dict)
 
     @property
+    def subset_universe(self) -> int:
+        """The largest rank: a rank is an index into the identity's radius-4
+        ball B_4 of R_m, so a subset field has |B_4| bits (936 at p = 5)
+        where the paper's bound gives 4 d^4 + 1 (5185)."""
+        return len(self.rm_pow.ball) - 1
+
+    @property
     def q_m(self) -> int:
         return step_for(self.ell_m)
 
@@ -231,6 +240,7 @@ class GammaParams(ProductSizes):
             "ell_z": self.ell_z,
             "desk": self.desk.to_json(),
             "ranks": RANK_CONVENTION,
+            "subset_bits": self.subset_bits,  # files of another width fail by digest
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -319,7 +329,7 @@ class GammaVertex:
     """One product-graph vertex: anchor coordinate plus delta-1 blocks.
 
     Each block is (x_i, X_i, u_i) with X_i a bitmask over the subset
-    universe (width 4 d^4 + 1).
+    universe (width ``subset_bits``: |B_4| in a desk construction).
     """
 
     x1: int
@@ -500,8 +510,8 @@ class ScaledCount:
     """Exact integer of the form mantissa * 2**exp2.
 
     The subset factors of a vertex count are powers of two too wide to
-    write out (thousands of bits at desk scale, trillions in the paper), so
-    the power of two is kept factored; nothing is rounded.
+    write out (hundreds of bits per block at desk scale, trillions in the
+    paper), so the power of two is kept factored; nothing is rounded.
     """
 
     mantissa: int
@@ -518,7 +528,9 @@ class ScaledCount:
 
 
 def gamma_vertex_count(sizes: ProductSizes) -> ScaledCount:
-    """|V| = ell_m * (ell_m * 2^(4d^4+1) * ell_z)^(delta-1), exactly."""
+    """|V| = ell_m * (ell_m * 2^subset_bits * ell_z)^(delta-1), exactly:
+    subset_bits is 4 d^4 + 1 for ``paper_sizes`` and |B_4| for a desk
+    construction."""
     return ScaledCount(mantissa=sizes.ell_m * (sizes.ell_m * sizes.ell_z) ** (sizes.delta - 1),
                        exp2=sizes.subset_bits * (sizes.delta - 1))
 
@@ -641,9 +653,8 @@ class _ParsedLabel:
         return self.coords[self.layout.delta + i - 2]
 
     def in_subset(self, i: int, r: int) -> int:
-        # a rank is an index into the identity's radius-4 ball, which has
-        # at most 4 d^4 members in a d-regular graph, so bit shift + r lies
-        # inside the field
+        # a rank is an index into the identity's radius-4 ball, below its
+        # size subset_bits, so bit shift + r lies inside the field
         _, end, shift, _ = self.layout.mask_fields[i - 2]
         bit = shift + r
         return self.raw[end - 1 - (bit >> 3)] >> (bit & 7) & 1

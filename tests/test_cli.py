@@ -123,7 +123,7 @@ def test_gamma_params_desk(capsys, rm_desk):
     assert doc["d"] == 6 and doc["ell_m"] == 12180
     assert doc["certificates"]["r_m"]["all_ok"]
     assert doc["vertex_count_mantissa"] << doc["vertex_count_exp2"] == \
-        12180**2 * 2**5185 * 12180
+        12180**2 * 2**936 * 12180
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,13 +131,16 @@ def test_gamma_params_desk(capsys, rm_desk):
     ["--delta", "3", "--n", "1000000", "--profile", "paper"],
 ], ids=["desk-2", "desk-3", "desk-4", "desk-5", "desk-6", "paper"])
 def test_gamma_params_prints_the_exact_count(capsys, rm_desk, argv):
-    # from delta 4 on, the count written out in decimal passes the 4,300
-    # digits Python converts by default, so the count is printed factored
+    # the count is printed factored: written out in decimal, the paper's
+    # passes the 4,300 digits Python converts by default, and so does the
+    # desk's from delta 16 on
     code, doc = invoke(capsys, ["gamma-params", *argv])
     assert code == 0 and isinstance(doc, dict)
     delta, ell_m, ell_z = doc["delta"], doc["ell_m"], doc["ell_z"]
     assert doc["vertex_count_mantissa"] == ell_m * (ell_m * ell_z) ** (delta - 1)
-    assert doc["vertex_count_exp2"] == (delta - 1) * (4 * doc["d"] ** 4 + 1)
+    # a desk subset field has |B_4| = 936 bits, the paper's 4 d^4 + 1
+    subset_bits = 4 * doc["d"] ** 4 + 1 if "paper" in argv else 936
+    assert doc["vertex_count_exp2"] == (delta - 1) * subset_bits
     assert doc["vertex_count_log10"] == pytest.approx(
         math.log10(doc["vertex_count_mantissa"]) + doc["vertex_count_exp2"] * math.log10(2))
 
@@ -322,6 +325,26 @@ def test_verify_rejects_files_written_with_row_ranks(capsys, c6_file, tmp_path, 
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "CodecError" and "digest" in error["message"]
     assert error["recorded"] == ROW_RANK_DIGEST and error["rebuilt"] == doc["params_digest"]
+
+
+# the params digest of an embedding of C6 at delta 2 written while every
+# subset field was 4 d^4 + 1 = 5185 bits wide; its labels would now fail
+# their parse by width
+FULL_WIDTH_DIGEST = "450a8db72971a85c"
+
+
+def test_verify_rejects_files_written_at_the_full_subset_width(
+        capsys, c6_file, tmp_path, rm_desk):
+    emb = tmp_path / "emb.json"
+    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
+                "--output", str(emb)]) == 0
+    doc = json.loads(emb.read_text())
+    assert doc["params_digest"] != FULL_WIDTH_DIGEST
+    emb.write_text(json.dumps({**doc, "params_digest": FULL_WIDTH_DIGEST}))
+    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CodecError" and "digest" in error["message"]
+    assert error["recorded"] == FULL_WIDTH_DIGEST and error["rebuilt"] == doc["params_digest"]
 
 
 # a sweep in a fresh process, whose hosts are built afresh and whose metric

@@ -112,22 +112,30 @@ def test_embed_deterministic(desk_params3):
     assert a.gamma == b.gamma
 
 
-# labels, and their x and u coordinates alone; the coordinates' digests are
-# those of the labels made when ranks were positions in sorted BFS rows, so
-# the change to ball-index ranks moved only the subset masks
-@pytest.mark.parametrize("h, delta, digest, coord_digest", [
-    (cycle_graph(50), 2, "aaeb02b41b8c6c31", "ccaeb8927a80ec83"),
-    (circulant_graph(40, (1, 2)), 4, "0469d263a03e6eba", "a1b3776151aca5fc"),
-    (circulant_graph(20, (1, 10)), 3, "455543f83447197b", "a3360637947beb6f"),
-    (path_graph(50), 2, "899e5f12c7465658", "11e3ae72d1264f5b"),
-    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "7cc28ce80d216c4c",
-     "aed15f954f31f4f9"),
-    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "d3eeda89db8c60df",
-     "4f6d33bab83e46e2"),
-    (circulant_graph(24, (1, 2, 12)), 5, "8cdbccb36b72aa8d", "e10397fba17d2c0b"),
+# labels, their x and u coordinates alone, and their subset masks alone, as
+# integers; the coordinates' digests are those of the labels made when ranks
+# were positions in sorted BFS rows, so the change to ball-index ranks moved
+# only the subset masks, and the masks' digests are those of the labels made
+# when every subset field was 4 d^4 + 1 bits wide, so the change to fields of
+# |B_4| bits moved only the labels
+@pytest.mark.parametrize("h, delta, digest, coord_digest, mask_digest", [
+    (cycle_graph(50), 2, "29a0b507bc69ff78", "ccaeb8927a80ec83",
+     "2ab75c4cb45b66c7"),
+    (circulant_graph(40, (1, 2)), 4, "d628a25b91f8185e", "a1b3776151aca5fc",
+     "1f8a1370952797d7"),
+    (circulant_graph(20, (1, 10)), 3, "5eb9c7b23e4a0be7", "a3360637947beb6f",
+     "e7a344ada5dc7055"),
+    (path_graph(50), 2, "0ae0335044e04747", "11e3ae72d1264f5b",
+     "fbb897c6724be453"),
+    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "a04d275cabf6935d",
+     "aed15f954f31f4f9", "4b217876021cacc5"),
+    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "30d8cd6a340f6905",
+     "4f6d33bab83e46e2", "ede39f05ba04178e"),
+    (circulant_graph(24, (1, 2, 12)), 5, "205fde848a4183a1", "e10397fba17d2c0b",
+     "9774408290c25b5e"),
 ], ids=["c50", "circ40-1-2", "circ20-1-10", "p50", "circ24-1-2+p16", "circ20-1-10+p12",
         "circ24-1-2-12"])
-def test_labels_match_their_golden_digest(h, delta, digest, coord_digest):
+def test_labels_match_their_golden_digest(h, delta, digest, coord_digest, mask_digest):
     # the first 16 hex digits of sha256 over the newline-joined labels, the
     # same under every PYTHONHASHSEED; each input has conflict pairs, so its
     # shield walks run with schedules
@@ -139,6 +147,8 @@ def test_labels_match_their_golden_digest(h, delta, digest, coord_digest):
     coords = "\n".join(" ".join(map(str, [v.x1] + [c for x, _, u in v.blocks for c in (x, u)]))
                        for v in result.gamma)
     assert hashlib.sha256(coords.encode()).hexdigest()[:16] == coord_digest
+    masks = "\n".join(" ".join(str(mask) for _, mask, _ in v.blocks) for v in result.gamma)
+    assert hashlib.sha256(masks.encode()).hexdigest()[:16] == mask_digest
 
 
 def test_anchor_map_is_homomorphism(desk_params2):

@@ -256,6 +256,8 @@ def test_paper_params_constants():
     assert p.m == 5 * 160 * 3 * 734**8 * 1000
     assert p.m <= p.ell_m <= 32 * p.m
     assert p.ell_z >= p.z
+    # the paper keeps its generic subset universe; a desk field is |B_4| wide
+    assert p.subset_bits == 4 * 734**4 + 1
     assert not hasattr(p, "r_m") and not hasattr(p, "r_z")
 
 
@@ -263,12 +265,27 @@ def test_desk_params_shapes(desk_params3):
     p = desk_params3
     assert p.d == 6
     assert p.ell_m == p.ell_z == 12180
-    assert p.subset_universe == 4 * 6**4 == 5184
-    assert p.subset_bits == 5185
+    # a subset field has one bit per member of the identity's radius-4 ball
+    assert p.subset_universe == 935
+    assert p.subset_bits == len(p.rm_pow.ball) == 936
     assert p.x_bits == 14
     # width formula: x1 plus per-block x, subset, u fields
-    assert p.label_bits == 14 + 2 * (14 + 5185 + 14)
+    assert p.label_bits == 14 + 2 * (14 + 936 + 14)
     assert p.certificates["r_m"].all_ok
+
+
+def test_every_close_rank_fits_the_subset_field(desk_params2):
+    # clustered positions give many close pairs, among them ranks near the
+    # top of the ball
+    p = desk_params2
+    pw = p.rm_pow
+    rng = random.Random(26)
+    centers = rng.sample(range(p.ell_m), 3)
+    xs = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(400)]
+    _, _, ranks = pw.close_pairs(xs)
+    assert len(ranks) > 1000
+    assert 0 <= ranks.min() and ranks.max() < p.subset_bits
+    assert ranks.max() >= p.subset_bits - 50
 
 
 def test_desk_rejects_uncertifiable_substitute(monkeypatch):
@@ -316,8 +333,8 @@ def test_delta_two_has_single_block(desk_params2):
 def test_desk_vertex_count_exact(desk_params2):
     p = desk_params2
     count = gamma_vertex_count(p)
-    assert (count.mantissa, count.exp2) == (p.ell_m**2 * p.ell_z, 5185)
-    assert count.mantissa << count.exp2 == p.ell_m**2 * 2**5185 * p.ell_z
+    assert (count.mantissa, count.exp2) == (p.ell_m**2 * p.ell_z, 936)
+    assert count.mantissa << count.exp2 == p.ell_m**2 * 2**936 * p.ell_z
 
 
 def test_paper_count_is_scaled():
@@ -468,6 +485,25 @@ def test_codec_errors(desk_params2):
         decode_label(wrong_width, desk_params2)
 
 
+def test_the_top_rank_round_trips(desk_params3):
+    p = desk_params3
+    top = p.subset_bits - 1  # 935, the last member of the ball
+    v = GammaVertex(x1=p.ell_m - 1, blocks=((1, 1 << top, p.ell_z - 1), (2, 1, 3)))
+    label = encode_label(v, p)
+    assert decode_label(label, p) == v
+    parsed = gamma._ParsedLabel(label, p)
+    assert parsed.in_subset(2, top) == 1 and parsed.in_subset(2, top - 1) == 0
+    assert parsed.in_subset(3, top) == 0 and parsed.in_subset(3, 0) == 1
+
+
+def test_a_rank_past_the_ball_is_rejected(desk_params3):
+    p = desk_params3
+    v = GammaVertex(x1=0, blocks=((1, 1, 2), (3, 1 << p.subset_bits, 4)))
+    for call in (validate_vertex, encode_label):
+        with pytest.raises(ArgumentError, match="subset mask at block 3 exceeds width 936"):
+            call(v, p)
+
+
 @lru_cache(maxsize=None)
 def _codec_params(delta):
     return make_gamma_params(delta, 30)
@@ -488,12 +524,13 @@ def _codec_cases(draw):
 
 
 def test_payload_digit_counts():
-    # (5, 29) gives 14-bit coordinates and 5185-bit subsets; both parities occur
+    # (5, 29) gives 14-bit coordinates and 936-bit subsets, one bit per member
+    # of the radius-4 ball; both parities occur
     digits = {}
     for delta in (2, 3, 4, 5):
         v = GammaVertex(x1=0, blocks=((0, 0, 0),) * (delta - 1))
         digits[delta] = len(encode_label(v, _codec_params(delta))) - 8
-    assert digits == {2: 1307, 3: 2610, 4: 3914, 5: 5217}
+    assert digits == {2: 245, 3: 486, 4: 727, 5: 968}
 
 
 @given(_codec_cases())
