@@ -21,15 +21,16 @@ scalar queries only.
 The rule's test at one block, ``block_link``, is written once; the scalar
 oracle ``gamma_adjacent_witness`` answers one pair with it, and
 ``adjacent_pairs`` answers all pairs of a vertex list at once from
-per-coordinate close pairs, with the same witnesses. The rule reads a vertex only through ``x(i)``,
-``u(i)`` and ``in_subset(i, r)``, so the label oracle
-``adjacency_from_labels`` runs the same scan on two parsed labels: each gets
-the strict parse that ``decode_label`` makes, which cuts and range-checks
-only the x and u fields; the scan then reads at most one bit of each subset
-mask, and only at a block whose x-pair is close, straight from the parsed
-bytes. The graph itself is never materialized: even at desk scale one
-subset coordinate is hundreds of bits wide, so everything is served by
-(params, oracle, codec).
+per-coordinate close pairs, with the same witnesses. The rule reads a vertex
+only through its x-coordinates ``xs``, ``u(i)`` and ``in_subset(i, r)``, so
+the label oracle ``adjacency_from_labels`` runs the same scan on two parsed
+labels. A label is laid out in whole bytes with its coordinates first, so
+the strict parse that ``decode_label`` makes reads x_1..x_delta and
+u_2..u_delta with one ``struct`` unpack and range-checks them; the scan then
+reads at most one bit of each subset mask, and only at a block whose x-pair
+is close, straight from the parsed bytes. The graph itself is never
+materialized: even at desk scale one subset coordinate is hundreds of bits
+wide, so everything is served by (params, oracle, codec).
 
 ``make_gamma_params`` builds the desk construction: real certified
 expanders, with every downstream contract enforced by explicit
@@ -44,10 +45,11 @@ import hashlib
 import json
 import math
 import numbers
+import struct
 from binascii import a2b_hex
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from operator import ge, itemgetter
+from operator import ge
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +73,10 @@ PAPER_Z = 160 * PAPER_D**5
 # of x^-1 y in the identity's radius-4 ball, listed by vertex id; masks made
 # under another meaning would fail their checks pair by pair
 RANK_CONVENTION = "psl2-ball-index"
+# how a label lays out its fields (see the label codec below), named in the
+# params digest, so files written under another layout fail ``verify`` by
+# digest rather than label by label
+LABEL_LAYOUT = "bytes-coords-first"
 
 
 # -- parameters ----------------------------------------------------------------
@@ -207,6 +213,12 @@ class GammaParams(ProductSizes):
         where the paper's bound gives 4 d^4 + 1 (5185)."""
         return len(self.rm_pow.ball) - 1
 
+    @cached_property
+    def label_bits(self) -> int:
+        """8 times the payload's bytes: a desk label rounds each field up to
+        whole bytes (``LabelLayout``), where the paper's sizes pack them."""
+        return 8 * _payload_bytes(self.x_bits, self.subset_bits, self.u_bits, self.delta)
+
     @property
     def q_m(self) -> int:
         return step_for(self.ell_m)
@@ -241,6 +253,7 @@ class GammaParams(ProductSizes):
             "desk": self.desk.to_json(),
             "ranks": RANK_CONVENTION,
             "subset_bits": self.subset_bits,  # files of another width fail by digest
+            "layout": LABEL_LAYOUT,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -343,6 +356,12 @@ class GammaVertex:
         """x-coordinate at 1-based index i."""
         return self.x1 if i == 1 else self.blocks[i - 2][0]
 
+    @cached_property
+    def xs(self) -> tuple[int, ...]:
+        """x_1..x_delta, as the rule's x-scan reads them; held once made,
+        outside the fields, so equality, hash and repr do not see it."""
+        return (self.x1, *[block[0] for block in self.blocks])
+
     def u(self, i: int) -> int:
         """u-coordinate of block i."""
         return self.blocks[i - 2][2]
@@ -402,22 +421,23 @@ def _witness(
 ) -> tuple[bool, tuple[int, int] | None]:
     """The x-scan of ``gamma_adjacent_witness`` on two valid vertices or
     parsed labels: the first close j, then the first i > j whose x-pair is
-    close and whose block links the pair."""
+    close and whose block links the pair. Each side's ``xs`` holds x_j at
+    index j - 1."""
     rm_pow = params.rm_pow
     contains, rank = rm_pow.contains, rm_pow.rank
-    ax, bx = a.x, b.x
-    last = params.delta
+    ax, bx = a.xs, b.xs
+    last = params.delta - 1  # the index of x_delta
     # the last coordinate has no later one to pair with
-    for j in range(1, last):
-        if contains(ax(j), bx(j)):
+    for j in range(last):
+        if contains(ax[j], bx[j]):
             break
     else:
         return False, None
     for i in range(j + 1, last + 1):
-        xa, xb = ax(i), bx(i)
-        ra = rank(xa, xb)  # None iff the x-pair at i is not close
-        if ra is not None and block_link(a, b, i, ra, rank(xb, xa), params) is None:
-            return True, (j, i)
+        xa, xb = ax[i], bx[i]
+        ra = rank(xa, xb)  # None iff the x-pair at i + 1 is not close
+        if ra is not None and block_link(a, b, i + 1, ra, rank(xb, xa), params) is None:
+            return True, (j + 1, i + 1)
     return False, None
 
 
@@ -537,130 +557,134 @@ def gamma_vertex_count(sizes: ProductSizes) -> ScaledCount:
 
 # -- label codec ---------------------------------------------------------------
 #
-# Fixed-width big-endian packing: x1, then per block x_i, subset mask, u_i,
-# with the pad bits that round the width up to whole hex digits on top (they
-# are zero). External form: an 8-hex-digit header carrying the bit width,
+# Whole bytes, coordinates first: x_1..x_delta, then u_2..u_delta, each
+# big-endian in the smallest of 1, 2, 4 or 8 bytes that holds x_bits or
+# u_bits, then X_2..X_delta, each big-endian in ceil(subset_bits / 8) bytes.
+# A field's bits above its width are zero: a coordinate's by its range check,
+# a subset field's spare top bits by their own. External form: an
+# 8-hex-digit header carrying the bit width, 8 times the payload's bytes,
 # then the payload in lowercase hex. The decoder accepts exactly that form,
 # hex letters of either case: it parses the payload into bytes in one strict
-# pass and cuts each field from its fixed byte range.
+# pass, reads every coordinate with one struct unpack and cuts each subset
+# field from its byte range.
+
+_COORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by field bytes
+
+
+def _coord_bytes(bits: int) -> int:
+    """The smallest of 1, 2, 4 or 8 bytes that holds a ``bits``-bit field."""
+    return min(size for size in _COORD_CODES if 8 * size >= bits)
+
+
+def _payload_bytes(x_bits: int, subset_bits: int, u_bits: int, delta: int) -> int:
+    return delta * _coord_bytes(x_bits) + (delta - 1) * (
+        _coord_bytes(u_bits) + -(-subset_bits // 8))
 
 
 @dataclass(frozen=True)
 class LabelLayout:
     """Where each field of a label lies, fixed by the field widths.
 
-    The payload has ``digits`` hex digits, parsed into ``nbytes`` bytes (an
-    odd digit count takes one leading zero digit). ``mask_fields`` lists,
-    for X_i of each block, the byte range ``start:end`` that holds the
-    field, and the right shift and mask that cut it from the big-endian
-    integer of those bytes. The coordinates are cut together:
-    ``small_bytes`` picks the few bytes that hold them, and ``cuts`` holds
-    the (shift, mask) pairs that cut x_1..x_delta and then u_2..u_delta
-    from the big-endian integer of those bytes, each below its entry of
-    ``bounds``. That integer shifted right by ``pad_shift`` is the pad bits.
+    ``widths`` holds the bits that an x field, a u field and a subset field
+    take, each a whole number of bytes. ``coords`` unpacks x_1..x_delta
+    and then u_2..u_delta from the payload's start, each below its entry of
+    ``bounds``. The subset fields X_2..X_delta follow;
+    ``mask_ends`` lists where each ends. ``spare_top`` masks the bits of a
+    subset field's first byte above ``subset_bits`` (0 when that width is a
+    multiple of 8).
     """
 
     delta: int
-    digits: int
-    nbytes: int
-    mask_fields: tuple[tuple[int, int, int, int], ...]
-    small_bytes: itemgetter
-    pad_shift: int
-    cuts: tuple[tuple[int, int], ...]
+    widths: tuple[int, int, int]
+    coords: struct.Struct
     bounds: tuple[int, ...]
+    mask_ends: tuple[int, ...]
+    spare_top: int
 
     @classmethod
     def of(cls, ell_m: int, ell_z: int, x_bits: int, subset_bits: int, u_bits: int,
            delta: int) -> LabelLayout:
-        widths = [x_bits] + [x_bits, subset_bits, u_bits] * (delta - 1)
-        bits = sum(widths)
-        digits = (bits + 3) // 4
-        nbytes = (digits + 1) // 2
-        fields = []  # (start, end, shift, mask) of each field, in payload order
-        lo = bits  # a field's lowest bit, counted from the payload's last bit
-        for w in widths:
-            lo -= w
-            fields.append((nbytes - 1 - (lo + w - 1) // 8, nbytes - lo // 8, lo % 8, (1 << w) - 1))
-        coords = [fields[0]] + fields[1::3] + fields[3::3]
-        # byte 0 holds the pad bits on top of x1
-        small = sorted({0}.union(*(range(start, end) for start, end, _, _ in coords)))
-        # the place of byte k, counted in bytes from the small integer's end
-        place = {k: len(small) - 1 - pos for pos, k in enumerate(small)}
-        cuts = tuple((8 * place[end - 1] + shift, mask) for _, end, shift, mask in coords)
-        return cls(delta, digits, nbytes, tuple(fields[2::3]),
-                   itemgetter(*small), cuts[0][0] + x_bits, cuts,
-                   (ell_m,) * delta + (ell_z,) * (delta - 1))
+        x_bytes, u_bytes, size = _coord_bytes(x_bits), _coord_bytes(u_bits), -(-subset_bits // 8)
+        coords = struct.Struct(
+            ">" + _COORD_CODES[x_bytes] * delta + _COORD_CODES[u_bytes] * (delta - 1))
+        return cls(delta, (8 * x_bytes, 8 * u_bytes, 8 * size), coords,
+                   (ell_m,) * delta + (ell_z,) * (delta - 1),
+                   tuple(range(coords.size + size, coords.size + delta * size, size)),
+                   0xFF << (subset_bits - 8 * size + 8) & 0xFF)
 
 
 def encode_label(v: GammaVertex, params: GammaParams) -> str:
     validate_vertex(v, params)
-    xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
+    # shifting the fields into one integer at the layout's widths is quicker
+    # than gathering the blocks' coordinates for a struct pack
+    xw, uw, sw = params.label_layout.widths
+    blocks = v.blocks
     acc = v.x1
-    for x, mask, u in v.blocks:
-        acc = (((((acc << xb) | x) << sb) | mask) << ub) | u
-    layout = params.label_layout
-    payload_hex = acc.to_bytes(layout.nbytes, "big").hex()
-    # an odd digit count drops the zero digit that fills the first byte
-    return params.label_header + (payload_hex[1:] if layout.digits % 2 else payload_hex)
+    for x, _, _ in blocks:
+        acc = acc << xw | x
+    for _, _, u in blocks:
+        acc = acc << uw | u
+    for _, mask, _ in blocks:
+        acc = acc << sw | mask
+    return params.label_header + acc.to_bytes(params.label_bits // 8, "big").hex()
 
 
 class _ParsedLabel:
-    """A label after its one strict parse, read through the rule's methods
-    ``x``, ``u`` and ``in_subset``.
+    """A label after its one strict parse, read through the rule's
+    ``xs``, ``u`` and ``in_subset``.
 
-    The parse checks the width header, parses the whole payload as hex in
-    one pass and checks its digit count, all against ``label_bits`` before
-    the layout is read: a layout holds O(delta) fields, and an embedding
-    file names its own delta. It then cuts the coordinates,
-    x_1..x_delta and u_2..u_delta into ``coords``, checks the pad bits and
-    range-checks every coordinate. The subset fields need no check, since
-    the layout bounds each to ``subset_bits`` bits: ``in_subset`` reads one
-    bit of one from the parsed bytes, and ``decode_label`` cuts them whole.
+    The parse checks the width header and the payload's digit count against
+    ``label_bits`` before the layout is read: a layout holds O(delta)
+    fields, and an embedding file names its own delta. It then parses the
+    payload as hex in one pass, unpacks the coordinates into ``xs``
+    (x_1..x_delta, then u_2..u_delta), range-checks each and checks that
+    no subset field sets a spare top bit. ``in_subset`` reads one bit of a
+    subset field from the parsed bytes, and ``decode_label`` cuts them whole.
     """
 
-    __slots__ = ("raw", "layout", "coords")
+    __slots__ = ("raw", "layout", "xs")
 
     def __init__(self, label: str, params: GammaParams):
         if len(label) < 8:
             raise CodecError("label shorter than its width header")
         bits = params.label_bits
-        payload = label[8:]
         try:
             # the width header as encode_label writes it, else parsed strictly
             total = bits if label.startswith(params.label_header) else int.from_bytes(
                 a2b_hex(label[:8]), "big")
-            raw = a2b_hex("0" + payload if len(payload) % 2 else payload)
         except ValueError as exc:  # binascii.Error is a ValueError
             raise CodecError(f"label is not hex: {exc}") from exc
         if total != bits:
             raise CodecError(f"label declares {total} bits, parameters want {bits}")
-        if len(payload) != (bits + 3) // 4:
+        if len(label) - 8 != bits // 4:
             raise CodecError(
-                f"label payload has {len(payload)} hex digits, want {(bits + 3) // 4}")
+                f"label payload has {len(label) - 8} hex digits, want {bits // 4}")
+        try:
+            raw = a2b_hex(label[8:])
+        except ValueError as exc:
+            raise CodecError(f"label is not hex: {exc}") from exc
         layout = params.label_layout
-        small = int.from_bytes(bytes(layout.small_bytes(raw)), "big")
-        if small >> layout.pad_shift:
-            raise CodecError("label payload wider than its declared width")
-        coords = [small >> shift & mask for shift, mask in layout.cuts]
-        if any(map(ge, coords, layout.bounds)):
-            _reject_coordinates(coords, layout)
-        self.raw, self.layout, self.coords = raw, layout, coords
-
-    def x(self, i: int) -> int:
-        return self.coords[i - 1]
+        xs = layout.coords.unpack_from(raw)
+        if any(map(ge, xs, layout.bounds)):
+            _reject_coordinates(xs, layout)
+        if layout.spare_top:
+            size = layout.widths[2] // 8
+            for i, end in enumerate(layout.mask_ends, start=2):
+                if raw[end - size] & layout.spare_top:
+                    raise CodecError(
+                        f"label sets a bit of X_{i} past its {params.subset_bits} bits")
+        self.raw, self.layout, self.xs = raw, layout, xs
 
     def u(self, i: int) -> int:
-        return self.coords[self.layout.delta + i - 2]
+        return self.xs[self.layout.delta + i - 2]
 
     def in_subset(self, i: int, r: int) -> int:
         # a rank is an index into the identity's radius-4 ball, below its
-        # size subset_bits, so bit shift + r lies inside the field
-        _, end, shift, _ = self.layout.mask_fields[i - 2]
-        bit = shift + r
-        return self.raw[end - 1 - (bit >> 3)] >> (bit & 7) & 1
+        # size subset_bits, so bit r lies inside the field
+        return self.raw[self.layout.mask_ends[i - 2] - 1 - (r >> 3)] >> (r & 7) & 1
 
 
-def _reject_coordinates(coords: list[int], layout: LabelLayout) -> None:
+def _reject_coordinates(coords: tuple[int, ...], layout: LabelLayout) -> None:
     """Raise CodecError naming the first coordinate out of range."""
     delta = layout.delta
     for k, (value, bound) in enumerate(zip(coords, layout.bounds)):
@@ -672,9 +696,8 @@ def _reject_coordinates(coords: list[int], layout: LabelLayout) -> None:
 
 def decode_label(label: str, params: GammaParams) -> GammaVertex:
     parsed = _ParsedLabel(label, params)
-    coords, delta, raw = parsed.coords, params.delta, parsed.raw
-    masks = [int.from_bytes(raw[start:end], "big") >> shift & mask
-             for start, end, shift, mask in parsed.layout.mask_fields]
+    coords, delta, raw, size = parsed.xs, params.delta, parsed.raw, parsed.layout.widths[2] // 8
+    masks = [int.from_bytes(raw[end - size:end], "big") for end in parsed.layout.mask_ends]
     return GammaVertex(x1=coords[0], blocks=tuple(zip(coords[1:delta], masks, coords[delta:])))
 
 

@@ -453,36 +453,51 @@ def oracle_gamma_adjacent_witness(a, b, params: GammaParams):
     return False, None
 
 
+def _reference_widths(params: GammaParams) -> tuple[int, int, int]:
+    """The bits a label gives x, a subset and u: a coordinate the fewest of
+    8, 16, 32 or 64 that hold it, a subset its width rounded up to whole
+    bytes."""
+    def coordinate(bits):
+        width = 8
+        while width < bits:
+            width *= 2
+        return width
+    return (coordinate(params.x_bits), (params.subset_bits + 7) // 8 * 8,
+            coordinate(params.u_bits))
+
+
 def reference_encode_label(v: GammaVertex, params: GammaParams) -> str:
-    """The label codec's first encoder: shift each field into one integer,
-    then ``format`` it as hex zero-filled to whole digits, after an 8-digit
+    """The label layout written out field by field: shift x_1..x_delta,
+    then u_2..u_delta, then X_2..X_delta into one integer at their widths,
+    and ``format`` it as hex zero-filled to whole digits, after an 8-digit
     header carrying the bit width."""
-    xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
+    xw, sw, uw = _reference_widths(params)
     acc = v.x1
-    for x, mask, u in v.blocks:
-        acc = (acc << xb) | x
-        acc = (acc << sb) | mask
-        acc = (acc << ub) | u
-    total = params.label_bits
-    return format(total, "08x") + format(acc, "x").zfill((total + 3) // 4)
+    for x, _, _ in v.blocks:
+        acc = (acc << xw) | x
+    for _, _, u in v.blocks:
+        acc = (acc << uw) | u
+    for _, mask, _ in v.blocks:
+        acc = (acc << sw) | mask
+    total = xw + len(v.blocks) * (xw + sw + uw)
+    return format(total, "08x") + format(acc, "x").zfill(total // 4)
 
 
 def reference_decode_label(label: str, params: GammaParams) -> GammaVertex:
-    """The label codec's first decoder, for well-formed labels: parse with
-    ``int(..., 16)`` and shift each field off the low end."""
-    assert int(label[:8], 16) == params.label_bits
+    """The inverse of ``reference_encode_label``, for well-formed labels:
+    parse with ``int(..., 16)`` and shift each field off the low end."""
+    xw, sw, uw = _reference_widths(params)
+    k = params.delta - 1
+    assert int(label[:8], 16) == xw + k * (xw + sw + uw)
     acc = int(label[8:], 16)
-    xb, sb, ub = params.x_bits, params.subset_bits, params.u_bits
-    blocks = []
-    for _ in range(params.delta - 1):
-        u = acc & ((1 << ub) - 1)
-        acc >>= ub
-        mask = acc & ((1 << sb) - 1)
-        acc >>= sb
-        x = acc & ((1 << xb) - 1)
-        acc >>= xb
-        blocks.append((x, mask, u))
-    return GammaVertex(x1=acc, blocks=tuple(reversed(blocks)))
+    fields = []
+    for width in [sw] * k + [uw] * k + [xw] * k:
+        fields.append(acc & ((1 << width) - 1))
+        acc >>= width
+    fields.append(acc)
+    fields.reverse()  # x_1..x_delta, u_2..u_delta, X_2..X_delta
+    xs, us, masks = fields[1:k + 1], fields[k + 1:2 * k + 1], fields[2 * k + 1:]
+    return GammaVertex(x1=fields[0], blocks=tuple(zip(xs, masks, us)))
 
 
 def oracle_edge_witnesses(h: Graph, result: EmbeddingResult, params: GammaParams) -> list[str]:

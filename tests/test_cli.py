@@ -300,31 +300,28 @@ WALK_BUDGET_PARAMS = {
 WALK_BUDGET_DIGEST = "15ed09f966632079"
 
 
-def test_verify_rejects_files_written_with_a_walk_budget(capsys, c6_file, tmp_path, rm_desk):
+def _assert_verify_rejects_the_digest(capsys, c6_file, tmp_path, digest, **fields):
+    """An embedding of C6 whose file records ``digest`` (and ``fields``)
+    fails ``verify`` by digest, naming the recorded and the rebuilt one."""
     emb = tmp_path / "emb.json"
     assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
                 "--output", str(emb)]) == 0
     doc = json.loads(emb.read_text())
-    assert doc["params_digest"] != WALK_BUDGET_DIGEST
-    emb.write_text(json.dumps(
-        {**doc, "params": WALK_BUDGET_PARAMS, "params_digest": WALK_BUDGET_DIGEST}))
+    assert doc["params_digest"] != digest
+    emb.write_text(json.dumps({**doc, **fields, "params_digest": digest}))
     assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "CodecError" and "digest" in error["message"]
-    assert error["recorded"] == WALK_BUDGET_DIGEST and error["rebuilt"] == doc["params_digest"]
+    assert error["recorded"] == digest and error["rebuilt"] == doc["params_digest"]
+
+
+def test_verify_rejects_files_written_with_a_walk_budget(capsys, c6_file, tmp_path, rm_desk):
+    _assert_verify_rejects_the_digest(
+        capsys, c6_file, tmp_path, WALK_BUDGET_DIGEST, params=WALK_BUDGET_PARAMS)
 
 
 def test_verify_rejects_files_written_with_row_ranks(capsys, c6_file, tmp_path, rm_desk):
-    emb = tmp_path / "emb.json"
-    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
-                "--output", str(emb)]) == 0
-    doc = json.loads(emb.read_text())
-    assert doc["params_digest"] != ROW_RANK_DIGEST
-    emb.write_text(json.dumps({**doc, "params_digest": ROW_RANK_DIGEST}))
-    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "CodecError" and "digest" in error["message"]
-    assert error["recorded"] == ROW_RANK_DIGEST and error["rebuilt"] == doc["params_digest"]
+    _assert_verify_rejects_the_digest(capsys, c6_file, tmp_path, ROW_RANK_DIGEST)
 
 
 # the params digest of an embedding of C6 at delta 2 written while every
@@ -335,16 +332,17 @@ FULL_WIDTH_DIGEST = "450a8db72971a85c"
 
 def test_verify_rejects_files_written_at_the_full_subset_width(
         capsys, c6_file, tmp_path, rm_desk):
-    emb = tmp_path / "emb.json"
-    assert run(["embed", "--input", c6_file, "--delta", "2", "--emit-labels",
-                "--output", str(emb)]) == 0
-    doc = json.loads(emb.read_text())
-    assert doc["params_digest"] != FULL_WIDTH_DIGEST
-    emb.write_text(json.dumps({**doc, "params_digest": FULL_WIDTH_DIGEST}))
-    assert run(["verify", "--embedding", str(emb), "--input", c6_file]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "CodecError" and "digest" in error["message"]
-    assert error["recorded"] == FULL_WIDTH_DIGEST and error["rebuilt"] == doc["params_digest"]
+    _assert_verify_rejects_the_digest(capsys, c6_file, tmp_path, FULL_WIDTH_DIGEST)
+
+
+# the params digest of an embedding of C6 at delta 2 written while labels
+# packed their fields bit by bit, x_1 then x_i, X_i, u_i per block, with pad
+# bits on top; its labels would now fail their parse by width
+PACKED_LAYOUT_DIGEST = "a6971dc75bc0eb94"
+
+
+def test_verify_rejects_files_written_in_the_packed_layout(capsys, c6_file, tmp_path, rm_desk):
+    _assert_verify_rejects_the_digest(capsys, c6_file, tmp_path, PACKED_LAYOUT_DIGEST)
 
 
 # a sweep in a fresh process, whose hosts are built afresh and whose metric

@@ -117,21 +117,22 @@ def test_embed_deterministic(desk_params3):
 # were positions in sorted BFS rows, so the change to ball-index ranks moved
 # only the subset masks, and the masks' digests are those of the labels made
 # when every subset field was 4 d^4 + 1 bits wide, so the change to fields of
-# |B_4| bits moved only the labels
+# |B_4| bits moved only the labels, as did the change to a whole-byte layout
+# with the coordinates first
 @pytest.mark.parametrize("h, delta, digest, coord_digest, mask_digest", [
-    (cycle_graph(50), 2, "29a0b507bc69ff78", "ccaeb8927a80ec83",
+    (cycle_graph(50), 2, "52441d9aae5cdc08", "ccaeb8927a80ec83",
      "2ab75c4cb45b66c7"),
-    (circulant_graph(40, (1, 2)), 4, "d628a25b91f8185e", "a1b3776151aca5fc",
+    (circulant_graph(40, (1, 2)), 4, "b4e15d9f78d3b858", "a1b3776151aca5fc",
      "1f8a1370952797d7"),
-    (circulant_graph(20, (1, 10)), 3, "5eb9c7b23e4a0be7", "a3360637947beb6f",
+    (circulant_graph(20, (1, 10)), 3, "5e699dbc19c3b64e", "a3360637947beb6f",
      "e7a344ada5dc7055"),
-    (path_graph(50), 2, "0ae0335044e04747", "11e3ae72d1264f5b",
+    (path_graph(50), 2, "4f4b6074f2c42542", "11e3ae72d1264f5b",
      "fbb897c6724be453"),
-    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "a04d275cabf6935d",
+    (disjoint_union(circulant_graph(24, (1, 2)), path_graph(16)), 4, "007d42d019dec5a6",
      "aed15f954f31f4f9", "4b217876021cacc5"),
-    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "30d8cd6a340f6905",
+    (disjoint_union(circulant_graph(20, (1, 10)), path_graph(12)), 3, "54659f60b9039e59",
      "4f6d33bab83e46e2", "ede39f05ba04178e"),
-    (circulant_graph(24, (1, 2, 12)), 5, "205fde848a4183a1", "e10397fba17d2c0b",
+    (circulant_graph(24, (1, 2, 12)), 5, "27a5b5481f1b18a8", "e10397fba17d2c0b",
      "9774408290c25b5e"),
 ], ids=["c50", "circ40-1-2", "circ20-1-10", "p50", "circ24-1-2+p16", "circ20-1-10+p12",
         "circ24-1-2-12"])

@@ -269,8 +269,9 @@ def test_desk_params_shapes(desk_params3):
     assert p.subset_universe == 935
     assert p.subset_bits == len(p.rm_pow.ball) == 936
     assert p.x_bits == 14
-    # width formula: x1 plus per-block x, subset, u fields
-    assert p.label_bits == 14 + 2 * (14 + 936 + 14)
+    # whole bytes: x_1..x_3 and u_2, u_3 in 2 bytes each, then two subset
+    # fields of 936 / 8 = 117 bytes
+    assert p.label_bits == 8 * (5 * 2 + 2 * 117) == 1952
     assert p.certificates["r_m"].all_ok
 
 
@@ -524,13 +525,23 @@ def _codec_cases(draw):
 
 
 def test_payload_digit_counts():
-    # (5, 29) gives 14-bit coordinates and 936-bit subsets, one bit per member
-    # of the radius-4 ball; both parities occur
+    # (5, 29) gives 14-bit coordinates in 2 bytes and 936-bit subsets, one
+    # bit per member of the radius-4 ball, in 117 bytes
     digits = {}
     for delta in (2, 3, 4, 5):
         v = GammaVertex(x1=0, blocks=((0, 0, 0),) * (delta - 1))
         digits[delta] = len(encode_label(v, _codec_params(delta))) - 8
-    assert digits == {2: 245, 3: 486, 4: 727, 5: 968}
+    assert digits == {2: 246, 3: 488, 4: 730, 5: 972}
+
+
+@pytest.mark.parametrize("bits, code, size", [
+    (12, "H", 2), (14, "H", 2), (16, "H", 2), (17, "I", 4)])
+def test_a_coordinate_takes_the_fewest_of_1_2_4_or_8_bytes(bits, code, size):
+    layout = gamma.LabelLayout.of(1 << bits, 1 << bits, bits, 936, bits, 3)
+    assert layout.widths == (8 * size, 8 * size, 936)
+    assert layout.coords.format == ">" + code * 5 and layout.coords.size == 5 * size
+    # the subset fields follow the coordinates
+    assert layout.mask_ends == (5 * size + 117, 5 * size + 234)
 
 
 @given(_codec_cases())
@@ -545,15 +556,33 @@ def test_labels_match_the_reference_codec(case):
 
 
 @pytest.mark.parametrize("delta", [2, 4, 5])
-def test_a_set_pad_bit_is_rejected(delta):
-    params = _codec_params(delta)
-    pad = -params.label_bits % 4
-    assert pad > 0
-    label = encode_label(random_gamma_vertex(random.Random(delta), params), params)
-    for bit in {3, 4 - pad}:  # the highest and the lowest pad bit of the first digit
-        first = format(int(label[8], 16) | 1 << bit, "x")
-        with pytest.raises(CodecError, match="payload wider than its declared width"):
-            decode_label(label[:8] + first + label[9:], params)
+def test_a_set_spare_bit_is_rejected(delta):
+    # |B_4| = 2447 on (13, 17), so each 306-byte subset field has one spare
+    # bit on top; the decoder and the oracle reject it alike
+    params = make_gamma_params(delta, 30, DeskConfig((13, 17), (13, 17)))
+    assert params.subset_bits == 2447 and params.label_layout.spare_top == 0x80
+    v = random_gamma_vertex(random.Random(delta), params)
+    good = encode_label(v, params)
+    assert decode_label(good, params) == v
+    for i, end in enumerate(params.label_layout.mask_ends, start=2):
+        at = 8 + 2 * (end - 306)  # the field's first hex digit
+        bad = good[:at] + format(int(good[at], 16) | 8, "x") + good[at + 1:]
+        why = f"label sets a bit of X_{i} past its 2447 bits"
+        assert _codec_error(decode_label, bad, params) == why
+        assert _codec_error(adjacency_from_labels, bad, good, params) == why
+        assert _codec_error(adjacency_from_labels, good, bad, params) == why
+
+
+def test_the_default_hosts_leave_no_spare_bits():
+    # |B_4| = 936 = 8 * 117 on (5, 29): every bit of a subset field is a rank
+    for delta in (2, 3, 4, 5):
+        params = _codec_params(delta)
+        layout = params.label_layout
+        assert layout.widths[2] == params.subset_bits and layout.spare_top == 0
+        full = (1 << params.subset_bits) - 1
+        v = GammaVertex(x1=1, blocks=((2, full, 3),) * (delta - 1))
+        label = encode_label(v, params)
+        assert label.endswith("f" * (delta - 1) * 234) and decode_label(label, params) == v
 
 
 # Replacements for a leading "00" after which int(..., 16) still reads the
@@ -572,7 +601,7 @@ _LAX_FORMS = {
 @pytest.mark.parametrize("part", ["header", "payload"])
 @pytest.mark.parametrize("form", list(_LAX_FORMS))
 def test_decoder_rejects_forms_encode_never_writes(desk_params2, form, part):
-    v = GammaVertex(x1=5, blocks=((7, 3, 9),))  # x1 < 2^7: the payload starts with "00"
+    v = GammaVertex(x1=5, blocks=((7, 3, 9),))  # x1 < 2^8: the payload starts with "00"
     label = encode_label(v, desk_params2)
     start, end = (0, 8) if part == "header" else (8, len(label))
     assert label[start:start + 2] == "00"
@@ -652,9 +681,8 @@ def _labels_the_decoder_rejects(params):
     for form, lax in _LAX_FORMS.items():
         for part, start in (("header", 0), ("payload", 8)):
             bad[f"{form} in the {part}"] = label[:start] + lax + label[start + 2:]
-    pad = -params.label_bits % 4
-    for bit in range(4 - pad, 4):
-        bad[f"pad bit {bit}"] = label[:8] + format(int(label[8], 16) | 1 << bit, "x") + label[9:]
+    # the top bit of x_1's 2-byte field, above its 14 bits
+    bad["top bit of x_1's field"] = label[:8] + "8" + label[9:]
     for i in range(1, delta + 1):
         x1, blocks = v.x1, list(v.blocks)
         if i == 1:
@@ -682,7 +710,7 @@ def test_label_oracle_rejects_what_the_decoder_rejects(delta):
     params = _codec_params(delta)
     good = encode_label(random_gamma_vertex(random.Random(delta), params), params)
     bad = _labels_the_decoder_rejects(params)
-    assert len(bad) == 5 + 2 * len(_LAX_FORMS) + -params.label_bits % 4 + 2 * delta - 1
+    assert len(bad) == 5 + 2 * len(_LAX_FORMS) + 1 + 2 * delta - 1
     for defect, label in bad.items():
         why = _codec_error(decode_label, label, params)
         assert why is not None, defect
