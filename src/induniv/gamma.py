@@ -22,13 +22,14 @@ The rule's test at one block, ``block_link``, is written once; the scalar
 oracle ``gamma_adjacent_witness`` answers one pair with it, and
 ``adjacent_pairs`` answers all pairs of a vertex list at once from
 per-coordinate close pairs, with the same witnesses. The rule reads a vertex
-only through its x-coordinates ``xs``, ``u(i)`` and ``in_subset(i, r)``, so
-the label oracle ``adjacency_from_labels`` runs the same scan on two parsed
-labels. A label is laid out in whole bytes with its coordinates first, so
-the strict parse that ``decode_label`` makes reads x_1..x_delta and
-u_2..u_delta with one ``struct`` unpack and range-checks them; the scan then
-reads at most one bit of each subset mask, and only at a block whose x-pair
-is close, straight from the parsed bytes. The graph itself is never
+only through its coordinate tuple ``coords`` (x_1..x_delta, then
+u_2..u_delta), ``u(i)`` and ``in_subset(i, r)``, so the label oracle
+``adjacency_from_labels`` runs the same scan on two parsed labels. A label
+is laid out in whole bytes with its coordinates first, so the strict parse
+that ``decode_label`` makes reads x_1..x_delta and u_2..u_delta with one
+``struct`` unpack and range-checks them; the scan then reads at most one
+bit of each subset mask, and only at a block whose x-pair is close,
+straight from the parsed bytes. The graph itself is never
 materialized: even at desk scale one subset coordinate is hundreds of bits
 wide, so everything is served by (params, oracle, codec).
 
@@ -357,10 +358,11 @@ class GammaVertex:
         return self.x1 if i == 1 else self.blocks[i - 2][0]
 
     @cached_property
-    def xs(self) -> tuple[int, ...]:
-        """x_1..x_delta, as the rule's x-scan reads them; held once made,
-        outside the fields, so equality, hash and repr do not see it."""
-        return (self.x1, *[block[0] for block in self.blocks])
+    def coords(self) -> tuple[int, ...]:
+        """x_1..x_delta, then u_2..u_delta, in a label's order; held once
+        made, outside the fields, so equality, hash and repr do not see it."""
+        blocks = self.blocks
+        return (self.x1, *[block[0] for block in blocks], *[block[2] for block in blocks])
 
     def u(self, i: int) -> int:
         """u-coordinate of block i."""
@@ -421,11 +423,11 @@ def _witness(
 ) -> tuple[bool, tuple[int, int] | None]:
     """The x-scan of ``gamma_adjacent_witness`` on two valid vertices or
     parsed labels: the first close j, then the first i > j whose x-pair is
-    close and whose block links the pair. Each side's ``xs`` holds x_j at
-    index j - 1."""
+    close and whose block links the pair. Each side's ``coords`` holds
+    x_j at index j - 1; the u's after x_delta are not read here."""
     rm_pow = params.rm_pow
     contains, rank = rm_pow.contains, rm_pow.rank
-    ax, bx = a.xs, b.xs
+    ax, bx = a.coords, b.coords
     last = params.delta - 1  # the index of x_delta
     # the last coordinate has no later one to pair with
     for j in range(last):
@@ -631,18 +633,18 @@ def encode_label(v: GammaVertex, params: GammaParams) -> str:
 
 class _ParsedLabel:
     """A label after its one strict parse, read through the rule's
-    ``xs``, ``u`` and ``in_subset``.
+    ``coords``, ``u`` and ``in_subset``.
 
     The parse checks the width header and the payload's digit count against
     ``label_bits`` before the layout is read: a layout holds O(delta)
     fields, and an embedding file names its own delta. It then parses the
-    payload as hex in one pass, unpacks the coordinates into ``xs``
+    payload as hex in one pass, unpacks the coordinates into ``coords``
     (x_1..x_delta, then u_2..u_delta), range-checks each and checks that
     no subset field sets a spare top bit. ``in_subset`` reads one bit of a
     subset field from the parsed bytes, and ``decode_label`` cuts them whole.
     """
 
-    __slots__ = ("raw", "layout", "xs")
+    __slots__ = ("raw", "layout", "coords")
 
     def __init__(self, label: str, params: GammaParams):
         if len(label) < 8:
@@ -664,19 +666,19 @@ class _ParsedLabel:
         except ValueError as exc:
             raise CodecError(f"label is not hex: {exc}") from exc
         layout = params.label_layout
-        xs = layout.coords.unpack_from(raw)
-        if any(map(ge, xs, layout.bounds)):
-            _reject_coordinates(xs, layout)
+        coords = layout.coords.unpack_from(raw)
+        if any(map(ge, coords, layout.bounds)):
+            _reject_coordinates(coords, layout)
         if layout.spare_top:
             size = layout.widths[2] // 8
             for i, end in enumerate(layout.mask_ends, start=2):
                 if raw[end - size] & layout.spare_top:
                     raise CodecError(
                         f"label sets a bit of X_{i} past its {params.subset_bits} bits")
-        self.raw, self.layout, self.xs = raw, layout, xs
+        self.raw, self.layout, self.coords = raw, layout, coords
 
     def u(self, i: int) -> int:
-        return self.xs[self.layout.delta + i - 2]
+        return self.coords[self.layout.delta + i - 2]
 
     def in_subset(self, i: int, r: int) -> int:
         # a rank is an index into the identity's radius-4 ball, below its
@@ -696,7 +698,7 @@ def _reject_coordinates(coords: tuple[int, ...], layout: LabelLayout) -> None:
 
 def decode_label(label: str, params: GammaParams) -> GammaVertex:
     parsed = _ParsedLabel(label, params)
-    coords, delta, raw, size = parsed.xs, params.delta, parsed.raw, parsed.layout.widths[2] // 8
+    coords, delta, raw, size = parsed.coords, params.delta, parsed.raw, parsed.layout.widths[2] // 8
     masks = [int.from_bytes(raw[end - size:end], "big") for end in parsed.layout.mask_ends]
     return GammaVertex(x1=coords[0], blocks=tuple(zip(coords[1:delta], masks, coords[delta:])))
 

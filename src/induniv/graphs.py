@@ -160,11 +160,7 @@ class Graph:
                     yield (u, v)
 
     def _check_vertex(self, v: int) -> None:
-        if type(v) is int:  # the common case, without the __index__ call
-            if 0 <= v < self.vertex_count:
-                return
-            raise ArgumentError(f"vertex id {v!r} out of range [0, {self.vertex_count})")
-        # any other integer type, numpy's among them, reads through __index__
+        # any integer type, numpy's among them, reads through __index__
         try:
             ok = 0 <= operator.index(v) < self.vertex_count
         except TypeError:

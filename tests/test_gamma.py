@@ -505,9 +505,15 @@ def test_a_rank_past_the_ball_is_rejected(desk_params3):
             call(v, p)
 
 
+# The default hosts fill whole bytes: 14-bit coordinates in 2 bytes and a
+# 936-bit subset field in 117. On (13, 17) each 2447-bit subset field has a
+# spare bit on top, and on (5, 61) a 17-bit x takes 4 bytes beside 2-byte u's.
+_CODEC_HOSTS = (DeskConfig(), DeskConfig((13, 17), (13, 17)), DeskConfig((5, 61), (5, 29)))
+
+
 @lru_cache(maxsize=None)
-def _codec_params(delta):
-    return make_gamma_params(delta, 30)
+def _codec_params(delta, hosts=DeskConfig()):
+    return make_gamma_params(delta, 30, hosts)
 
 
 def _draw_vertex(draw, params):
@@ -520,7 +526,7 @@ def _draw_vertex(draw, params):
 
 @st.composite
 def _codec_cases(draw):
-    params = _codec_params(draw(st.sampled_from([2, 3, 4, 5])))
+    params = _codec_params(draw(st.sampled_from([2, 3, 4, 5])), draw(st.sampled_from(_CODEC_HOSTS)))
     return params, _draw_vertex(draw, params)
 
 
@@ -559,7 +565,7 @@ def test_labels_match_the_reference_codec(case):
 def test_a_set_spare_bit_is_rejected(delta):
     # |B_4| = 2447 on (13, 17), so each 306-byte subset field has one spare
     # bit on top; the decoder and the oracle reject it alike
-    params = make_gamma_params(delta, 30, DeskConfig((13, 17), (13, 17)))
+    params = _codec_params(delta, _CODEC_HOSTS[1])
     assert params.subset_bits == 2447 and params.label_layout.spare_top == 0x80
     v = random_gamma_vertex(random.Random(delta), params)
     good = encode_label(v, params)

@@ -63,20 +63,6 @@ def test_vertex_ids_may_be_any_integer_type():
             BfsNeighborhoods(g).row(bad)
 
 
-def test_the_plain_int_check_answers_like_the_general_one():
-    # a plain int takes a shorter path; every id reads and fails as before,
-    # bool among them, which is an int subclass read through __index__
-    g = circulant_graph(40, [1, 3])
-    for v, same in ((7, 7), (np.int64(7), 7), (True, 1)):
-        assert g.neighbors(v) == g.neighbors(same) and g.degree(v) == 4
-        assert g.has_edge(v, same + 1) and not g.has_edge(v, same + 2)
-    for bad, shown in ((-1, "-1"), (40, "40"), (1.0, "1.0"), ("1", "'1'")):
-        for call in (g.neighbors, g.degree, lambda v: g.has_edge(0, v)):
-            with pytest.raises(ArgumentError) as err:
-                call(bad)
-            assert str(err.value) == f"vertex id {shown} out of range [0, 40)"
-
-
 def test_duplicate_edges_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
