@@ -32,8 +32,6 @@ from .graphs import (
     dump_edge_list,
     empty_graph,
     format_edge_list,
-    is_path,
-    is_walk,
     load_edge_list,
     parse_edge_list,
     path_graph,
@@ -49,8 +47,6 @@ from .lps import (
 from .walks import (
     ConstraintSchedule,
     build_walk_map,
-    count_q_expanding,
-    is_q_expanding,
     verify_walk_map,
 )
 from .thin import (

@@ -159,7 +159,8 @@ def _cmd_gamma_params(args) -> tuple[int, dict]:
         payload = sizes.to_json()
     count = gamma_vertex_count(sizes)
     payload.update(profile=args.profile, vertex_count_log10=count.log10(),
-                   vertex_count_mantissa=count.mantissa, vertex_count_exp2=count.exp2)
+                   vertex_count_mantissa_hex=format(count.mantissa, "x"),
+                   vertex_count_exp2=count.exp2)
     return 0, payload
 
 
@@ -263,10 +264,6 @@ def _parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    # the mantissa of a vertex count passes the 4,300 digits Python writes
-    # in decimal by default once delta is in the hundreds
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
         code, payload = _HANDLERS[args.command](args)

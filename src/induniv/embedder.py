@@ -451,9 +451,10 @@ def check_edge_witnesses(
     for (u, v), parts in sorted(result.homs.decomposition.multiplicity.items()):
         j, i = sorted(p + 1 for p in parts)
         gu, gv = gamma[u], gamma[v]
-        ruv = rm_pow.rank(gu.x(i), gv.x(i))
-        rvu = rm_pow.rank(gv.x(i), gu.x(i))
-        if ruv is None or not rm_pow.contains(gu.x(j), gv.x(j)):
+        xu, xv = gu.coords, gv.coords
+        ruv = rm_pow.rank(xu[i - 1], xv[i - 1])
+        rvu = rm_pow.rank(xv[i - 1], xu[i - 1])
+        if ruv is None or not rm_pow.contains(xu[j - 1], xv[j - 1]):
             out.append(f"edge ({u}, {v}): coordinates not close at its parts ({j}, {i})")
             continue
         reason = block_link(gu, gv, i, ruv, rvu, params)
@@ -599,10 +600,10 @@ def _walk_stage(
     constraints, see ``build_walk_map``), its block length the host's and
     its caps the embedding's for n vertices, is read through the part's
     layout; the walk has checked its own well-distribution. A walk stuck
-    past ``walks.SEARCH_BUDGET`` steps is tagged with ``stage``. The map is a
-    homomorphism into the 4th power when the list is empty: the layout
-    stretches no edge past 4 and the walk is locally a path, but that is
-    checked, not assumed.
+    past ``walks.SEARCH_BUDGET`` steps gets ``stage`` in its payload. The
+    map is a homomorphism into the 4th power when the list is empty: the
+    layout stretches no edge past 4 and the walk is locally a path, but
+    that is checked, not assumed.
     """
     n = len(phi)
     try:
@@ -610,7 +611,6 @@ def _walk_stage(
                                 sigma_cap=params.sigma_cap_for(n), extra_avoid=late)
     except WalkStuckError as exc:
         exc.payload["stage"] = stage
-        exc.stage = stage
         raise
     assignment = tuple(values[t] for t in phi)
     broken = [f"edge ({u}, {v}) maps to non-adjacent images "

@@ -49,15 +49,13 @@ class BudgetError(ArtifactError):
 class WalkStuckError(ArtifactError):
     """The constrained walk builder exhausted its search budget.
 
-    Carries the stuck position, the sizes of the blocking sets and the
-    partial assignment so a caller can resume with a larger budget.
+    Carries the stuck position, the budget and the size of the blocking
+    sets; the embedder adds the walk's ``stage`` to the payload.
     """
 
-    def __init__(self, message: str, position: int, state: tuple = (), **payload):
+    def __init__(self, message: str, position: int, **payload):
         super().__init__(message, position=position, **payload)
         self.position = position
-        self.state = state
-        self.stage = payload.get("stage")
 
 
 class ScheduleOverflowError(ArtifactError):

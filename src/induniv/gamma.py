@@ -353,10 +353,6 @@ class GammaVertex:
     def delta(self) -> int:
         return len(self.blocks) + 1
 
-    def x(self, i: int) -> int:
-        """x-coordinate at 1-based index i."""
-        return self.x1 if i == 1 else self.blocks[i - 2][0]
-
     @cached_property
     def coords(self) -> tuple[int, ...]:
         """x_1..x_delta, then u_2..u_delta, in a label's order; held once
@@ -484,7 +480,7 @@ def adjacent_pairs(
     adjacent: dict[tuple[int, int], tuple[int, int]] = {}
     earlier: list[np.ndarray] = []  # close keys a * n + b, a < b, of coordinates 1..i-1
     for i in range(1, params.delta + 1):
-        xs = tuple(v.x(i) for v in vertices)
+        xs = tuple(v.coords[i - 1] for v in vertices)
         keys, rank_ab, rank_ba = (
             close_pair_ranks(params.rm_pow, xs) if close is None else close.ranks(xs))
         first = np.zeros(len(keys), dtype=np.int64)  # smallest earlier close j, or 0

@@ -15,7 +15,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -385,19 +385,6 @@ def shared_power_neighborhoods(g: Graph):
     attached (``lps.PowerNeighborhoods``), or else a fresh breadth-first
     reference (``BfsNeighborhoods``) holding the rows asked about."""
     return g._metric if g._metric is not None else BfsNeighborhoods(g)
-
-
-# -- vertex sequences ------------------------------------------------------
-
-
-def is_walk(g: Graph, seq: Sequence[int]) -> bool:
-    """True iff consecutive vertices of the sequence are adjacent in g."""
-    return all(g.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
-
-
-def is_path(g: Graph, seq: Sequence[int]) -> bool:
-    """True iff the sequence is a walk with all vertices distinct."""
-    return len(set(seq)) == len(seq) and is_walk(g, seq)
 
 
 # -- factories ---------------------------------------------------------------

@@ -157,6 +157,8 @@ def size_report(delta_list: list[int], n_list: list[int]) -> dict:
     difference. The per-delta spread of that difference measures how far the
     count strays from the reference shape.
     """
+    if not delta_list or not n_list:
+        raise ArgumentError("size report needs at least one delta and one n")
     for n in n_list:
         if n < 1:
             raise ArgumentError(f"size report needs n >= 1, got {n}")

@@ -1,4 +1,4 @@
-"""Constrained walks in expanders and the expanding-vertex machinery.
+"""Constrained walks in expanders.
 
 The walk builder produces an assignment f of indices 0..n-1 to vertices of a
 host graph F subject to three properties:
@@ -35,12 +35,11 @@ vertex that call asks about.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArgumentError, BudgetError, IntegrityError, WalkStuckError
+from .errors import ArgumentError, IntegrityError, WalkStuckError
 from .graphs import RADIUS, Graph, shared_power_neighborhoods
 
 _MASK64 = (1 << 64) - 1
@@ -132,8 +131,8 @@ def build_walk_map(
     previous block); the caller is responsible for re-verifying whatever
     property those constraints serve.
 
-    Raises WalkStuckError with the stuck position and a resumable prefix when
-    the budget runs out, and ArgumentError on invalid caps or schedules.
+    Raises WalkStuckError with the stuck position when the budget runs out,
+    and ArgumentError on invalid caps or schedules.
     """
     if usage_cap < 1:
         raise ArgumentError("usage_cap must be >= 1")
@@ -198,7 +197,6 @@ def build_walk_map(
                 raise WalkStuckError(
                     "walk search budget exhausted",
                     position=t,
-                    state=tuple(values),
                     budget=budget,
                     scheduled_targets=len(schedule.at(t)),
                     at_cap=sum(1 for u in usage.values() if u >= usage_cap),
@@ -219,8 +217,7 @@ def build_walk_map(
         if not placed:
             if t == 0:
                 raise WalkStuckError(
-                    "no feasible starting vertex", position=0, state=(),
-                    budget=budget)
+                    "no feasible starting vertex", position=0, budget=budget)
             frames.pop()
             prev = values.pop()
             usage[prev] -= 1
@@ -297,95 +294,3 @@ def verify_walk_map(
         k += 1
     return tuple(out)
 
-
-# -- expanding vertices -------------------------------------------------------
-
-
-def is_q_expanding(
-    f_graph: Graph,
-    v: int,
-    sets: Sequence[Iterable[int]],
-    q: int,
-    path_budget: int = 2_000_000,
-) -> bool:
-    """Exact universal check of the expanding-vertex property.
-
-    v is q-expanding with respect to S_0..S_{q-1} iff for EVERY path P in the
-    host with at most q vertices, at least half of all vertices w admit a
-    path (v, w_0, ..., w_{q-1} = w) with w_i avoiding S_i and P throughout.
-    Enumerates path vertex sets (a path and its reverse constrain
-    identically) and counts feasible endpoints per set, with early exit both
-    on reaching the half threshold and on the first failing P.
-    """
-    if q < 1:
-        raise ArgumentError("q must be >= 1")
-    if len(sets) != q:
-        raise ArgumentError(f"expected {q} avoidance sets, got {len(sets)}")
-    f_graph._check_vertex(v)
-    ell = f_graph.vertex_count
-    avoid = [frozenset(s) for s in sets]
-    if any(len(a) >= ell for a in avoid):
-        return False
-
-    for p_set in _path_vertex_sets(f_graph, q, path_budget):
-        reached: set[int] = set()
-        layers = [avoid[i] | p_set for i in range(q)]
-        stack = [(v, 0, (v,))]
-        while stack and 2 * len(reached) < ell:
-            u, depth, used = stack.pop()
-            for w in reversed(f_graph.neighbors(u)):
-                if w in layers[depth] or w in used:
-                    continue
-                if depth == q - 1:
-                    reached.add(w)
-                    if 2 * len(reached) >= ell:
-                        break
-                else:
-                    stack.append((w, depth + 1, used + (w,)))
-        if 2 * len(reached) < ell:
-            return False
-    return True
-
-
-def _path_vertex_sets(g: Graph, max_size: int, budget: int):
-    """Vertex sets of all paths in g with 1..max_size vertices, each once."""
-    seen: set[frozenset[int]] = set()
-    count = 0
-    for start in range(g.vertex_count):
-        stack = [(start, (start,))]
-        while stack:
-            u, path = stack.pop()
-            fs = frozenset(path)
-            if fs not in seen:
-                seen.add(fs)
-                count += 1
-                if count > budget:
-                    raise BudgetError(
-                        f"path enumeration exceeded budget {budget}",
-                        budget=budget)
-                yield fs
-            if len(path) < max_size:
-                for w in g.neighbors(u):
-                    if w not in path:
-                        stack.append((w, path + (w,)))
-
-
-def count_q_expanding(
-    f_graph: Graph,
-    sets: Sequence[Iterable[int]],
-    q: int,
-    path_budget: int = 2_000_000,
-) -> int:
-    """Exact count of expanding vertices; warns outside the small-set regime."""
-    ell = f_graph.vertex_count
-    for i, s in enumerate(sets):
-        if len(frozenset(s)) > ell / 20:
-            warnings.warn(
-                f"avoidance set {i} has more than ell/20 = {ell / 20:.1f} vertices; "
-                "the expanding-vertex guarantee does not apply",
-                stacklevel=2,
-            )
-            break
-    return sum(
-        1 for v in range(ell) if is_q_expanding(f_graph, v, sets, q, path_budget)
-    )

@@ -16,7 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from induniv.embedder import LOCAL_WINDOW, EmbeddingResult, InducedReport
-from induniv.errors import ArgumentError, ConstructionIntegrityError, ScheduleOverflowError
+from induniv.errors import (
+    ArgumentError,
+    BudgetError,
+    ConstructionIntegrityError,
+    ScheduleOverflowError,
+)
 from induniv.gamma import GammaParams, GammaVertex, gamma_adjacent_witness
 from induniv.graphs import Graph
 from induniv.lps import (
@@ -154,6 +159,72 @@ def oracle_q_expanding(g: Graph, v: int, sets, q: int) -> bool:
         if len(endpoints) < ell / 2:
             return False
     return True
+
+
+def is_q_expanding(f_graph: Graph, v: int, sets, q: int, path_budget: int = 2_000_000) -> bool:
+    """Exact universal check of the expanding-vertex property, the fast
+    counterpart that criterion 2 holds to ``oracle_q_expanding``. No
+    pipeline stage runs it: on a desk host the property cannot hold at
+    small q, and at larger q the path enumeration is out of reach.
+
+    v is q-expanding with respect to S_0..S_{q-1} iff for EVERY path P in the
+    host with at most q vertices, at least half of all vertices w admit a
+    path (v, w_0, ..., w_{q-1} = w) with w_i avoiding S_i and P throughout.
+    Enumerates path vertex sets (a path and its reverse constrain
+    identically) and counts feasible endpoints per set, with early exit both
+    on reaching the half threshold and on the first failing P.
+    """
+    if q < 1:
+        raise ArgumentError("q must be >= 1")
+    if len(sets) != q:
+        raise ArgumentError(f"expected {q} avoidance sets, got {len(sets)}")
+    f_graph._check_vertex(v)
+    ell = f_graph.vertex_count
+    avoid = [frozenset(s) for s in sets]
+    if any(len(a) >= ell for a in avoid):
+        return False
+
+    for p_set in _path_vertex_sets(f_graph, q, path_budget):
+        reached: set[int] = set()
+        layers = [avoid[i] | p_set for i in range(q)]
+        stack = [(v, 0, (v,))]
+        while stack and 2 * len(reached) < ell:
+            u, depth, used = stack.pop()
+            for w in reversed(f_graph.neighbors(u)):
+                if w in layers[depth] or w in used:
+                    continue
+                if depth == q - 1:
+                    reached.add(w)
+                    if 2 * len(reached) >= ell:
+                        break
+                else:
+                    stack.append((w, depth + 1, used + (w,)))
+        if 2 * len(reached) < ell:
+            return False
+    return True
+
+
+def _path_vertex_sets(g: Graph, max_size: int, budget: int):
+    """Vertex sets of all paths in g with 1..max_size vertices, each once."""
+    seen: set[frozenset[int]] = set()
+    count = 0
+    for start in range(g.vertex_count):
+        stack = [(start, (start,))]
+        while stack:
+            u, path = stack.pop()
+            fs = frozenset(path)
+            if fs not in seen:
+                seen.add(fs)
+                count += 1
+                if count > budget:
+                    raise BudgetError(
+                        f"path enumeration exceeded budget {budget}",
+                        budget=budget)
+                yield fs
+            if len(path) < max_size:
+                for w in g.neighbors(u):
+                    if w not in path:
+                        stack.append((w, path + (w,)))
 
 
 # -- thinness ---------------------------------------------------------------------
@@ -443,7 +514,8 @@ def oracle_gamma_adjacent_witness(a, b, params: GammaParams):
     smallest i whose mask and shield tests pass with a close x-pair at i and
     at some j < i, and j is the smallest close coordinate."""
     rm_pow, rz_pow = params.rm_pow, params.rz_pow
-    close = [i for i in range(1, params.delta + 1) if rm_pow.contains(a.x(i), b.x(i))]
+    close = [i for i in range(1, params.delta + 1)
+             if rm_pow.contains(a.coords[i - 1], b.coords[i - 1])]
     for i in close[1:]:
         xa, mask_a, ua = a.blocks[i - 2]
         xb, mask_b, ub = b.blocks[i - 2]
@@ -511,7 +583,7 @@ def oracle_edge_witnesses(h: Graph, result: EmbeddingResult, params: GammaParams
     for (u, v), parts in sorted(result.homs.decomposition.multiplicity.items()):
         j, i = sorted(p + 1 for p in parts)
         a, b = gamma[u], gamma[v]
-        if not all(rm_pow.contains(a.x(k), b.x(k)) for k in (j, i)):
+        if not all(rm_pow.contains(a.coords[k - 1], b.coords[k - 1]) for k in (j, i)):
             out.append(f"edge ({u}, {v}): coordinates not close at its parts ({j}, {i})")
             continue
         (xa, mask_a, ua), (xb, mask_b, ub) = a.blocks[i - 2], b.blocks[i - 2]

@@ -30,14 +30,14 @@ from induniv.thin import (
     validate_layout,
 )
 from induniv import walks
-from induniv.walks import build_walk_map, is_q_expanding, verify_walk_map
+from induniv.walks import build_walk_map, verify_walk_map
 from instances import (
     inject_walk_fault,
     random_close_gamma_pair,
     random_gamma_vertex,
     random_walk_instance,
 )
-from oracles import oracle_q_expanding
+from oracles import is_q_expanding, oracle_q_expanding
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float, budget: float):

@@ -89,7 +89,7 @@ def test_gamma_params_paper(capsys):
     assert doc["m"] == 5 * 160 * 3 * 734**8 * 1000
     assert doc["vertex_count_log10"] > 10**9  # astronomically large, by design
     assert {k: doc[k] for k in PAPER_D3_N1E6} == PAPER_D3_N1E6
-    count = doc["vertex_count_mantissa"], doc["vertex_count_exp2"]
+    count = int(doc["vertex_count_mantissa_hex"], 16), doc["vertex_count_exp2"]
     assert count == (doc["ell_m"] ** 3 * doc["ell_z"] ** 2, 2 * (4 * 734**4 + 1))
 
 
@@ -122,7 +122,7 @@ def test_gamma_params_desk(capsys, rm_desk):
     assert code == 0
     assert doc["d"] == 6 and doc["ell_m"] == 12180
     assert doc["certificates"]["r_m"]["all_ok"]
-    assert doc["vertex_count_mantissa"] << doc["vertex_count_exp2"] == \
+    assert int(doc["vertex_count_mantissa_hex"], 16) << doc["vertex_count_exp2"] == \
         12180**2 * 2**936 * 12180
 
 
@@ -131,18 +131,19 @@ def test_gamma_params_desk(capsys, rm_desk):
     ["--delta", "3", "--n", "1000000", "--profile", "paper"],
 ], ids=["desk-2", "desk-3", "desk-4", "desk-5", "desk-6", "paper"])
 def test_gamma_params_prints_the_exact_count(capsys, rm_desk, argv):
-    # the count is printed factored: written out in decimal, the paper's
-    # passes the 4,300 digits Python converts by default, and so does the
-    # desk's from delta 16 on
+    # the count is printed factored, its mantissa in hex: written out in
+    # decimal, the paper's passes the 4,300 digits Python converts by
+    # default, and so does the desk's from delta 16 on
     code, doc = invoke(capsys, ["gamma-params", *argv])
     assert code == 0 and isinstance(doc, dict)
     delta, ell_m, ell_z = doc["delta"], doc["ell_m"], doc["ell_z"]
-    assert doc["vertex_count_mantissa"] == ell_m * (ell_m * ell_z) ** (delta - 1)
+    mantissa = int(doc["vertex_count_mantissa_hex"], 16)
+    assert mantissa == ell_m * (ell_m * ell_z) ** (delta - 1)
     # a desk subset field has |B_4| = 936 bits, the paper's 4 d^4 + 1
     subset_bits = 4 * doc["d"] ** 4 + 1 if "paper" in argv else 936
     assert doc["vertex_count_exp2"] == (delta - 1) * subset_bits
     assert doc["vertex_count_log10"] == pytest.approx(
-        math.log10(doc["vertex_count_mantissa"]) + doc["vertex_count_exp2"] * math.log10(2))
+        math.log10(mantissa) + doc["vertex_count_exp2"] * math.log10(2))
 
 
 def test_hosts_of_different_degrees_are_a_usage_error(capsys):
@@ -214,6 +215,16 @@ def test_size_report_table(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "count_log10" in out and "{" not in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("delta, n_list", [("2", ""), ("2", ","), ("", "100")],
+                         ids=["no-n", "comma", "no-delta"])
+def test_size_report_with_an_empty_list_is_an_argument_error(capsys, delta, n_list):
+    # a report needs a row, and its spreads a max over each delta's rows
+    assert run(["size-report", "--delta", delta, "--n-list", n_list]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "ArgumentError"
+    assert not captured.out
 
 
 def test_usage_error_exit_code(capsys):
@@ -423,9 +434,9 @@ def test_python_dash_m_prints_a_count_past_the_decimal_digit_limit():
          "--delta", "120", "--n", "30"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    # read the integers as text, whatever this process's digit limit is
-    doc = json.loads(done.stdout, parse_int=str)
-    assert len(doc["vertex_count_mantissa"]) > 4300 and doc["vertex_count_exp2"].isdigit()
+    doc = json.loads(done.stdout)
+    mantissa, ell_m, ell_z = int(doc["vertex_count_mantissa_hex"], 16), doc["ell_m"], doc["ell_z"]
+    assert mantissa == ell_m * (ell_m * ell_z) ** 119 and mantissa > 10**4300
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["json", "table"])
@@ -437,14 +448,12 @@ def test_run_writes_a_count_past_the_decimal_digit_limit(tmp_path, table):
     assert run(argv + ["--table"] * table) == 0
     text = out.read_text()
     if table:
-        fields = dict(line.split(": ", 1) for line in text.splitlines())
-        mantissa, ell_m, ell_z = (int(fields[k]) for k in ("vertex_count_mantissa",
-                                                          "ell_m", "ell_z"))
+        doc = dict(line.split(": ", 1) for line in text.splitlines())
     else:
         doc = json.loads(text)
-        mantissa, ell_m, ell_z = doc["vertex_count_mantissa"], doc["ell_m"], doc["ell_z"]
-        assert isinstance(mantissa, int)
-    assert mantissa == ell_m * (ell_m * ell_z) ** 119 and len(str(mantissa)) > 4300
+    mantissa = int(doc["vertex_count_mantissa_hex"], 16)
+    ell_m, ell_z = int(doc["ell_m"]), int(doc["ell_z"])
+    assert mantissa == ell_m * (ell_m * ell_z) ** 119 and mantissa > 10**4300
 
 
 def test_an_embed_leaves_numpy_ma_unimported(c6_file, tmp_path):

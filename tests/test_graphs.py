@@ -17,8 +17,6 @@ from induniv.graphs import (
     disjoint_union,
     empty_graph,
     format_edge_list,
-    is_path,
-    is_walk,
     parse_edge_list,
     path_graph,
     shared_power_neighborhoods,
@@ -208,14 +206,6 @@ def test_bipartite_examples():
     assert not cycle_graph(5).is_bipartite()
     assert empty_graph(4).is_bipartite()
     assert path_graph(7).is_bipartite()
-
-
-def test_walk_and_path_predicates():
-    c5 = cycle_graph(5)
-    assert is_walk(c5, [0, 1, 2, 1, 0])
-    assert not is_path(c5, [0, 1, 2, 1, 0])
-    assert is_path(c5, [0, 1, 2, 3])
-    assert not is_walk(c5, [0, 2])
 
 
 def test_connected_components():

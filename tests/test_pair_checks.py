@@ -230,7 +230,7 @@ def test_tampered_embeddings_verify_like_the_reference(desk_params3):
         return _rebuilt(out)
 
     def close_at(a, b):
-        return tuple(rm.contains(gamma[a].x(i), gamma[b].x(i)) for i in (1, 2, 3))
+        return tuple(rm.contains(gamma[a].coords[k], gamma[b].coords[k]) for k in range(3))
 
     non_edges = [(a, b) for a in range(14) for b in range(a + 1, 14) if not h.has_edge(a, b)]
     a, b = next(p for p in non_edges if close_at(*p) == (True, False, True))
@@ -283,7 +283,7 @@ def test_tampered_edge_witnesses_check_like_the_reference(desk_params3):
         return replace(result, gamma=tuple(out))
 
     def nbr_x(v, i):
-        return [gamma[w].x(i) for w in h.neighbors(v)]
+        return [gamma[w].coords[i - 1] for w in h.neighbors(v)]
 
     def nbr_u(v, k):
         return [gamma[w].blocks[k][2] for w in h.neighbors(v)]
@@ -403,7 +403,7 @@ def test_a_moved_coordinate_misses_the_attempt_tables(monkeypatch, desk_params3)
     gamma, rm = result.gamma, params.rm_pow
     for v in (0, 3, 6):
         # x_2 of v moves away from the x_2 of every neighbour
-        nbrs = [gamma[w].x(2) for w in h.neighbors(v)]
+        nbrs = [gamma[w].coords[1] for w in h.neighbors(v)]
         x2 = next(z for z in range(params.ell_m)
                   if z not in nbrs and not any(rm.contains(z, o) for o in nbrs))
         (_, mask, u), *rest = gamma[v].blocks

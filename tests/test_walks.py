@@ -14,13 +14,11 @@ from induniv.graphs import Graph, complete_graph, cycle_graph, disjoint_union, p
 from induniv.walks import (
     ConstraintSchedule,
     build_walk_map,
-    count_q_expanding,
-    is_q_expanding,
     step_for,
     verify_walk_map,
 )
 from instances import inject_walk_fault, random_walk_instance
-from oracles import oracle_q_expanding
+from oracles import is_q_expanding, oracle_q_expanding
 
 
 def test_step_for():
@@ -48,12 +46,6 @@ def test_full_avoidance_set_blocks_everything():
     g = complete_graph(5)
     assert not is_q_expanding(g, 0, [set(range(5))], 1)
     assert not is_q_expanding(g, 0, [set(), set(range(5))], 2)
-    with pytest.warns(UserWarning):
-        assert count_q_expanding(g, [set(range(5))], 1) == 0
-
-
-def test_c6_count_is_zero():
-    assert count_q_expanding(cycle_graph(6), [set()], 1) == 0
 
 
 def test_expanding_budget_guard():
@@ -62,11 +54,6 @@ def test_expanding_budget_guard():
     g = complete_graph(9)
     with pytest.raises(BudgetError):
         is_q_expanding(g, 0, [set(), set(), set()], 3, path_budget=10)
-
-
-def test_count_warns_outside_regime():
-    with pytest.warns(UserWarning):
-        count_q_expanding(cycle_graph(6), [set(range(3))], 1)
 
 
 def test_expanding_matches_oracle_randomized():
