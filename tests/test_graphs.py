@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pickle
+import random
 import sys
 import threading
 
@@ -22,6 +24,7 @@ from induniv.graphs import (
     shared_power_neighborhoods,
 )
 from induniv.lps import cached_lps_graph
+from instances import random_bounded_graph
 from oracles import oracle_distances, oracle_girth, oracle_power
 
 INF = math.inf
@@ -271,3 +274,12 @@ def test_edge_list_strictness():
         parse_edge_list("")
     with pytest.raises(ArgumentError):
         parse_edge_list("nope\n")
+
+
+def test_random_bounded_graph_is_pinned():
+    # the tests' reference input (seed 7, n = 2000, degree at most 4), as
+    # drawn before its membership test moved from a list to a set
+    g = random_bounded_graph(random.Random(7), 2000, 4)
+    assert g.edge_count == 3326 and g.max_degree() <= 4
+    assert hashlib.sha256(repr(sorted(g.edges())).encode()).hexdigest() == \
+        "449ff2f3192556b588c9710e90f9fd1a91d89515d7ba7f46898c111726c784b2"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -17,6 +19,7 @@ from induniv.lps import (
     LpsParams,
     Psl2,
     build_lps_graph,
+    cached_lps_certificate,
     cached_lps_graph,
     certify_expander,
     find_lps_params,
@@ -391,3 +394,33 @@ def test_certificate_of_the_kept_table_matches_the_edges(rm_desk):
     params = LpsParams(5, 29)
     assert certify_expander(rm_desk, params) == certify_expander(plain, params)
     assert lps.psl2(29) is lps.psl2(29)  # one enumeration for build and certificate
+
+
+# Captured before the hosts kept their neighbour table alone: the certificate
+# must keep every key and float, and the graph every edge. The edges are
+# pinned by a digest of their sorted list, not of the table's bytes, so the
+# table's dtype is free.
+_CERTIFICATE_PINS = {
+    (5, 29): {"degree": 6, "vertices": 12180, "regular": True, "connected": True,
+              "non_bipartite": True, "girth": 9, "girth_bound": 2.9226198999612194,
+              "girth_ok": True, "vertex_transitive": True, "lambda2": 4.442016442593794,
+              "eigenvalue_threshold": 4.472235954999579, "eigenvalue_ok": True,
+              "ramanujan_ok": True, "all_ok": True, "notes": []},
+    (5, 61): {"degree": 6, "vertices": 113460, "regular": True, "connected": True,
+              "non_bipartite": True, "girth": 11, "girth_bound": 3.6159225344945187,
+              "girth_ok": True, "vertex_transitive": True, "lambda2": 4.420289422625555,
+              "eigenvalue_threshold": 4.472235954999579, "eigenvalue_ok": True,
+              "ramanujan_ok": True, "all_ok": True, "notes": []},
+}
+_EDGE_DIGESTS = {
+    (5, 29): "c57d69aa35e727031a53c708adb686f8ffd8bd18f0c55ca1e33841bb92ca4221",
+    (5, 61): "2bfb4e332da16b7f865cc00664ae9ce558ecd62604744cb14bcfffa40f36106f",
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(_CERTIFICATE_PINS))
+def test_certificate_and_edges_are_pinned(p, q):
+    assert json.dumps(cached_lps_certificate(p, q).to_json()) == \
+        json.dumps(_CERTIFICATE_PINS[p, q])
+    edges = repr(sorted(cached_lps_graph(p, q).edges())).encode()
+    assert hashlib.sha256(edges).hexdigest() == _EDGE_DIGESTS[p, q]
