@@ -338,6 +338,22 @@ def paper_sizes(delta: int, n: int) -> ProductSizes:
 # -- vertices and the adjacency oracle ----------------------------------------
 
 
+class _held:
+    """A ``functools.cached_property`` without its lock: the first read
+    stores the value in the instance's ``__dict__``, where every later read
+    finds it first. Python 3.10 and 3.11 take an RLock on each first read of
+    a cached_property, which a decoded vertex's single read pays in full."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class GammaVertex:
     """One product-graph vertex: anchor coordinate plus delta-1 blocks.
@@ -353,7 +369,7 @@ class GammaVertex:
     def delta(self) -> int:
         return len(self.blocks) + 1
 
-    @cached_property
+    @_held
     def coords(self) -> tuple[int, ...]:
         """x_1..x_delta, then u_2..u_delta, in a label's order; held once
         made, outside the fields, so equality, hash and repr do not see it."""

@@ -1,12 +1,14 @@
 """Immutable simple undirected graphs and the metric operations built on them.
 
-Vertices are dense integer ids ``0..n-1``. Neighbor lists are kept sorted,
+Vertices are dense integer ids ``0..n-1``. Neighbour rows are kept sorted,
 which makes every ordering derived from them (vertex ranks, layouts)
-deterministic. Closeness is always "within distance 4" (``RADIUS``). An LPS
-host carries its metric, ``lps.PowerNeighborhoods``, which its build attaches
-and which decides closeness by group arithmetic; any other graph gets the
-breadth-first reference, ``BfsNeighborhoods``, from
-``shared_power_neighborhoods``.
+deterministic. A graph built from edges keeps each row as a tuple; one built
+from a neighbour table, as every LPS host is, keeps only that table, as a
+read-only int32 array, and reads its rows as views of it. Closeness is always
+"within distance 4" (``RADIUS``). An LPS host carries its metric,
+``lps.PowerNeighborhoods``, which its build attaches and which decides
+closeness by group arithmetic; any other graph gets the breadth-first
+reference, ``BfsNeighborhoods``, from ``shared_power_neighborhoods``.
 """
 
 from __future__ import annotations
@@ -26,18 +28,22 @@ RADIUS = 4  # "close" in the product-graph oracle and in walk separation
 
 
 class Graph:
-    """Simple undirected graph with canonical sorted adjacency lists.
+    """Simple undirected graph with sorted neighbour rows.
 
-    Instances are immutable after construction. Connectivity is memoised on
-    first use; it is a pure function of the adjacency, so a race at worst
-    computes it twice. A graph pickles as its vertex count and edges, except
-    an LPS host (one whose build attached its group metric to ``_metric``),
-    which pickles as the ``lps.cached_lps_graph`` call that rebuilds it with
-    that metric. Self-loops are rejected; duplicate edges are collapsed.
+    ``_adj[v]`` is the sorted row of v: a tuple for a graph built from
+    edges, and a view of the kept table (``_TableRows``) for one built by
+    ``from_neighbor_table``, which holds no object per vertex. Both forms
+    compare and hash alike: the hash is (vertex count, edge count), and
+    equality compares the rows. Instances are immutable after construction.
+    Connectivity is memoised on first use; it is a pure function of the
+    adjacency, so a race at worst computes it twice. A graph pickles as its
+    vertex count and edges, except an LPS host (one whose build attached its
+    group metric to ``_metric``), which pickles as the ``lps.cached_lps_graph``
+    call that rebuilds it with that metric. Self-loops are rejected;
+    duplicate edges are collapsed.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash", "_connected", "_metric",
-                 "_table")
+    __slots__ = ("vertex_count", "edge_count", "_adj", "_connected", "_metric", "_table")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -57,12 +63,11 @@ class Graph:
             adj[v].append(u)
         self._init_slots(vertex_count, len(seen), tuple(tuple(sorted(nb)) for nb in adj))
 
-    def _init_slots(self, vertex_count: int, edge_count: int, adj: tuple,
+    def _init_slots(self, vertex_count: int, edge_count: int, adj,
                     table: np.ndarray | None = None) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edge_count", edge_count)
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_hash", hash((vertex_count, adj)))
         object.__setattr__(self, "_connected", None)
         object.__setattr__(self, "_metric", None)
         object.__setattr__(self, "_table", table)
@@ -76,7 +81,8 @@ class Graph:
         range, no self-loop, no repeated neighbour, and w in row v exactly
         when v is in row w. Each is checked with whole-table numpy operations
         and a violation raises ArgumentError, so no edge set is built. The
-        graph keeps the sorted table, read-only, as its ``neighbor_table``.
+        graph keeps the sorted table as a read-only int32 array, its
+        ``neighbor_table``, and nothing per vertex: its rows are views of it.
         """
         rows = np.array(table, dtype=np.int64)
         if rows.ndim != 2:
@@ -94,24 +100,21 @@ class Graph:
         backward = np.sort((rows * n + owner).reshape(-1))
         if not np.array_equal(forward, backward):
             raise ArgumentError("neighbor table is not symmetric")
-        # one int object per vertex, shared by every row naming it, as in
-        # graphs built from edges; zip cuts the flat list into rows
-        ids = np.arange(n).astype(object)
-        flat = iter(ids[rows].reshape(-1).tolist())
+        kept = rows.astype(np.int32)
+        kept.setflags(write=False)
         g = cls.__new__(cls)
-        rows.setflags(write=False)
-        g._init_slots(n, n * d // 2, tuple(zip(*[flat] * d)) if d else ((),) * n, rows)
+        g._init_slots(n, n * d // 2, _TableRows(kept), kept)
         return g
 
     def neighbor_table(self) -> np.ndarray:
-        """The sorted neighbour rows as an (n, d) int64 array; the graph must
+        """The sorted neighbour rows as an (n, d) int32 array; the graph must
         be d-regular (the inverse of ``from_neighbor_table``, whose table is
         returned as it was kept, read-only)."""
         if self._table is not None:
             return self._table
         if not self.is_regular():
             raise ArgumentError("neighbor_table needs a regular graph")
-        return np.array(self._adj, dtype=np.int64).reshape(
+        return np.array(self._adj, dtype=np.int32).reshape(
             self.vertex_count, self.max_degree())
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -127,7 +130,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj[v]
+        return tuple(self._adj[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -169,14 +172,19 @@ class Graph:
             raise ArgumentError(f"vertex id {v!r} out of range [0, {self.vertex_count})")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.vertex_count == other.vertex_count
-            and self._adj == other._adj
-        )
+        if not (isinstance(other, Graph) and self.vertex_count == other.vertex_count
+                and self.edge_count == other.edge_count):
+            return False
+        if self._table is None and other._table is None:
+            return self._adj == other._adj
+        # a table graph is regular, of degree 2m/n, and so is any graph equal
+        # to it; flat, so that two graphs without vertices compare equal
+        return self.is_regular() and other.is_regular() and np.array_equal(
+            self.neighbor_table().reshape(-1), other.neighbor_table().reshape(-1))
 
     def __hash__(self) -> int:
-        return self._hash
+        # the same for both storage forms, so it reads no row
+        return hash((self.vertex_count, self.edge_count))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -229,25 +237,32 @@ class Graph:
             if self.vertex_count <= 1:
                 connected = True
             elif self._table is not None:
-                connected = bool(self._table_reach().all())
+                depth = np.full(self.vertex_count, -1, dtype=np.int64)
+                for _ in self._table_levels(depth):
+                    pass
+                connected = bool((depth >= 0).all())
             else:
                 connected = min(self.bfs_distances(0)) >= 0
             object.__setattr__(self, "_connected", connected)
         return self._connected
 
-    def _table_reach(self) -> np.ndarray:
-        """Mask of the vertices reachable from vertex 0, by a breadth-first
-        search over the kept neighbour table, one whole level at a time."""
-        reached = np.zeros(self.vertex_count, dtype=bool)
-        reached[0] = True
+    def _table_levels(self, depth: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """A breadth-first search from vertex 0 over the kept neighbour
+        table, one whole level at a time. It fills ``depth``, all -1 on
+        entry, with each vertex's distance, and yields each level's distance
+        with the neighbour rows of its vertices, before the next level is
+        marked; unreachable vertices keep -1."""
+        depth[0] = level = 0
         frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
-            found = np.zeros_like(reached)
-            found[self._table[frontier]] = True
-            found &= ~reached
-            reached |= found
+            ahead = self._table[frontier]
+            yield level, ahead
+            level += 1
+            found = np.zeros(len(depth), dtype=bool)
+            found[ahead] = True
+            found &= depth < 0
             frontier = np.flatnonzero(found)
-        return reached
+            depth[frontier] = level
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self.vertex_count
@@ -269,6 +284,16 @@ class Graph:
         return comps
 
     def is_bipartite(self) -> bool:
+        if self._table is not None and self.vertex_count:
+            # an edge inside a breadth-first level closes an odd cycle; when
+            # none does and every vertex is reached, the levels' parity
+            # 2-colours the graph
+            depth = np.full(self.vertex_count, -1, dtype=np.int64)
+            for level, ahead in self._table_levels(depth):
+                if (depth[ahead] == level).any():
+                    return False
+            if (depth >= 0).all():
+                return True
         color = [-1] * self.vertex_count
         for s in range(self.vertex_count):
             if color[s] >= 0:
@@ -337,6 +362,26 @@ class Graph:
         for t in touched:
             dist[t] = -1
         return best
+
+
+class _TableRows:
+    """The rows of a neighbour table as ``Graph._adj`` reads them: row v is a
+    1-D memoryview slice of the flat table, which yields Python ints and
+    supports ``len``, ``in`` and ``bisect``, so the methods that read
+    ``_adj[v]`` run on either storage form. Nothing is kept per row."""
+
+    __slots__ = ("_flat", "_d", "_n")
+
+    def __init__(self, table: np.ndarray):
+        self._n, self._d = table.shape
+        self._flat = memoryview(table.reshape(-1))
+
+    def __getitem__(self, v: int) -> memoryview:
+        d = self._d
+        return self._flat[v * d:v * d + d]
+
+    def __iter__(self) -> Iterator[memoryview]:
+        return map(self.__getitem__, range(self._n))
 
 
 # -- the radius-4 power metric ----------------------------------------------

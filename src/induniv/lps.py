@@ -521,7 +521,7 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
         trivial.append((1 - 2 * side) / math.sqrt(n))
     if n <= len(trivial):
         return 0.0
-    columns = np.ascontiguousarray(table.T)
+    columns = np.ascontiguousarray(table.T, dtype=np.intp)  # take converts any other type
     # uniform on [-1, 1), drawn from the stdlib: numpy.random would cost
     # every process some 6 MB of resident memory
     bits = random.Random(_LANCZOS_SEED).getrandbits(64 * n)
@@ -685,7 +685,7 @@ def _transitivity_failure(g: Graph, params: LpsParams) -> str | None:
     if g.vertex_count != n or not g.is_regular() or g.max_degree() != params.degree:
         return (f"transitivity needs a {params.degree}-regular graph "
                 f"on {n} vertices, the LPS vertex set")
-    table = g.neighbor_table()
+    table = g.neighbor_table().astype(np.intp)  # an index of every permutation
     group = psl2(params.q)
     perms = []
     try:

@@ -153,7 +153,7 @@ def build_walk_map(
 
     budget = SEARCH_BUDGET
     close = shared_power_neighborhoods(host).contains
-    adj = host._adj  # the host's sorted neighbour tuples, read without id checks
+    adj = host._adj  # the host's neighbour rows, read without id checks
     n_pad = ((n + q - 1) // q) * q
 
     late: dict[int, tuple[int, ...]] = {}
@@ -250,7 +250,7 @@ def verify_walk_map(
     for v in values:
         host._check_vertex(v)
     close = shared_power_neighborhoods(host).contains
-    adj = host._adj  # the host's sorted neighbour tuples, read without id checks
+    adj = host._adj  # the host's neighbour rows, read without id checks
     n = len(values)
     out: list[WalkViolation] = []
 
@@ -275,6 +275,9 @@ def verify_walk_map(
                     f"images of {t},{t2} are at distance {host.distance(a, b)} "
                     f"<= {RADIUS}"))
 
+    # whether each step is an edge, one row read a position: every
+    # position lies in two windows
+    steps = [values[i + 1] in adj[values[i]] for i in range(n - 1)]
     q = step_for(host.vertex_count)
     k = 0
     while k * q < n:
@@ -285,8 +288,8 @@ def verify_walk_map(
             out.append(WalkViolation(
                 "blocks", (k,), f"window at block {k} repeats a vertex: {window}"))
         else:
-            for i in range(len(window) - 1):
-                if window[i + 1] not in adj[window[i]]:
+            for i in range(width - 1):
+                if not steps[start + i]:
                     out.append(WalkViolation(
                         "blocks", (k,),
                         f"window at block {k} breaks adjacency at offset {i}"))

@@ -89,6 +89,7 @@ def inject_walk_fault(
 
 def random_bounded_graph(rng: random.Random, n: int, delta: int) -> Graph:
     edges = []
+    seen = set()  # the edges drawn so far, for a membership test in O(1)
     degs = [0] * n
     attempts = 3 * n
     for _ in range(attempts):
@@ -97,8 +98,9 @@ def random_bounded_graph(rng: random.Random, n: int, delta: int) -> Graph:
         if u == v or degs[u] >= delta or degs[v] >= delta:
             continue
         e = (min(u, v), max(u, v))
-        if e in edges:
+        if e in seen:
             continue
+        seen.add(e)
         edges.append(e)
         degs[u] += 1
         degs[v] += 1

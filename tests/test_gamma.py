@@ -466,6 +466,21 @@ def test_codec_round_trip(desk_params3):
         assert decode_label(encode_label(v, desk_params3), desk_params3) == v
 
 
+def test_a_decoded_vertex_reads_its_coordinates_from_its_fields(desk_params3):
+    rng = random.Random(10)
+    for _ in range(20):
+        v = random_gamma_vertex(rng, desk_params3)
+        w = decode_label(encode_label(v, desk_params3), desk_params3)
+        xs = [w.x1] + [x for x, _, _ in w.blocks]
+        us = [w.u(i) for i in range(2, w.delta + 1)]
+        assert w.coords == (*xs, *us)
+        assert w.coords is w.coords  # made once, then held
+        # held outside the fields: a vertex whose coords were read equals,
+        # hashes and prints like one whose were not
+        assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
+        assert "coords" not in repr(w)
+
+
 def test_label_width(desk_params2):
     v = random_gamma_vertex(random.Random(0), desk_params2)
     label = encode_label(v, desk_params2)

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,10 +180,53 @@ def test_a_table_graph_keeps_its_table(rm_desk):
     assert plain.degrees() == rm_desk.degrees()
 
 
+def test_a_table_graph_holds_no_object_per_vertex():
+    # what the graph holds once built is its int32 table and a few objects,
+    # no tuple or int per vertex
+    table = cached_lps_graph(5, 29).neighbor_table()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = Graph.from_neighbor_table(table)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 12180 and g.neighbor_table().dtype == np.int32
+    assert held <= table.nbytes + (64 << 10)
+
+
 @pytest.mark.parametrize("g", [cycle_graph(9), disjoint_union(cycle_graph(4), cycle_graph(5)),
                                circulant_graph(30, (1, 10)), Graph(1), Graph(2)])
 def test_table_connectivity_matches_bfs(g):
     assert Graph.from_neighbor_table(g.neighbor_table()).is_connected() == g.is_connected()
+
+
+@pytest.mark.parametrize("g", [cycle_graph(9), cycle_graph(10), circulant_graph(30, (1, 10)),
+                               circulant_graph(40, (1, 3)), Graph(1), Graph(2),
+                               disjoint_union(cycle_graph(4), cycle_graph(5)),
+                               disjoint_union(cycle_graph(4), cycle_graph(6))])
+def test_a_table_graph_reads_like_its_edges(g):
+    # the whole-table paths and the row views answer as the tuples do
+    t = Graph.from_neighbor_table(g.neighbor_table())
+    assert t == g and g == t and hash(t) == hash(g)
+    assert t.is_bipartite() == g.is_bipartite()
+    assert t.connected_components() == g.connected_components()
+    assert t.girth() == g.girth()
+    for v in range(g.vertex_count):
+        assert t.neighbors(v) == g.neighbors(v) and type(t.neighbors(v)) is tuple
+        assert t.bfs_distances(v) == g.bfs_distances(v)
+        assert [t.has_edge(v, w) for w in range(g.vertex_count)] == \
+            [g.has_edge(v, w) for w in range(g.vertex_count)]
+
+
+def test_a_table_graph_differs_from_other_graphs_of_its_size():
+    # every graph of n vertices and m edges hashes alike; equality reads rows
+    c6 = Graph.from_neighbor_table(cycle_graph(6).neighbor_table())
+    two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
+    lopsided = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5)])
+    for other in (two_triangles, lopsided,
+                  Graph.from_neighbor_table(two_triangles.neighbor_table())):
+        assert c6 != other and other != c6 and hash(c6) == hash(other)
 
 
 @pytest.mark.parametrize("table,problem", [
