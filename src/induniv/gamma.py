@@ -359,7 +359,9 @@ class GammaVertex:
     """One product-graph vertex: anchor coordinate plus delta-1 blocks.
 
     Each block is (x_i, X_i, u_i) with X_i a bitmask over the subset
-    universe (width ``subset_bits``: |B_4| in a desk construction).
+    universe (width ``subset_bits``: |B_4| in a desk construction). Every
+    field is a Python int; ``validate_vertex`` names one that is not (a
+    float, a bool or a numpy integer).
     """
 
     x1: int
@@ -376,6 +378,36 @@ class GammaVertex:
         blocks = self.blocks
         return (self.x1, *[block[0] for block in blocks], *[block[2] for block in blocks])
 
+    @_held
+    def ranges(self) -> tuple[int, int, int, int, int]:
+        """The five facts ``validate_vertex`` compares with the parameters:
+        the block count, the smallest field (0 if none is negative), the
+        largest x, the largest u (-1 without blocks) and the widest subset
+        mask in bits. Held once made, like ``coords``, so each later check
+        is five comparisons. A field that is not an int, or a block that is
+        not an (x, mask, u) triple, raises ArgumentError naming it."""
+        x1, blocks = self.x1, self.blocks
+        try:
+            if type(x1) is not int or type(blocks) is not tuple:
+                raise TypeError
+            low = x1 if x1 < 0 else 0
+            top_x, top_u, widest = x1, -1, 0
+            for x, mask, u in blocks:
+                if type(x) is not int or type(mask) is not int or type(u) is not int:
+                    raise TypeError
+                if x > top_x:
+                    top_x = x
+                if u > top_u:
+                    top_u = u
+                width = mask.bit_length()
+                if width > widest:
+                    widest = width
+                if x < 0 or mask < 0 or u < 0:
+                    low = min(low, x, mask, u)
+        except (TypeError, ValueError):
+            raise _malformed(self) from None
+        return len(blocks), low, top_x, top_u, widest
+
     def u(self, i: int) -> int:
         """u-coordinate of block i."""
         return self.blocks[i - 2][2]
@@ -386,12 +418,31 @@ class GammaVertex:
 
 
 def validate_vertex(v: GammaVertex, params: GammaParams) -> None:
-    ell_m, ell_z, width = params.ell_m, params.ell_z, params.subset_bits
-    if len(v.blocks) != params.delta - 1 or not 0 <= v.x1 < ell_m:
+    """Raise ArgumentError unless v is a vertex of the product graph that
+    params describe, naming the first check it fails; v's ``ranges`` are
+    made on its first check and held for every later one."""
+    count, low, top_x, top_u, widest = v.ranges
+    if (count != params.delta - 1 or low < 0 or top_x >= params.ell_m
+            or top_u >= params.ell_z or widest > params.subset_bits):
         _reject_vertex(v, params)
-    for x, mask, u in v.blocks:
-        if not (0 <= x < ell_m and 0 <= u < ell_z and 0 <= mask and mask.bit_length() <= width):
-            _reject_vertex(v, params)
+
+
+def _malformed(v: GammaVertex) -> ArgumentError:
+    """The error naming the first field of v that is not an int, or the
+    first block that is not an (x, mask, u) triple."""
+    if type(v.x1) is not int:
+        return ArgumentError(f"x1 must be an int, got {v.x1!r}")
+    if type(v.blocks) is not tuple:
+        return ArgumentError(f"blocks must be a tuple of (x, mask, u) triples, got {v.blocks!r}")
+    for i, block in enumerate(v.blocks, start=2):
+        try:
+            x, mask, u = block
+        except (TypeError, ValueError):
+            return ArgumentError(f"block {i} must be an (x, mask, u) triple, got {block!r}")
+        for name, value in ((f"x_{i}", x), (f"subset mask at block {i}", mask), (f"u_{i}", u)):
+            if type(value) is not int:
+                return ArgumentError(f"{name} must be an int, got {value!r}")
+    raise AssertionError(f"no malformed field in {v!r}")
 
 
 def _reject_vertex(v: GammaVertex, params: GammaParams) -> None:
@@ -712,7 +763,10 @@ def decode_label(label: str, params: GammaParams) -> GammaVertex:
     parsed = _ParsedLabel(label, params)
     coords, delta, raw, size = parsed.coords, params.delta, parsed.raw, parsed.layout.widths[2] // 8
     masks = [int.from_bytes(raw[end - size:end], "big") for end in parsed.layout.mask_ends]
-    return GammaVertex(x1=coords[0], blocks=tuple(zip(coords[1:delta], masks, coords[delta:])))
+    vertex = GammaVertex(x1=coords[0], blocks=tuple(zip(coords[1:delta], masks, coords[delta:])))
+    # the parse's tuple is the vertex's coords, x_1..x_delta then u_2..u_delta
+    vertex.__dict__["coords"] = coords
+    return vertex
 
 
 def adjacency_from_labels(label_a: str, label_b: str, params: GammaParams) -> bool:

@@ -378,6 +378,31 @@ def test_embed_asks_the_oracle_about_every_pair(monkeypatch, desk_params2):
     assert len(calls) == 6 * 5 // 2
 
 
+def test_the_oracle_pass_asks_countable_queries(monkeypatch, desk_params2):
+    # a benchmark counts these calls by wrapping them where this test does:
+    # the closeness queries at class level, the scalar oracle in the embedder
+    from induniv import embedder, lps
+
+    c6 = cycle_graph(6)
+    result = embed(c6, 2, desk_params2)
+    calls = {"witness": 0, "close": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("contains", "rank"):
+        monkeypatch.setattr(lps.PowerNeighborhoods, name,
+                            counted(getattr(lps.PowerNeighborhoods, name), "close"))
+    monkeypatch.setattr(embedder, "gamma_adjacent_witness",
+                        counted(embedder.gamma_adjacent_witness, "witness"))
+    assert check_oracle_agreement(c6, result, desk_params2) == []
+    assert calls["witness"] == 6 * 5 // 2
+    assert calls["close"] >= 6 * 5 // 2
+
+
 def test_oracle_agreement_names_the_disagreeing_pair(desk_params2):
     c6 = cycle_graph(6)
     result = embed(c6, 2, desk_params2)

@@ -446,6 +446,52 @@ def test_vertex_validation(desk_params2):
         validate_vertex(
             GammaVertex(x1=0, blocks=((0, 1 << desk_params2.subset_bits, 0),)),
             desk_params2)
+    # a field that is not an int, or a block that is not an (x, mask, u)
+    # triple, is named by the validation, the scalar oracle (either side)
+    # and the encoder alike
+    p, good = desk_params2, GammaVertex(x1=0, blocks=((1, 1, 2),))
+    malformed = [
+        (GammaVertex(x1=1.0, blocks=((1, 1, 2),)), "x1 must be an int, got 1.0"),
+        (GammaVertex(x1=0, blocks=((1.0, 1, 2),)), "x_2 must be an int, got 1.0"),
+        (GammaVertex(x1=np.int64(0), blocks=((1, 1, 2),)), "x1 must be an int"),
+        (GammaVertex(x1=0, blocks=((np.int64(1), 1, 2),)), "x_2 must be an int"),
+        (GammaVertex(x1=0, blocks=((1, np.int64(1), 2),)),
+         "subset mask at block 2 must be an int"),
+        (GammaVertex(x1=0, blocks=((1, 1, np.int64(2)),)), "u_2 must be an int"),
+        (GammaVertex(x1=0, blocks=((1, 1.0, 2),)), "subset mask at block 2 must be an int"),
+        (GammaVertex(x1=True, blocks=((1, 1, 2),)), "x1 must be an int, got True"),
+        (GammaVertex(x1=0, blocks=((1, 1, 2, 3),)), r"block 2 must be an \(x, mask, u\) triple"),
+        (GammaVertex(x1=0, blocks=(7,)), r"block 2 must be an \(x, mask, u\) triple"),
+        (GammaVertex(x1=0, blocks=[(1, 1, 2)]), "blocks must be a tuple"),
+    ]
+    for v, message in malformed:
+        for call in (lambda v: validate_vertex(v, p), lambda v: encode_label(v, p),
+                     lambda v: gamma_adjacent_witness(v, good, p),
+                     lambda v: gamma_adjacent_witness(good, v, p)):
+            with pytest.raises(ArgumentError, match=message):
+                call(v)
+    # every accepted field is a Python int, so it encodes as itself
+    assert decode_label(encode_label(good, p), p) == good
+
+
+def test_the_held_check_follows_the_parameters(desk_params2):
+    # an x in [12180, 113460) lies inside R_m (5, 61) and outside R_m (5, 29)
+    small, big = desk_params2, _codec_params(2, DeskConfig((5, 61), (5, 29)))
+    x = small.ell_m + 7
+    assert x < big.ell_m
+    for order in ((small, big), (big, small)):
+        v, fresh = (GammaVertex(x1=3, blocks=((x, 1, 2),)) for _ in range(2))
+        for params in order:
+            if params is small:
+                with pytest.raises(ArgumentError,
+                                   match=rf"x_2={x} out of range \[0, {small.ell_m}\)"):
+                    validate_vertex(v, params)
+            else:
+                validate_vertex(v, params)
+        assert v.ranges is v.ranges and v.ranges == (1, 0, x, 2, 1)
+        # held outside the fields, like coords
+        assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+        assert "ranges" not in repr(v)
 
 
 def test_mask_width_edges(desk_params2):
