@@ -57,7 +57,6 @@ from .gamma import (
     _member,
     adjacent_pairs,
     block_link,
-    close_pair_ranks,
     encode_label,
     gamma_adjacent_witness,
 )
@@ -149,10 +148,11 @@ class CloseSets:
     """The close pairs of one embedding attempt's coordinate maps, each map
     scanned once.
 
-    ``ranks`` holds a map's close pairs a < b, as sorted keys a * n + b, with
-    both ranks (``gamma.close_pair_ranks``), keyed by the exact coordinate
-    tuple. The attempt's schedules and conflict sets read it as each map is
-    built, and its induced check (``adjacent_pairs``) reads it again for the
+    ``ranks`` holds a map's close pairs a < b, as sorted keys a * n + b, and
+    one rank each, of b's image seen from a's (``close_pairs`` of the metric,
+    whose ``inverse`` gives the other), keyed by the exact coordinate tuple.
+    The attempt's schedules and conflict sets read it as each map is built,
+    and its induced check (``adjacent_pairs``) reads it again for the
     coordinates read off the assembled vertices: a vertex whose coordinate
     differs from its built map changes the tuple, misses the table and is
     scanned afresh. ``of`` gives a map's keys alone, ``union`` the keys close
@@ -164,15 +164,15 @@ class CloseSets:
     def __init__(self, rm_pow, n: int):
         self.rm_pow = rm_pow
         self.n = n
-        self._ranks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._ranks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._unions: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
         self._edges: dict[Graph, np.ndarray] = {}
 
-    def ranks(self, coord_map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ranks(self, coord_map) -> tuple[np.ndarray, np.ndarray]:
         coord_map = tuple(coord_map)
         found = self._ranks.get(coord_map)
         if found is None:
-            found = self._ranks[coord_map] = close_pair_ranks(self.rm_pow, coord_map)
+            found = self._ranks[coord_map] = self.rm_pow.close_pairs(coord_map)
         return found
 
     def of(self, coord_map) -> np.ndarray:
@@ -390,17 +390,15 @@ def build_label_sets(
     params: GammaParams,
 ) -> tuple[int, ...]:
     rm_pow = params.rm_pow
-    masks = []
-    for v in range(part.vertex_count):
-        mask = 0
-        for w in part.neighbors(v):
-            r = rm_pow.rank(assignment[v], assignment[w])
-            if r is None:
-                raise IntegrityError(
-                    f"image of neighbor {w} is not a power neighbor of the "
-                    f"image of {v} in part {i}")
-            mask |= 1 << r
-        masks.append(mask)
+    masks = [0] * part.vertex_count
+    for v, w in part.edges():
+        r = rm_pow.rank(assignment[v], assignment[w])
+        if r is None:
+            raise IntegrityError(
+                f"image of neighbor {w} is not a power neighbor of the "
+                f"image of {v} in part {i}")
+        masks[v] |= 1 << r
+        masks[w] |= 1 << rm_pow.inverse[r]
     return tuple(masks)
 
 
@@ -453,11 +451,10 @@ def check_edge_witnesses(
         gu, gv = gamma[u], gamma[v]
         xu, xv = gu.coords, gv.coords
         ruv = rm_pow.rank(xu[i - 1], xv[i - 1])
-        rvu = rm_pow.rank(xv[i - 1], xu[i - 1])
         if ruv is None or not rm_pow.contains(xu[j - 1], xv[j - 1]):
             out.append(f"edge ({u}, {v}): coordinates not close at its parts ({j}, {i})")
             continue
-        reason = block_link(gu, gv, i, ruv, rvu, params)
+        reason = block_link(gu, gv, i, ruv, rm_pow.inverse[ruv], params)
         if reason is not None:
             out.append(f"edge ({u}, {v}): {reason} at part {i}")
     return out

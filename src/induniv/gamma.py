@@ -10,13 +10,13 @@ close u-coordinates in R_z. Closeness and ranks both come from the host's
 radius-4 metric, ``lps.PowerNeighborhoods`` (re-exported here with
 ``shared_power_neighborhoods``). A desk host is the LPS Cayley graph of
 PSL(2, q), whose build attaches that metric, decided by group arithmetic:
-y is close to x iff x^-1 y lies in the identity's distance-<=4
-neighborhood B, and the rank of y seen from x is the index of x^-1 y in B,
-listed by vertex id. So the metric holds no per-vertex rows, and it alone
-answers ``close_pairs``, on which the batched pair checks
-(``adjacent_pairs``, ``close_pair_ranks``) rest. A graph without a group
-gets the breadth-first reference, ``graphs.BfsNeighborhoods``, which serves
-scalar queries only.
+y is close to x iff x^-1 y lies in B, the products of one to four
+generators other than the identity; the rank of y seen from x is the index
+of x^-1 y in B, listed by vertex id, and that of x seen from y its fixed
+permutation ``inverse``. So the metric holds no per-vertex rows, and it
+alone answers ``close_pairs``, one product per unordered pair, on which the
+batched ``adjacent_pairs`` rests. A graph without a group gets the
+breadth-first reference, ``graphs.BfsNeighborhoods``: scalar queries only.
 
 The rule's test at one block, ``block_link``, is written once; the scalar
 oracle ``gamma_adjacent_witness`` answers one pair with it, and
@@ -486,10 +486,11 @@ def _witness(
 ) -> tuple[bool, tuple[int, int] | None]:
     """The x-scan of ``gamma_adjacent_witness`` on two valid vertices or
     parsed labels: the first close j, then the first i > j whose x-pair is
-    close and whose block links the pair. Each side's ``coords`` holds
-    x_j at index j - 1; the u's after x_delta are not read here."""
+    close and whose block links the pair (b's rank the ``inverse`` of a's).
+    Each side's ``coords`` holds x_j at index j - 1; the u's after x_delta
+    are not read here."""
     rm_pow = params.rm_pow
-    contains, rank = rm_pow.contains, rm_pow.rank
+    contains, rank, inverse = rm_pow.contains, rm_pow.rank, rm_pow.inverse
     ax, bx = a.coords, b.coords
     last = params.delta - 1  # the index of x_delta
     # the last coordinate has no later one to pair with
@@ -501,7 +502,7 @@ def _witness(
     for i in range(j + 1, last + 1):
         xa, xb = ax[i], bx[i]
         ra = rank(xa, xb)  # None iff the x-pair at i + 1 is not close
-        if ra is not None and block_link(a, b, i + 1, ra, rank(xb, xa), params) is None:
+        if ra is not None and block_link(a, b, i + 1, ra, inverse[ra], params) is None:
             return True, (j + 1, i + 1)
     return False, None
 
@@ -530,14 +531,14 @@ def adjacent_pairs(
     """Every adjacent pair of positions a < b, with the witness (j, i) that
     ``gamma_adjacent_witness`` gives it, without visiting all pairs.
 
-    ``close_pair_ranks`` returns every pair close at a coordinate, with both
-    ranks, from the same metric that ``contains`` and ``rank`` ask. So a pair
-    close at i and at some j < i is decided by ``block_link`` with the
-    smallest such j and i, which is the oracle's witness, and every other
-    pair is non-adjacent by definition. Every vertex is validated first.
-    ``close``, an embedding attempt's ``embedder.CloseSets``, answers for
-    ``close_pair_ranks`` from the scans it holds, keyed by the coordinate
-    tuple.
+    ``PowerNeighborhoods.close_pairs`` returns every pair close at a
+    coordinate with its rank (``inverse`` gives the other), from the metric
+    that ``contains`` and ``rank`` ask. So a pair close at i and at some
+    j < i is decided by ``block_link`` with the smallest such j and i, which
+    is the oracle's witness, and every other pair is non-adjacent by
+    definition. Every vertex is validated first. ``close``, an embedding
+    attempt's ``embedder.CloseSets``, answers for ``close_pairs`` from the
+    scans it holds, keyed by the coordinate tuple.
     """
     for v in vertices:
         validate_vertex(v, params)
@@ -546,37 +547,21 @@ def adjacent_pairs(
         return {}
     adjacent: dict[tuple[int, int], tuple[int, int]] = {}
     earlier: list[np.ndarray] = []  # close keys a * n + b, a < b, of coordinates 1..i-1
+    inverse = params.rm_pow.inverse
     for i in range(1, params.delta + 1):
         xs = tuple(v.coords[i - 1] for v in vertices)
-        keys, rank_ab, rank_ba = (
-            close_pair_ranks(params.rm_pow, xs) if close is None else close.ranks(xs))
+        keys, ranks = params.rm_pow.close_pairs(xs) if close is None else close.ranks(xs)
         first = np.zeros(len(keys), dtype=np.int64)  # smallest earlier close j, or 0
         for j in range(i - 1, 0, -1):
             first[_member(earlier[j - 1], keys)] = j
         cand = np.flatnonzero(first)
-        for key, ra, rb, j in zip(keys[cand].tolist(), rank_ab[cand].tolist(),
-                                  rank_ba[cand].tolist(), first[cand].tolist()):
+        for key, ra, j in zip(keys[cand].tolist(), ranks[cand].tolist(), first[cand].tolist()):
             pair = divmod(key, n)
             if pair not in adjacent and block_link(
-                    vertices[pair[0]], vertices[pair[1]], i, ra, rb, params) is None:
+                    vertices[pair[0]], vertices[pair[1]], i, ra, inverse[ra], params) is None:
                 adjacent[pair] = (j, i)
         earlier.append(keys)
     return adjacent
-
-
-def close_pair_ranks(
-    rm_pow: PowerNeighborhoods, xs: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs of positions a < b whose images are close, as sorted keys
-    a * len(xs) + b, with the rank of xs[b] seen from xs[a] and the rank of
-    xs[a] seen from xs[b]: ``PowerNeighborhoods.close_pairs`` folded onto
-    its unordered pairs."""
-    n = len(xs)
-    a, b, r = rm_pow.close_pairs(xs)
-    keys = a * n + b
-    fwd = a < b
-    # the rank seen from b sits at the key of the reversed pair
-    return keys[fwd], r[fwd], r[keys.searchsorted(b[fwd] * n + a[fwd])]
 
 
 def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

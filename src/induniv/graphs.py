@@ -46,6 +46,9 @@ class Graph:
     __slots__ = ("vertex_count", "edge_count", "_adj", "_connected", "_metric", "_table")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        if isinstance(vertex_count, bool) or not hasattr(vertex_count, "__index__"):
+            raise ArgumentError(f"vertex_count must be an integer, got {vertex_count!r}")
+        vertex_count = operator.index(vertex_count)  # numpy's integers too
         if vertex_count < 0:
             raise ArgumentError(f"vertex_count must be non-negative, got {vertex_count}")
         adj: list[list[int]] = [[] for _ in range(vertex_count)]

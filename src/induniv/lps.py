@@ -18,10 +18,11 @@ shortest cycle, and one BFS from a single vertex finds the girth.
 graph it is given.
 
 The same automorphisms decide the radius-4 metric: ``build_lps_graph``
-attaches ``PowerNeighborhoods`` to every graph it builds, which answers
-closeness, ranks, rows and batched close pairs by products in PSL(2, q)
-against the identity's ball, and holds no per-vertex rows. Graphs without a
-group have only the breadth-first reference, ``graphs.BfsNeighborhoods``.
+attaches ``PowerNeighborhoods``, which takes the identity's ball from the
+words of at most four generators, searching no graph, and answers
+closeness, ranks (the reverse one by inversion), rows and batched close
+pairs by products in PSL(2, q), holding no per-vertex rows. Graphs without
+a group have only the breadth-first reference, ``graphs.BfsNeighborhoods``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     ConvergenceError,
     ExhaustedSearchError,
 )
-from .graphs import BfsNeighborhoods, Graph
+from .graphs import RADIUS, Graph
 
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
 _LANCZOS_SEED = 20080101  # seeds the fixed Lanczos start vector
@@ -320,26 +321,40 @@ class PowerNeighborhoods:
     The graph joins M to M*S for each generator S, so left multiplication by
     M is an automorphism carrying the identity e to M: the neighbourhood of
     M is M*B, B being that of e, and 0 < dist(M, N) <= 4 exactly when
-    M^-1 N lies in B. ``ball`` holds B's vertex ids, ascending, as the
-    graph's breadth-first row of e lists them (``build_lps_graph``). The
-    rank of N seen from M is the index of M^-1 N in ``ball``: a fixed
-    bijection from each neighbourhood onto range(len(ball)). M^-1 is the
-    adjugate (d, -b, -c, a) of M = (a, b, c, d) up to a scalar, which the
-    projective canonical form absorbs. Scalar queries look the key of the
-    product up in a dict of B's keys; ``close_pairs`` looks whole blocks of
-    keys up in a dense table over the range of keys (two bytes for each of
-    2 q^3, about four a vertex). Nothing grows with the vertices queried.
+    M^-1 N lies in B: the products of one to four generators other than e,
+    whose ids ``ball`` holds, ascending. The rank of N seen from M is the
+    index of M^-1 N in ``ball``, a bijection of each neighbourhood onto
+    range(len(ball)), and ``inverse[r]``, the index of ``ball[r]``^-1, is
+    the rank of M seen from N (the generators, and so B, are closed under
+    inverses). M^-1 is the adjugate (d, -b, -c, a) of M = (a, b, c, d) up to
+    a scalar, which the canonical form absorbs. Scalar queries look the key
+    of the product up in a dict of B's keys; ``close_pairs`` looks whole
+    blocks of keys up in a dense table over the range of keys (two bytes for
+    each of 2 q^3, about four a vertex). Nothing grows with the vertices.
     """
 
-    def __init__(self, group: Psl2, ball: np.ndarray):
+    def __init__(self, group: Psl2, gens: list[tuple[int, int, int, int]]):
         q = group.q
         self.group = group
-        self.ball = ball
-        keys = group.keys[ball]
+        reached = np.zeros(len(group.keys), dtype=bool)
+        words = identity = group._ids[[q ** 3 + 1]]  # the key of (1, 0, 0, 1)
+        columns = np.array(gens, dtype=np.int64).T[:, None, :]
+        for _ in range(RADIUS):  # the words one generator longer
+            words = group.product_ids(group.elements[words].T[:, :, None], columns)
+            reached[words] = True
+        reached[identity] = False
+        self.ball = np.flatnonzero(reached)
+        keys = group.keys[self.ball]
         self._rank = dict(zip(keys.tolist(), range(len(keys))))
         self._ranks = np.full(2 * q ** 3, -1, dtype=np.int16 if len(keys) < 1 << 15 else np.int32)
         self._ranks[keys] = np.arange(len(keys))
         self._columns = tuple(np.ascontiguousarray(group.elements[self.ball].T))
+        a, b, c, d = self._columns
+        inverse = self._ranks[group.product_keys((d, q - b, q - c, a), (1, 0, 0, 1))]
+        if (inverse < 0).any() or (inverse[inverse] != np.arange(len(keys))).any():
+            raise ConstructionIntegrityError(
+                f"inversion is not an involution of the ball of PSL(2,{q})", q=q)
+        self.inverse = tuple(inverse.tolist())
         self._q, self._n = q, len(group.keys)
 
     @cached_property
@@ -390,15 +405,15 @@ class PowerNeighborhoods:
             raise ArgumentError(f"vertex id {v!r} out of range [0, {self._n})")
         return np.sort(self.group.product_ids(self._entries[v], self._columns))
 
-    def close_pairs(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every ordered pair of list positions whose images are close.
+    def close_pairs(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair of list positions a < b whose images are close.
 
-        Returns int64 arrays ``(a, b, r)``, sorted by (a, b): for each a != b
-        with 0 < dist(xs[a], xs[b]) <= 4, the rank r of xs[b] seen from xs[a]
-        (what ``rank`` returns). The adjugates of a block of positions are
-        multiplied by every image, about ``_PAIR_CHUNK`` products a block in
-        int32, so no len(xs)^2 array is ever built. Raises ArgumentError on
-        an id that is not a vertex.
+        Returns int64 arrays: the keys a * len(xs) + b, ascending, and the
+        rank of xs[b] seen from xs[a] (what ``rank`` returns; ``inverse``
+        turns it into the rank of xs[a] seen from xs[b]). The adjugates of a
+        block of positions are multiplied by the images from the block's
+        first position on, about ``_PAIR_CHUNK`` products a block in int32,
+        so no len(xs)^2 array is built. Raises ArgumentError on a non-vertex.
         """
         q, n = self._q, self._n
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
@@ -408,12 +423,14 @@ class PowerNeighborhoods:
             raise ArgumentError(f"vertex id {bad!r} out of range [0, {n})")
         e, f, g, h = cols = self.group.elements[xs].T.astype(np.int32, order="C")
         adj = np.stack([h, q - f, q - g, e])  # (d, -b, -c, a) mod q, per position
-        found = [(np.zeros(0, dtype=np.int64),) * 3]
+        found = [(np.zeros(0, dtype=np.int64),) * 2]
         step = max(1, _PAIR_CHUNK // max(size, 1))
         for lo in range(0, size, step):
-            ranks = self._ranks[self.group.product_keys(adj[:, lo:lo + step, None], cols)]
+            ranks = self._ranks[self.group.product_keys(adj[:, lo:lo + step, None], cols[:, lo:])]
             hit = np.flatnonzero(ranks >= 0)
-            found.append((hit // size + lo, hit % size, ranks[hit].astype(np.int64)))
+            a, b = hit // (size - lo) + lo, hit % (size - lo) + lo
+            later = b > a
+            found.append((a[later] * size + b[later], ranks[hit[later]].astype(np.int64)))
         return tuple(np.concatenate(part) for part in zip(*found))
 
 
@@ -461,12 +478,8 @@ def build_lps_graph(p, q: int | None = None) -> Graph:
             f"neighbour table is not an undirected graph: {exc}", p=p, q=q) from exc
     if g.max_degree() != p + 1:
         raise ConstructionIntegrityError("constructed graph is not (p+1)-regular")
-    # the identity's breadth-first row decides every other row by
-    # arithmetic; the graph carries the group metric from the start, so no
-    # query can meet the graph without it and rank by rows
-    identity = int(group._ids[q ** 3 + 1])  # the key of (1, 0, 0, 1)
-    ball = BfsNeighborhoods(g).row(identity)
-    object.__setattr__(g, "_metric", PowerNeighborhoods(group, ball))
+    # attached from the start, so no query can meet the graph without it
+    object.__setattr__(g, "_metric", PowerNeighborhoods(group, gens))
     return g
 
 

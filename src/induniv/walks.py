@@ -245,7 +245,8 @@ def verify_walk_map(
     Recomputes the usage histogram, radius-4 closeness of every scheduled
     pair (through the host's metric, which the tests hold to BFS), and
     path-ness of every block window from scratch. Raises ArgumentError on a
-    value that is not a vertex of the host.
+    value that is not a vertex of the host, and on a schedule entry that
+    does not name an index of the map and earlier indices.
     """
     for v in values:
         host._check_vertex(v)
@@ -260,10 +261,11 @@ def verify_walk_map(
             out.append(WalkViolation(
                 "usage", (v,), f"vertex {v} used {c} times, cap {usage_cap}"))
 
-    for t in sorted(t for t in schedule.sigma if 0 <= t < n):
+    for t in sorted(schedule.sigma):
         for t2 in sorted(schedule.sigma[t]):
-            if t2 >= n:
-                continue
+            if not 0 <= t2 < t < n:
+                raise ArgumentError(f"schedule entry sigma({t}) = {sorted(schedule.sigma[t])} "
+                                    f"names an index outside [0, {n}) or a target not before {t}")
             a, b = values[t], values[t2]
             if a == b:
                 out.append(WalkViolation(

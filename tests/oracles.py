@@ -84,11 +84,13 @@ def oracle_ball_rows(g: Graph, k: int, block: int = 1024):
             yield lo + i, row[row != lo + i]
 
 
-def oracle_close_pairs(pw, xs) -> list[tuple[int, int, int]]:
+def oracle_close_pairs(pw, xs) -> list[tuple[int, int]]:
     """What ``PowerNeighborhoods.close_pairs`` lists, from scalar queries:
-    every (a, b, rank) with a != b and xs[a], xs[b] close, in (a, b) order."""
-    return [(a, b, pw.rank(xs[a], xs[b])) for a in range(len(xs)) for b in range(len(xs))
-            if a != b and pw.contains(xs[a], xs[b])]
+    every (a * len(xs) + b, rank of xs[b] seen from xs[a]) with a < b and
+    xs[a], xs[b] close, in (a, b) order."""
+    n = len(xs)
+    return [(a * n + b, pw.rank(xs[a], xs[b])) for a in range(n) for b in range(a + 1, n)
+            if pw.contains(xs[a], xs[b])]
 
 
 def oracle_girth(g: Graph) -> int | float:

@@ -38,7 +38,7 @@ def test_build_expander_with_certificate(capsys, tmp_path):
     assert doc["girth"] == 6 and doc["non_bipartite"] and doc["connected"]
     assert doc["vertex_transitive"] is True  # the girth came from one BFS
     assert doc["all_ok"]
-    g = parse_edge_list(open(graph_file).read())
+    g = parse_edge_list(Path(graph_file).read_text())
     assert g.vertex_count == 2448
 
 
@@ -162,7 +162,7 @@ def test_embed_verify_round_trip(capsys, c6_file, tmp_path, rm_desk):
         "embed", "--input", c6_file, "--delta", "2", "--emit-labels",
         "--output", emb])
     assert code == 0
-    doc = json.load(open(emb))
+    doc = json.loads(Path(emb).read_text())
     assert doc["schema"] == "induniv/embedding-v1"
     assert len(doc["gamma"]) == 6
 
@@ -174,7 +174,7 @@ def test_verify_detects_tamper(capsys, c6_file, tmp_path, rm_desk):
     emb = str(tmp_path / "emb.json")
     invoke(capsys, ["embed", "--input", c6_file, "--delta", "2",
                     "--emit-labels", "--output", emb])
-    doc = json.load(open(emb))
+    doc = json.loads(Path(emb).read_text())
     params = make_gamma_params(doc["params"]["delta"], doc["params"]["n"])
     v0 = decode_label(doc["gamma"][0], params)
     x, mask, u = v0.blocks[0]
@@ -182,7 +182,7 @@ def test_verify_detects_tamper(capsys, c6_file, tmp_path, rm_desk):
     doc["gamma"][0] = encode_label(
         GammaVertex(x1=v0.x1, blocks=((x, mask & ~low, u),)), params)
     bad = str(tmp_path / "bad.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
 
     code, vdoc = invoke(capsys, ["verify", "--embedding", bad, "--input", c6_file])
     assert code == 2
@@ -243,17 +243,17 @@ def test_output_file(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     code = run(["size-report", "--delta", "2", "--n-list", "100", "--output", out])
     assert code == 0
-    assert json.load(open(out))["rows"]
+    assert json.loads(Path(out).read_text())["rows"]
 
 
 def test_verify_rejects_tampered_digest(capsys, c6_file, tmp_path, rm_desk):
     emb = str(tmp_path / "emb.json")
     invoke(capsys, ["embed", "--input", c6_file, "--delta", "2",
                     "--emit-labels", "--output", emb])
-    doc = json.load(open(emb))
+    doc = json.loads(Path(emb).read_text())
     doc["params_digest"] = "0" * 16
     bad = str(tmp_path / "bad.json")
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
 
     assert run(["verify", "--embedding", bad, "--input", c6_file]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
@@ -264,10 +264,10 @@ def test_verify_accepts_params_without_desk_fields(capsys, c6_file, tmp_path, rm
     emb = str(tmp_path / "emb.json")
     invoke(capsys, ["embed", "--input", c6_file, "--delta", "2",
                     "--emit-labels", "--output", emb])
-    doc = json.load(open(emb))
+    doc = json.loads(Path(emb).read_text())
     doc["params"] = {k: doc["params"][k] for k in ("delta", "n", "rm_pq", "rz_pq")}
     old = str(tmp_path / "old.json")
-    json.dump(doc, open(old, "w"))
+    Path(old).write_text(json.dumps(doc))
 
     code, vdoc = invoke(capsys, ["verify", "--embedding", old, "--input", c6_file])
     assert code == 0 and vdoc["ok"] and vdoc["pairs_checked"] == 15

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from induniv.errors import ArgumentError, CertificationError, CodecError
+from induniv.errors import (
+    ArgumentError, CertificationError, CodecError, ConstructionIntegrityError)
 from induniv.gamma import (
     DeskConfig,
     GammaVertex,
@@ -81,9 +82,9 @@ def test_rows_match_bfs_oracle(rm_desk):
 
 
 def _listed(pairs):
-    a, b, r = pairs
-    assert a.dtype == b.dtype == r.dtype == np.int64
-    return list(zip(a.tolist(), b.tolist(), r.tolist()))
+    keys, ranks = pairs
+    assert keys.dtype == ranks.dtype == np.int64
+    return list(zip(keys.tolist(), ranks.tolist()))
 
 
 def test_rows_exist_only_for_the_vertices_asked_about(rm_desk):
@@ -156,9 +157,37 @@ def test_lps_hosts_are_built_with_the_group_metric():
         pw = shared_power_neighborhoods(g)
         assert type(pw) is PowerNeighborhoods and len(pw.ball) == 936
         assert shared_power_neighborhoods(g) is pw
-    # the ball is the identity's breadth-first row
-    e = [tuple(m) for m in psl2(29).elements.tolist()].index((1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("p, q", [(5, 29), (5, 41), (5, 61), (13, 17)])
+def test_the_word_ball_is_the_breadth_first_ball(p, q):
+    g = cached_lps_graph(p, q)
+    pw = shared_power_neighborhoods(g)
+    e = [tuple(m) for m in psl2(q).elements.tolist()].index((1, 0, 0, 1))
     assert BfsNeighborhoods(g).row(e).tolist() == pw.ball.tolist()
+    # inversion permutes the ranks, and undoes itself
+    inverse = np.array(pw.inverse)
+    assert sorted(pw.inverse) == list(range(len(pw.ball)))
+    assert np.array_equal(inverse[inverse], np.arange(len(pw.ball)))
+    assert [type(r) for r in pw.inverse[:3]] == [int] * 3
+    # the rank seen from the other side of each close pair
+    rng = random.Random(q)
+    center = rng.randrange(g.vertex_count)
+    xs = [int(rng.choice(pw.row(center))) for _ in range(60)]
+    xs += rng.sample(range(g.vertex_count), 20)
+    pairs = oracle_close_pairs(pw, xs)
+    assert len(pairs) > 50
+    for key, r in pairs:
+        a, b = divmod(key, len(xs))
+        assert pw.inverse[r] == pw.rank(xs[b], xs[a])
+
+
+def test_a_ball_that_inversion_does_not_permute_is_refused():
+    # a generator set not closed under inverses gives words whose inverses
+    # are not words; the metric refuses it when it is made
+    gens = lps.lps_generators(LpsParams(5, 29))
+    with pytest.raises(ConstructionIntegrityError, match="involution"):
+        PowerNeighborhoods(psl2(29), gens[:1])
 
 
 def test_group_rows_match_bfs_rows_on_every_vertex(rm_desk):
@@ -283,7 +312,8 @@ def test_every_close_rank_fits_the_subset_field(desk_params2):
     rng = random.Random(26)
     centers = rng.sample(range(p.ell_m), 3)
     xs = [int(rng.choice(pw.row(rng.choice(centers)))) for _ in range(400)]
-    _, _, ranks = pw.close_pairs(xs)
+    _, ranks = pw.close_pairs(xs)
+    ranks = np.concatenate([ranks, np.take(pw.inverse, ranks)])  # both sides' ranks
     assert len(ranks) > 1000
     assert 0 <= ranks.min() and ranks.max() < p.subset_bits
     assert ranks.max() >= p.subset_bits - 50

@@ -48,6 +48,17 @@ def test_rejects_self_loops_and_bad_ids():
         Graph(-1)
 
 
+@pytest.mark.parametrize("count", [True, False, 3.0, "3", None, np.True_])
+def test_a_vertex_count_must_be_an_integer(count):
+    with pytest.raises(ArgumentError, match=f"vertex_count must be an integer, got {count!r}"):
+        Graph(count)
+
+
+def test_a_numpy_vertex_count_is_kept_as_an_int():
+    g = Graph(np.int64(3), [(0, 1)])
+    assert type(g.vertex_count) is int and g == Graph(3, [(0, 1)])
+
+
 def test_vertex_ids_may_be_any_integer_type():
     g = circulant_graph(40, [1, 3])
     lps = cached_lps_graph(5, 29)

@@ -322,6 +322,15 @@ def test_verifier_rejects_values_off_the_host():
             verify_walk_map(g, ConstraintSchedule(12), walk[:-1] + (off,), caps["usage_cap"])
 
 
+@pytest.mark.parametrize("sets", [{3: {9}}, {4: {0}}, {-1: {0}}, {3: {-1}}, {2: {2}}, {1: {3}}])
+def test_verifier_rejects_schedule_entries_off_the_map(sets):
+    # an index or a target outside the map, or a target not before its
+    # index, is named rather than passed over
+    t, targets = next(iter(sets.items()))
+    with pytest.raises(ArgumentError, match=rf"sigma\({t}\) = \{sorted(targets)}"):
+        verify_walk_map(cycle_graph(30), ConstraintSchedule.from_sets(4, sets), (0, 1, 2, 3), 2)
+
+
 def test_verify_valid_map_is_clean():
     g = path_graph(25)
     caps = _caps_for(g, 12)
