@@ -39,7 +39,9 @@ Nothing is accepted on the strength of the construction alone.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -85,7 +87,7 @@ class HomomorphismSet:
     coord: tuple[tuple[int, ...], ...]
     shield: dict[int, tuple[int, ...]]
     label_sets: dict[int, tuple[int, ...]]
-    conflicts: dict[int, dict[int, frozenset[int]]]
+    conflicts: dict[int, dict[int, array]]
 
 
 @dataclass
@@ -241,7 +243,6 @@ def compute_sigma_i(
     if i < 2:
         raise ArgumentError("constraint schedules start at the second coordinate")
     n = h.vertex_count
-    q = params.q_m
     cap = params.sigma_cap_for(n)
     close = close or CloseSets(params.rm_pow, n)
     keys = close.union(coord_maps)
@@ -249,20 +250,15 @@ def compute_sigma_i(
                            _pair_keys(_collisions(coord_maps[0]), n)])
     phi = np.asarray(phi, dtype=np.int64)
     ta, tb = phi[keys // n], phi[keys % n]
-    a_due = tb <= prefix_limit(ta, q)
-    b_due = ta <= prefix_limit(tb, q)
-    t = np.concatenate([ta[a_due], tb[b_due]])
-    t2 = np.concatenate([tb[a_due], ta[b_due]])
-    order = np.argsort(t, kind="stable")
-    sets: dict[int, set[int]] = {}
-    for at, earlier in zip(t[order].tolist(), t2[order].tolist()):
-        sets.setdefault(at, set()).add(earlier)
-    for at in sorted(sets):
-        if len(sets[at]) > cap:
+    later, earlier = np.maximum(ta, tb), np.minimum(ta, tb)
+    due = earlier <= prefix_limit(later, params.q_m)
+    rows = _rows(later[due], earlier[due], n)
+    for at, row in rows.items():
+        if len(row) > cap:
             raise ScheduleOverflowError(
-                f"sigma({at}) for coordinate {i} has {len(sets[at])} entries, cap {cap}",
-                position=at, size=len(sets[at]), cap=cap)
-    return ConstraintSchedule.from_sets(n, sets)
+                f"sigma({at}) for coordinate {i} has {len(row)} entries, cap {cap}",
+                position=at, size=len(row), cap=cap)
+    return ConstraintSchedule(n, rows)
 
 
 def build_fi(
@@ -275,7 +271,7 @@ def build_fi(
     h: Graph,
     coord_maps: list[tuple[int, ...]],
     close: CloseSets | None = None,
-) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+) -> tuple[tuple[int, ...], dict[int, array]]:
     """Coordinate map for part i and its conflict sets, both verified."""
     assignment, broken = _walk_stage(
         f"f{i}", part, phi, params.r_m, params.rm_pow, schedule, params)
@@ -293,8 +289,9 @@ def compute_bad_sets(
     phi: tuple[int, ...],
     params: GammaParams,
     close: CloseSets | None = None,
-) -> dict[int, frozenset[int]]:
-    """Exact conflict sets for coordinate i, straight from the definition.
+) -> dict[int, array]:
+    """Exact conflict sets for coordinate i, straight from the definition:
+    a row (``_rows``) for each vertex that has conflicts.
 
     h' conflicts with h when they are non-adjacent, more than ``CONFLICT_GAP``
     apart in the layout, and their images collide (lie within distance 4)
@@ -310,18 +307,14 @@ def compute_bad_sets(
     phi = np.asarray(phi, dtype=np.int64)
     a, b = keys // n, keys % n
     far = np.abs(phi[a] - phi[b]) > CONFLICT_GAP
-    out: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in zip(a[far].tolist(), b[far].tolist()):
-        out[u].add(v)
-        out[v].add(u)
-    return {v: frozenset(s) for v, s in out.items()}
+    return _rows(np.concatenate([a[far], b[far]]), np.concatenate([b[far], a[far]]), n)
 
 
 def build_ri(
     i: int,
     part: Graph,
     phi: tuple[int, ...],
-    conflicts: dict[int, frozenset[int]],
+    conflicts: dict[int, array],
     params: GammaParams,
 ) -> tuple[int, ...]:
     """Shield map for part i: a walk in R_z separating all conflict pairs.
@@ -332,25 +325,21 @@ def build_ri(
     is then verified outright.
     """
     n = len(phi)
-    q = params.q_z
-    sched_sets: dict[int, set[int]] = {}
-    late: dict[int, set[int]] = {}
-    for a in range(n):
-        for b in conflicts.get(a, ()):  # type: ignore[union-attr]
-            ta, tb = phi[a], phi[b]
-            if tb < ta:
-                due = sched_sets if tb <= prefix_limit(ta, q) else late
-                due.setdefault(ta, set()).add(tb)
-
+    slots = np.asarray(phi, dtype=np.int64)
+    v = np.repeat(np.fromiter(conflicts, np.int64), [*map(len, conflicts.values())])
+    ta, tb = slots[v], slots[np.fromiter(chain.from_iterable(conflicts.values()), np.int64)]
+    later, earlier = np.maximum(ta, tb), np.minimum(ta, tb)  # each pair twice; _rows keeps one
+    due = earlier <= prefix_limit(later, params.q_z)
+    sched = _rows(later[due], earlier[due], n)
     cap = params.sigma_cap_for(n)
-    for t, entries in sched_sets.items():
-        if len(entries) > cap:
+    for t, row in sched.items():
+        if len(row) > cap:
             raise ScheduleOverflowError(
-                f"shield schedule at {t} has {len(entries)} entries, cap {cap}",
-                position=t, size=len(entries), cap=cap)
+                f"shield schedule at {t} has {len(row)} entries, cap {cap}",
+                position=t, size=len(row), cap=cap)
     assignment, broken = _walk_stage(
         f"r{i}", part, phi, params.r_z, params.rz_pow,
-        ConstraintSchedule.from_sets(n, sched_sets), params, late)
+        ConstraintSchedule(n, sched), params, _rows(later[~due], earlier[~due], n))
     _require_clean(f"r{i}", broken + _check_conflict_shielded(conflicts, assignment, params))
     return assignment
 
@@ -538,7 +527,7 @@ def _attempt(
     stage_log.append("f1: homomorphism, well-distribution")
     shield: dict[int, tuple[int, ...]] = {}
     label_sets: dict[int, tuple[int, ...]] = {}
-    conflicts_all: dict[int, dict[int, frozenset[int]]] = {}
+    conflicts_all: dict[int, dict[int, array]] = {}
     close = CloseSets(params.rm_pow, h.vertex_count)
     for i in range(2, params.delta + 1):
         part, phi = dec.parts[i - 1], layouts[i - 1]
@@ -588,7 +577,7 @@ def _walk_stage(
     host_pow,
     schedule: ConstraintSchedule,
     params: GammaParams,
-    late: dict[int, set[int]] | None = None,
+    late: dict[int, array] | None = None,
 ) -> tuple[tuple[int, ...], list[str]]:
     """One map of a part into a host expander (R_m or R_z) and the part's
     edges it fails to send into the host's 4th power.
@@ -639,6 +628,19 @@ def _check_window_distinct(
             if abs(phi[a] - phi[b]) <= LOCAL_WINDOW]
 
 
+def _rows(at: np.ndarray, to: np.ndarray, n: int) -> dict[int, array]:
+    """Each ``at`` in [0, n), increasing, to its distinct ``to`` as one sorted ``array('i')``."""
+    if not len(at):
+        return {}
+    keys = np.sort(at * n + to)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    at, data = keys // n, (keys % n).astype(np.intc).tobytes()
+    starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    bounds = (4 * starts).tolist() + [4 * len(at)]
+    return {key: array("i", data[lo:hi])
+            for key, lo, hi in zip(at[starts].tolist(), bounds, bounds[1:])}
+
+
 def _pair_keys(pairs, n: int) -> np.ndarray:
     return np.fromiter((a * n + b for a, b in pairs), dtype=np.int64)
 
@@ -655,7 +657,7 @@ def _collisions(values) -> list[tuple[int, int]]:
 
 
 def _check_conflict_bound(
-    conflicts: dict[int, frozenset[int]],
+    conflicts: dict[int, array],
     phi: tuple[int, ...],
     params: GammaParams,
 ) -> list[str]:
@@ -663,7 +665,7 @@ def _check_conflict_bound(
     for v, cs in sorted(conflicts.items()):
         if len(cs) > params.d:
             out.append(f"conflict set of {v} has {len(cs)} members, cap {params.d}")
-        for w in sorted(cs):
+        for w in cs:
             if abs(phi[v] - phi[w]) <= CONFLICT_GAP:
                 out.append(
                     f"conflict pair ({v}, {w}) sits {abs(phi[v] - phi[w])} "
@@ -672,14 +674,14 @@ def _check_conflict_bound(
 
 
 def _check_conflict_shielded(
-    conflicts: dict[int, frozenset[int]],
+    conflicts: dict[int, array],
     assignment: tuple[int, ...],
     params: GammaParams,
 ) -> list[str]:
     out = []
     rz_pow = params.rz_pow
     for v, cs in sorted(conflicts.items()):
-        for w in sorted(cs):
+        for w in cs:
             if w > v and rz_pow.contains(assignment[v], assignment[w]):
                 out.append(
                     f"conflict pair ({v}, {w}) has shield images within distance 4")

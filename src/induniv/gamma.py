@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import struct
 from binascii import a2b_hex
 from dataclasses import dataclass, field, fields
@@ -56,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, CertificationError, CodecError, ExhaustedSearchError
-from .graphs import Graph, shared_power_neighborhoods
+from .graphs import Graph, _is_int, shared_power_neighborhoods
 from .lps import (
     ExpanderCertificate,
     LpsParams,
@@ -118,10 +117,6 @@ class DeskConfig:
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_sizes(delta: int, n: int) -> None:

@@ -27,6 +27,11 @@ INF = math.inf
 RADIUS = 4  # "close" in the product-graph oracle and in walk separation
 
 
+def _is_int(value) -> bool:
+    """An integer other than a bool, Python's or numpy's (``operator.index``)."""
+    return not isinstance(value, bool) and hasattr(value, "__index__")
+
+
 class Graph:
     """Simple undirected graph with sorted neighbour rows.
 
@@ -46,7 +51,7 @@ class Graph:
     __slots__ = ("vertex_count", "edge_count", "_adj", "_connected", "_metric", "_table")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
-        if isinstance(vertex_count, bool) or not hasattr(vertex_count, "__index__"):
+        if not _is_int(vertex_count):
             raise ArgumentError(f"vertex_count must be an integer, got {vertex_count!r}")
         vertex_count = operator.index(vertex_count)  # numpy's integers too
         if vertex_count < 0:
@@ -54,6 +59,10 @@ class Graph:
         adj: list[list[int]] = [[] for _ in range(vertex_count)]
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
+            if not (type(u) is int and type(v) is int):
+                if not (_is_int(u) and _is_int(v)):
+                    raise ArgumentError(f"edge ({u!r}, {v!r}) must join integer vertex ids")
+                u, v = operator.index(u), operator.index(v)  # numpy's integers too
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ArgumentError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
             if u == v:

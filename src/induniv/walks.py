@@ -35,6 +35,8 @@ vertex that call asks about.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -74,32 +76,32 @@ def prefix_limit(t, q: int):
 
 @dataclass(frozen=True)
 class ConstraintSchedule:
-    """Per-index sets of earlier indices whose images must stay far away."""
+    """Per-index rows of earlier indices whose images must stay far away:
+    ``sigma[t]`` is t's targets, strictly increasing, in an ``array('i')``."""
 
     n: int
-    sigma: dict[int, frozenset[int]] = field(default_factory=dict)
+    sigma: dict[int, array] = field(default_factory=dict)
 
     @classmethod
     def from_sets(cls, n: int, sets: Mapping[int, Iterable[int]]) -> "ConstraintSchedule":
-        return cls(n=n, sigma={t: frozenset(s) for t, s in sets.items() if s})
-
-    def at(self, t: int) -> frozenset[int]:
-        return self.sigma.get(t, frozenset())
+        return cls(n=n, sigma={t: array("i", sorted(set(s))) for t, s in sets.items() if s})
 
     def problems(self, q: int, sigma_cap: int) -> list[str]:
         """Violations of the schedule invariants for block length q and at
         most ``sigma_cap`` entries per index, empty when valid."""
         out = []
-        for t, targets in sorted(self.sigma.items()):
+        for t, row in sorted(self.sigma.items()):
             if not 0 <= t < self.n:
                 out.append(f"index {t} outside [0, {self.n})")
                 continue
             limit = prefix_limit(t, q)
-            bad = [x for x in targets if x > limit or x < 0]
-            if bad:
-                out.append(f"sigma({t}) reaches {sorted(bad)} past the prefix limit {limit}")
-            if len(targets) > sigma_cap:
-                out.append(f"sigma({t}) has {len(targets)} entries, cap {sigma_cap}")
+            if not all(map(operator.lt, row, row[1:])):
+                out.append(f"sigma({t}) = {list(row)} is not strictly increasing")
+            elif row and (row[0] < 0 or row[-1] > limit):
+                bad = [x for x in row if x > limit or x < 0]
+                out.append(f"sigma({t}) reaches {bad} past the prefix limit {limit}")
+            if len(row) > sigma_cap:
+                out.append(f"sigma({t}) has {len(row)} entries, cap {sigma_cap}")
         return out
 
 
@@ -156,20 +158,13 @@ def build_walk_map(
     adj = host._adj  # the host's neighbour rows, read without id checks
     n_pad = ((n + q - 1) // q) * q
 
-    late: dict[int, tuple[int, ...]] = {}
-    if extra_avoid:
-        for t, targets in extra_avoid.items():
-            tg = tuple(sorted(set(targets)))
-            if not tg:
-                continue
-            if not (0 <= t < n) or any(not 0 <= x < t for x in tg):
-                raise ArgumentError(f"extra_avoid[{t}] must name earlier indices, got {tg}")
-            late[t] = tg
-
     # the earlier positions each position must keep its image away from
-    due = {t: tuple(sorted(targets)) for t, targets in schedule.sigma.items()}
-    for t, targets in late.items():
-        due[t] = due.get(t, ()) + targets
+    due = dict(schedule.sigma)
+    for t, targets in (extra_avoid or {}).items():
+        tg = tuple(sorted(set(targets)))
+        if tg and not (0 <= t < n and 0 <= tg[0] and tg[-1] < t):
+            raise ArgumentError(f"extra_avoid[{t}] must name earlier indices, got {tg}")
+        due[t] = due.get(t, array("i")) + array("i", tg)
     values: list[int] = []
     usage: dict[int, int] = {}  # only the vertices the walk has used
     spent = 0
@@ -198,7 +193,7 @@ def build_walk_map(
                     "walk search budget exhausted",
                     position=t,
                     budget=budget,
-                    scheduled_targets=len(schedule.at(t)),
+                    scheduled_targets=len(schedule.sigma.get(t, ())),
                     at_cap=sum(1 for u in usage.values() if u >= usage_cap),
                 )
             if usage.get(w, 0) >= usage_cap or w in window:
@@ -261,10 +256,10 @@ def verify_walk_map(
             out.append(WalkViolation(
                 "usage", (v,), f"vertex {v} used {c} times, cap {usage_cap}"))
 
-    for t in sorted(schedule.sigma):
-        for t2 in sorted(schedule.sigma[t]):
+    for t, row in sorted(schedule.sigma.items()):
+        for t2 in row:
             if not 0 <= t2 < t < n:
-                raise ArgumentError(f"schedule entry sigma({t}) = {sorted(schedule.sigma[t])} "
+                raise ArgumentError(f"schedule entry sigma({t}) = {list(row)} "
                                     f"names an index outside [0, {n}) or a target not before {t}")
             a, b = values[t], values[t2]
             if a == b:
@@ -281,9 +276,7 @@ def verify_walk_map(
     # position lies in two windows
     steps = [values[i + 1] in adj[values[i]] for i in range(n - 1)]
     q = step_for(host.vertex_count)
-    k = 0
-    while k * q < n:
-        start = k * q
+    for k, start in enumerate(range(0, n, q)):
         width = min(2 * q, n - start)
         window = values[start:start + width]
         if len(set(window)) != len(window):
@@ -296,6 +289,5 @@ def verify_walk_map(
                         "blocks", (k,),
                         f"window at block {k} breaks adjacency at offset {i}"))
                     break
-        k += 1
     return tuple(out)
 

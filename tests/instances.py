@@ -71,9 +71,8 @@ def inject_walk_fault(
     values = list(walk)
     n = len(values)
     if kind == "separation":
-        constrained = [t for t in range(n) if schedule.at(t)]
-        t = rng.choice(constrained)
-        t2 = min(schedule.at(t))
+        t = rng.choice(sorted(schedule.sigma))
+        t2 = schedule.sigma[t][0]  # rows increase
         values[t] = values[t2]
     elif kind == "blocks":
         t = rng.randrange(1, n)

@@ -30,7 +30,6 @@ from induniv.lps import (
     quaternion_norm_solutions,
     sqrt_minus_one,
 )
-from induniv.walks import ConstraintSchedule
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -402,9 +401,10 @@ def oracle_first_decomposition(
 #
 # The embedder's pair checks as they were before they read closeness from
 # ``PowerNeighborhoods.close_pairs``: every pair visited, closeness asked one
-# scalar query at a time. Kept as the references the batched checks must
+# scalar query at a time, and schedules and conflict sets kept as Python sets
+# filled one pair at a time. Kept as the references the batched checks must
 # reproduce exactly (reports with witnesses and order, conflict sets,
-# schedules, error payloads).
+# schedules row for row, error payloads).
 
 def oracle_sigma_i(
     i: int,
@@ -412,14 +412,16 @@ def oracle_sigma_i(
     coord_maps: list[tuple[int, ...]],
     layout: tuple[int, ...],
     params: GammaParams,
-) -> ConstraintSchedule:
-    """Constraint schedule for coordinate map i from the earlier maps.
+) -> dict[int, set[int]]:
+    """Constraint schedule for coordinate map i from the earlier maps, as
+    the set of each position that has entries.
 
     For each position t (with t0 one full block before t's block): earlier
     positions whose anchor image coincides with t's, plus earlier non-
     neighbors whose image in some previous coordinate map is within distance
     4 of t's. Keeping the new image away from both maintains the anchor-
-    distinctness and conflict-set properties.
+    distinctness and conflict-set properties. The first position, in layout
+    order, with more entries than the cap raises the overflow.
     """
     if i < 2:
         raise ArgumentError("constraint schedules start at the second coordinate")
@@ -451,7 +453,7 @@ def oracle_sigma_i(
                 position=t, size=len(entries), cap=cap)
         if entries:
             sets[t] = entries
-    return ConstraintSchedule.from_sets(n, sets)
+    return sets
 
 
 def oracle_bad_sets(
@@ -460,8 +462,9 @@ def oracle_bad_sets(
     coord_maps: list[tuple[int, ...]],
     layout: tuple[int, ...],
     params: GammaParams,
-) -> dict[int, frozenset[int]]:
-    """Exact conflict sets for coordinate i, straight from the definition.
+) -> dict[int, set[int]]:
+    """Exact conflict sets for coordinate i, straight from the definition,
+    for each vertex that has conflicts.
 
     h' conflicts with h when they are non-adjacent, more than 4 apart in the
     layout, and their images collide (lie within distance 4) both in map i
@@ -483,7 +486,7 @@ def oracle_bad_sets(
             if any(rm_pow.contains(cm[a], cm[b]) for cm in maps):
                 out[a].add(b)
                 out[b].add(a)
-    return {v: frozenset(s) for v, s in out.items()}
+    return {v: s for v, s in out.items() if s}
 
 
 def oracle_verify_induced(h: Graph, result: EmbeddingResult, params: GammaParams) -> InducedReport:

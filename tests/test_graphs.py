@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -57,6 +58,20 @@ def test_a_vertex_count_must_be_an_integer(count):
 def test_a_numpy_vertex_count_is_kept_as_an_int():
     g = Graph(np.int64(3), [(0, 1)])
     assert type(g.vertex_count) is int and g == Graph(3, [(0, 1)])
+
+
+@pytest.mark.parametrize("edge", [(True, 2), (0, False), (0.0, 2), ("0", 2), (None, 2),
+                                  (np.True_, 2), (0, np.float64(2.0))])
+def test_an_edge_must_join_integer_ids(edge):
+    with pytest.raises(ArgumentError, match=re.escape(
+            f"edge ({edge[0]!r}, {edge[1]!r}) must join integer vertex ids")):
+        Graph(3, [edge])
+
+
+def test_numpy_edge_ids_are_kept_as_ints():
+    g = Graph(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+    assert g == Graph(3, [(0, 2), (1, 2)])
+    assert all(type(w) is int for v in range(3) for w in g.neighbors(v))
 
 
 def test_vertex_ids_may_be_any_integer_type():

@@ -1,13 +1,16 @@
 """The batched pair checks against the quadratic references in oracles.py.
 
 Every output is compared whole: induced reports (violations, their order and
-witnesses), conflict sets, schedules, check messages, and the payload of a
-schedule overflow.
+witnesses), conflict sets and schedules row for row, check messages, and the
+payload of a schedule overflow.
 """
 
+import importlib.util
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from induniv.embedder import (
     EmbeddingResult,
     _check_anchor_distinct,
     _check_window_distinct,
+    build_ri,
     check_edge_witnesses,
     compute_bad_sets,
     compute_sigma_i,
@@ -26,7 +30,7 @@ from induniv.embedder import (
 )
 from induniv.errors import ArgumentError, ScheduleOverflowError
 from induniv.gamma import (
-    GammaVertex, PowerNeighborhoods, adjacent_pairs, gamma_adjacent_witness,
+    GammaParams, GammaVertex, PowerNeighborhoods, adjacent_pairs, gamma_adjacent_witness,
     make_gamma_params)
 from induniv.graphs import Graph, circulant_graph, cycle_graph, disjoint_union, path_graph
 from induniv.harness import FamilySpec, enumerate_family
@@ -48,23 +52,38 @@ def _outcome(fn, *args):
         return ("error", type(exc).__name__, str(exc), exc.payload)
 
 
+def _as_sets(rows) -> dict[int, set[int]]:
+    """Grouped rows as the references' sets, once each row is shown to be a
+    non-empty, strictly increasing ``array('i')`` of 4-byte entries."""
+    for row in rows.values():
+        assert type(row) is array and row.typecode == "i" and row.itemsize == 4
+        assert row and all(a < b for a, b in zip(row, row[1:]))
+    return {key: set(row) for key, row in rows.items()}
+
+
+def _schedule_sets(i, h, coord_maps, layout, params) -> dict[int, set[int]]:
+    schedule = compute_sigma_i(i, h, coord_maps, layout, params)
+    assert schedule.n == h.vertex_count
+    return _as_sets(schedule.sigma)
+
+
 def _assert_checks_agree(h, coord, layouts, params) -> set[str]:
     """Compare every check at every coordinate; name the checks that found
     something, so a caller can tell its inputs reach them."""
     found = set()
     for i in range(2, len(coord) + 1):
         layout = layouts[i - 1]
-        sigma = _outcome(compute_sigma_i, i, h, coord[:i - 1], layout, params)
+        sigma = _outcome(_schedule_sets, i, h, coord[:i - 1], layout, params)
         assert sigma == _outcome(oracle_sigma_i, i, h, coord[:i - 1], layout, params)
-        conflicts = compute_bad_sets(i, h, coord[:i], layout, params)
+        conflicts = _as_sets(compute_bad_sets(i, h, coord[:i], layout, params))
         assert conflicts == oracle_bad_sets(i, h, coord[:i], layout, params)
         anchor = _check_anchor_distinct(coord[0], coord[i - 1])
         assert anchor == oracle_anchor_distinct(coord[0], coord[i - 1])
         window = _check_window_distinct(layout, coord[i - 1])
         assert window == oracle_window_distinct(layout, coord[i - 1])
         found.update(name for name, hit in (
-            ("overflow", sigma[0] == "error"), ("sigma", sigma[0] == "ok" and sigma[1].sigma),
-            ("conflict", any(conflicts.values())), ("anchor", anchor), ("window", window)) if hit)
+            ("overflow", sigma[0] == "error"), ("sigma", sigma[0] == "ok" and sigma[1]),
+            ("conflict", conflicts), ("anchor", anchor), ("window", window)) if hit)
     return found
 
 
@@ -86,6 +105,64 @@ def test_every_small_graph_checks_like_the_reference(delta, desk_params2, desk_p
             _assert_checks_agree(h, list(homs.coord), homs.layouts, params)
             count += 1
     assert count > 50
+
+
+def _bench_desk_set():
+    """The benchmark's seeded desk-set generator, which imports nothing of
+    the program."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.desk_set
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4])
+def test_desk_inputs_group_like_the_reference(delta):
+    # the schedules and conflict sets of the benchmark's desk inputs, each
+    # row against the scalar all-pairs reference
+    found = set()
+    for inp in _bench_desk_set()(delta, seed=0):
+        h = Graph(inp["n"], inp["edges"])
+        params = make_gamma_params(delta, h.vertex_count)
+        homs = embed(h, delta, params).homs
+        found |= _assert_checks_agree(h, list(homs.coord), homs.layouts, params)
+    assert {"sigma", "conflict"} <= found
+
+
+def test_a_schedule_overflow_names_its_first_position(monkeypatch, desk_params3):
+    # fuzzed maps under a cap of 1: the payload names the smallest position
+    # over the cap, its size and the cap, as the reference's does
+    monkeypatch.setattr(GammaParams, "sigma_cap_for", lambda self, n: 1)
+    rng = random.Random(7)
+    n = 60
+    centers = rng.sample(range(desk_params3.ell_m), 2)
+    coord = [_ball_map(rng, desk_params3.rm_pow, centers, n) for _ in range(2)]
+    layout = _random_layout(rng, n)
+    h = _random_graph(rng, n, n)
+    got = _outcome(compute_sigma_i, 3, h, coord, layout, desk_params3)
+    assert got == _outcome(oracle_sigma_i, 3, h, coord, layout, desk_params3)
+    assert got[0] == "error" and sorted(got[3]) == ["cap", "position", "size"]
+    assert got[3]["cap"] == 1 and got[3]["size"] > 1
+
+
+def test_a_shield_overflow_names_its_first_position(monkeypatch, desk_params2):
+    # slots 30 and 40 each conflict with three slots a full block behind
+    # them, slot 35 with two; under a cap of 2 the overflow names slot 30,
+    # though the vertex at slot 40 comes first in vertex order
+    monkeypatch.setattr(GammaParams, "sigma_cap_for", lambda self, n: 2)
+    n = 50
+    layout = tuple(range(n - 1, -1, -1))  # vertex v sits at slot n - 1 - v
+    sets: dict[int, set[int]] = {}
+    for ta, tb in [(30, 0), (30, 5), (30, 10), (35, 1), (35, 2), (40, 3), (40, 4), (40, 6)]:
+        a, b = n - 1 - ta, n - 1 - tb
+        sets.setdefault(a, set()).add(b)
+        sets.setdefault(b, set()).add(a)
+    conflicts = {v: array("i", sorted(s)) for v, s in sets.items()}
+    with pytest.raises(ScheduleOverflowError) as err:
+        build_ri(2, Graph(n), layout, conflicts, desk_params2)
+    assert err.value.payload == {"position": 30, "size": 3, "cap": 2}
+    assert str(err.value) == "shield schedule at 30 has 3 entries, cap 2"
 
 
 def _ball_map(rng, pw, centers, n):

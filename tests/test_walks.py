@@ -1,8 +1,10 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,18 @@ def test_schedule_invariants():
     assert past_limit.problems(2, 2)
     too_big = ConstraintSchedule.from_sets(20, {10: {0, 1, 2}})
     assert too_big.problems(2, 2)
+    assert ConstraintSchedule.from_sets(20, {10: [1, 0, 1]}).sigma == {10: array("i", [0, 1])}
+
+
+@pytest.mark.parametrize("row", [(1, 0), (0, 0), (0, 2, 1)])
+def test_a_schedule_row_must_strictly_increase(row):
+    # the walk and its checker read each row as given, so an unsorted or
+    # repeated target is an invalid schedule, not one to sort quietly
+    hand = ConstraintSchedule(20, {10: array("i", row)})
+    message = f"sigma(10) = {list(row)} is not strictly increasing"
+    assert hand.problems(2, 3) == [message]
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        build_walk_map(cycle_graph(40), hand, usage_cap=4, sigma_cap=3)
 
 
 # -- builder --------------------------------------------------------------------
