@@ -40,6 +40,7 @@ Nothing is accepted on the strength of the construction alone.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -325,12 +326,7 @@ def build_ri(
     is then verified outright.
     """
     n = len(phi)
-    slots = np.asarray(phi, dtype=np.int64)
-    v = np.repeat(np.fromiter(conflicts, np.int64), [*map(len, conflicts.values())])
-    ta, tb = slots[v], slots[np.fromiter(chain.from_iterable(conflicts.values()), np.int64)]
-    later, earlier = np.maximum(ta, tb), np.minimum(ta, tb)  # each pair twice; _rows keeps one
-    due = earlier <= prefix_limit(later, params.q_z)
-    sched = _rows(later[due], earlier[due], n)
+    sched, late = _shield_rows(conflicts, phi, params.q_z)
     cap = params.sigma_cap_for(n)
     for t, row in sched.items():
         if len(row) > cap:
@@ -338,10 +334,33 @@ def build_ri(
                 f"shield schedule at {t} has {len(row)} entries, cap {cap}",
                 position=t, size=len(row), cap=cap)
     assignment, broken = _walk_stage(
-        f"r{i}", part, phi, params.r_z, params.rz_pow,
-        ConstraintSchedule(n, sched), params, _rows(later[~due], earlier[~due], n))
+        f"r{i}", part, phi, params.r_z, params.rz_pow, ConstraintSchedule(n, sched), params, late)
     _require_clean(f"r{i}", broken + _check_conflict_shielded(conflicts, assignment, params))
     return assignment
+
+
+def _shield_rows(
+    conflicts: dict[int, array], phi: tuple[int, ...], q: int
+) -> tuple[dict[int, array], dict[int, array]]:
+    """The conflict pairs as slot rows, each later slot to its earlier ones,
+    split in two: the targets up to the slot's ``prefix_limit`` form the
+    walk schedule, the rest, inside its blind window, the late constraints.
+    One ``_rows`` grouping serves both halves: a row is increasing, so each
+    half is a slice of it."""
+    slots = np.asarray(phi, dtype=np.int64)
+    v = np.repeat(np.fromiter(conflicts, np.int64), [*map(len, conflicts.values())])
+    ta, tb = slots[v], slots[np.fromiter(chain.from_iterable(conflicts.values()), np.int64)]
+    # each pair twice; _rows keeps one
+    rows = _rows(np.maximum(ta, tb), np.minimum(ta, tb), len(phi))
+    sched: dict[int, array] = {}
+    late: dict[int, array] = {}
+    for t, row in rows.items():
+        cut = bisect_right(row, prefix_limit(t, q))
+        if cut:
+            sched[t] = row[:cut]
+        if cut < len(row):
+            late[t] = row[cut:]
+    return sched, late
 
 
 def assemble_gamma(homs: HomomorphismSet, params: GammaParams) -> EmbeddingResult:

@@ -23,13 +23,14 @@ oracle ``gamma_adjacent_witness`` answers one pair with it, and
 ``adjacent_pairs`` answers all pairs of a vertex list at once from
 per-coordinate close pairs, with the same witnesses. The rule reads a vertex
 only through its coordinate tuple ``coords`` (x_1..x_delta, then
-u_2..u_delta), ``u(i)`` and ``in_subset(i, r)``, so the label oracle
+u_2..u_delta) and ``in_subset(i, r)``, so the label oracle
 ``adjacency_from_labels`` runs the same scan on two parsed labels. A label
 is laid out in whole bytes with its coordinates first, so the strict parse
-that ``decode_label`` makes reads x_1..x_delta and u_2..u_delta with one
-``struct`` unpack and range-checks them; the scan then reads at most one
+that ``decode_label`` makes hex-decodes the whole label once, reads
+x_1..x_delta and u_2..u_delta past its header with one ``struct`` unpack
+and range-checks them with one ``max``; the scan then reads at most one
 bit of each subset mask, and only at a block whose x-pair is close,
-straight from the parsed bytes. The graph itself is never
+straight from the decoded bytes. The graph itself is never
 materialized: even at desk scale one subset coordinate is hundreds of bits
 wide, so everything is served by (params, oracle, codec).
 
@@ -49,7 +50,6 @@ import struct
 from binascii import a2b_hex
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from operator import ge
 from typing import Sequence
 
 import numpy as np
@@ -175,6 +175,12 @@ class ProductSizes:
     def label_header(self) -> str:
         """The 8-hex-digit width header that starts every label."""
         return format(self.label_bits, "08x")
+
+    @cached_property
+    def label_chars(self) -> int:
+        """The characters of a label: its header's 8 and the payload's hex
+        digits."""
+        return 8 + -(-self.label_bits // 4)
 
     def to_json(self) -> dict:
         return {
@@ -483,9 +489,8 @@ def _witness(
     parsed labels: the first close j, then the first i > j whose x-pair is
     close and whose block links the pair (b's rank the ``inverse`` of a's).
     Each side's ``coords`` holds x_j at index j - 1; the u's after x_delta
-    are not read here."""
-    rm_pow = params.rm_pow
-    contains, rank, inverse = rm_pow.contains, rm_pow.rank, rm_pow.inverse
+    are read only by ``block_link``."""
+    contains = params.rm_pow.contains
     ax, bx = a.coords, b.coords
     last = params.delta - 1  # the index of x_delta
     # the last coordinate has no later one to pair with
@@ -494,6 +499,8 @@ def _witness(
             break
     else:
         return False, None
+    # most pairs stop above, so the rank lookups are bound only here
+    rank, inverse = params.rm_pow.rank, params.rm_pow.inverse
     for i in range(j + 1, last + 1):
         xa, xb = ax[i], bx[i]
         ra = rank(xa, xb)  # None iff the x-pair at i + 1 is not close
@@ -511,11 +518,13 @@ def block_link(
     ``ra`` is the rank of b's x_i among a's power neighbors and ``rb`` the
     rank of a's x_i among b's (None when absent). Block i links the pair iff
     each rank lies in its owner's subset and the u-pair at i is within
-    distance 4 in R_z.
+    distance 4 in R_z; u_i sits in ``coords`` at index delta + i - 2, after
+    x_delta.
     """
     if ra is None or rb is None or not (a.in_subset(i, ra) and b.in_subset(i, rb)):
         return "subset membership missing"
-    if not params.rz_pow.contains(a.u(i), b.u(i)):
+    at = params.delta + i - 2
+    if not params.rz_pow.contains(a.coords[at], b.coords[at]):
         return "shield pair not close"
     return None
 
@@ -609,11 +618,13 @@ def gamma_vertex_count(sizes: ProductSizes) -> ScaledCount:
 # a subset field's spare top bits by their own. External form: an
 # 8-hex-digit header carrying the bit width, 8 times the payload's bytes,
 # then the payload in lowercase hex. The decoder accepts exactly that form,
-# hex letters of either case: it parses the payload into bytes in one strict
-# pass, reads every coordinate with one struct unpack and cuts each subset
-# field from its byte range.
+# hex letters of either case: once the header and the length match, it
+# decodes the whole label, header included, into bytes in one strict pass,
+# reads every coordinate past the header's 4 bytes with one struct unpack
+# and cuts each subset field from its byte range.
 
 _COORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by field bytes
+_HEADER_BYTES = 4  # the width header's 8 hex digits, decoded
 
 
 def _coord_bytes(bits: int) -> int:
@@ -628,12 +639,14 @@ def _payload_bytes(x_bits: int, subset_bits: int, u_bits: int, delta: int) -> in
 
 @dataclass(frozen=True)
 class LabelLayout:
-    """Where each field of a label lies, fixed by the field widths.
+    """Where each field of a label lies once the whole label, header
+    included, is decoded from hex, fixed by the field widths.
 
     ``widths`` holds the bits that an x field, a u field and a subset field
-    take, each a whole number of bytes. ``coords`` unpacks x_1..x_delta
-    and then u_2..u_delta from the payload's start, each below its entry of
-    ``bounds``. The subset fields X_2..X_delta follow;
+    take, each a whole number of bytes. ``coords`` skips the header's 4
+    bytes and unpacks x_1..x_delta and then u_2..u_delta, each below its
+    entry of ``bounds``; every one below ``bound``, the smaller of ell_m and
+    ell_z, is in range. The subset fields X_2..X_delta follow;
     ``mask_ends`` lists where each ends. ``spare_top`` masks the bits of a
     subset field's first byte above ``subset_bits`` (0 when that width is a
     multiple of 8).
@@ -643,6 +656,7 @@ class LabelLayout:
     widths: tuple[int, int, int]
     coords: struct.Struct
     bounds: tuple[int, ...]
+    bound: int
     mask_ends: tuple[int, ...]
     spare_top: int
 
@@ -650,10 +664,10 @@ class LabelLayout:
     def of(cls, ell_m: int, ell_z: int, x_bits: int, subset_bits: int, u_bits: int,
            delta: int) -> LabelLayout:
         x_bytes, u_bytes, size = _coord_bytes(x_bits), _coord_bytes(u_bits), -(-subset_bits // 8)
-        coords = struct.Struct(
-            ">" + _COORD_CODES[x_bytes] * delta + _COORD_CODES[u_bytes] * (delta - 1))
+        coords = struct.Struct(f">{_HEADER_BYTES}x" + _COORD_CODES[x_bytes] * delta
+                               + _COORD_CODES[u_bytes] * (delta - 1))
         return cls(delta, (8 * x_bytes, 8 * u_bytes, 8 * size), coords,
-                   (ell_m,) * delta + (ell_z,) * (delta - 1),
+                   (ell_m,) * delta + (ell_z,) * (delta - 1), min(ell_m, ell_z),
                    tuple(range(coords.size + size, coords.size + delta * size, size)),
                    0xFF << (subset_bits - 8 * size + 8) & 0xFF)
 
@@ -676,41 +690,36 @@ def encode_label(v: GammaVertex, params: GammaParams) -> str:
 
 class _ParsedLabel:
     """A label after its one strict parse, read through the rule's
-    ``coords``, ``u`` and ``in_subset``.
+    ``coords`` and ``in_subset``.
 
-    The parse checks the width header and the payload's digit count against
-    ``label_bits`` before the layout is read: a layout holds O(delta)
-    fields, and an embedding file names its own delta. It then parses the
-    payload as hex in one pass, unpacks the coordinates into ``coords``
-    (x_1..x_delta, then u_2..u_delta), range-checks each and checks that
-    no subset field sets a spare top bit. ``in_subset`` reads one bit of a
-    subset field from the parsed bytes, and ``decode_label`` cuts them whole.
+    The parse checks the width header and the label's length against
+    ``label_header`` and ``label_chars`` before the layout is read: a layout
+    holds O(delta) fields, and an embedding file names its own delta. It
+    then decodes the whole label from hex in one pass, unpacks the
+    coordinates past the header into ``coords`` (x_1..x_delta, then
+    u_2..u_delta), range-checks them with one ``max`` and checks that no
+    subset field sets a spare top bit. ``in_subset`` reads one bit of a
+    subset field from the decoded bytes, and ``decode_label`` cuts them
+    whole. A label that is not a ``str`` raises CodecError naming its type.
     """
 
     __slots__ = ("raw", "layout", "coords")
 
     def __init__(self, label: str, params: GammaParams):
-        if len(label) < 8:
-            raise CodecError("label shorter than its width header")
-        bits = params.label_bits
         try:
-            # the width header as encode_label writes it, else parsed strictly
-            total = bits if label.startswith(params.label_header) else int.from_bytes(
-                a2b_hex(label[:8]), "big")
+            # the header and length that encode_label writes, else checked strictly
+            if not (label.startswith(params.label_header) and len(label) == params.label_chars):
+                _check_width(label, params)
+            raw = a2b_hex(label)
         except ValueError as exc:  # binascii.Error is a ValueError
             raise CodecError(f"label is not hex: {exc}") from exc
-        if total != bits:
-            raise CodecError(f"label declares {total} bits, parameters want {bits}")
-        if len(label) - 8 != bits // 4:
-            raise CodecError(
-                f"label payload has {len(label) - 8} hex digits, want {bits // 4}")
-        try:
-            raw = a2b_hex(label[8:])
-        except ValueError as exc:
-            raise CodecError(f"label is not hex: {exc}") from exc
+        except (AttributeError, TypeError):
+            if isinstance(label, str):
+                raise
+            raise CodecError(f"label must be a str, got {type(label).__name__}") from None
         layout = params.label_layout
         coords = layout.coords.unpack_from(raw)
-        if any(map(ge, coords, layout.bounds)):
+        if max(coords) >= layout.bound:
             _reject_coordinates(coords, layout)
         if layout.spare_top:
             size = layout.widths[2] // 8
@@ -720,17 +729,31 @@ class _ParsedLabel:
                         f"label sets a bit of X_{i} past its {params.subset_bits} bits")
         self.raw, self.layout, self.coords = raw, layout, coords
 
-    def u(self, i: int) -> int:
-        return self.coords[self.layout.delta + i - 2]
-
     def in_subset(self, i: int, r: int) -> int:
         # a rank is an index into the identity's radius-4 ball, below its
         # size subset_bits, so bit r lies inside the field
         return self.raw[self.layout.mask_ends[i - 2] - 1 - (r >> 3)] >> (r & 7) & 1
 
 
+def _check_width(label: str, params: GammaParams) -> None:
+    """Raise CodecError unless the label's width header declares
+    ``label_bits`` and its payload has that many bits of hex digits; a
+    header that is not hex raises the ValueError of its parse."""
+    if len(label) < 8:
+        raise CodecError("label shorter than its width header")
+    bits = params.label_bits
+    total = bits if label.startswith(params.label_header) else int.from_bytes(
+        a2b_hex(label[:8]), "big")
+    if total != bits:
+        raise CodecError(f"label declares {total} bits, parameters want {bits}")
+    if len(label) != params.label_chars:
+        raise CodecError(
+            f"label payload has {len(label) - 8} hex digits, want {bits // 4}")
+
+
 def _reject_coordinates(coords: tuple[int, ...], layout: LabelLayout) -> None:
-    """Raise CodecError naming the first coordinate out of range."""
+    """Raise CodecError naming the first coordinate out of range, if any:
+    ``bound`` is only the smaller of the two ranges."""
     delta = layout.delta
     for k, (value, bound) in enumerate(zip(coords, layout.bounds)):
         if value >= bound:

@@ -45,6 +45,7 @@ from .graphs import RADIUS, Graph
 
 _LANCZOS_STEPS = 400  # Lanczos steps before second_eigenvalue gives up
 _LANCZOS_SEED = 20080101  # seeds the fixed Lanczos start vector
+_LANCZOS_CHECK_EVERY = 8  # Lanczos steps between two convergence tests
 EIGEN_TOLERANCE = 1e-4  # certified lambda_2 may exceed 2 sqrt(d - 1) by this
 _PAIR_CHUNK = 1 << 16  # pair queries close_pairs answers at a time
 
@@ -508,8 +509,8 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     over ``g.neighbor_table()`` from a fixed start vector, with the
     trivial eigenvectors projected out at every step, so its extreme Ritz
     values approach the smallest and largest of the rest of the spectrum.
-    It stops once the residual bound beta * |s| of both is at most
-    ``tolerance``, s being the last entry of the Ritz vector in the
+    It stops at the first step whose residual bound beta * |s| of both is
+    at most ``tolerance``, s being the last entry of the Ritz vector in the
     tridiagonal basis: each is then within ``tolerance`` of an eigenvalue of
     the graph (Paige: this holds in floating point too, so the basis is not
     reorthogonalised and no basis is stored). Paige's bound holds only down
@@ -517,6 +518,13 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     to 0.0 certifies nothing. It raises ConvergenceError when that does not
     happen within ``_LANCZOS_STEPS`` steps. The start vector is uniform on
     [-1, 1), drawn from ``random.Random(_LANCZOS_SEED)``.
+
+    Each test diagonalises the tridiagonal matrix (``np.linalg.eigh``), so
+    the bound is tested only every ``_LANCZOS_CHECK_EVERY`` steps, at the
+    last step, and at once when beta is at most ``tolerance``, before a
+    later step divides by it. When a test passes, the steps since the last
+    failed one are tested in order, so the value is that of the first step
+    that converges, as if every step were tested.
     """
     if tolerance <= 0:
         raise ArgumentError("tolerance must be positive")
@@ -545,7 +553,8 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
     ritz = np.zeros(0)
     steps = min(_LANCZOS_STEPS, n - len(trivial))
     floor = np.finfo(float).eps * d  # Paige's bound, below round-off
-    for _ in range(steps):
+    tested = 0  # the steps whose bound has been tested and failed
+    for step in range(1, steps + 1):
         for u in trivial:
             v -= u * _dot(u, v)
         v /= math.sqrt(_dot(v, v))
@@ -553,16 +562,34 @@ def second_eigenvalue(g: Graph, tolerance: float = 1e-6) -> float:
         alpha.append(_dot(v, w))
         w -= alpha[-1] * v
         beta.append(math.sqrt(_dot(w, w)))
-        ritz, s = np.linalg.eigh(
-            np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
-        bound = beta[-1] * max(abs(s[-1, 0]), abs(s[-1, -1]))
-        if max(bound, floor) <= tolerance:
-            return float(max(abs(ritz[0]), abs(ritz[-1])))
+        # a beta that is NaN fails the last comparison too, and is tested at once
+        if not (step % _LANCZOS_CHECK_EVERY and step < steps and beta[-1] > tolerance):
+            ritz, converged = _ritz_test(alpha, beta, step, floor, tolerance)
+            if converged:
+                for earlier in range(tested + 1, step):
+                    early, ok = _ritz_test(alpha, beta, earlier, floor, tolerance)
+                    if ok:
+                        ritz = early
+                        break
+                return float(max(abs(ritz[0]), abs(ritz[-1])))
+            tested = step
         prev, v = v, w
     raise ConvergenceError(
         "eigenvalue iteration did not converge",
         extreme_ritz_values=[float(ritz[0]), float(ritz[-1])] if len(ritz) else [],
         steps=steps)
+
+
+def _ritz_test(
+    alpha: list[float], beta: list[float], step: int, floor: float, tolerance: float,
+) -> tuple[np.ndarray, bool]:
+    """The Ritz values after Lanczos step ``step`` (1-based), from the
+    tridiagonal matrix of its first ``step`` alphas and betas, and whether
+    their residual bound, never below ``floor``, is at most ``tolerance``."""
+    a, b = alpha[:step], beta[:step - 1]
+    ritz, s = np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+    bound = beta[step - 1] * max(abs(s[-1, 0]), abs(s[-1, -1]))
+    return ritz, max(bound, floor) <= tolerance
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Seeded random instances for the tests: walk hosts and schedules, walk
-faults, bounded-degree graphs and product-graph vertices.
+faults, bounded-degree graphs and product-graph vertices, and the
+benchmark's seeded desk inputs.
 
 Each function draws only from the ``random.Random`` it is given, so a seeded
 test sees the same instance on every run.
@@ -7,9 +8,11 @@ test sees the same instance on every run.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 from induniv.errors import ArgumentError
 from induniv.gamma import GammaParams, GammaVertex
@@ -148,3 +151,13 @@ def _draw_close(rng: random.Random, metric, x: int) -> int:
     b = metric.ball[rng.randrange(len(metric.ball))]
     elements = metric.group.elements
     return int(metric.group.product_ids(elements[x], elements[b])[0])
+
+
+def bench_desk_set(delta: int, seed: int) -> list[dict]:
+    """The benchmark's seeded desk inputs at delta, from its generator,
+    which imports nothing of the program: dicts with ``n`` and ``edges``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.desk_set(delta, seed)

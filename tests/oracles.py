@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+from binascii import a2b_hex
 from collections import deque
 
 import networkx as nx
@@ -19,6 +21,7 @@ from induniv.embedder import LOCAL_WINDOW, EmbeddingResult, InducedReport
 from induniv.errors import (
     ArgumentError,
     BudgetError,
+    CodecError,
     ConstructionIntegrityError,
     ScheduleOverflowError,
 )
@@ -575,6 +578,60 @@ def reference_decode_label(label: str, params: GammaParams) -> GammaVertex:
     fields.reverse()  # x_1..x_delta, u_2..u_delta, X_2..X_delta
     xs, us, masks = fields[1:k + 1], fields[k + 1:2 * k + 1], fields[2 * k + 1:]
     return GammaVertex(x1=fields[0], blocks=tuple(zip(xs, masks, us)))
+
+
+class ReferenceParsedLabel:
+    """The strict label parse with the header, the payload and each field
+    checked on its own: the width header (as written, else parsed as hex),
+    then the digit count, then the payload alone decoded from hex, then
+    each coordinate's range in turn, then each subset field's spare top
+    bits. A label that is not a ``str`` fails inside it with a TypeError or
+    an AttributeError. ``coords`` and ``masks`` hold the fields;
+    ``vertex`` makes the decoded vertex."""
+
+    def __init__(self, label: str, params: GammaParams):
+        if len(label) < 8:
+            raise CodecError("label shorter than its width header")
+        bits = params.label_bits
+        try:
+            total = bits if label.startswith(params.label_header) else int.from_bytes(
+                a2b_hex(label[:8]), "big")
+        except ValueError as exc:
+            raise CodecError(f"label is not hex: {exc}") from exc
+        if total != bits:
+            raise CodecError(f"label declares {total} bits, parameters want {bits}")
+        if len(label) - 8 != bits // 4:
+            raise CodecError(
+                f"label payload has {len(label) - 8} hex digits, want {bits // 4}")
+        try:
+            raw = a2b_hex(label[8:])
+        except ValueError as exc:
+            raise CodecError(f"label is not hex: {exc}") from exc
+        xw, sw, uw = _reference_widths(params)
+        delta = params.delta
+        codes = {8: "B", 16: "H", 32: "I", 64: "Q"}
+        fmt = ">" + codes[xw] * delta + codes[uw] * (delta - 1)
+        coords = struct.unpack_from(fmt, raw)
+        bounds = (params.ell_m,) * delta + (params.ell_z,) * (delta - 1)
+        for k, (value, bound) in enumerate(zip(coords, bounds)):
+            if value >= bound:
+                name = f"x_{k + 1}" if k < delta else f"u_{k - delta + 2}"
+                raise CodecError(
+                    f"decoded label is out of range: {name}={value} out of range [0, {bound})")
+        size, start = sw // 8, struct.calcsize(fmt)
+        masks = []
+        for i in range(2, delta + 1):
+            mask = int.from_bytes(raw[start + (i - 2) * size:start + (i - 1) * size], "big")
+            if mask >> params.subset_bits:
+                raise CodecError(
+                    f"label sets a bit of X_{i} past its {params.subset_bits} bits")
+            masks.append(mask)
+        self.coords, self.masks = coords, masks
+
+    def vertex(self) -> GammaVertex:
+        delta = len(self.masks) + 1
+        return GammaVertex(x1=self.coords[0], blocks=tuple(
+            zip(self.coords[1:delta], self.masks, self.coords[delta:])))
 
 
 def oracle_edge_witnesses(h: Graph, result: EmbeddingResult, params: GammaParams) -> list[str]:

@@ -32,8 +32,10 @@ from induniv.embedder import embed
 from induniv.graphs import BfsNeighborhoods, Graph, circulant_graph, cycle_graph, path_graph
 from induniv.lps import (
     LpsParams, build_lps_graph, cached_lps_graph, certify_expander, psl2)
-from instances import random_close_gamma_pair, random_gamma_vertex
+from instances import bench_desk_set, random_close_gamma_pair, random_gamma_vertex
 from oracles import (
+    ReferenceParsedLabel,
+    _reference_widths,
     oracle_ball_rows,
     oracle_close_pairs,
     oracle_distances,
@@ -636,9 +638,10 @@ def test_payload_digit_counts():
 def test_a_coordinate_takes_the_fewest_of_1_2_4_or_8_bytes(bits, code, size):
     layout = gamma.LabelLayout.of(1 << bits, 1 << bits, bits, 936, bits, 3)
     assert layout.widths == (8 * size, 8 * size, 936)
-    assert layout.coords.format == ">" + code * 5 and layout.coords.size == 5 * size
+    # the coordinates follow the width header's 4 bytes in the decoded label
+    assert layout.coords.format == ">4x" + code * 5 and layout.coords.size == 4 + 5 * size
     # the subset fields follow the coordinates
-    assert layout.mask_ends == (5 * size + 117, 5 * size + 234)
+    assert layout.mask_ends == (4 + 5 * size + 117, 4 + 5 * size + 234)
 
 
 @given(_codec_cases())
@@ -662,7 +665,7 @@ def test_a_set_spare_bit_is_rejected(delta):
     good = encode_label(v, params)
     assert decode_label(good, params) == v
     for i, end in enumerate(params.label_layout.mask_ends, start=2):
-        at = 8 + 2 * (end - 306)  # the field's first hex digit
+        at = 2 * (end - 306)  # the field's first hex digit, header included
         bad = good[:at] + format(int(good[at], 16) | 8, "x") + good[at + 1:]
         why = f"label sets a bit of X_{i} past its 2447 bits"
         assert _codec_error(decode_label, bad, params) == why
@@ -825,6 +828,141 @@ def test_a_label_of_the_wrong_width_is_rejected_before_the_layout_is_built(rm_de
     with pytest.raises(CodecError, match="payload has 1 hex digits"):
         decode_label(params.label_header + "0", params)
     assert "label_layout" not in vars(params)
+
+
+def _parse_outcome(parse, *args):
+    """The CodecError message of a parse, else the name of the error it
+    raised, else "ok"."""
+    try:
+        parse(*args)
+    except CodecError as exc:
+        return "CodecError", str(exc)
+    except (AttributeError, TypeError) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def _assert_parses_like_the_reference(label, params):
+    """The parse, the decoder and the oracle on either side accept and
+    reject the label as the reference parse does, with its message; a
+    decoded label gives the reference's vertex."""
+    want = _parse_outcome(ReferenceParsedLabel, label, params)
+    good = encode_label(GammaVertex(x1=0, blocks=((0, 0, 0),) * (params.delta - 1)), params)
+    for call, args in ((gamma._ParsedLabel, (label, params)), (decode_label, (label, params)),
+                       (adjacency_from_labels, (label, good, params)),
+                       (adjacency_from_labels, (good, label, params))):
+        assert _parse_outcome(call, *args) == want, (call, label)
+    if want == "ok":
+        assert decode_label(label, params) == ReferenceParsedLabel(label, params).vertex()
+    return want
+
+
+@pytest.mark.parametrize("hosts", _CODEC_HOSTS)
+@pytest.mark.parametrize("delta", [2, 3, 4, 5])
+def test_the_parse_rejects_what_the_reference_rejects(delta, hosts):
+    # every rejection form of the decoder test, and each in upper case
+    params = _codec_params(delta, hosts)
+    bad = _labels_the_decoder_rejects(params)
+    good = encode_label(random_gamma_vertex(random.Random(delta), params), params)
+    assert _assert_parses_like_the_reference(good, params) == "ok"
+    assert _assert_parses_like_the_reference(good.upper(), params) == "ok"
+    for defect, label in bad.items():
+        assert _assert_parses_like_the_reference(label, params)[0] == "CodecError", defect
+        _assert_parses_like_the_reference(label.upper(), params)
+
+
+@st.composite
+def _raw_labels(draw):
+    """A label whose fields take any value their widths hold: coordinates
+    past ell_m or ell_z, and subset fields past subset_bits."""
+    params = _codec_params(draw(st.sampled_from([2, 3, 4, 5])), draw(st.sampled_from(_CODEC_HOSTS)))
+    xw, sw, uw = _reference_widths(params)
+
+    def field(width, end=None):
+        # mostly around the range's end, where the checks cut
+        if end is not None and draw(st.booleans()):
+            return draw(st.integers(end - 2, min((1 << width) - 1, end + 2)))
+        return draw(st.integers(0, (1 << width) - 1))
+    blocks = tuple((field(xw, params.ell_m), field(sw), field(uw, params.ell_z))
+                   for _ in range(params.delta - 1))
+    return params, reference_encode_label(GammaVertex(field(xw, params.ell_m), blocks), params)
+
+
+@given(_raw_labels())
+@settings(max_examples=300, deadline=None)
+def test_coordinates_in_and_out_of_range_parse_like_the_reference(case):
+    params, label = case
+    _assert_parses_like_the_reference(label, params)
+
+
+def test_a_coordinate_between_the_two_ranges_is_accepted():
+    # R_m = (5, 61) is larger than R_z = (5, 29): an x at or above ell_z
+    # fails the parse's one shared bound but is in range
+    params = _codec_params(3, _CODEC_HOSTS[2])
+    assert params.ell_m > params.ell_z == params.label_layout.bound
+    top = GammaVertex(x1=params.ell_m - 1, blocks=((params.ell_z, 1, params.ell_z - 1),) * 2)
+    assert _assert_parses_like_the_reference(encode_label(top, params), params) == "ok"
+    for k, value in ((0, params.ell_m), (3, params.ell_z), (4, params.ell_z)):
+        fields = [params.ell_m - 1, params.ell_z, params.ell_z, 0, 0]
+        fields[k] = value
+        x1, x2, x3, u2, u3 = fields
+        label = reference_encode_label(GammaVertex(x1, ((x2, 0, u2), (x3, 0, u3))), params)
+        why = _assert_parses_like_the_reference(label, params)
+        assert why[0] == "CodecError" and "out of range" in why[1]
+
+
+# single-character edits: digits and letters of either case, and what
+# int(..., 16) would forgive but the parse must not
+_EDITS = "0189afAFgG _+x\t\uff10\u0660"
+
+
+@given(st.sampled_from([2, 3, 4, 5]), st.sampled_from(_CODEC_HOSTS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edited_labels_parse_like_the_reference(delta, hosts, data):
+    params = _codec_params(delta, hosts)
+    label = encode_label(_draw_vertex(data.draw, params), params)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(label)))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+        char = data.draw(st.sampled_from(_EDITS))
+        if edit == "replace":
+            label = label[:at] + char + label[at + 1:]
+        elif edit == "insert":
+            label = label[:at] + char + label[at:]
+        elif edit == "delete":
+            label = label[:at] + label[at + 1:]
+        else:
+            label = label[:at]
+    _assert_parses_like_the_reference(label, params)
+
+
+def test_a_label_that_is_not_a_str_is_named_by_its_type(desk_params3):
+    good = encode_label(random_gamma_vertex(random.Random(3), desk_params3), desk_params3)
+    raw = good.encode()
+    for label in (None, 123, 1.5, b"", raw, bytearray(raw), memoryview(raw), [good]):
+        # the reference parse fails too, mostly inside with a bare TypeError
+        # or AttributeError; b"" is shorter than a header
+        assert _parse_outcome(ReferenceParsedLabel, label, desk_params3) != "ok"
+        why = ("CodecError", f"label must be a str, got {type(label).__name__}")
+        for call, args in ((decode_label, (label, desk_params3)),
+                           (adjacency_from_labels, (label, good, desk_params3)),
+                           (adjacency_from_labels, (good, label, desk_params3))):
+            assert _parse_outcome(call, *args) == why
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 5])
+def test_every_desk_label_decodes_to_the_reference_vertex(delta):
+    count = 0
+    for inp in bench_desk_set(delta, seed=0):
+        h = Graph(inp["n"], inp["edges"])
+        params = make_gamma_params(delta, h.vertex_count)
+        for v in embed(h, delta, params).gamma:
+            label = encode_label(v, params)
+            want = ReferenceParsedLabel(label, params).vertex()
+            assert want == v
+            assert decode_label(label, params) == want == decode_label(label.upper(), params)
+            count += 1
+    assert count > 100
 
 
 def test_adjacent_pairs_of_fewer_than_two_vertices_scan_nothing(monkeypatch, rm_desk):

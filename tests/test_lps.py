@@ -236,6 +236,43 @@ def test_second_eigenvalue_reports_non_convergence():
     assert err.value.payload["steps"] == 100
 
 
+def _eigen_outcome(g, **kw):
+    try:
+        return second_eigenvalue(g, **kw)
+    except ConvergenceError as exc:
+        return exc.payload
+
+
+_EIGEN_CASES = {
+    "C6": lambda: (cycle_graph(6), {}),
+    "K4": lambda: (complete_graph(4), {}),
+    "circulant": lambda: (circulant_graph(200, (1, 7, 30)), {}),
+    "C130": lambda: (cycle_graph(130), {}),
+    "lps-13-17": lambda: (cached_lps_graph(13, 17), {}),
+    "lps-5-29": lambda: (cached_lps_graph(5, 29), {}),
+    "no-convergence": lambda: (cycle_graph(101), {"tolerance": 1e-300}),
+    "loose": lambda: (cycle_graph(101), {"tolerance": 1e-3}),
+}
+
+
+@pytest.mark.parametrize("case", list(_EIGEN_CASES))
+def test_testing_every_kth_step_gives_the_value_of_testing_every_step(monkeypatch, case):
+    # the first step that converges is found among the last k, so the value,
+    # or the failure's payload, is bit for bit that of a test at every step
+    g, kw = _EIGEN_CASES[case]()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    sparse = _eigen_outcome(g, **kw)
+    sparse_calls = len(calls)
+    monkeypatch.setattr(lps, "_LANCZOS_CHECK_EVERY", 1)
+    calls.clear()
+    assert _eigen_outcome(g, **kw) == sparse
+    assert sparse_calls <= len(calls)
+    if len(calls) > 2 * lps._LANCZOS_CHECK_EVERY:
+        assert sparse_calls < len(calls) / 2
+
+
 def test_second_eigenvalue_rejects_bad_input():
     with pytest.raises(ArgumentError):
         second_eigenvalue(Graph(3, [(0, 1)]))  # not regular

@@ -5,12 +5,10 @@ witnesses), conflict sets and schedules row for row, check messages, and the
 payload of a schedule overflow.
 """
 
-import importlib.util
 import random
 import tracemalloc
 from array import array
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +32,8 @@ from induniv.gamma import (
     make_gamma_params)
 from induniv.graphs import Graph, circulant_graph, cycle_graph, disjoint_union, path_graph
 from induniv.harness import FamilySpec, enumerate_family
+from induniv.walks import prefix_limit
+from instances import bench_desk_set
 from oracles import (
     oracle_anchor_distinct,
     oracle_bad_sets,
@@ -107,27 +107,77 @@ def test_every_small_graph_checks_like_the_reference(delta, desk_params2, desk_p
     assert count > 50
 
 
-def _bench_desk_set():
-    """The benchmark's seeded desk-set generator, which imports nothing of
-    the program."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.desk_set
-
-
 @pytest.mark.parametrize("delta", [2, 3, 4])
 def test_desk_inputs_group_like_the_reference(delta):
     # the schedules and conflict sets of the benchmark's desk inputs, each
     # row against the scalar all-pairs reference
     found = set()
-    for inp in _bench_desk_set()(delta, seed=0):
+    for inp in bench_desk_set(delta, seed=0):
         h = Graph(inp["n"], inp["edges"])
         params = make_gamma_params(delta, h.vertex_count)
         homs = embed(h, delta, params).homs
         found |= _assert_checks_agree(h, list(homs.coord), homs.layouts, params)
     assert {"sigma", "conflict"} <= found
+
+
+def _two_call_shield_rows(conflicts, phi, q):
+    """The shield's walk schedule and late rows as two groupings: the due
+    pairs, then the rest."""
+    slots = np.asarray(phi, dtype=np.int64)
+    pairs = [(v, w) for v, row in conflicts.items() for w in row]
+    ta = slots[np.array([v for v, _ in pairs], dtype=np.int64)]
+    tb = slots[np.array([w for _, w in pairs], dtype=np.int64)]
+    later, earlier = np.maximum(ta, tb), np.minimum(ta, tb)
+    due = earlier <= prefix_limit(later, q)
+    n = len(phi)
+    return (embedder._rows(later[due], earlier[due], n),
+            embedder._rows(later[~due], earlier[~due], n))
+
+
+def _assert_shield_split(conflicts, phi, q) -> tuple[int, int]:
+    """Compare the shield's one-grouping split with the two groupings; the
+    counts of schedule and late rows."""
+    got = embedder._shield_rows(conflicts, phi, q)
+    want = _two_call_shield_rows(conflicts, phi, q)
+    for rows, ref in zip(got, want):
+        assert list(rows.items()) == list(ref.items())
+        assert _as_sets(rows) == _as_sets(ref)
+    return len(got[0]), len(got[1])
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4])
+def test_desk_shield_rows_split_like_two_groupings(delta):
+    # one grouping cut at each row's prefix limit gives the schedule and
+    # the late rows that grouping the due and the other pairs apart gives;
+    # every conflict pair of these small inputs is late
+    late = 0
+    for inp in bench_desk_set(delta, seed=0):
+        h = Graph(inp["n"], inp["edges"])
+        params = make_gamma_params(delta, h.vertex_count)
+        homs = embed(h, delta, params).homs
+        for i, conflicts in homs.conflicts.items():
+            late += _assert_shield_split(conflicts, homs.layouts[i - 1], params.q_z)[1]
+    assert late
+
+
+def test_fuzzed_shield_rows_split_like_two_groupings():
+    # random conflict pairs over a long layout fill both halves, and rows
+    # that fall wholly in one half
+    rng = random.Random(35)
+    found = [0, 0]
+    for n in (1, 2, 30, 200):
+        for _ in range(20):
+            sets: dict[int, set[int]] = {}
+            for _ in range(rng.randrange(3 * n)):
+                a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if a != b:
+                    sets.setdefault(a, set()).add(b)
+                    sets.setdefault(b, set()).add(a)
+            conflicts = {v: array("i", sorted(ws)) for v, ws in sets.items()}
+            for q in (2, 5):
+                counts = _assert_shield_split(conflicts, _random_layout(rng, n), q)
+                found = [f + c for f, c in zip(found, counts)]
+    assert all(found)
 
 
 def test_a_schedule_overflow_names_its_first_position(monkeypatch, desk_params3):
